@@ -33,9 +33,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 
 from .messages import msg_key, sort_ids
-from .poset import Poset, PosetError, brute_force_antichain
+from .poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from .trace import Trace
 
 ALL_SUITES = ("kbo", "kscd", "k2s", "snapshot", "ksa", "roundsync")
@@ -192,9 +194,12 @@ def delivery_order(trace_or_index, scope: str = "non-faulty-only") -> DeliveryOr
 
 @dataclass
 class OrderResult:
+    """The agreed order.  ``strict`` maps each element to the int bitset of
+    the elements strictly above it, bit ``i`` standing for ``elements[i]``."""
+
     poset: Poset | None
     elements: list[str]
-    strict: dict[str, set]
+    strict: dict[str, int]
     excluded: list[str]
     order: DeliveryOrder
     valid: bool
@@ -208,29 +213,11 @@ def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
     Duplicate deliveries are dropped (first occurrence wins); the
     integrity check reports them separately.
     """
-    order = delivery_order(trace_or_index, scope)
-    positions = {
-        pid: {mid: i for i, mid in enumerate(seq)} for pid, seq in order.sequences.items()
-    }
-    elements = sort_ids({mid for seq in order.sequences.values() for mid in seq})
-    less: dict[str, set] = {mid: set() for mid in elements}
-    for i, x in enumerate(elements):
-        for y in elements[i + 1 :]:
-            before = after = 0
-            for pos in positions.values():
-                px = pos.get(x)
-                py = pos.get(y)
-                if px is None or py is None:
-                    continue
-                if px < py:
-                    before += 1
-                else:
-                    after += 1
-            if before and not after:
-                less[x].add(y)
-            elif after and not before:
-                less[y].add(x)
     index = trace_or_index if isinstance(trace_or_index, TraceIndex) else TraceIndex(trace_or_index)
+    order = delivery_order(index, scope)
+    elements = sort_ids({mid for seq in order.sequences.values() for mid in seq})
+    position = {mid: i for i, mid in enumerate(elements)}
+    less = dict(zip(elements, order_bitsets(order.sequences.values(), position)))
     delivered_anywhere = {
         mid for pid in range(1, index.n + 1) for mid in index.msg_seqs[pid]
     }
@@ -255,12 +242,58 @@ def width_and_antichain(result: OrderResult) -> tuple[int, list[str]]:
         w = result.poset.width()
         return w, result.poset.max_antichain()
     strict = result.strict
+    position = {mid: i for i, mid in enumerate(result.elements)}
 
     def comparable(x, y):
-        return y in strict[x] or x in strict[y]
+        return bool(strict[x] >> position[y] & 1 or strict[y] >> position[x] & 1)
 
     witness = brute_force_antichain(result.elements, comparable, key=msg_key)
     return len(witness), witness
+
+
+def set_positions(sets) -> dict[str, int]:
+    """Message id -> index of the set that delivered it (the last such set
+    for a message delivered twice)."""
+    return {mid: i for i, mids in enumerate(sets) for mid in mids}
+
+
+def sets_cross(pos_a: dict[str, int], pos_b: dict[str, int]) -> bool:
+    """Whether two messages sit in distinct sets in opposite order at two
+    processes.
+
+    One sweep over a's sets in order, keeping the largest set index at b
+    among a's earlier sets: a message whose index at b is below it has
+    crossed.  O(M log M) for the sort.
+    """
+    done = seen = -1  # max index at b over a's earlier sets / over all so far
+    current = None
+    for mid, ia in sorted(pos_a.items(), key=itemgetter(1)):
+        ib = pos_b.get(mid)
+        if ib is None:
+            continue
+        if ia != current:
+            current = ia
+            done = seen
+        if ib < done:
+            return True
+        if ib > seen:
+            seen = ib
+    return False
+
+
+def first_crossing(pos_a: dict[str, int], pos_b: dict[str, int]) -> tuple[str, str] | None:
+    """The canonical crossing witness: the first pair (m, m') of common
+    messages, in message id order, that the two processes deliver in
+    opposite set order, as (first at a, later at a).  O(M^2)."""
+    common = sort_ids(set(pos_a) & set(pos_b))
+    for i in range(len(common)):
+        for j in range(i + 1, len(common)):
+            m1, m2 = common[i], common[j]
+            da = pos_a[m1] - pos_a[m2]
+            db = pos_b[m1] - pos_b[m2]
+            if da * db < 0:
+                return (m1, m2) if da < 0 else (m2, m1)
+    return None
 
 
 # --- suites -------------------------------------------------------------------
@@ -314,14 +347,14 @@ def _check_kbo(index: TraceIndex) -> list[Verdict]:
         out.append(_skip("kbo.termination-2"))
         return out
 
+    delivered = {pid: set(index.msg_seqs[pid]) for pid in index.nonfaulty}
     t1 = None
     for pid in index.nonfaulty:
         if len(index.returns[pid]) != len(index.invokes[pid]):
             t1 = {"pid": pid, "reason": "broadcast did not return"}
             break
-        delivered = set(index.msg_seqs[pid])
         for inv in index.invokes[pid]:
-            if inv["msg"] not in delivered:
+            if inv["msg"] not in delivered[pid]:
                 t1 = {"pid": pid, "msg": inv["msg"], "reason": "own message not delivered"}
                 break
         if t1:
@@ -334,7 +367,7 @@ def _check_kbo(index: TraceIndex) -> list[Verdict]:
     )
     for mid in delivered_anywhere:
         for pid in index.nonfaulty:
-            if mid not in set(index.msg_seqs[pid]):
+            if mid not in delivered[pid]:
                 t2 = {"msg": mid, "pid": pid}
                 break
         if t2:
@@ -385,36 +418,23 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
     out.append(_ok("kscd.bounded") if not oversize else _fail("kscd.bounded", oversize))
 
     # No-crossing rule between distinct sets; the witness is one
-    # (m, m', pid, pid') tuple found in canonical scan order.
+    # (m, m', pid, pid') tuple found in canonical scan order.  The sweep
+    # finds the first crossing pair of processes; only that pair pays for
+    # the canonical scan.
     setpos = {
-        pid: {mid: i for i, (_, mids) in enumerate(index.set_seqs[pid]) for mid in mids}
+        pid: set_positions(mids for _, mids in index.set_seqs[pid])
         for pid in range(1, index.n + 1)
     }
     crossing = None
-    pids = sorted(setpos)
-    for a_idx in range(len(pids)):
-        for b_idx in range(a_idx + 1, len(pids)):
-            pa, pb = pids[a_idx], pids[b_idx]
-            common = sort_ids(set(setpos[pa]) & set(setpos[pb]))
-            for i in range(len(common)):
-                for j in range(i + 1, len(common)):
-                    m1, m2 = common[i], common[j]
-                    da = setpos[pa][m1] - setpos[pa][m2]
-                    db = setpos[pb][m1] - setpos[pb][m2]
-                    if da * db < 0:
-                        first_a, later_a = (m1, m2) if da < 0 else (m2, m1)
-                        crossing = {
-                            "msg_first": first_a,
-                            "msg_later": later_a,
-                            "pid": pa,
-                            "pid_reversed": pb,
-                        }
-                        break
-                if crossing:
-                    break
-            if crossing:
-                break
-        if crossing:
+    for pa, pb in combinations(sorted(setpos), 2):
+        if sets_cross(setpos[pa], setpos[pb]):
+            first_a, later_a = first_crossing(setpos[pa], setpos[pb])
+            crossing = {
+                "msg_first": first_a,
+                "msg_later": later_a,
+                "pid": pa,
+                "pid_reversed": pb,
+            }
             break
     out.append(_ok("kscd.ordering") if not crossing else _fail("kscd.ordering", crossing))
 
@@ -423,14 +443,16 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
         out.append(_skip("kscd.termination-2"))
         return out
 
+    delivered = {
+        pid: {mid for _, mids in index.set_seqs[pid] for mid in mids} for pid in index.nonfaulty
+    }
     t1 = None
     for pid in index.nonfaulty:
-        delivered = {mid for _, mids in index.set_seqs[pid] for mid in mids}
         if len(index.returns[pid]) != len(index.invokes[pid]):
             t1 = {"pid": pid, "reason": "broadcast did not return"}
             break
         for inv in index.invokes[pid]:
-            if inv["msg"] not in delivered:
+            if inv["msg"] not in delivered[pid]:
                 t1 = {"pid": pid, "msg": inv["msg"], "reason": "own message not set-delivered"}
                 break
         if t1:
@@ -443,8 +465,7 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
     )
     for mid in anywhere:
         for pid in index.nonfaulty:
-            delivered = {m for _, mids in index.set_seqs[pid] for m in mids}
-            if mid not in delivered:
+            if mid not in delivered[pid]:
                 t2 = {"msg": mid, "pid": pid}
                 break
         if t2:

@@ -1,12 +1,23 @@
 """Finite partial orders: width, maximum antichains, chain covers.
 
+The strict order is stored as int bitsets: ``less[x]`` has bit ``i`` set
+when the i-th element in key order lies strictly above ``x``.  Checking
+that a relation is a strict partial order (irreflexive, antisymmetric,
+transitive) is then a few big-int operations per element and per cover
+candidate, instead of O(n^3) set-subset tests on a chain.
+
 The width (maximum antichain size) is computed exactly through a maximum
 bipartite matching on the strict comparability relation: a poset of n
 elements has a minimum chain cover of size n - |maximum matching|, and
-that size equals the width.  The matching also yields a maximum antichain
-witness (via a minimum vertex cover) and a concrete chain decomposition,
-which is what turns a delivery order of width <= k into k total-order
-channels.
+that size equals the width (Dilworth, via Fulkerson 1956).  The matching
+is Kuhn's augmenting-path search run as an iterative depth-first search
+over the bitset adjacency, taking the lowest unvisited neighbour first.
+It needs no recursion, so chains of any length work, and one search step
+costs O(n/64) word operations: O(n^2) big-int operations in all on a
+chain, O(n * |relation|) in the worst case.  The matching also yields a
+maximum antichain witness (via a minimum vertex cover) and a concrete
+chain decomposition, which is what turns a delivery order of width <= k
+into k total-order channels.
 
 A brute-force maximum-antichain enumerator over element subsets is kept
 as an independent oracle for small posets; the two must always agree.
@@ -30,40 +41,105 @@ class BoundViolation(ValueError):
         super().__init__(f"width {len(antichain)} exceeds bound k={k}; antichain {antichain}")
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def order_bitsets(sequences, index: dict) -> list[int]:
+    """The agreed order of several sequences, as bitsets over ``index``.
+
+    x lies below y when some sequence holds both with x first and no
+    sequence holds both with y first.  Per sequence, a prefix sweep marks
+    what comes before each element and a suffix sweep what comes after,
+    so ``less[x] = OR after[x] & ~OR before[x]``: O(len * |sequences|)
+    big-int operations.  Each sequence lists an element at most once.
+    """
+    before = [0] * len(index)
+    after = [0] * len(index)
+    for seq in sequences:
+        positions = [index[x] for x in seq]
+        seen = 0
+        for i in positions:
+            before[i] |= seen
+            seen |= 1 << i
+        seen = 0
+        for i in reversed(positions):
+            after[i] |= seen
+            seen |= 1 << i
+    return [a & ~b for a, b in zip(after, before)]
+
+
 class Poset:
     """Strict partial order over hashable elements, stored transitively closed.
 
-    ``less`` maps each element to the set of elements strictly above it.
-    ``key`` fixes the deterministic element ordering used in outputs.
+    ``key`` fixes the deterministic element ordering used in outputs and
+    the bit positions: element ``elements[i]`` is bit ``i``.  Each value
+    of the input ``less`` is either an iterable of the elements strictly
+    above its key or such an int bitset; ``self.less`` always holds
+    bitsets.
     """
 
     def __init__(self, elements, less: dict, key=None):
         self.key = key if key is not None else lambda x: x
         self.elements = sorted(elements, key=self.key)
-        self.less = {x: frozenset(less.get(x, ())) for x in self.elements}
-        self._validate()
         self._index = {x: i for i, x in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise PosetError("duplicate elements")
+        self.less = {x: self._bitset(x, less.get(x, 0)) for x in self.elements}
+        self._validate()
         self._matching = None
 
+    def _bitset(self, x, ups) -> int:
+        if isinstance(ups, int):
+            if ups < 0 or ups >> len(self.elements):
+                raise PosetError(f"unknown element above {x!r}")
+            return ups
+        mask = 0
+        for y in ups:
+            i = self._index.get(y)
+            if i is None:
+                raise PosetError(f"unknown element {y!r} above {x!r}")
+            mask |= 1 << i
+        return mask
+
     def _validate(self) -> None:
-        known = set(self.elements)
-        if len(known) != len(self.elements):
-            raise PosetError("duplicate elements")
-        for x, ups in self.less.items():
-            if x in ups:
+        # For each x, only a few y in less[x] are tested: the lowest and
+        # the highest left (on a chain listed in or against key order, one
+        # of them is x's cover), after which everything above them is
+        # dropped.  That still proves transitivity.  Suppose z in less[x]
+        # with less[z] not in less[x].  z was tested (a contradiction) or
+        # dropped as being in less[y] for a tested y, with less[y] a subset
+        # of less[x] and, since y is not in less[y], a proper one.  So
+        # (y, z) is a violation too, with a smaller upper set, and the
+        # violation with the smallest upper set cannot exist.  Antisymmetry
+        # follows from the other two laws.
+        up = list(self.less.values())
+        for i, ups in enumerate(up):
+            x = self.elements[i]
+            if ups >> i & 1:
                 raise PosetError(f"irreflexivity violated at {x!r}")
-            for y in ups:
-                if y not in known:
-                    raise PosetError(f"unknown element {y!r} above {x!r}")
-                if x in self.less[y]:
-                    raise PosetError(f"antisymmetry violated between {x!r} and {y!r}")
-                if not self.less[y] <= ups:
-                    raise PosetError(f"transitivity violated at {x!r} < {y!r}")
+            rest = ups
+            while rest:
+                for j in ((rest & -rest).bit_length() - 1, rest.bit_length() - 1):
+                    above = up[j]
+                    if above >> i & 1:
+                        raise PosetError(
+                            f"antisymmetry violated between {x!r} and {self.elements[j]!r}"
+                        )
+                    if above & ~ups:
+                        raise PosetError(
+                            f"transitivity violated at {x!r} < {self.elements[j]!r}"
+                        )
+                    rest &= ~(above | 1 << j)
 
     # --- queries ---------------------------------------------------------
 
     def lt(self, x, y) -> bool:
-        return y in self.less[x]
+        return bool(self.less[x] >> self._index[y] & 1)
 
     def comparable(self, x, y) -> bool:
         return x == y or self.lt(x, y) or self.lt(y, x)
@@ -82,41 +158,49 @@ class Poset:
 
     # --- matching machinery ------------------------------------------------
 
-    def _adjacency(self) -> list[list[int]]:
-        idx = self._index
-        return [
-            sorted(idx[y] for y in self.less[x])
-            for x in self.elements
-        ]
+    def _max_matching(self) -> tuple[list[int], list[int]]:
+        """Kuhn's maximum matching of each element (left copy) to one above
+        it (right copy), as (match_l, match_r) index lists, -1 if unmatched.
 
-    def _max_matching(self):
+        The iterative search visits what a recursive one visits, in the
+        same order, so it finds the same matching.
+        """
         if self._matching is not None:
             return self._matching
-        n = len(self.elements)
-        adj = self._adjacency()
+        up = list(self.less.values())
+        n = len(up)
         match_l = [-1] * n
         match_r = [-1] * n
-
-        def augment(u: int, visited: set) -> bool:
-            for v in adj[u]:
-                if v in visited:
+        everyone = (1 << n) - 1
+        for root in range(n):
+            unvisited = everyone
+            path = [root]  # left vertices of the alternating path
+            taken = []  # taken[d]: right vertex leading out of path[d]
+            while path:
+                free = up[path[-1]] & unvisited
+                if not free:
+                    path.pop()
+                    if taken:
+                        taken.pop()
                     continue
-                visited.add(v)
-                if match_r[v] == -1 or augment(match_r[v], visited):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            return False
-
-        for u in range(n):
-            augment(u, set())
-        self._matching = (match_l, match_r, adj)
+                low = free & -free
+                unvisited ^= low
+                v = low.bit_length() - 1
+                taken.append(v)
+                w = match_r[v]
+                if w == -1:
+                    for u, v in zip(path, taken):
+                        match_l[u] = v
+                        match_r[v] = u
+                    break
+                path.append(w)
+        self._matching = (match_l, match_r)
         return self._matching
 
     def width(self) -> int:
         if not self.elements:
             return 0
-        match_l, _, _ = self._max_matching()
+        match_l, _ = self._max_matching()
         matched = sum(1 for v in match_l if v != -1)
         return len(self.elements) - matched
 
@@ -124,33 +208,30 @@ class Poset:
         """A maximum antichain, derived from a minimum vertex cover."""
         if not self.elements:
             return []
-        match_l, match_r, adj = self._max_matching()
-        n = len(self.elements)
-        in_zl = [False] * n
-        in_zr = [False] * n
-        queue = [u for u in range(n) if match_l[u] == -1]
-        for u in queue:
-            in_zl[u] = True
+        match_l, match_r = self._max_matching()
+        up = list(self.less.values())
+        queue = [u for u, v in enumerate(match_l) if v == -1]
+        in_zl = sum(1 << u for u in queue)
+        in_zr = 0
         while queue:
             u = queue.pop()
-            for v in adj[u]:
-                if in_zr[v]:
-                    continue
-                in_zr[v] = True
+            reached = up[u] & ~in_zr
+            in_zr |= reached
+            for v in iter_bits(reached):
                 w = match_r[v]
-                if w != -1 and not in_zl[w]:
-                    in_zl[w] = True
+                if w != -1 and not in_zl >> w & 1:
+                    in_zl |= 1 << w
                     queue.append(w)
-        antichain = [self.elements[i] for i in range(n) if in_zl[i] and not in_zr[i]]
+        antichain = [self.elements[i] for i in iter_bits(in_zl & ~in_zr)]
         if len(antichain) != self.width():
             raise PosetError("internal: antichain size disagrees with width")
-        return sorted(antichain, key=self.key)
+        return antichain
 
     def min_chain_cover(self) -> list[list]:
         """Chains (each totally ordered, bottom-up) covering all elements."""
         if not self.elements:
             return []
-        match_l, match_r, _ = self._max_matching()
+        match_l, match_r = self._max_matching()
         heads = [i for i in range(len(self.elements)) if match_r[i] == -1]
         chains = []
         for head in heads:
@@ -182,36 +263,16 @@ class Poset:
 
 
 def brute_force_width(poset: Poset) -> int:
-    """Maximum antichain size by exhaustive subset search (bitmask DP).
-
-    Independent of the matching path; intended for posets of <= ~20
-    elements.
-    """
-    n = len(poset.elements)
-    if n == 0:
-        return 0
-    if n > 20:
-        raise ValueError("brute force oracle limited to 20 elements")
-    conflict = [0] * n
-    for i, x in enumerate(poset.elements):
-        for j, y in enumerate(poset.elements):
-            if i != j and poset.comparable(x, y):
-                conflict[i] |= 1 << j
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        bit = 1 << v
-        skip = best[mask ^ bit]
-        take = 1 + best[mask & ~(conflict[v] | bit)]
-        best[mask] = skip if skip > take else take
-    return best[(1 << n) - 1]
+    """Maximum antichain size by exhaustive subset search; <= 20 elements."""
+    return len(brute_force_antichain(poset.elements, poset.comparable, key=poset.key))
 
 
 def brute_force_antichain(elements, comparable, key=None) -> list:
     """Maximum antichain witness by exhaustive subset DP.
 
-    ``comparable`` is a predicate over element pairs.  Works on any
-    irreflexive relation (no transitivity needed), limited to 20 elements.
+    Independent of the matching path.  ``comparable`` is a predicate over
+    element pairs.  Works on any irreflexive relation (no transitivity
+    needed), limited to 20 elements.
     """
     elements = sorted(elements, key=key) if key else sorted(elements)
     n = len(elements)
@@ -283,13 +344,9 @@ def intersect_orders(sequences, key=None) -> Poset:
     """Poset from the intersection of total orders over a common element set."""
     if not sequences:
         return Poset([], {}, key=key)
-    elements = list(sequences[0])
-    pos = [{x: i for i, x in enumerate(seq)} for seq in sequences]
-    less = {x: set() for x in elements}
-    for x in elements:
-        for y in elements:
-            if x != y and all(p[x] < p[y] for p in pos):
-                less[x].add(y)
+    elements = sorted(sequences[0], key=key)
+    index = {x: i for i, x in enumerate(elements)}
+    less = dict(zip(elements, order_bitsets(sequences, index)))
     return Poset(elements, less, key=key)
 
 

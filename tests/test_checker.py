@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bocast.checker import (
     TraceIndex,
@@ -8,10 +9,14 @@ from bocast.checker import (
     any_failure,
     build_order,
     check_all,
+    first_crossing,
     serialize_verdicts,
+    set_positions,
+    sets_cross,
     width_and_antichain,
 )
-from bocast.poset import BoundViolation
+from bocast.messages import sort_ids
+from bocast.poset import BoundViolation, brute_force_width, iter_bits
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, serialize_trace
@@ -111,6 +116,97 @@ class TestBuildOrder:
         assert verdicts["kbo.integrity"].witness == {
             "pid": 1, "msg": "1:0", "positions": [0, 1],
         }
+
+
+def pairwise_less(sequences) -> dict[str, set]:
+    """The agreed order by its definition, one pair at a time: x below y
+    iff some sequence holds both with x first and none with y first."""
+    positions = [{mid: i for i, mid in enumerate(seq)} for seq in sequences]
+    elements = sort_ids({mid for seq in sequences for mid in seq})
+    less = {x: set() for x in elements}
+    for x in elements:
+        for y in elements:
+            held = [pos for pos in positions if x in pos and y in pos]
+            if held and all(pos[x] < pos[y] for pos in held):
+                less[x].add(y)
+    return less
+
+
+MIDS = [f"{pid}:{i}" for pid in (1, 2, 3) for i in range(4)]
+
+
+class TestBitsetOrder:
+    @given(st.lists(st.lists(st.sampled_from(MIDS), unique=True), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_build_order_matches_the_pairwise_definition(self, sequences):
+        n = len(sequences)
+        events = [
+            Event(step, pid, "deliver-msg", {"msg": mid})
+            for step, (pid, mid) in enumerate(
+                (pid, mid) for pid, seq in enumerate(sequences, start=1) for mid in seq
+            )
+        ]
+        trace = Trace(stack_config(n, 1, 0, {}), events, "quiescent", 0)
+        result = build_order(trace)
+        expected = pairwise_less(sequences)
+        assert result.elements == list(expected)
+        got = {
+            x: {result.elements[i] for i in iter_bits(mask)} for x, mask in result.strict.items()
+        }
+        assert got == expected
+        transitive = all(expected[y] <= expected[x] for x in expected for y in expected[x])
+        assert result.valid == transitive
+        if result.valid:
+            assert result.poset.width() == brute_force_width(result.poset)
+
+
+@st.composite
+def set_sequence_pairs(draw):
+    """Two processes' set sequences: b independent of a, b a coarsening of
+    a's sets with some messages dropped (no crossing), or such a
+    coarsening with two messages of different sets swapped."""
+    sets = st.lists(st.sampled_from(MIDS), min_size=1, max_size=3, unique=True)
+    a = draw(st.lists(sets, max_size=6))
+    mode = draw(st.sampled_from(["independent", "coarsened", "planted"]))
+    if mode == "independent":
+        return a, draw(st.lists(sets, max_size=6)), mode
+    groups = {}
+    for mid, i in set_positions(a).items():
+        if draw(st.booleans()) or mode == "planted":
+            groups.setdefault(i, []).append(mid)
+    b = []
+    for i in sorted(groups):
+        if b and draw(st.booleans()):
+            b[-1] += groups[i]
+        else:
+            b.append(groups[i])
+    if mode == "planted" and len(b) >= 2:
+        i = draw(st.integers(0, len(b) - 2))
+        j = draw(st.integers(i + 1, len(b) - 1))
+        x = draw(st.integers(0, len(b[i]) - 1))
+        y = draw(st.integers(0, len(b[j]) - 1))
+        b[i][x], b[j][y] = b[j][y], b[i][x]
+    return a, b, mode
+
+
+class TestCrossingSweep:
+    @given(set_sequence_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_sweep_agrees_with_the_canonical_scan(self, pair):
+        a, b, mode = pair
+        pos_a, pos_b = set_positions(a), set_positions(b)
+        crossed = sets_cross(pos_a, pos_b)
+        assert crossed == (first_crossing(pos_a, pos_b) is not None)
+        assert crossed == sets_cross(pos_b, pos_a)
+        if mode == "coarsened":
+            assert not crossed
+
+    def test_planted_crossing_is_found(self):
+        a = [("1:0",), ("1:1", "2:0"), ("2:1",)]
+        b = [("1:0", "2:1"), ("2:0",), ("1:1",)]
+        pos_a, pos_b = set_positions(a), set_positions(b)
+        assert sets_cross(pos_a, pos_b)
+        assert first_crossing(pos_a, pos_b) == ("1:1", "2:1")
 
 
 class TestNegativeControls:

@@ -1,11 +1,20 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import bocast
 from bocast.cli import main
-from bocast.scenario import load_scenario
+from bocast.rng import SplitMix64
+from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
-from bocast.trace import serialize_trace
+from bocast.trace import serialize_trace, write_trace
+
+from _drivers import stack_config
 
 GOLDEN_DIR = Path("scenarios/golden")
 GOLDEN_SCENARIO = GOLDEN_DIR / "width2_profile.scenario.json"
@@ -103,6 +112,40 @@ def test_decompose_reports_bound_violation(capsys):
     out = capsys.readouterr().out
     assert "width 2 exceeds k=1" in out
     assert "antichain witness:" in out
+
+
+@pytest.fixture(scope="module")
+def long_chain_trace(tmp_path_factory):
+    """A k=1 trace whose agreed order is one 3000-message chain listed in
+    random key order: both processes deliver every message in the same
+    shuffled order."""
+    per_process = 1500
+    mids = [f"{pid}:{i}" for pid in (1, 2) for i in range(per_process)]
+    SplitMix64(3).shuffle(mids)
+    workload = {
+        pid: tuple(WorkItem(op="broadcast", payload=f"m{pid}.{i}") for i in range(per_process))
+        + tuple(WorkItem(op="deliver", msgs=(mid,)) for mid in mids)
+        for pid in (1, 2)
+    }
+    trace = run_scenario(stack_config(2, 1, 0, workload, schedule="round-robin",
+                                      step_budget=100_000))
+    assert trace.quiescent
+    path = tmp_path_factory.mktemp("chain") / "chain3000.trace"
+    write_trace(trace, path)
+    return path
+
+
+@pytest.mark.parametrize("verb", [["check", "--suites", "kbo"], ["decompose", "--k", "1"]])
+def test_long_chain_needs_no_recursion(long_chain_trace, verb):
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bocast", verb[0], "--trace", str(long_chain_trace), *verb[1:]],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if verb[0] == "decompose":
+        assert proc.stdout.startswith("width 1 within k=1; 1 channels")
 
 
 def test_fuzz_200_seeds_all_pass(tmp_path, capsys):

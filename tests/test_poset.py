@@ -10,8 +10,10 @@ from bocast.poset import (
     brute_force_width,
     from_edges,
     intersect_orders,
+    iter_bits,
     random_poset,
 )
+from bocast.rng import SplitMix64
 
 # The six-message reference delivery profile: three processes, width 2.
 PROFILE = [
@@ -48,6 +50,17 @@ class TestBasics:
     def test_transitivity_validated(self):
         with pytest.raises(PosetError):
             Poset(["a", "b", "c"], {"a": {"b"}, "b": {"c"}})
+
+    def test_bitset_and_set_inputs_agree(self):
+        as_sets = Poset(["c", "a", "b"], {"a": {"b", "c"}, "b": {"c"}})
+        as_bits = Poset(["c", "a", "b"], {"a": 0b110, "b": 0b100})
+        assert as_sets.less == as_bits.less == {"a": 0b110, "b": 0b100, "c": 0}
+        assert as_bits.lt("a", "c") and not as_bits.lt("c", "a")
+
+    @pytest.mark.parametrize("less", [{"a": {"z"}}, {"a": 0b1000}, {"a": -1}])
+    def test_unknown_elements_rejected(self, less):
+        with pytest.raises(PosetError, match="unknown element"):
+            Poset(["a", "b", "c"], less)
 
 
 class TestReferenceProfile:
@@ -131,3 +144,101 @@ class TestBruteForceHelper:
         ids = ["2:0", "10:0", "1:0"]
         witness = brute_force_antichain(ids, lambda x, y: False, key=msg_key)
         assert witness == ["1:0", "2:0", "10:0"]
+
+
+def naive_is_strict_order(elements, less) -> bool:
+    """Set-based definition: irreflexive, antisymmetric and transitive."""
+    return all(
+        x not in less[x]
+        and all(x not in less[y] and less[y] <= less[x] for y in less[x])
+        for x in elements
+    )
+
+
+class TestValidation:
+    @given(
+        st.integers(min_value=0, max_value=7),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitset_validation_matches_the_set_definition(self, n, data):
+        elements = list(range(n))
+        # either an arbitrary relation or a transitive one with one edge flipped
+        closed = intersect_orders(
+            [data.draw(st.permutations(elements)) for _ in range(2)]
+        )
+        less = {x: set(iter_bits(closed.less[x])) for x in elements}
+        if data.draw(st.booleans()) or not n:
+            less = {
+                x: set(data.draw(st.lists(st.sampled_from(elements), max_size=n)))
+                for x in elements
+            }
+        else:
+            x, y = data.draw(st.sampled_from(elements)), data.draw(st.sampled_from(elements))
+            less[x] ^= {y}
+        try:
+            Poset(elements, less)
+        except PosetError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == naive_is_strict_order(elements, less)
+
+
+def shuffled(seq, rng):
+    seq = list(seq)
+    rng.shuffle(seq)
+    return seq
+
+
+def delivery_poset(seed: int, n: int, processes: int, block: int) -> Poset:
+    """The agreed order of ``processes`` sequences that share one random
+    order of blocks but each shuffle every block: the shape a bounded
+    disagreement per round gives."""
+    rng = SplitMix64(seed)
+    base = shuffled(range(n), rng)
+    sequences = [
+        [x for start in range(0, n, block) for x in shuffled(base[start : start + block], rng)]
+        for _ in range(processes)
+    ]
+    return intersect_orders(sequences)
+
+
+class TestLargePosets:
+    """No recursion, whatever the chain's order against the key."""
+
+    @pytest.mark.parametrize("order", ["reverse-key", "random-key"])
+    def test_3000_element_chain(self, order):
+        seq = list(range(3000))
+        if order == "reverse-key":
+            seq.reverse()
+        else:
+            seq = shuffled(seq, SplitMix64(3000))
+        p = intersect_orders([seq])
+        assert p.width() == 1
+        assert len(p.max_antichain()) == 1
+        assert p.min_chain_cover() == [seq]
+
+    @pytest.mark.parametrize(
+        "seed, n, processes, block",
+        [(1, 500, 3, 10), (2, 1000, 3, 1000), (3, 2000, 4, 2000)],
+    )
+    def test_width_matches_hopcroft_karp(self, seed, n, processes, block):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.bipartite import hopcroft_karp_matching
+
+        p = delivery_poset(seed, n, processes, block)
+        graph = nx.Graph()
+        left = [("below", i) for i in range(n)]
+        graph.add_nodes_from(left)
+        graph.add_nodes_from(("above", i) for i in range(n))
+        graph.add_edges_from(
+            (("below", i), ("above", j))
+            for i, up in enumerate(p.less.values())
+            for j in iter_bits(up)
+        )
+        matching = hopcroft_karp_matching(graph, top_nodes=left)
+        assert p.width() == n - len(matching) // 2
+        antichain = p.max_antichain()
+        assert len(antichain) == p.width()
+        assert p.is_antichain(antichain)
