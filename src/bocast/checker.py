@@ -561,6 +561,29 @@ def _canon_cell(value):
     return value
 
 
+def first_incomparable(views) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in list order, of views neither of
+    which contains the other; None when the views form a chain.
+
+    Sorted by size, the views form a chain iff each is contained in the
+    next, so the common case costs a sort and one pass.  Only a family
+    that is not a chain pays for the pairwise scan that finds the
+    canonical witness.
+    """
+    by_size = sorted(views, key=len)
+    if all(a <= b for a, b in zip(by_size, by_size[1:])):
+        return None
+    for i in range(len(views)):
+        for j in range(i + 1, len(views)):
+            if not (views[i] <= views[j] or views[j] <= views[i]):
+                return i, j
+    raise AssertionError("a sorted family that is not a chain has an incomparable pair")
+
+
+def _is_count(value, expect: int) -> bool:
+    return type(value) is int and value == expect  # not bool, not float
+
+
 def _check_snapshot(index: TraceIndex) -> list[Verdict]:
     out = []
 
@@ -575,19 +598,14 @@ def _check_snapshot(index: TraceIndex) -> list[Verdict]:
                     (i, _canon_cell(cell)) for i, cell in enumerate(res) if cell is not None
                 )
                 views.append((step, pid, entries))
-        for i in range(len(views)):
-            for j in range(i + 1, len(views)):
-                vi, vj = views[i][2], views[j][2]
-                if not (vi <= vj or vj <= vi):
-                    containment = {
-                        "object": object_id,
-                        "pids": [views[i][1], views[j][1]],
-                        "steps": [views[i][0], views[j][0]],
-                    }
-                    break
-            if containment:
-                break
-        if containment:
+        pair = first_incomparable([entries for _, _, entries in views])
+        if pair is not None:
+            i, j = pair
+            containment = {
+                "object": object_id,
+                "pids": [views[i][1], views[j][1]],
+                "steps": [views[i][0], views[j][0]],
+            }
             break
     out.append(
         _ok("snapshot.containment")
@@ -595,22 +613,29 @@ def _check_snapshot(index: TraceIndex) -> list[Verdict]:
         else _fail("snapshot.containment", containment)
     )
 
+    # MEM cells are counts: an unwritten cell reads 0, and each write by p
+    # must raise p's count by exactly one.
     replay = None
     for object_id in sorted(index.objects):
         if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
             continue
+        mem = object_id == "MEM"
         cells: dict[int, object] = {}
         for step, pid, op, args, res in sorted(index.objects[object_id]):
             if op == "write":
-                cells[pid] = _canon_cell(args[0])
+                value = _canon_cell(args[0])
+                if mem and not _is_count(value, cells.get(pid, 0) + 1):
+                    replay = {"object": object_id, "step": step, "cell": pid}
+                    break
+                cells[pid] = value
             elif op == "snapshot":
                 for i, cell in enumerate(res):
-                    expect = cells.get(i + 1)
-                    got = _canon_cell(cell) if cell is not None else None
-                    if object_id == "MEM":
-                        got = got if got is not None else ()
-                        expect = expect if expect is not None else ()
-                    if got != expect:
+                    if mem:
+                        ok = _is_count(cell, cells.get(i + 1, 0))
+                    else:
+                        expect = cells.get(i + 1)
+                        ok = (_canon_cell(cell) if cell is not None else None) == expect
+                    if not ok:
                         replay = {"object": object_id, "step": step, "cell": i + 1}
                         break
             if replay:

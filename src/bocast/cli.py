@@ -183,6 +183,39 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
     return ScenarioConfig.from_json_dict(obj)
 
 
+class _GoldenInputError(Exception):
+    """A golden entry's meta, scenario, trace or verdicts file is missing or invalid."""
+
+
+def _read_golden_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _GoldenInputError(f"{path}: cannot read: {exc}") from exc
+
+
+def _load_golden_entry(gold_dir: Path, meta_path: Path):
+    """(config, trace text, verdicts text or None, suites) of one entry."""
+    try:
+        meta = json.loads(_read_golden_file(meta_path))
+        scenario_path = gold_dir / meta["scenario"]
+        trace_path = gold_dir / meta["trace"]
+        verdicts_path = gold_dir / meta["verdicts"] if meta.get("verdicts") else None
+        suites = tuple(meta.get("suites", ALL_SUITES))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _GoldenInputError(f"{meta_path}: invalid golden meta: {exc!r}") from exc
+    unknown = [suite for suite in suites if suite not in ALL_SUITES]
+    if unknown:
+        raise _GoldenInputError(f"{meta_path}: unknown suites {unknown}")
+    try:
+        config = load_scenario(scenario_path)
+    except (ConfigError, OSError) as exc:
+        raise _GoldenInputError(f"{scenario_path}: {exc}") from exc
+    want = _read_golden_file(trace_path)
+    want_v = _read_golden_file(verdicts_path) if verdicts_path is not None else None
+    return config, want, want_v, suites
+
+
 def cmd_golden(args) -> int:
     gold_dir = Path(args.dir)
     metas = sorted(gold_dir.glob("*.golden.json"))
@@ -190,32 +223,25 @@ def cmd_golden(args) -> int:
         return _fail_usage(f"no *.golden.json entries under {gold_dir}")
     failures = 0
     for meta_path in metas:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         name = meta_path.stem.replace(".golden", "")
-        scenario_path = gold_dir / meta["scenario"]
-        trace_path = gold_dir / meta["trace"]
-        verdicts_path = gold_dir / meta["verdicts"] if meta.get("verdicts") else None
-        suites = tuple(meta.get("suites", ALL_SUITES))
         try:
-            config = load_scenario(scenario_path)
+            config, want, want_v, suites = _load_golden_entry(gold_dir, meta_path)
+        except _GoldenInputError as exc:
+            return _fail_usage(str(exc))
+        try:
             trace = run_scenario(config)
-        except (ConfigError, SimulationError) as exc:
+        except SimulationError as exc:
             print(f"{name}: ERROR {exc}")
             failures += 1
             continue
-        got = serialize_trace(trace)
-        want = trace_path.read_text(encoding="utf-8")
-        if got != want:
+        if serialize_trace(trace) != want:
             print(f"{name}: TRACE MISMATCH")
             failures += 1
             continue
-        if verdicts_path is not None:
-            got_v = serialize_verdicts(check_all(trace, suites))
-            want_v = verdicts_path.read_text(encoding="utf-8")
-            if got_v != want_v:
-                print(f"{name}: VERDICT MISMATCH")
-                failures += 1
-                continue
+        if want_v is not None and serialize_verdicts(check_all(trace, suites)) != want_v:
+            print(f"{name}: VERDICT MISMATCH")
+            failures += 1
+            continue
         print(f"{name}: ok")
     return EXIT_FAIL if failures else EXIT_OK
 

@@ -1,12 +1,15 @@
 """Per-process engine for bounded set broadcast.
 
-Each process cooperates through a multi-shot snapshot array MEM (cell i
-holds the cumulative set of messages broadcast by p_i) and a repeated
-K2S store.  The engine has two halves:
+Each process cooperates through a multi-shot snapshot array MEM and a
+repeated K2S store.  In the paper, cell i of MEM holds the set of
+messages p_i has broadcast so far.  p_i publishes its messages in index
+order and cells only grow, so that set is always exactly
+{i:0, ..., i:c-1}: here cell i holds the count c.  The engine has two
+halves:
 
-* the broadcast operation: publish the message in MEM, snapshot MEM, and
-  block until everything visible in that snapshot has been locally
-  delivered;
+* the broadcast operation: publish the message in MEM (raise its count),
+  snapshot MEM, and block until everything visible in that snapshot has
+  been locally delivered;
 * the background task: repeatedly pick a candidate message (head of the
   pending sequence if any, else the oldest undelivered message visible in
   MEM), run one K2S round numbered by the current delivery count, unfold
@@ -24,8 +27,10 @@ processes interleave between them.
 
 from __future__ import annotations
 
+from operator import ge
+
 from .k2s import RepeatedK2S, canon_sets, canon_view
-from .messages import min_id, sort_ids
+from .messages import min_id, msg_key, sort_ids
 from .objects import SnapshotArray
 from .trace import Recorder
 
@@ -55,17 +60,31 @@ def unfold_views(sets) -> list[frozenset]:
         work = [s - chosen for s in work]
 
 
+class MemCounts:
+    """MEM, whose cell i counts the messages p_i has published, with the
+    running total of its cells."""
+
+    def __init__(self, n: int):
+        self.array = SnapshotArray(n, "MEM", initial=0)
+        self.total = 0
+
+
 class BroadcastEngine:
-    def __init__(self, pid: int, mem: SnapshotArray, kss: RepeatedK2S, recorder: Recorder):
+    def __init__(self, pid: int, mem: MemCounts, kss: RepeatedK2S, recorder: Recorder):
         self.pid = pid
         self.mem = mem
         self.kss = kss
         self.recorder = recorder
 
-        self.own: set[str] = set()          # messages this process broadcast
+        self.count = 0  # messages this process has published: its MEM cell
         self.delivered: set[str] = set()
+        # prefix[s]: the first index of p_{s+1}'s messages not delivered
+        # here; ahead: (s, index) delivered past that prefix (sets are not
+        # delivered in index order)
+        self.prefix = [0] * mem.array.n
+        self.ahead: set[tuple[int, int]] = set()
         self.seq: list[frozenset] = []
-        self.todeliver1: frozenset = frozenset()
+        self.wait_for: tuple = ()  # MEM counts seen by the broadcast snapshot
 
         self.tstate = "idle"  # idle|kset|snap1w|snap1s|snap2w|snap2s
         self.prop: str | None = None
@@ -76,46 +95,43 @@ class BroadcastEngine:
 
     # --- broadcast operation steps --------------------------------------
 
-    def broadcast_write(self, mid: str) -> None:
-        self.own.add(mid)
-        content = frozenset(self.own)
-        self.mem.write(self.pid, content)
-        self._obj_event("MEM", "write", [sort_ids(content)], None)
+    def broadcast_write(self) -> None:
+        """Publish this process's next message: its MEM count goes up by one."""
+        self.count += 1
+        self.mem.array.write(self.pid, self.count)
+        self.mem.total += 1
+        self._obj_event("MEM", "write", [self.count], None)
 
     def broadcast_snapshot(self) -> None:
-        arr = self.mem.snapshot(self.pid)
-        self._obj_event("MEM", "snapshot", None, [sort_ids(c) for c in arr])
-        visible = set().union(*arr) if arr else set()
-        self.todeliver1 = frozenset(visible - self.delivered)
+        self.wait_for = self.mem.array.snapshot(self.pid)
+        self._obj_event("MEM", "snapshot", None, list(self.wait_for))
 
     def broadcast_wait_ok(self) -> bool:
-        return self.todeliver1 <= self.delivered
+        return all(map(ge, self.prefix, self.wait_for))
 
     # --- background task -------------------------------------------------
-
-    def mem_backlog(self) -> set:
-        """Messages visible in MEM right now but not yet delivered here."""
-        visible = set().union(*self.mem.peek())
-        return visible - self.delivered
 
     def task_enabled(self) -> bool:
         if self.tstate != "idle":
             return True
         if self.seq:
             return True
-        return bool(self.mem_backlog())
+        # Everything delivered here is in MEM and MEM only grows, so some
+        # message visible in MEM is undelivered iff MEM holds more.
+        return self.mem.total > len(self.delivered)
 
     def task_step(self) -> frozenset | None:
         """Run one task step; returns the delivered set when one is emitted."""
         if self.tstate == "idle":
             if not self.seq:
-                arr = self.mem.snapshot(self.pid)
-                self._obj_event("MEM", "snapshot", None, [sort_ids(c) for c in arr])
-                backlog = set().union(*arr) - self.delivered
-                if not backlog:
-                    return None
-                self.prop = min_id(backlog)
-                self.tstate = "kset"
+                arr = self.mem.array.snapshot(self.pid)
+                self._obj_event("MEM", "snapshot", None, list(arr))
+                # the oldest undelivered message of the first sender with one
+                for s, (done, count) in enumerate(zip(self.prefix, arr)):
+                    if done < count:
+                        self.prop = f"{s + 1}:{done}"
+                        self.tstate = "kset"
+                        break
                 return None
             self.prop = min_id(self.seq[0])
             return self._step_kset()
@@ -170,12 +186,27 @@ class BroadcastEngine:
                 f"p{self.pid} re-delivery of {sort_ids(first & self.delivered)} at round {self.round}"
             )
         self.delivered |= first
+        self._advance_prefixes(first)
         self.tstate = "idle"
         self.prop = None
         self._inst = None
         return first
 
     # --- helpers ----------------------------------------------------------
+
+    def _advance_prefixes(self, mids) -> None:
+        prefix, ahead = self.prefix, self.ahead
+        for mid in mids:
+            sender, index = msg_key(mid)
+            s = sender - 1
+            if index != prefix[s]:
+                ahead.add((s, index))
+                continue
+            index += 1
+            while (s, index) in ahead:
+                ahead.remove((s, index))
+                index += 1
+            prefix[s] = index
 
     def _obj_event(self, object_id: str, op: str, args, result) -> None:
         self.recorder.emit(

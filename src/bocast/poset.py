@@ -311,33 +311,39 @@ def brute_force_antichain(elements, comparable, key=None) -> list:
 def from_edges(elements, edges, key=None) -> Poset:
     """Poset from cover/arbitrary forward edges; closes transitively.
 
-    ``edges`` must respect the element list order (x before y) or at least
-    be acyclic; cycles surface as PosetError.
+    ``edges`` must be acyclic; cycles surface as PosetError.  The closure
+    is taken in reverse topological order (Kahn 1962) as bitsets over the
+    key order, with no recursion, so edge chains of any length work.
     """
-    elements = list(elements)
-    succ = {x: set() for x in elements}
+    order = sorted(elements, key=key if key is not None else lambda x: x)
+    index = {x: i for i, x in enumerate(order)}
+    if len(index) != len(order):
+        raise PosetError("duplicate elements")
+    succ = {x: set() for x in order}
     for x, y in edges:
+        if x not in index or y not in index:
+            raise PosetError(f"edge ({x!r}, {y!r}) names an unknown element")
         succ[x].add(y)
-    less = {x: set() for x in elements}
-    state = {}
-
-    def close(x):
-        if state.get(x) == "done":
-            return less[x]
-        if state.get(x) == "busy":
-            raise PosetError(f"cycle through {x!r}")
-        state[x] = "busy"
-        acc = set()
+    indegree = dict.fromkeys(order, 0)
+    for ys in succ.values():
+        for y in ys:
+            indegree[y] += 1
+    topo = [x for x in order if not indegree[x]]
+    for x in topo:  # grows while it is walked
         for y in succ[x]:
-            acc.add(y)
-            acc |= close(y)
-        less[x] = acc
-        state[x] = "done"
-        return acc
-
-    for x in elements:
-        close(x)
-    return Poset(elements, less, key=key)
+            indegree[y] -= 1
+            if not indegree[y]:
+                topo.append(y)
+    if len(topo) != len(order):
+        stuck = next(x for x in order if indegree[x])
+        raise PosetError(f"edges form a cycle; {stuck!r} lies on or after it")
+    less = {}
+    for x in reversed(topo):
+        mask = 0
+        for y in succ[x]:
+            mask |= less[y] | 1 << index[y]
+        less[x] = mask
+    return Poset(order, less, key=key)
 
 
 def intersect_orders(sequences, key=None) -> Poset:

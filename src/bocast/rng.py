@@ -50,9 +50,6 @@ class SplitMix64:
             raise ValueError("randrange needs n >= 1")
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

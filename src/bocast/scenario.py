@@ -216,8 +216,3 @@ def load_scenario(path) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from exc
     return ScenarioConfig.from_json_dict(obj)
-
-
-def save_scenario(config: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(config.dumps())

@@ -8,9 +8,14 @@ or propose, including their blocking waits, modeled as enabled
 predicates) and ``task`` runs the background delivery loop.  In scripted
 mode a process has a single ``script`` thread replaying its work items.
 
+The enabled tokens are kept up to date, not polled: a process's main
+and task predicates change only on its own step or its crash, and its
+task predicate also on a MEM write by anyone.  The token list is ordered
+by pid, main before task, as if all n processes were polled every turn.
+
 Determinism: given equal configurations, runs produce byte-identical
 traces.  All scheduling randomness comes from a SplitMix64 stream derived
-from the scenario seed, and a starvation counter forces any continuously
+from the scenario seed, and a starvation rule forces any continuously
 enabled process to be scheduled at least once per window of
 FAIRNESS_WINDOW_FACTOR * n turns, which also makes the seeded-random
 policy fair in the hard sense.
@@ -23,12 +28,14 @@ turn budget and the partial trace is reported as budget-exhausted.
 
 from __future__ import annotations
 
+import heapq
+
 from .kbo import unpack_order
-from .kscd import BroadcastEngine
+from .kscd import BroadcastEngine, MemCounts
 from .ksa import DecisionTable
 from .k2s import RepeatedK2S
 from .messages import Message, sort_ids
-from .objects import SetAgreementOracle, SnapshotArray
+from .objects import SetAgreementOracle
 from .rng import SplitMix64, derive
 from .scenario import ScenarioConfig
 from .trace import Recorder, Trace
@@ -92,7 +99,7 @@ class _StackProcess:
                     "value": item.value,
                 }
             self.recorder.emit(self.pid, "invoke", inv)
-            self.engine.broadcast_write(msg.mid)
+            self.engine.broadcast_write()
             self.state = "bsnap"
         elif self.state == "bsnap":
             self.engine.broadcast_snapshot()
@@ -171,7 +178,7 @@ class Simulation:
         self.crashed: set[int] = set()
 
         if self.mode == "stack":
-            self.mem = SnapshotArray(self.n, "MEM", initial=frozenset())
+            self.mem = MemCounts(self.n)
             self.oracle = SetAgreementOracle(
                 k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle")
             )
@@ -195,9 +202,20 @@ class Simulation:
         self.sched_rng = SplitMix64(derive(config.seed, "schedule"))
         self.rr_next = 1
         self.last_thread = {pid: "task" for pid in range(1, self.n + 1)}
-        self.stall = {pid: 0 for pid in range(1, self.n + 1)}
         self.script_pos = 0
         self.fair_window = FAIRNESS_WINDOW_FACTOR * self.n
+
+        # Enabled flags per pid (index 0 unused) and the token list they give.
+        self.main_thread = "main" if self.mode == "stack" else "script"
+        self.main_on = [False] * (self.n + 1)
+        self.task_on = [False] * (self.n + 1)
+        self.tokens: list[tuple[int, str]] = []
+        # Starvation: since[pid] is the turn from which pid has owned a
+        # token without being picked (None when it owns none), and
+        # waiting is a lazy min-heap of (since, pid) entries.
+        self.since: list[int | None] = [None] * (self.n + 1)
+        self.waiting: list[tuple[int, int]] = []
+        self._refresh(range(1, self.n + 1))
 
     # --- public ----------------------------------------------------------
 
@@ -206,6 +224,7 @@ class Simulation:
             raise SimulationError(f"process {pid} crashed twice")
         self.crashed.add(pid)
         self.recorder.emit(pid, "crash", {})
+        self._refresh((pid,))
 
     def run(self) -> Trace:
         budget = self.config.step_budget
@@ -213,7 +232,7 @@ class Simulation:
             for pid, at_turn in self.config.crash_plan:
                 if at_turn == self.turn and pid not in self.crashed:
                     self.inject_crash(pid)
-            tokens = self._tokens()
+            tokens = self.tokens
             if not tokens:
                 self._check_no_deadlock()
                 outcome = "quiescent"
@@ -222,33 +241,70 @@ class Simulation:
                 outcome = "budget-exhausted"
                 break
             token = self._pick(tokens)
-            self._dispatch(token)
+            wrote_mem = self._dispatch(token)
             self.turn += 1
+            self._refresh((token[0],))
+            if wrote_mem:  # it can enable idle tasks, and nothing else
+                self._refresh([pid for pid in range(1, self.n + 1) if not self.task_on[pid]])
         return Trace(self.config, self.recorder.events, outcome, self.turn)
 
     # --- scheduling -------------------------------------------------------
 
-    def _tokens(self) -> list[tuple[int, str]]:
+    def _poll(self, pid: int) -> tuple[bool, bool]:
+        """(main or script, task) enabled, from scratch."""
+        if pid in self.crashed:
+            return False, False
+        proc = self.procs[pid]
+        if self.mode == "stack":
+            return proc.main_enabled(), proc.engine.task_enabled()
+        return proc.enabled(), False
+
+    def _refresh(self, pids) -> None:
+        """Poll ``pids`` again; rebuild the token list if a flag changed."""
+        changed = False
+        for pid in pids:
+            main, task = self._poll(pid)
+            if main == self.main_on[pid] and task == self.task_on[pid]:
+                continue
+            if (main or task) != (self.main_on[pid] or self.task_on[pid]):
+                self._set_since(pid, self.turn if main or task else None)
+            self.main_on[pid], self.task_on[pid] = main, task
+            changed = True
+        if changed:
+            self._rebuild_tokens()
+
+    def _set_since(self, pid: int, turn: int | None) -> None:
+        self.since[pid] = turn
+        if turn is not None:
+            heapq.heappush(self.waiting, (turn, pid))
+
+    def _rebuild_tokens(self) -> None:
+        main_thread = self.main_thread
         tokens = []
         for pid in range(1, self.n + 1):
-            if pid in self.crashed:
-                continue
-            proc = self.procs[pid]
-            if self.mode == "stack":
-                if proc.main_enabled():
-                    tokens.append((pid, "main"))
-                if proc.engine.task_enabled():
-                    tokens.append((pid, "task"))
-            else:
-                if proc.enabled():
-                    tokens.append((pid, "script"))
-        return tokens
+            if self.main_on[pid]:
+                tokens.append((pid, main_thread))
+            if self.task_on[pid]:
+                tokens.append((pid, "task"))
+        self.tokens = tokens
+
+    def _starving(self) -> int | None:
+        """The lowest pid that has owned a token unpicked for a full window."""
+        limit = self.turn - self.fair_window
+        waiting, since = self.waiting, self.since
+        while waiting and since[waiting[0][1]] != waiting[0][0]:
+            heapq.heappop(waiting)  # stale: picked or idle since it was pushed
+        if not waiting or waiting[0][0] > limit:
+            return None
+        for pid in range(1, self.n + 1):
+            if since[pid] is not None and since[pid] <= limit:
+                return pid
+        raise SimulationError("starvation heap out of step with its stamps")
 
     def _pick(self, tokens) -> tuple[int, str]:
-        owners = sorted({pid for pid, _ in tokens})
-        starving = [pid for pid in owners if self.stall[pid] >= self.fair_window]
-        if starving:
-            token = self._prefer(starving[0], tokens)
+        starving = self._starving()
+        if starving is not None:
+            token = self._prefer(starving, tokens)
         else:
             kind = self.config.schedule.kind
             if kind == "seeded-random":
@@ -257,11 +313,7 @@ class Simulation:
                 token = self._round_robin(tokens)
             else:
                 token = self._scripted(tokens)
-        for pid in self.stall:
-            if pid == token[0] or pid not in owners:
-                self.stall[pid] = 0
-            else:
-                self.stall[pid] += 1
+        self._set_since(token[0], self.turn + 1)
         return token
 
     def _prefer(self, pid: int, tokens) -> tuple[int, str]:
@@ -304,15 +356,18 @@ class Simulation:
 
     # --- stepping -----------------------------------------------------------
 
-    def _dispatch(self, token) -> None:
+    def _dispatch(self, token) -> bool:
+        """Run one step; returns whether it wrote MEM."""
         pid, thread = token
         proc = self.procs[pid]
         if thread == "main":
             proc.main_step()
-        elif thread == "task":
+            return proc.state == "bsnap"  # only a broadcast write leads there
+        if thread == "task":
             self._task_step(proc)
         else:
             proc.step()
+        return False
 
     def _task_step(self, proc: _StackProcess) -> None:
         delivered = proc.engine.task_step()

@@ -2,7 +2,7 @@
 
 A trace file is UTF-8, one JSON record per line:
 
-    {"record":"config", ...scenario fields...}
+    {"record":"config","trace_format":2, ...scenario fields...}
     {"record":"event","step":0,"pid":1,"kind":"invoke","payload":{...}}
     ...
     {"record":"outcome","outcome":"quiescent","turns":123}
@@ -10,6 +10,12 @@ A trace file is UTF-8, one JSON record per line:
 Event fields appear in the fixed order (step, pid, kind, payload) and all
 collections inside payloads are canonically sorted, so a given scenario
 always serializes to byte-identical output.
+
+This is trace format 2.  MEM accesses carry counts: cell i of MEM is the
+number of messages p_i has published, which names the set {i:0, ...,
+i:c-1} that format 1 listed in full.  A MEM write has ``args: [count]``
+and a MEM snapshot a ``result`` of n counts.  The reader accepts format 2
+only: a config record without ``"trace_format": 2`` is rejected.
 
 ``step`` is a global event index: it strictly increases over the whole
 trace.  One scheduler turn may emit several consecutive events (an
@@ -32,6 +38,8 @@ EVENT_KINDS = (
     "decide",
     "crash",
 )
+
+TRACE_FORMAT = 2
 
 
 class TraceFormatError(ValueError):
@@ -86,9 +94,8 @@ def _dumps(obj: dict) -> str:
 
 def serialize_trace(trace: Trace) -> str:
     lines = []
-    cfg = trace.config.to_json_dict()
-    cfg_record = {"record": "config"}
-    cfg_record.update(cfg)
+    cfg_record = {"record": "config", "trace_format": TRACE_FORMAT}
+    cfg_record.update(trace.config.to_json_dict())
     lines.append(_dumps(cfg_record))
     for ev in trace.events:
         lines.append(_dumps(ev.to_json_dict()))
@@ -119,6 +126,12 @@ def parse_trace(text: str) -> Trace:
             raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         kind = rec.get("record")
         if kind == "config":
+            fmt = rec.get("trace_format", 1)
+            if fmt != TRACE_FORMAT:
+                raise TraceFormatError(
+                    f"line {lineno}: trace format {fmt!r} is not supported; "
+                    f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
+                )
             config = ScenarioConfig.from_json_dict(rec)
         elif kind == "event":
             try:

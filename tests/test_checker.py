@@ -10,6 +10,7 @@ from bocast.checker import (
     build_order,
     check_all,
     first_crossing,
+    first_incomparable,
     serialize_verdicts,
     set_positions,
     sets_cross,
@@ -257,11 +258,72 @@ class TestReplay:
         verdicts = {v.property: v for v in check_all(tampered, suites=("snapshot",))}
         assert verdicts["snapshot.replay"].failed
 
+    @staticmethod
+    def forge_mem(trace, op, change):
+        """The trace with the first MEM ``op`` event's payload changed."""
+        events = list(trace.events)
+        for i, ev in enumerate(events):
+            if ev.kind == "object-access" and ev.payload["object"] == "MEM" and ev.payload["op"] == op:
+                payload = json.loads(json.dumps(ev.payload))
+                change(payload)
+                events[i] = Event(ev.step, ev.pid, ev.kind, payload)
+                return Trace(trace.config, events, trace.outcome, trace.turns), ev
+        raise AssertionError(f"no MEM {op}")
+
+    def test_skipped_mem_increment_detected(self):
+        trace = run_scenario(sampled_stack_config(3, 2, 2))
+
+        def skip(payload):
+            payload["args"][0] += 1
+
+        forged, ev = self.forge_mem(trace, "write", skip)
+        verdicts = {v.property: v for v in check_all(forged, suites=("snapshot",))}
+        assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": ev.step, "cell": ev.pid}
+
+    def test_mem_snapshot_disagreeing_with_writes_detected(self):
+        trace = run_scenario(sampled_stack_config(3, 2, 2))
+
+        def bump(payload):
+            payload["result"][2] += 1
+
+        forged, ev = self.forge_mem(trace, "snapshot", bump)
+        verdicts = {v.property: v for v in check_all(forged, suites=("snapshot",))}
+        assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": ev.step, "cell": 3}
+
     def test_clean_traces_replay_exactly(self):
         trace = run_scenario(sampled_stack_config(4, 3, 8))
         verdicts = {v.property: v for v in check_all(trace, suites=("snapshot",))}
         assert verdicts["snapshot.replay"].passed
         assert verdicts["snapshot.containment"].passed
+
+
+def pairwise_incomparable(views):
+    """The canonical containment scan: first pair in list order."""
+    for i in range(len(views)):
+        for j in range(i + 1, len(views)):
+            if not (views[i] <= views[j] or views[j] <= views[i]):
+                return i, j
+    return None
+
+
+view_families = st.lists(st.frozensets(st.integers(0, 5), max_size=6), max_size=8)
+
+
+class TestContainment:
+    @given(view_families)
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_check_agrees_with_the_pairwise_scan(self, views):
+        assert first_incomparable(views) == pairwise_incomparable(views)
+
+    @given(st.lists(st.integers(0, 9), unique=True, min_size=2, max_size=10), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chain_with_a_planted_incomparable_pair(self, universe, data):
+        chain = [frozenset(universe[:i]) for i in range(len(universe) + 1)]
+        # a view the same size as a chain member but with another element
+        size = data.draw(st.integers(1, len(universe) - 1))
+        planted = frozenset(universe[: size - 1]) | {universe[size]}
+        views = data.draw(st.permutations(chain + [planted]))
+        assert first_incomparable(views) == pairwise_incomparable(views) is not None
 
 
 class TestLiveness:

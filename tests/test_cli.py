@@ -178,6 +178,61 @@ def test_golden_verb_detects_tampering(tmp_path, capsys):
     assert main(["golden", "--dir", str(clone)]) == 1
 
 
+def _drop_meta_key(key):
+    def edit(clone):
+        meta_path = clone / "width2_profile.golden.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+    return edit
+
+
+def _set_meta_suites(clone):
+    meta_path = clone / "width2_profile.golden.json"
+    meta = json.loads(meta_path.read_text())
+    meta["suites"] = ["kbo", "bogus"]
+    meta_path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize(
+    "bad_file, edit",
+    [
+        ("width2_profile.golden.json", lambda c: (c / "width2_profile.golden.json").write_text("{nope")),
+        ("width2_profile.golden.json", lambda c: (c / "width2_profile.golden.json").write_text("[1, 2]")),
+        ("width2_profile.golden.json", _drop_meta_key("trace")),
+        ("width2_profile.golden.json", _set_meta_suites),
+        ("width2_profile.scenario.json", lambda c: (c / "width2_profile.scenario.json").unlink()),
+        ("width2_profile.scenario.json", lambda c: (c / "width2_profile.scenario.json").write_text("{}")),
+        ("width2_profile.trace", lambda c: (c / "width2_profile.trace").unlink()),
+        ("width2_profile.trace", lambda c: (c / "width2_profile.trace").write_bytes(b"\xff\xfe")),
+        ("width2_profile.verdicts", lambda c: (c / "width2_profile.verdicts").unlink()),
+        ("width2_profile.verdicts", lambda c: (c / "width2_profile.verdicts").write_bytes(b"\x80")),
+    ],
+)
+def test_golden_input_errors_exit_2_naming_the_file(tmp_path, capsys, bad_file, edit):
+    clone = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, clone)
+    edit(clone)
+    assert main(["golden", "--dir", str(clone)]) == 2
+    err = capsys.readouterr().err
+    assert str(clone / bad_file) in err
+    assert "Traceback" not in err
+
+
+def test_check_rejects_a_format_1_trace(tmp_path):
+    old = tmp_path / "format1.trace"
+    old.write_text(GOLDEN_TRACE.read_text().replace('"trace_format":2,', "", 1))
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bocast", "check", "--trace", str(old)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "line 1: trace format 1 is not supported" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     assert main(["check", "--trace", str(GOLDEN_TRACE), "--suites", "kbo,bogus"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -47,6 +47,21 @@ class TestBasics:
         with pytest.raises(PosetError):
             from_edges(["a", "b"], [("a", "b"), ("b", "a")])
 
+    def test_long_edge_chain_needs_no_recursion(self):
+        # 0 < 1 < ... < 3000: closing 0 first walks the whole chain
+        n = 3001
+        p = from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
+        assert p.less[0] == (1 << n) - 2
+        assert p.less[n - 1] == 0
+        assert p.is_chain(list(range(n)))
+
+    def test_cycle_behind_a_long_chain_rejected(self):
+        edges = [(i, i + 1) for i in range(3000)] + [(3000, 1500)]
+        with pytest.raises(PosetError, match="cycle"):
+            from_edges(range(3001), edges)
+        with pytest.raises(PosetError, match="cycle"):
+            from_edges(["x"], [("x", "x")])
+
     def test_transitivity_validated(self):
         with pytest.raises(PosetError):
             Poset(["a", "b", "c"], {"a": {"b"}, "b": {"c"}})

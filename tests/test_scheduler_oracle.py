@@ -1,0 +1,141 @@
+"""The incremental scheduler against a from-scratch oracle.
+
+``PollingOracle`` re-derives at every turn which threads of which
+processes are enabled, by polling every process with the MEM-as-id-sets
+definitions (a task is enabled when some message visible in MEM is
+undelivered; a broadcast wait ends when every message its snapshot saw is
+delivered), and which process the starvation rule must force, from
+per-process stall counters updated every turn.  It asserts that the
+simulator's incrementally kept token list and starvation stamps agree.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from bocast.scenario import SchedulePolicy, WorkItem, load_scenario
+from bocast.sim import Simulation, run_scenario
+from bocast.trace import serialize_trace
+
+from _drivers import propose_workload, sampled_stack_config, stack_config
+
+B = lambda payload: WorkItem(op="broadcast", payload=payload)
+
+
+def mem_ids(counts) -> set[str]:
+    """The message ids that MEM counts stand for."""
+    return {f"{s}:{i}" for s, count in enumerate(counts, start=1) for i in range(count)}
+
+
+class PollingOracle(Simulation):
+    def __init__(self, config):
+        super().__init__(config)
+        self.stall = {pid: 0 for pid in range(1, self.n + 1)}
+        self.turns_checked = 0
+        self.overrides = 0
+
+    def poll_all(self) -> list[tuple[int, str]]:
+        tokens = []
+        for pid in range(1, self.n + 1):
+            if pid in self.crashed:
+                continue
+            proc = self.procs[pid]
+            if self.mode != "stack":
+                if proc.idx < len(proc.items):
+                    tokens.append((pid, "script"))
+                continue
+            engine = proc.engine
+            if proc.state == "bwait":
+                main = mem_ids(engine.wait_for) <= engine.delivered
+            else:
+                main = proc.main_enabled()
+            backlog = mem_ids(self.mem.array.cells) - engine.delivered
+            task = engine.tstate != "idle" or bool(engine.seq) or bool(backlog)
+            if main:
+                tokens.append((pid, "main"))
+            if task:
+                tokens.append((pid, "task"))
+        return tokens
+
+    def _pick(self, tokens):
+        assert tokens == self.poll_all(), f"token list out of date at turn {self.turn}"
+        owners = sorted({pid for pid, _ in tokens})
+        starving = [pid for pid in owners if self.stall[pid] >= self.fair_window]
+        assert self._starving() == (starving[0] if starving else None), f"turn {self.turn}"
+        token = super()._pick(tokens)
+        for pid in self.stall:
+            if pid == token[0] or pid not in owners:
+                self.stall[pid] = 0
+            else:
+                self.stall[pid] += 1
+        self.turns_checked += 1
+        self.overrides += bool(starving)
+        return token
+
+    def run(self):
+        trace = super().run()
+        if trace.quiescent:
+            assert self.poll_all() == []
+        return trace
+
+
+def checked_run(config) -> PollingOracle:
+    sim = PollingOracle(config)
+    trace = sim.run()
+    assert sim.turns_checked == trace.turns
+    assert serialize_trace(trace) == serialize_trace(run_scenario(config))
+    return sim
+
+
+def broadcasts(n: int, per_process: int):
+    return {pid: tuple(B(f"m{pid}.{i}") for i in range(per_process)) for pid in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_random_with_crashes_and_proposals(seed):
+    checked_run(sampled_stack_config(5, 2, seed))
+
+
+def test_starvation_overrides_are_exercised():
+    overrides = sum(checked_run(sampled_stack_config(5, 2, seed)).overrides for seed in range(12))
+    overrides += checked_run(stack_config(6, 3, 1, broadcasts(6, 4))).overrides
+    assert overrides > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_round_robin_with_crashes_and_proposals(seed):
+    cfg = sampled_stack_config(4, 2, 100 + seed)
+    checked_run(dataclasses.replace(cfg, schedule=SchedulePolicy("round-robin")))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_broadcast_only_with_crashes(seed):
+    cfg = stack_config(5, 3, seed, broadcasts(5, 3), crash_plan=((2, 10 + seed), (4, 40)))
+    checked_run(cfg)
+
+
+def test_scripted_schedule_prefix_then_fallback():
+    script = (
+        (2, "main"), (2, "task"), (2, "task"),
+        (1, "main"), (1, "task"), (1, "task"),
+        (2, "task"), (2, "task"),
+    )
+    cfg = stack_config(3, 2, 0, propose_workload(3, {1: [0, 1], 2: [0], 3: [1]}),
+                       schedule="scripted", script=script, crash_plan=((3, 20),))
+    checked_run(cfg)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "scenarios/golden/width2_profile.scenario.json",
+        "scenarios/negative/ordering_breach.scenario.json",
+        "scenarios/negative/width3_antichain.scenario.json",
+        "scenarios/examples/n3_k2_propose.scenario.json",
+    ],
+)
+def test_checked_in_scenarios(path):
+    checked_run(load_scenario(Path(path)))

@@ -144,6 +144,25 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError, match="no config"):
             parse_trace('{"record":"outcome","outcome":"quiescent","turns":0}\n')
 
+    def test_mem_events_carry_counts(self):
+        trace = run_scenario(stack_config(2, 2, 0, {1: (B("x"), B("y")), 2: (B("z"),)}))
+        writes = {}
+        for ev in trace.events:
+            if ev.kind == "object-access" and ev.payload["object"] == "MEM":
+                if ev.payload["op"] == "write":
+                    writes[ev.pid] = writes.get(ev.pid, 0) + 1
+                    assert ev.payload["args"] == [writes[ev.pid]]
+                else:
+                    assert ev.payload["result"] == [writes.get(1, 0), writes.get(2, 0)]
+        assert writes == {1: 2, 2: 1}
+
+    @pytest.mark.parametrize("marker", ["", '"trace_format":1,', '"trace_format":3,'])
+    def test_other_formats_rejected_on_line_1(self, marker):
+        text = serialize_trace(run_scenario(stack_config(1, 1, 0, {1: (B("x"),)})))
+        assert text.startswith('{"record":"config","trace_format":2,')
+        with pytest.raises(TraceFormatError, match="line 1: trace format"):
+            parse_trace(text.replace('"trace_format":2,', marker, 1))
+
 
 class TestScheduling:
     def test_scripted_disabled_token_is_an_error(self):
@@ -162,10 +181,16 @@ class TestScheduling:
 
     def test_starvation_override_picks_the_starved_process(self):
         sim = Simulation(stack_config(3, 1, 0, propose_workload(3, {1: [0], 2: [0], 3: [0]})))
-        sim.stall[2] = sim.fair_window
-        token = sim._pick([(1, "main"), (2, "main"), (3, "main")])
+        assert sim.tokens == [(1, "main"), (2, "main"), (3, "main")]
+        # every process has owned its token since turn 0; p1 and p3 were
+        # just picked, so only p2 has waited a full window
+        sim.turn = sim.fair_window
+        sim._set_since(1, sim.turn)
+        sim._set_since(3, sim.turn)
+        token = sim._pick(sim.tokens)
         assert token == (2, "main")
-        assert sim.stall[2] == 0
+        assert sim.since[2] == sim.turn + 1  # its wait starts afresh
+        assert sim._starving() is None
 
     def test_fairness_no_enabled_process_starves_under_seeded_random(self):
         picks = []
