@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
 from .messages import msg_key, sort_ids
@@ -144,64 +145,17 @@ class TraceIndex:
 
 
 @dataclass
-class DeliveryOrder:
-    """Per-process delivery sequences restricted to a scope of processes.
-
-    ``boundaries`` carries, per process, the cumulative positions at which
-    the delivered sets end; together with ``sequences`` it preserves both
-    the per-message order and the set structure."""
-
-    sequences: dict[int, list[str]]
-    boundaries: dict[int, list[int]]
-    faulty: set[int]
-    duplicates: list[tuple[int, str]]
-
-
-def delivery_order(trace_or_index, scope: str = "non-faulty-only") -> DeliveryOrder:
-    index = trace_or_index if isinstance(trace_or_index, TraceIndex) else TraceIndex(trace_or_index)
-    if scope not in SCOPES:
-        raise CheckerError(f"unknown scope {scope!r}")
-    if scope == "non-faulty-only":
-        pids = index.nonfaulty
-    else:
-        pids = list(range(1, index.n + 1))
-    sequences = {}
-    boundaries = {}
-    duplicates = []
-    for pid in pids:
-        seen = set()
-        seq = []
-        for mid in index.msg_seqs[pid]:
-            if mid in seen:
-                duplicates.append((pid, mid))
-                continue
-            seen.add(mid)
-            seq.append(mid)
-        sequences[pid] = seq
-        total = 0
-        ends = []
-        for _, mids in index.set_seqs[pid]:
-            total += len(mids)
-            ends.append(total)
-        boundaries[pid] = ends
-    return DeliveryOrder(
-        sequences=sequences,
-        boundaries=boundaries,
-        faulty=set(index.faulty),
-        duplicates=duplicates,
-    )
-
-
-@dataclass
 class OrderResult:
     """The agreed order.  ``strict`` maps each element to the int bitset of
-    the elements strictly above it, bit ``i`` standing for ``elements[i]``."""
+    the elements strictly above it, bit ``i`` standing for ``elements[i]``.
+    ``sequences`` holds each scoped process's delivery sequence, without
+    repeated deliveries."""
 
     poset: Poset | None
     elements: list[str]
     strict: dict[str, int]
     excluded: list[str]
-    order: DeliveryOrder
+    sequences: dict[int, list[str]]
     valid: bool
 
 
@@ -214,14 +168,14 @@ def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
     integrity check reports them separately.
     """
     index = trace_or_index if isinstance(trace_or_index, TraceIndex) else TraceIndex(trace_or_index)
-    order = delivery_order(index, scope)
-    elements = sort_ids({mid for seq in order.sequences.values() for mid in seq})
+    if scope not in SCOPES:
+        raise CheckerError(f"unknown scope {scope!r}")
+    pids = index.nonfaulty if scope == "non-faulty-only" else range(1, index.n + 1)
+    sequences = {pid: list(dict.fromkeys(index.msg_seqs[pid])) for pid in pids}
+    elements = sort_ids({mid for seq in sequences.values() for mid in seq})
     position = {mid: i for i, mid in enumerate(elements)}
-    less = dict(zip(elements, order_bitsets(order.sequences.values(), position)))
-    delivered_anywhere = {
-        mid for pid in range(1, index.n + 1) for mid in index.msg_seqs[pid]
-    }
-    excluded = sort_ids(delivered_anywhere - set(elements))
+    less = dict(zip(elements, order_bitsets(sequences.values(), position)))
+    excluded = sort_ids(set().union(*index.msg_seqs.values()) - set(elements))
     try:
         poset = Poset(elements, less, key=msg_key)
         valid = True
@@ -229,7 +183,8 @@ def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
         poset = None
         valid = False
     return OrderResult(
-        poset=poset, elements=elements, strict=less, excluded=excluded, order=order, valid=valid
+        poset=poset, elements=elements, strict=less, excluded=excluded,
+        sequences=sequences, valid=valid,
     )
 
 
@@ -299,30 +254,73 @@ def first_crossing(pos_a: dict[str, int], pos_b: dict[str, int]) -> tuple[str, s
 # --- suites -------------------------------------------------------------------
 
 
+def _verdict(name: str, witness: dict | None) -> Verdict:
+    return _ok(name) if witness is None else _fail(name, witness)
+
+
+def _delivery_laws(index: TraceIndex, seqs, unit_key: str, unit_of, not_delivered: str):
+    """Validity, integrity, termination-1 and termination-2 witnesses (None
+    where the law holds) over ``seqs``: per process, its delivered messages
+    in delivery order, repeats kept.  The terminations are None on a trace
+    that is not quiescent, where the caller reports them as not evaluated.
+
+    A repeated delivery's witness lists, under ``unit_key``, the units
+    ``unit_of(pid, i)`` of its two delivery positions i, and a broadcaster
+    that never delivered its own message gets the reason ``not_delivered``.
+    Each witness is the first in (process, position) order, or for
+    termination-2 in message id order.
+    """
+    delivered = {pid: set(mids) for pid, mids in seqs.items()}
+    validity = integrity = None
+    for pid, mids in seqs.items():
+        if validity is None and not delivered[pid] <= index.broadcasts.keys():
+            mid = next(mid for mid in mids if mid not in index.broadcasts)
+            validity = {"pid": pid, "msg": mid}
+        if integrity is None and len(delivered[pid]) != len(mids):
+            first: dict[str, int] = {}
+            for i, mid in enumerate(mids):
+                if mid in first:
+                    units = [unit_of(pid, first[mid]), unit_of(pid, i)]
+                    integrity = {"pid": pid, "msg": mid, unit_key: units}
+                    break
+                first[mid] = i
+    if not index.quiescent:
+        return validity, integrity, None, None
+
+    t1 = None
+    for pid in index.nonfaulty:
+        if len(index.returns[pid]) != len(index.invokes[pid]):
+            t1 = {"pid": pid, "reason": "broadcast did not return"}
+            break
+        for inv in index.invokes[pid]:
+            if inv["msg"] not in delivered[pid]:
+                t1 = {"pid": pid, "msg": inv["msg"], "reason": not_delivered}
+                break
+        if t1:
+            break
+
+    t2 = None
+    anywhere = set().union(*delivered.values())
+    missing = {pid: anywhere - delivered[pid] for pid in index.nonfaulty}
+    lost = set().union(*missing.values())
+    if lost:
+        mid = min(lost, key=msg_key)
+        t2 = {"msg": mid, "pid": next(pid for pid in index.nonfaulty if mid in missing[pid])}
+    return validity, integrity, t1, t2
+
+
+def _termination_verdicts(index: TraceIndex, suite: str, t1, t2) -> list[Verdict]:
+    names = (f"{suite}.termination-1", f"{suite}.termination-2")
+    if not index.quiescent:
+        return [_skip(name) for name in names]
+    return [_verdict(names[0], t1), _verdict(names[1], t2)]
+
+
 def _check_kbo(index: TraceIndex) -> list[Verdict]:
-    out = []
-
-    offender = None
-    for pid in range(1, index.n + 1):
-        for mid in index.msg_seqs[pid]:
-            if mid not in index.broadcasts:
-                offender = {"pid": pid, "msg": mid}
-                break
-        if offender:
-            break
-    out.append(_ok("kbo.validity") if not offender else _fail("kbo.validity", offender))
-
-    dup = None
-    for pid in range(1, index.n + 1):
-        seen = {}
-        for pos, mid in enumerate(index.msg_seqs[pid]):
-            if mid in seen:
-                dup = {"pid": pid, "msg": mid, "positions": [seen[mid], pos]}
-                break
-            seen[mid] = pos
-        if dup:
-            break
-    out.append(_ok("kbo.integrity") if not dup else _fail("kbo.integrity", dup))
+    validity, integrity, t1, t2 = _delivery_laws(
+        index, index.msg_seqs, "positions", lambda _pid, i: i, "own message not delivered"
+    )
+    out = [_verdict("kbo.validity", validity), _verdict("kbo.integrity", integrity)]
 
     result = build_order(index)
     try:
@@ -338,74 +336,25 @@ def _check_kbo(index: TraceIndex) -> list[Verdict]:
         )
     else:
         witness = {"width": width, "antichain": antichain, "excluded": result.excluded}
-        out.append(
-            _ok("kbo.bounded") if width <= index.k else _fail("kbo.bounded", witness)
-        )
+        out.append(_verdict("kbo.bounded", witness if width > index.k else None))
 
-    if not index.quiescent:
-        out.append(_skip("kbo.termination-1"))
-        out.append(_skip("kbo.termination-2"))
-        return out
-
-    delivered = {pid: set(index.msg_seqs[pid]) for pid in index.nonfaulty}
-    t1 = None
-    for pid in index.nonfaulty:
-        if len(index.returns[pid]) != len(index.invokes[pid]):
-            t1 = {"pid": pid, "reason": "broadcast did not return"}
-            break
-        for inv in index.invokes[pid]:
-            if inv["msg"] not in delivered[pid]:
-                t1 = {"pid": pid, "msg": inv["msg"], "reason": "own message not delivered"}
-                break
-        if t1:
-            break
-    out.append(_ok("kbo.termination-1") if not t1 else _fail("kbo.termination-1", t1))
-
-    t2 = None
-    delivered_anywhere = sort_ids(
-        {mid for pid in range(1, index.n + 1) for mid in index.msg_seqs[pid]}
-    )
-    for mid in delivered_anywhere:
-        for pid in index.nonfaulty:
-            if mid not in delivered[pid]:
-                t2 = {"msg": mid, "pid": pid}
-                break
-        if t2:
-            break
-    out.append(_ok("kbo.termination-2") if not t2 else _fail("kbo.termination-2", t2))
+    out.extend(_termination_verdicts(index, "kbo", t1, t2))
     return out
 
 
 def _check_kscd(index: TraceIndex) -> list[Verdict]:
-    out = []
+    def set_number(pid: int, i: int) -> int:
+        """The number of the set holding pid's i-th set-delivered message."""
+        return bisect_right(list(accumulate(len(mids) for _, mids in index.set_seqs[pid])), i)
 
-    offender = None
-    for pid in range(1, index.n + 1):
-        for _, mids in index.set_seqs[pid]:
-            for mid in mids:
-                if mid not in index.broadcasts:
-                    offender = {"pid": pid, "msg": mid}
-                    break
-            if offender:
-                break
-        if offender:
-            break
-    out.append(_ok("kscd.validity") if not offender else _fail("kscd.validity", offender))
-
-    dup = None
-    for pid in range(1, index.n + 1):
-        seen = {}
-        for setno, (_, mids) in enumerate(index.set_seqs[pid]):
-            for mid in mids:
-                if mid in seen:
-                    dup = {"pid": pid, "msg": mid, "sets": [seen[mid], setno]}
-                    break
-                seen[mid] = setno
-            if dup:
-                break
-        if dup:
-            break
-    out.append(_ok("kscd.integrity") if not dup else _fail("kscd.integrity", dup))
+    members = {
+        pid: list(chain.from_iterable(mids for _, mids in sets))
+        for pid, sets in index.set_seqs.items()
+    }
+    validity, integrity, t1, t2 = _delivery_laws(
+        index, members, "sets", set_number, "own message not set-delivered"
+    )
+    out = [_verdict("kscd.validity", validity), _verdict("kscd.integrity", integrity)]
 
     oversize = None
     for pid in range(1, index.n + 1):
@@ -415,7 +364,7 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
                 break
         if oversize:
             break
-    out.append(_ok("kscd.bounded") if not oversize else _fail("kscd.bounded", oversize))
+    out.append(_verdict("kscd.bounded", oversize))
 
     # No-crossing rule between distinct sets; the witness is one
     # (m, m', pid, pid') tuple found in canonical scan order.  The sweep
@@ -436,46 +385,10 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
                 "pid_reversed": pb,
             }
             break
-    out.append(_ok("kscd.ordering") if not crossing else _fail("kscd.ordering", crossing))
+    out.append(_verdict("kscd.ordering", crossing))
 
-    if not index.quiescent:
-        out.append(_skip("kscd.termination-1"))
-        out.append(_skip("kscd.termination-2"))
-        return out
-
-    delivered = {
-        pid: {mid for _, mids in index.set_seqs[pid] for mid in mids} for pid in index.nonfaulty
-    }
-    t1 = None
-    for pid in index.nonfaulty:
-        if len(index.returns[pid]) != len(index.invokes[pid]):
-            t1 = {"pid": pid, "reason": "broadcast did not return"}
-            break
-        for inv in index.invokes[pid]:
-            if inv["msg"] not in delivered[pid]:
-                t1 = {"pid": pid, "msg": inv["msg"], "reason": "own message not set-delivered"}
-                break
-        if t1:
-            break
-    out.append(_ok("kscd.termination-1") if not t1 else _fail("kscd.termination-1", t1))
-
-    t2 = None
-    anywhere = sort_ids(
-        {mid for pid in range(1, index.n + 1) for _, mids in index.set_seqs[pid] for mid in mids}
-    )
-    for mid in anywhere:
-        for pid in index.nonfaulty:
-            if mid not in delivered[pid]:
-                t2 = {"msg": mid, "pid": pid}
-                break
-        if t2:
-            break
-    out.append(_ok("kscd.termination-2") if not t2 else _fail("kscd.termination-2", t2))
+    out.extend(_termination_verdicts(index, "kscd", t1, t2))
     return out
-
-
-def _view_from_event(value):
-    return frozenset(value) if value is not None else None
 
 
 def _check_k2s(index: TraceIndex) -> list[Verdict]:
@@ -492,9 +405,7 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
         outputs[r] = {}
         for _, pid, op, _args, res in index.objects.get(f"SNAP2[{r}]", ()):
             if op == "snapshot":
-                outputs[r][pid] = frozenset(
-                    _view_from_event(cell) for cell in res if cell is not None
-                )
+                outputs[r][pid] = frozenset(frozenset(cell) for cell in res if cell is not None)
 
     def inputs_of(r: int) -> set:
         return set(proposals[r].values())
@@ -530,11 +441,11 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
                 if not (si <= sj or sj <= si) and not inter:
                     inter = {"instance": r, "pids": [pids_out[i], pids_out[j]]}
 
-    out.append(_ok("k2s.validity") if not validity else _fail("k2s.validity", validity))
-    out.append(_ok("k2s.set-size") if not set_size else _fail("k2s.set-size", set_size))
-    out.append(_ok("k2s.view-size") if not view_size else _fail("k2s.view-size", view_size))
-    out.append(_ok("k2s.intra-inclusion") if not intra else _fail("k2s.intra-inclusion", intra))
-    out.append(_ok("k2s.inter-inclusion") if not inter else _fail("k2s.inter-inclusion", inter))
+    out.append(_verdict("k2s.validity", validity))
+    out.append(_verdict("k2s.set-size", set_size))
+    out.append(_verdict("k2s.view-size", view_size))
+    out.append(_verdict("k2s.intra-inclusion", intra))
+    out.append(_verdict("k2s.inter-inclusion", inter))
 
     if not index.quiescent:
         out.append(_skip("k2s.termination"))
@@ -549,7 +460,7 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
                 break
         if term:
             break
-    out.append(_ok("k2s.termination") if not term else _fail("k2s.termination", term))
+    out.append(_verdict("k2s.termination", term))
     return out
 
 
@@ -585,65 +496,47 @@ def _is_count(value, expect: int) -> bool:
 
 
 def _check_snapshot(index: TraceIndex) -> list[Verdict]:
-    out = []
-
-    containment = None
-    for object_id in sorted(index.objects):
-        if not object_id.startswith(("SNAP1[", "SNAP2[")):
-            continue
-        views = []
-        for step, pid, op, _args, res in index.objects[object_id]:
-            if op == "snapshot":
-                entries = frozenset(
-                    (i, _canon_cell(cell)) for i, cell in enumerate(res) if cell is not None
-                )
-                views.append((step, pid, entries))
-        pair = first_incomparable([entries for _, _, entries in views])
-        if pair is not None:
-            i, j = pair
-            containment = {
-                "object": object_id,
-                "pids": [views[i][1], views[j][1]],
-                "steps": [views[i][0], views[j][0]],
-            }
-            break
-    out.append(
-        _ok("snapshot.containment")
-        if not containment
-        else _fail("snapshot.containment", containment)
-    )
-
-    # MEM cells are counts: an unwritten cell reads 0, and each write by p
-    # must raise p's count by exactly one.
-    replay = None
+    """View containment of the one-shot objects and replay of every
+    snapshot object, in one walk over each object's accesses."""
+    containment = replay = None
     for object_id in sorted(index.objects):
         if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
             continue
         mem = object_id == "MEM"
         cells: dict[int, object] = {}
+        views = []  # (step, pid, {(cell number, value)}) of each snapshot
         for step, pid, op, args, res in sorted(index.objects[object_id]):
+            bad = None  # the first cell (from 1) that fails replay
             if op == "write":
                 value = _canon_cell(args[0])
+                # MEM cells are counts: each write by p raises p's count by one
                 if mem and not _is_count(value, cells.get(pid, 0) + 1):
-                    replay = {"object": object_id, "step": step, "cell": pid}
-                    break
+                    bad = pid
                 cells[pid] = value
+            elif op == "snapshot" and mem:
+                # an unwritten MEM cell reads 0
+                bad = next(
+                    (i for i, cell in enumerate(res, 1) if not _is_count(cell, cells.get(i, 0))),
+                    None,
+                )
             elif op == "snapshot":
-                for i, cell in enumerate(res):
-                    if mem:
-                        ok = _is_count(cell, cells.get(i + 1, 0))
-                    else:
-                        expect = cells.get(i + 1)
-                        ok = (_canon_cell(cell) if cell is not None else None) == expect
-                    if not ok:
-                        replay = {"object": object_id, "step": step, "cell": i + 1}
-                        break
-            if replay:
-                break
-        if replay:
-            break
-    out.append(_ok("snapshot.replay") if not replay else _fail("snapshot.replay", replay))
-    return out
+                view = {i: _canon_cell(cell) for i, cell in enumerate(res, 1) if cell is not None}
+                if view != cells:
+                    cell_nos = range(1, len(res) + 1)
+                    bad = next((i for i in cell_nos if view.get(i) != cells.get(i)), None)
+                views.append((step, pid, frozenset(view.items())))
+            if bad is not None and replay is None:
+                replay = {"object": object_id, "step": step, "cell": bad}
+        if containment is None and object_id.startswith(("SNAP1[", "SNAP2[")):
+            pair = first_incomparable([entries for _, _, entries in views])
+            if pair is not None:
+                i, j = pair
+                containment = {
+                    "object": object_id,
+                    "pids": [views[i][1], views[j][1]],
+                    "steps": [views[i][0], views[j][0]],
+                }
+    return [_verdict("snapshot.containment", containment), _verdict("snapshot.replay", replay)]
 
 
 def _check_ksa(index: TraceIndex) -> list[Verdict]:
@@ -658,7 +551,7 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
         if value not in by_instance.get(nb, set()):
             validity = {"pid": pid, "instance": nb, "value": value}
             break
-    out.append(_ok("ksa.validity") if not validity else _fail("ksa.validity", validity))
+    out.append(_verdict("ksa.validity", validity))
 
     agreement = None
     decided: dict[int, set[str]] = {}
@@ -668,7 +561,7 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
         if len(decided[nb]) > index.k:
             agreement = {"instance": nb, "values": sorted(decided[nb]), "k": index.k}
             break
-    out.append(_ok("ksa.agreement") if not agreement else _fail("ksa.agreement", agreement))
+    out.append(_verdict("ksa.agreement", agreement))
 
     oracle_validity = oracle_agreement = None
     for r in index.k2s_instances():
@@ -680,16 +573,8 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
             oracle_validity = {"instance": r, "values": bad}
         if len(decided_vals) > index.k and not oracle_agreement:
             oracle_agreement = {"instance": r, "values": sorted(decided_vals), "k": index.k}
-    out.append(
-        _ok("ksa.oracle-validity")
-        if not oracle_validity
-        else _fail("ksa.oracle-validity", oracle_validity)
-    )
-    out.append(
-        _ok("ksa.oracle-agreement")
-        if not oracle_agreement
-        else _fail("ksa.oracle-agreement", oracle_agreement)
-    )
+    out.append(_verdict("ksa.oracle-validity", oracle_validity))
+    out.append(_verdict("ksa.oracle-agreement", oracle_agreement))
 
     if not index.quiescent:
         out.append(_skip("ksa.termination"))
@@ -702,7 +587,7 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
         if (pid, nb) not in decided_by:
             term = {"pid": pid, "instance": nb}
             break
-    out.append(_ok("ksa.termination") if not term else _fail("ksa.termination", term))
+    out.append(_verdict("ksa.termination", term))
     return out
 
 

@@ -42,8 +42,6 @@ class K2SInstance:
         self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", one_shot=True)
         self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", one_shot=True)
         self.invoked: set[int] = set()
-        self.proposals: dict[int, str] = {}
-        self.outputs: dict[int, frozenset] = {}
 
     # --- phase operations (one shared-object op each) -------------------
 
@@ -53,7 +51,6 @@ class K2SInstance:
                 f"K2S[{self.instance_no}]: p{pid} invoked the instance twice"
             )
         self.invoked.add(pid)
-        self.proposals[pid] = value
         return self.oracle.propose(self.instance_no, pid, value)
 
     def phase_snap1_write(self, pid: int, val: str) -> None:
@@ -68,9 +65,7 @@ class K2SInstance:
 
     def phase_snap2_read(self, pid: int) -> frozenset:
         arr = self.snap2.snapshot(pid)
-        sets = frozenset(v for v in arr if v is not None)
-        self.outputs[pid] = sets
-        return sets
+        return frozenset(v for v in arr if v is not None)
 
     # --- convenience ----------------------------------------------------
 

@@ -1,26 +1,15 @@
 """Broadcast message identity and canonical ordering.
 
-A message is identified by (sender, index): the index is the position of
-the message in its sender's broadcast sequence, so identities are
-globally unique as long as each process broadcasts each of its messages
-once.  The canonical order (sender, then index) is the tie-break order
-used everywhere a deterministic choice among messages is needed.
+A message is identified by the string ``"sender:index"``: the index is
+the position of the message in its sender's broadcast sequence, so
+identities are globally unique as long as each process broadcasts each
+of its messages once.  Ids are plain strings everywhere; the simulator
+keeps a message's payload in a table keyed by its id.  The canonical
+order (sender, then index) is the tie-break order used everywhere a
+deterministic choice among messages is needed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: int
-    index: int
-    payload: object = None
-
-    @property
-    def mid(self) -> str:
-        return f"{self.sender}:{self.index}"
 
 
 def msg_key(mid: str) -> tuple[int, int]:

@@ -77,7 +77,6 @@ class SnapshotArray:
 @dataclass
 class KsaInstance:
     instance_no: int
-    proposals: list = field(default_factory=list)   # (pid, value) in arrival order
     distinct: list = field(default_factory=list)    # distinct values in arrival order
     decisions: dict = field(default_factory=dict)   # pid -> decided value
 
@@ -116,7 +115,6 @@ class SetAgreementOracle:
         self._last_instance[pid] = instance_no
 
         inst = self.instance(instance_no)
-        inst.proposals.append((pid, value))
         if value not in inst.distinct:
             inst.distinct.append(value)
 

@@ -7,6 +7,12 @@ process has two threads: ``main`` runs the workload operations (broadcast
 or propose, including their blocking waits, modeled as enabled
 predicates) and ``task`` runs the background delivery loop.  In scripted
 mode a process has a single ``script`` thread replaying its work items.
+Both kinds share one process model: a main thread (``script`` in
+scripted mode) and a task thread, and one emitter of invocations and
+deliveries.  A delivered set is one deliver-set event, then one
+deliver-msg event per member in ``kbo.unpack_order``; its round is the
+number of messages the process delivered before it, which in stack mode
+is also the number of its K2S round.
 
 The enabled tokens are kept up to date, not polled: a process's main
 and task predicates change only on its own step or its crash, and its
@@ -34,7 +40,6 @@ from .kbo import unpack_order
 from .kscd import BroadcastEngine, MemCounts
 from .ksa import DecisionTable
 from .k2s import RepeatedK2S
-from .messages import Message, sort_ids
 from .objects import SetAgreementOracle
 from .rng import SplitMix64, derive
 from .scenario import ScenarioConfig
@@ -47,22 +52,50 @@ class SimulationError(RuntimeError):
     pass
 
 
-class _StackProcess:
-    """Workload-driven main thread plus broadcast engine of one process."""
+class _Process:
+    """What both process kinds share: the work items and the emission of
+    invocations and deliveries."""
 
-    def __init__(self, pid, items, engine, recorder, registry):
+    def __init__(self, pid, items, recorder, payloads):
         self.pid = pid
         self.items = items
+        self.recorder = recorder
+        self.payloads = payloads  # mid -> payload, shared by all processes
+        self.deliver_pos = 0
+
+    def _invoke(self, item, index: int) -> str:
+        """Emit the invocation of ``item`` as this process's message ``index``."""
+        mid = f"{self.pid}:{index}"
+        if item.op == "broadcast":
+            self.payloads[mid] = item.payload
+            inv = {"op": "kbo_broadcast", "msg": mid, "payload": item.payload}
+        else:
+            self.payloads[mid] = {"instance": item.instance, "value": item.value}
+            inv = {"op": "ksa_propose", "msg": mid, "instance": item.instance, "value": item.value}
+        self.recorder.emit(self.pid, "invoke", inv)
+        return mid
+
+    def _deliver(self, mids) -> list[str]:
+        """Emit one delivered set, then its members one by one."""
+        order = unpack_order(mids)
+        self.recorder.emit(self.pid, "deliver-set", {"round": self.deliver_pos, "set": order})
+        for mid in order:
+            self.recorder.emit(self.pid, "deliver-msg", {"msg": mid, "position": self.deliver_pos})
+            self.deliver_pos += 1
+        return order
+
+
+class _StackProcess(_Process):
+    """Workload-driven main thread plus broadcast engine of one process."""
+
+    def __init__(self, pid, items, engine, recorder, payloads):
+        super().__init__(pid, items, recorder, payloads)
         self.widx = 0
-        self.next_index = 0
         self.state = "idle"  # idle | bsnap | bwait | dwait
         self.cur_item = None
-        self.cur_msg = None
+        self.cur_mid = None
         self.engine = engine
         self.table = DecisionTable()
-        self.recorder = recorder
-        self.registry = registry
-        self.deliver_pos = 0
 
     def main_enabled(self) -> bool:
         if self.state == "idle":
@@ -76,39 +109,22 @@ class _StackProcess:
     def main_blocked(self) -> bool:
         return self.state in ("bwait", "dwait") and not self.main_enabled()
 
-    def main_step(self) -> None:
+    def main_step(self) -> bool:
+        """Run one main-thread step; returns whether it wrote MEM."""
         if self.state == "idle":
-            item = self.items[self.widx]
+            # each item broadcasts one message, so the item's index is the message's
+            self.cur_item = self.items[self.widx]
+            self.cur_mid = self._invoke(self.cur_item, self.widx)
             self.widx += 1
-            self.cur_item = item
-            if item.op == "broadcast":
-                payload = item.payload
-            else:
-                payload = {"instance": item.instance, "value": item.value}
-            msg = Message(self.pid, self.next_index, payload)
-            self.next_index += 1
-            self.cur_msg = msg
-            self.registry[msg.mid] = msg
-            if item.op == "broadcast":
-                inv = {"op": "kbo_broadcast", "msg": msg.mid, "payload": item.payload}
-            else:
-                inv = {
-                    "op": "ksa_propose",
-                    "msg": msg.mid,
-                    "instance": item.instance,
-                    "value": item.value,
-                }
-            self.recorder.emit(self.pid, "invoke", inv)
             self.engine.broadcast_write()
             self.state = "bsnap"
-        elif self.state == "bsnap":
+            return True
+        if self.state == "bsnap":
             self.engine.broadcast_snapshot()
             self.state = "bwait"
         elif self.state == "bwait":
             if self.cur_item.op == "broadcast":
-                self.recorder.emit(
-                    self.pid, "return", {"op": "kbo_broadcast", "msg": self.cur_msg.mid}
-                )
+                self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": self.cur_mid})
                 self.state = "idle"
             else:
                 self.state = "dwait"
@@ -122,48 +138,47 @@ class _StackProcess:
             self.state = "idle"
         else:
             raise SimulationError(f"unknown main state {self.state!r}")
+        return False
+
+    def task_enabled(self) -> bool:
+        return self.engine.task_enabled()
+
+    def task_step(self) -> None:
+        delivered = self.engine.task_step()
+        if delivered is None:
+            return
+        for mid in self._deliver(delivered):
+            self.table.on_deliver(self.payloads[mid])
 
 
-class _ScriptProcess:
-    """Replays prescribed broadcast/deliver items, one item per step."""
+class _ScriptProcess(_Process):
+    """Replays prescribed broadcast/deliver items, one item per step, on
+    its single ``script`` thread."""
 
-    def __init__(self, pid, items, recorder, registry):
-        self.pid = pid
-        self.items = items
+    def __init__(self, pid, items, recorder, payloads):
+        super().__init__(pid, items, recorder, payloads)
         self.idx = 0
         self.next_index = 0
-        self.delivered_count = 0
-        self.deliver_pos = 0
-        self.recorder = recorder
-        self.registry = registry
 
-    def enabled(self) -> bool:
+    def main_enabled(self) -> bool:
         return self.idx < len(self.items)
 
-    def step(self) -> None:
+    def main_blocked(self) -> bool:
+        return False
+
+    def main_step(self) -> bool:
         item = self.items[self.idx]
         self.idx += 1
         if item.op == "broadcast":
-            msg = Message(self.pid, self.next_index, item.payload)
+            mid = self._invoke(item, self.next_index)
             self.next_index += 1
-            self.registry[msg.mid] = msg
-            self.recorder.emit(
-                self.pid,
-                "invoke",
-                {"op": "kbo_broadcast", "msg": msg.mid, "payload": item.payload},
-            )
-            self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": msg.mid})
+            self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": mid})
         else:
-            mids = sort_ids(item.msgs)
-            self.recorder.emit(
-                self.pid, "deliver-set", {"round": self.delivered_count, "set": mids}
-            )
-            for mid in mids:
-                self.recorder.emit(
-                    self.pid, "deliver-msg", {"msg": mid, "position": self.deliver_pos}
-                )
-                self.deliver_pos += 1
-            self.delivered_count += len(mids)
+            self._deliver(item.msgs)
+        return False
+
+    def task_enabled(self) -> bool:
+        return False
 
 
 class Simulation:
@@ -173,7 +188,7 @@ class Simulation:
         self.n = config.n
         self.mode = config.mode()
         self.recorder = Recorder()
-        self.registry: dict[str, Message] = {}
+        payloads: dict[str, object] = {}
         self.turn = 0
         self.crashed: set[int] = set()
 
@@ -189,13 +204,13 @@ class Simulation:
                     config.workload.get(pid, ()),
                     BroadcastEngine(pid, self.mem, self.kss, self.recorder),
                     self.recorder,
-                    self.registry,
+                    payloads,
                 )
                 for pid in range(1, self.n + 1)
             }
         else:
             self.procs = {
-                pid: _ScriptProcess(pid, config.workload.get(pid, ()), self.recorder, self.registry)
+                pid: _ScriptProcess(pid, config.workload.get(pid, ()), self.recorder, payloads)
                 for pid in range(1, self.n + 1)
             }
 
@@ -255,9 +270,7 @@ class Simulation:
         if pid in self.crashed:
             return False, False
         proc = self.procs[pid]
-        if self.mode == "stack":
-            return proc.main_enabled(), proc.engine.task_enabled()
-        return proc.enabled(), False
+        return proc.main_enabled(), proc.task_enabled()
 
     def _refresh(self, pids) -> None:
         """Poll ``pids`` again; rebuild the token list if a flag changed."""
@@ -360,40 +373,14 @@ class Simulation:
         """Run one step; returns whether it wrote MEM."""
         pid, thread = token
         proc = self.procs[pid]
-        if thread == "main":
-            proc.main_step()
-            return proc.state == "bsnap"  # only a broadcast write leads there
         if thread == "task":
-            self._task_step(proc)
-        else:
-            proc.step()
-        return False
-
-    def _task_step(self, proc: _StackProcess) -> None:
-        delivered = proc.engine.task_step()
-        if delivered is None:
-            return
-        self.recorder.emit(
-            proc.pid,
-            "deliver-set",
-            {"round": proc.engine.round, "set": sort_ids(delivered)},
-        )
-        for mid in unpack_order(delivered):
-            self.recorder.emit(
-                proc.pid, "deliver-msg", {"msg": mid, "position": proc.deliver_pos}
-            )
-            proc.deliver_pos += 1
-            msg = self.registry.get(mid)
-            if msg is not None:
-                proc.table.on_deliver(msg.payload)
+            proc.task_step()
+            return False
+        return proc.main_step()
 
     def _check_no_deadlock(self) -> None:
-        if self.mode != "stack":
-            return
         for pid, proc in self.procs.items():
-            if pid in self.crashed:
-                continue
-            if proc.main_blocked():
+            if pid not in self.crashed and proc.main_blocked():
                 raise SimulationError(
                     f"deadlock: p{pid} blocked in {proc.state} with no enabled thread"
                 )

@@ -110,6 +110,20 @@ def write_trace(trace: Trace, path) -> None:
         fh.write(serialize_trace(trace))
 
 
+def _check_access(lineno: int, payload) -> None:
+    """An object access carries the lists the checker reads: the arguments
+    of a write or propose and the cells a snapshot returned."""
+    if not isinstance(payload, dict):
+        raise TraceFormatError(f"line {lineno}: an object-access payload must be a JSON object")
+    op = payload.get("op")
+    if op in ("write", "propose"):
+        args = payload.get("args")
+        if not isinstance(args, list) or not args:
+            raise TraceFormatError(f"line {lineno}: a {op} needs a non-empty list 'args'")
+    elif op == "snapshot" and not isinstance(payload.get("result"), list):
+        raise TraceFormatError(f"line {lineno}: a snapshot needs a list 'result'")
+
+
 def parse_trace(text: str) -> Trace:
     from .scenario import ScenarioConfig
 
@@ -124,6 +138,8 @@ def parse_trace(text: str) -> Trace:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise TraceFormatError(f"line {lineno}: a record must be a JSON object")
         kind = rec.get("record")
         if kind == "config":
             fmt = rec.get("trace_format", 1)
@@ -140,6 +156,8 @@ def parse_trace(text: str) -> Trace:
                 raise TraceFormatError(f"line {lineno}: missing event field {exc}") from exc
             if ev.kind not in EVENT_KINDS:
                 raise TraceFormatError(f"line {lineno}: unknown event kind {ev.kind!r}")
+            if ev.kind == "object-access":
+                _check_access(lineno, ev.payload)
             events.append(ev)
         elif kind == "outcome":
             outcome = rec["outcome"]

@@ -71,7 +71,7 @@ def test_criterion_1_golden_replay():
     ok = ok and len(chains) == 2 and sorted(assignment) == sorted(label)
     for chain in chains:
         members = set(chain)
-        for seq in result.order.sequences.values():
+        for seq in result.sequences.values():
             ok = ok and [m for m in seq if m in members] == chain
     try:
         result.poset.decompose_channels(1)

@@ -48,12 +48,12 @@ class TestBuildOrder:
     def test_golden_profile_width_and_channels(self, golden_trace):
         result = build_order(golden_trace)
         assert result.valid and not result.excluded
-        assert result.order.boundaries[1] == [2, 3, 5, 6]  # p1's set ends
-        assert result.order.boundaries[2] == [1, 2, 4, 5, 6]
+        assert [r + len(m) for r, m in TraceIndex(golden_trace).set_seqs[1]] == [2, 3, 5, 6]
+        assert [r + len(m) for r, m in TraceIndex(golden_trace).set_seqs[2]] == [1, 2, 4, 5, 6]
         assert result.poset.width() == 2
         _, chains = result.poset.decompose_channels(2)
         assert len(chains) == 2
-        sequences = result.order.sequences
+        sequences = result.sequences
         for chain in chains:
             members = set(chain)
             for seq in sequences.values():
@@ -91,7 +91,7 @@ class TestBuildOrder:
         trace = scripted(2, 2, wl, schedule="scripted", script=script,
                          crash_plan=((2, 2),))
         default = build_order(trace)
-        assert default.order.faulty == {2}
+        assert TraceIndex(trace).faulty == {2}
         assert default.poset.width() == 1
         assert default.excluded == []
         both = build_order(trace, scope="all-pairs-delivered-by-both")
@@ -103,14 +103,14 @@ class TestBuildOrder:
         trace = scripted(2, 2, wl, schedule="scripted", script=script,
                          crash_plan=((2, 2),))
         result = build_order(trace)
-        assert result.order.faulty == {2}
+        assert TraceIndex(trace).faulty == {2}
         assert result.excluded == ["9:9"]
 
     def test_duplicate_deliveries_deduplicated_and_flagged(self):
         wl = {1: (B("a"), B("c"), D("1:0"), D("1:0"), D("1:1"))}
         trace = scripted(1, 1, wl)
         result = build_order(trace)
-        assert result.order.duplicates == [(1, "1:0")]
+        assert result.sequences == {1: ["1:0", "1:1"]}
         assert result.poset.width() == 1
         verdicts = {v.property: v for v in check_all(trace, suites=("kbo",))}
         assert verdicts["kbo.integrity"].failed

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -163,6 +164,10 @@ def test_fuzz_200_seeds_all_pass(tmp_path, capsys):
     # sampled crash plans: sizes recorded for every run
     assert sum(int(c) for c in summary["crash_plan_sizes"].values()) == 200
     assert not list(out_dir.glob("fail-*.trace"))
+    # the summary bytes are pinned, like the verdicts in verdict_digests.json
+    assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == (
+        "fc4fe5d9253370bb8169d36b0c821936f72150c5bddcb8e4f24419c3781b4af1"
+    )
 
 
 def test_fuzz_zero_seeds_is_an_empty_success(tmp_path):
@@ -229,6 +234,57 @@ def test_check_rejects_a_format_1_trace(tmp_path):
     )
     assert proc.returncode == 2
     assert "line 1: trace format 1 is not supported" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
+
+
+def _first_access(lines, op):
+    """Index of the first MEM access with this op."""
+    return next(
+        i for i, line in enumerate(lines)
+        if '"object":"MEM"' in line and f'"op":"{op}"' in line
+    )
+
+
+def _insert_list_record(lines):
+    lines.insert(2, "[1]")
+    return 2
+
+
+def _null_snapshot_result(lines):
+    i = _first_access(lines, "snapshot")
+    rec = json.loads(lines[i])
+    rec["payload"]["result"] = None
+    lines[i] = json.dumps(rec, separators=(",", ":"))
+    return i
+
+
+def _null_write_args(lines):
+    i = _first_access(lines, "write")
+    rec = json.loads(lines[i])
+    rec["payload"]["args"] = None
+    lines[i] = json.dumps(rec, separators=(",", ":"))
+    return i
+
+
+@pytest.mark.parametrize(
+    "edit", [_insert_list_record, _null_snapshot_result, _null_write_args]
+)
+def test_check_rejects_malformed_records_naming_the_line(tmp_path, edit):
+    lines = serialize_trace(run_scenario(load_scenario(EXAMPLE_SCENARIO))).splitlines()
+    lineno = edit(lines) + 1
+    bad = tmp_path / "bad.trace"
+    bad.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bocast", "check", "--trace", str(bad)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"line {lineno}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
