@@ -7,9 +7,18 @@ A trace file is UTF-8, one JSON record per line:
     ...
     {"record":"outcome","outcome":"quiescent","turns":123}
 
+A record ends at ``"\n"`` and nowhere else.  Strings are written without
+ASCII escaping, so U+2028, U+2029 and U+0085 may appear raw inside a
+record; they are not line ends.  Blank lines are skipped, and a record may
+carry surrounding JSON whitespace (a ``"\r"`` before the ``"\n"``, say).
+
 Event fields appear in the fixed order (step, pid, kind, payload) and all
 collections inside payloads are canonically sorted, so a given scenario
-always serializes to byte-identical output.
+always serializes to byte-identical output.  ``step`` and ``pid`` are
+JSON integers (not booleans), ``pid`` is in 1..n, and ``payload`` is an
+object.  The one config record comes before every event.  The outcome
+record's ``outcome`` is ``"quiescent"`` or ``"budget-exhausted"`` and its
+``turns`` an integer >= 0.
 
 This is trace format 2.  MEM accesses carry counts: cell i of MEM is the
 number of messages p_i has published, which names the set {i:0, ...,
@@ -39,6 +48,8 @@ EVENT_KINDS = (
     "crash",
 )
 
+OUTCOMES = ("quiescent", "budget-exhausted")
+
 TRACE_FORMAT = 2
 
 
@@ -46,28 +57,19 @@ class TraceFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     step: int
     pid: int
     kind: str
     payload: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "record": "event",
-            "step": self.step,
-            "pid": self.pid,
-            "kind": self.kind,
-            "payload": self.payload,
-        }
-
 
 @dataclass
 class Trace:
     config: "ScenarioConfig"
     events: list[Event]
-    outcome: str  # "quiescent" | "budget-exhausted"
+    outcome: str  # one of OUTCOMES
     turns: int
 
     @property
@@ -82,27 +84,40 @@ class Recorder:
         self.events: list[Event] = []
 
     def emit(self, pid: int, kind: str, payload: dict) -> Event:
-        ev = Event(step=len(self.events), pid=pid, kind=kind, payload=payload)
+        ev = Event(len(self.events), pid, kind, payload)
         self.events.append(ev)
         return ev
 
 
-def _dumps(obj: dict) -> str:
-    # Insertion order of keys is part of the format; never sort here.
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+# One encoder and one decoder for every record.  Insertion order of keys
+# is part of the format; never sort here.
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_decode = json.JSONDecoder().raw_decode
 
 
 def serialize_trace(trace: Trace) -> str:
-    lines = []
+    """The trace file text.  An event line is its fixed header, written
+    directly, followed by the encoded payload; that is byte for byte what
+    encoding the whole record as one object gives, provided step and pid
+    are ints and kind needs no escaping, which is checked."""
     cfg_record = {"record": "config", "trace_format": TRACE_FORMAT}
     cfg_record.update(trace.config.to_json_dict())
-    lines.append(_dumps(cfg_record))
+    lines = [_encode(cfg_record)]
+    append = lines.append
     for ev in trace.events:
-        lines.append(_dumps(ev.to_json_dict()))
-    lines.append(
-        _dumps({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns})
-    )
-    return "\n".join(lines) + "\n"
+        step, pid, kind = ev.step, ev.pid, ev.kind
+        if type(step) is not int or type(pid) is not int or kind not in EVENT_KINDS:
+            raise ValueError(
+                f"cannot serialize event (step={step!r}, pid={pid!r}, kind={kind!r}): "
+                "step and pid must be ints and kind one of EVENT_KINDS"
+            )
+        append(
+            f'{{"record":"event","step":{step},"pid":{pid},"kind":"{kind}",'
+            f'"payload":{_encode(ev.payload)}}}'
+        )
+    append(_encode({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}))
+    append("")  # the text ends with a newline, without copying it to add one
+    return "\n".join(lines)
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -110,38 +125,76 @@ def write_trace(trace: Trace, path) -> None:
         fh.write(serialize_trace(trace))
 
 
-def _check_access(lineno: int, payload) -> None:
-    """An object access carries the lists the checker reads: the arguments
-    of a write or propose and the cells a snapshot returned."""
-    if not isinstance(payload, dict):
-        raise TraceFormatError(f"line {lineno}: an object-access payload must be a JSON object")
-    op = payload.get("op")
-    if op in ("write", "propose"):
-        args = payload.get("args")
-        if not isinstance(args, list) or not args:
-            raise TraceFormatError(f"line {lineno}: a {op} needs a non-empty list 'args'")
-    elif op == "snapshot" and not isinstance(payload.get("result"), list):
-        raise TraceFormatError(f"line {lineno}: a snapshot needs a list 'result'")
-
-
 def parse_trace(text: str) -> Trace:
     from .scenario import ScenarioConfig
 
     config = None
+    n = 0
     events: list[Event] = []
+    append = events.append
+    last_step = -1
     outcome = None
     turns = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(text.split("\n"), start=1):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(rec, dict):
+            rec, end = _decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):
+            # Not exactly one JSON value: a blank line, a record padded
+            # with whitespace (json.loads accepts it) or invalid JSON
+            # (json.loads words the error).
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        if type(rec) is not dict:
             raise TraceFormatError(f"line {lineno}: a record must be a JSON object")
         kind = rec.get("record")
-        if kind == "config":
+        if kind == "event":
+            try:
+                step, pid, ev_kind, payload = rec["step"], rec["pid"], rec["kind"], rec["payload"]
+            except KeyError as exc:
+                raise TraceFormatError(f"line {lineno}: missing event field {exc}") from exc
+            if type(step) is not int or type(pid) is not int:
+                raise TraceFormatError(f"line {lineno}: event step and pid must be integers")
+            if step <= last_step:
+                raise TraceFormatError(f"line {lineno}: event steps must strictly increase")
+            if not 0 < pid <= n:
+                if config is None:
+                    raise TraceFormatError(f"line {lineno}: an event before the config record")
+                raise TraceFormatError(f"line {lineno}: pid {pid} is not in 1..{n}")
+            if type(payload) is not dict:
+                raise TraceFormatError(f"line {lineno}: an event payload must be a JSON object")
+            if ev_kind == "object-access":
+                # The checker reads the object's name, the arguments of a
+                # write or propose and the cells a snapshot returned.
+                op = payload.get("op")
+                if op == "snapshot":
+                    if type(payload.get("result")) is not list:
+                        raise TraceFormatError(f"line {lineno}: a snapshot needs a list 'result'")
+                elif op == "write" or op == "propose":
+                    args = payload.get("args")
+                    if type(args) is not list or not args:
+                        raise TraceFormatError(
+                            f"line {lineno}: a {op} needs a non-empty list 'args'"
+                        )
+                if type(payload.get("object")) is not str:
+                    raise TraceFormatError(
+                        f"line {lineno}: an object-access needs a string 'object'"
+                    )
+            elif ev_kind == "deliver-set":
+                if type(payload.get("set")) is not list:
+                    raise TraceFormatError(f"line {lineno}: a deliver-set needs a list 'set'")
+            elif ev_kind not in EVENT_KINDS:
+                raise TraceFormatError(f"line {lineno}: unknown event kind {ev_kind!r}")
+            last_step = step
+            append(Event(step, pid, ev_kind, payload))
+        elif kind == "config":
+            if config is not None:
+                raise TraceFormatError(f"line {lineno}: a second config record")
             fmt = rec.get("trace_format", 1)
             if fmt != TRACE_FORMAT:
                 raise TraceFormatError(
@@ -149,28 +202,22 @@ def parse_trace(text: str) -> Trace:
                     f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
                 )
             config = ScenarioConfig.from_json_dict(rec)
-        elif kind == "event":
-            try:
-                ev = Event(rec["step"], rec["pid"], rec["kind"], rec["payload"])
-            except KeyError as exc:
-                raise TraceFormatError(f"line {lineno}: missing event field {exc}") from exc
-            if ev.kind not in EVENT_KINDS:
-                raise TraceFormatError(f"line {lineno}: unknown event kind {ev.kind!r}")
-            if ev.kind == "object-access":
-                _check_access(lineno, ev.payload)
-            events.append(ev)
+            n = config.n
         elif kind == "outcome":
-            outcome = rec["outcome"]
+            outcome = rec.get("outcome")
+            if outcome not in OUTCOMES:
+                raise TraceFormatError(
+                    f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
+                )
             turns = rec.get("turns", 0)
+            if type(turns) is not int or turns < 0:
+                raise TraceFormatError(f"line {lineno}: turns must be an integer >= 0")
         else:
             raise TraceFormatError(f"line {lineno}: unknown record kind {kind!r}")
     if config is None:
         raise TraceFormatError("trace has no config record")
     if outcome is None:
         raise TraceFormatError("trace has no outcome record")
-    steps = [ev.step for ev in events]
-    if steps != sorted(set(steps)):
-        raise TraceFormatError("event steps must strictly increase")
     return Trace(config=config, events=events, outcome=outcome, turns=turns)
 
 

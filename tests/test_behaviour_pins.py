@@ -5,6 +5,10 @@ seeds, and the verdict bytes of the checked-in scenarios, must stay as
 MEM events became counts (trace format 2), which changed no behaviour.
 The digest is the one the benchmark gate uses: sha256 over one
 ``[pid, kind, payload]`` JSON line per behaviour event, keys sorted.
+
+The sha256 of each of those runs' serialized trace is pinned too, so the
+trace writer must keep every byte of trace format 2.  Those pins were
+taken with the per-record ``json.dumps`` writer.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from bocast.checker import check_all, serialize_verdicts
 from bocast.cli import instantiate_template
 from bocast.scenario import load_scenario
 from bocast.sim import run_scenario
+from bocast.trace import serialize_trace
 
 PINS = json.loads((Path(__file__).parent / "behaviour_digests.json").read_text(encoding="utf-8"))
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
@@ -34,18 +39,24 @@ def behaviour_digest(events) -> str:
     return h.hexdigest()
 
 
+def trace_digest(trace) -> str:
+    return hashlib.sha256(serialize_trace(trace).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("path", sorted(PINS["scenarios"]))
 def test_checked_in_scenario_behaviour_and_verdicts(path):
     trace = run_scenario(load_scenario(Path(path)))
     verdicts = serialize_verdicts(check_all(trace)).encode()
     assert behaviour_digest(trace.events) == PINS["scenarios"][path]["behaviour"]
     assert hashlib.sha256(verdicts).hexdigest() == PINS["scenarios"][path]["verdicts"]
+    assert trace_digest(trace) == PINS["scenarios"][path]["trace"]
 
 
 def test_fuzz_template_seed_behaviour():
     template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
-    got = [
-        behaviour_digest(run_scenario(instantiate_template(template, i)).events)
+    traces = [
+        run_scenario(instantiate_template(template, i))
         for i in range(len(PINS["fuzz_template_seeds_0_49"]))
     ]
-    assert got == PINS["fuzz_template_seeds_0_49"]
+    assert [behaviour_digest(t.events) for t in traces] == PINS["fuzz_template_seeds_0_49"]
+    assert [trace_digest(t) for t in traces] == PINS["fuzz_template_seed_traces_0_49"]

@@ -13,7 +13,7 @@ from bocast.cli import main
 from bocast.rng import SplitMix64
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
-from bocast.trace import serialize_trace, write_trace
+from bocast.trace import parse_trace, serialize_trace, write_trace
 
 from _drivers import stack_config
 
@@ -270,23 +270,105 @@ def _null_write_args(lines):
     return i
 
 
+def _edit_first(marker, change):
+    """An edit that applies ``change`` to the first record whose line
+    holds ``marker``."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if marker in line)
+        rec = json.loads(lines[i])
+        change(rec)
+        lines[i] = json.dumps(rec, separators=(",", ":"), ensure_ascii=False)
+        return i
+    edit.__name__ = f"_{change.__name__}"
+    return edit
+
+
+def drop_object(rec):
+    del rec["payload"]["object"]
+
+
+def null_set(rec):
+    rec["payload"]["set"] = None
+
+
+def pid_99(rec):
+    rec["pid"] = 99
+
+
+def str_step(rec):
+    rec["step"] = str(rec["step"])
+
+
+def bool_pid(rec):
+    rec["pid"] = True
+
+
+def list_payload(rec):
+    rec["payload"] = [rec["payload"]]
+
+
+def weird_outcome(rec):
+    rec["outcome"] = "weird"
+
+
+def negative_turns(rec):
+    rec["turns"] = -1
+
+
+def _check_subprocess(path):
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "bocast", "check", "--trace", str(path)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
-    "edit", [_insert_list_record, _null_snapshot_result, _null_write_args]
+    "edit",
+    [
+        _insert_list_record,
+        _null_snapshot_result,
+        _null_write_args,
+        _edit_first('"kind":"object-access"', drop_object),
+        _edit_first('"kind":"deliver-set"', null_set),
+        _edit_first('"record":"event"', pid_99),
+        _edit_first('"record":"event"', str_step),
+        _edit_first('"record":"event"', bool_pid),
+        _edit_first('"kind":"invoke"', list_payload),
+        _edit_first('"record":"outcome"', weird_outcome),
+        _edit_first('"record":"outcome"', negative_turns),
+    ],
+    ids=lambda edit: edit.__name__,
 )
 def test_check_rejects_malformed_records_naming_the_line(tmp_path, edit):
     lines = serialize_trace(run_scenario(load_scenario(EXAMPLE_SCENARIO))).splitlines()
     lineno = edit(lines) + 1
     bad = tmp_path / "bad.trace"
-    bad.write_text("\n".join(lines) + "\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bocast", "check", "--trace", str(bad)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _check_subprocess(bad)
     assert proc.returncode == 2, proc.stderr
     assert f"line {lineno}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_line_separator_characters_in_values_round_trip(tmp_path):
+    """U+2028, U+2029 and U+0085 are written raw (no ASCII escaping) and
+    are not line ends, so a trace holding them reads back unchanged."""
+    odd = "a\u2028b\u2029c\u0085d"
+    obj = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
+    obj["workload"]["1"][0]["value"] = "red" + odd
+    obj["workload"]["3"][1]["payload"] = "note" + odd
+    scen = tmp_path / "odd.scenario.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "odd.trace"
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert "\u2028" in text and "\u2029" in text and "\u0085" in text
+    assert serialize_trace(parse_trace(text)) == text
+    proc = _check_subprocess(out)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_suite_is_a_usage_error(capsys):
