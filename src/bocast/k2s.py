@@ -56,16 +56,16 @@ class K2SInstance:
     def phase_snap1_write(self, pid: int, val: str) -> None:
         self.snap1.write(pid, val)
 
-    def phase_snap1_read(self, pid: int) -> frozenset:
-        arr = self.snap1.snapshot(pid)
-        return frozenset(v for v in arr if v is not None)
+    def phase_snap1_read(self, pid: int) -> tuple[tuple, frozenset]:
+        arr = self.snap1.snapshot(pid)  # the cells, and the view: the written ones
+        return arr, frozenset(v for v in arr if v is not None)
 
     def phase_snap2_write(self, pid: int, view: frozenset) -> None:
         self.snap2.write(pid, view)
 
-    def phase_snap2_read(self, pid: int) -> frozenset:
+    def phase_snap2_read(self, pid: int) -> tuple[tuple, frozenset]:
         arr = self.snap2.snapshot(pid)
-        return frozenset(v for v in arr if v is not None)
+        return arr, frozenset(v for v in arr if v is not None)
 
     # --- convenience ----------------------------------------------------
 
@@ -73,9 +73,9 @@ class K2SInstance:
         """Run all phases back to back and return the family of views."""
         val = self.phase_propose(pid, value)
         self.phase_snap1_write(pid, val)
-        view = self.phase_snap1_read(pid)
+        view = self.phase_snap1_read(pid)[1]
         self.phase_snap2_write(pid, view)
-        return self.phase_snap2_read(pid)
+        return self.phase_snap2_read(pid)[1]
 
 
 class RepeatedK2S:

@@ -143,8 +143,7 @@ class BroadcastEngine:
             self.tstate = "snap1s"
             return None
         if self.tstate == "snap1s":
-            arr = self._inst.snap1.peek()
-            self.view = self._inst.phase_snap1_read(self.pid)
+            arr, self.view = self._inst.phase_snap1_read(self.pid)
             self._obj_event(self._inst.snap1.object_id, "snapshot", None, list(arr))
             self.tstate = "snap2w"
             return None
@@ -166,8 +165,7 @@ class BroadcastEngine:
         return None
 
     def _step_snap2_read(self) -> frozenset:
-        arr = self._inst.snap2.peek()
-        sets = self._inst.phase_snap2_read(self.pid)
+        arr, sets = self._inst.phase_snap2_read(self.pid)
         self._obj_event(
             self._inst.snap2.object_id,
             "snapshot",

@@ -6,10 +6,23 @@ identities are globally unique as long as each process broadcasts each
 of its messages once.  Ids are plain strings everywhere; the simulator
 keeps a message's payload in a table keyed by its id.  The canonical
 order (sender, then index) is the tie-break order used everywhere a
-deterministic choice among messages is needed.
+deterministic choice among messages is needed.  An id is written in
+canonical form: two decimal integers without sign, space, underscore or
+leading zero.  Scenario validation and the trace reader accept ids in
+that form only; whether the sender is one of 1..n is left to the
+checker's validity verdicts.
 """
 
 from __future__ import annotations
+
+import re
+
+_CANONICAL_ID = re.compile(r"(?:0|[1-9][0-9]*):(?:0|[1-9][0-9]*)")
+
+
+def is_msg_id(value) -> bool:
+    """Whether ``value`` is a message id string in canonical form."""
+    return type(value) is str and _CANONICAL_ID.fullmatch(value) is not None
 
 
 def msg_key(mid: str) -> tuple[int, int]:

@@ -65,10 +65,6 @@ class SnapshotArray:
             self._snapped.add(pid)
         return tuple(self.cells)
 
-    def peek(self) -> tuple:
-        """Scheduler-side view with no protocol effects (not a process step)."""
-        return tuple(self.cells)
-
     def _check_pid(self, pid: int) -> None:
         if not (1 <= pid <= self.n):
             raise ProtocolViolation(f"{self.object_id}: unknown process {pid}")

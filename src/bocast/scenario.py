@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .messages import msg_key
+from .messages import is_msg_id
 
 SCENARIO_VERSION = 1
 
@@ -147,9 +147,7 @@ class ScenarioConfig:
                     if not item.msgs:
                         raise ConfigError(f"deliver item of p{pid} has an empty message set")
                     for mid in item.msgs:
-                        try:
-                            msg_key(mid)
-                        except Exception:
+                        if not is_msg_id(mid):
                             raise ConfigError(f"malformed message id {mid!r} in deliver item of p{pid}")
             if instances != sorted(set(instances)):
                 raise ConfigError(f"propose instance numbers of p{pid} must strictly increase")
@@ -200,7 +198,7 @@ class ScenarioConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario: {exc}") from exc
         config.validate()
         return config

@@ -12,7 +12,8 @@ scripted mode) and a task thread, and one emitter of invocations and
 deliveries.  A delivered set is one deliver-set event, then one
 deliver-msg event per member in ``kbo.unpack_order``; its round is the
 number of messages the process delivered before it, which in stack mode
-is also the number of its K2S round.
+is also the number of its K2S round.  Every event carries the turn that
+emitted it; a crash carries the turn at which it fires.
 
 The enabled tokens are kept up to date, not polled: a process's main
 and task predicates change only on its own step or its crash, and its
@@ -244,6 +245,7 @@ class Simulation:
     def run(self) -> Trace:
         budget = self.config.step_budget
         while True:
+            self.recorder.turn = self.turn  # the turn of every event, crashes too
             for pid, at_turn in self.config.crash_plan:
                 if at_turn == self.turn and pid not in self.crashed:
                     self.inject_crash(pid)

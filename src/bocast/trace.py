@@ -2,41 +2,79 @@
 
 A trace file is UTF-8, one JSON record per line:
 
-    {"record":"config","trace_format":2, ...scenario fields...}
-    {"record":"event","step":0,"pid":1,"kind":"invoke","payload":{...}}
+    {"record":"config","trace_format":3, ...scenario fields...}
+    [0,1,"invoke",{"op":"ksa_propose","msg":"1:0","instance":0,"value":"red"}]
+    [0,1,"MEM","write",[1],null]
+    [1,1,"MEM","snapshot",null,[1,0,0]]
+    ...
+    [7,3,"deliver-msg",{"msg":"1:0","position":0}]
     ...
     {"record":"outcome","outcome":"quiescent","turns":123}
 
-A record ends at ``"\n"`` and nowhere else.  Strings are written without
-ASCII escaping, so U+2028, U+2029 and U+0085 may appear raw inside a
-record; they are not line ends.  Blank lines are skipped, and a record may
-carry surrounding JSON whitespace (a ``"\r"`` before the ``"\n"``, say).
+This is trace format 3.  The config record comes first and the outcome
+record last; every line between them is one event, a JSON array:
 
-Event fields appear in the fixed order (step, pid, kind, payload) and all
-collections inside payloads are canonically sorted, so a given scenario
-always serializes to byte-identical output.  ``step`` and ``pid`` are
-JSON integers (not booleans), ``pid`` is in 1..n, and ``payload`` is an
-object.  The one config record comes before every event.  The outcome
-record's ``outcome`` is ``"quiescent"`` or ``"budget-exhausted"`` and its
-``turns`` an integer >= 0.
+* an object access is ``[turn, pid, object, op, args, result]``;
+* any other event is ``[turn, pid, kind, payload]``, with ``kind`` one of
+  ``EVENT_KINDS`` other than ``"object-access"`` and ``payload`` an object.
 
-This is trace format 2.  MEM accesses carry counts: cell i of MEM is the
-number of messages p_i has published, which names the set {i:0, ...,
-i:c-1} that format 1 listed in full.  A MEM write has ``args: [count]``
-and a MEM snapshot a ``result`` of n counts.  The reader accepts format 2
-only: a config record without ``"trace_format": 2`` is rejected.
+``turn`` is the scheduler turn that emitted the event: an integer >= 0
+that never decreases and is at most the outcome's ``turns``.  One turn
+may emit several consecutive events (an operation invocation plus its
+shared-object access, a set delivery plus its per-message deliveries),
+and a crash carries the turn at which it fires.  ``pid`` is an integer
+(not a boolean) in 1..n.  An event's ``step`` is not written: it is the
+event's index in the trace, counted from 0, and the reader sets it so.
+The outcome record's ``outcome`` is ``"quiescent"`` or
+``"budget-exhausted"`` and its ``turns`` an integer >= 0.  Crash plans
+and the step budget count scheduler turns, not events.
 
-``step`` is a global event index: it strictly increases over the whole
-trace.  One scheduler turn may emit several consecutive events (an
-operation invocation plus its shared-object access, a set delivery plus
-its per-message deliveries).  Crash plans and the step budget count
-scheduler turns, not events.
+The fields the checker reads, with the types the reader requires of them
+(an *id* is a message id ``"s:i"`` in the canonical form of
+``messages.is_msg_id``: two decimal integers without leading zeros.  A
+sender outside 1..n is not a format error; the checker's validity
+verdicts judge it):
+
+    kind / object   op              fields
+    invoke          kbo_broadcast   msg: id  (payload: the broadcast value)
+    invoke          ksa_propose     msg: id, instance: int, value: str
+    return          -               (op, msg or instance/value: not read)
+    decide          -               instance: int, value: str
+    deliver-set     -               round: int, set: list of ids
+    deliver-msg     -               msg: id  (position: not read)
+    crash           -               (empty payload)
+    MEM             write           args: [count]              result: null
+    MEM             snapshot        args: null                 result: n counts
+    KSET[r]         propose         args: [id]                 result: id
+    SNAP1[r]        write           args: [value: str]         result: null
+    SNAP1[r]        snapshot        args: null                 result: n cells, str or null
+    SNAP2[r]        write           args: [view: list of str]  result: null
+    SNAP2[r]        snapshot        args: null                 result: n cells, view or null
+
+Cell i of MEM is the number of messages p_i has published, which names
+the set {i:0, ..., i:c-1}.  ``r`` is a K2S round, a decimal integer.  A
+trace stays greppable by kind (``"deliver-set"``) and by object
+(``"SNAP2[0]"``).  A record ends at ``"\\n"`` and nowhere else.  Strings
+are written without ASCII escaping, so U+2028, U+2029 and U+0085 may
+appear raw inside a record; they are not line ends.  Blank lines are
+skipped, and a record may carry surrounding JSON whitespace (a ``"\\r"``
+before the ``"\\n"``, say).  All collections inside payloads are
+canonically sorted, so a given scenario always serializes to
+byte-identical output.
+
+The reader reads format 3 only: a config record without
+``"trace_format": 3`` is rejected on its line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring
+
+from .messages import is_msg_id
 
 EVENT_KINDS = (
     "invoke",
@@ -50,7 +88,7 @@ EVENT_KINDS = (
 
 OUTCOMES = ("quiescent", "budget-exhausted")
 
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 
 
 class TraceFormatError(ValueError):
@@ -63,6 +101,7 @@ class Event:
     pid: int
     kind: str
     payload: dict
+    turn: int = 0
 
 
 @dataclass
@@ -78,46 +117,76 @@ class Trace:
 
 
 class Recorder:
-    """Assigns event step indices in emission order."""
+    """Assigns event step indices in emission order; each event carries
+    ``turn``, which the scheduler sets at the start of every turn."""
 
     def __init__(self):
         self.events: list[Event] = []
+        self.turn = 0
 
     def emit(self, pid: int, kind: str, payload: dict) -> Event:
-        ev = Event(len(self.events), pid, kind, payload)
+        ev = Event(len(self.events), pid, kind, payload, self.turn)
         self.events.append(ev)
         return ev
 
 
 # One encoder and one decoder for every record.  Insertion order of keys
-# is part of the format; never sort here.
-_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+# is part of the format; never sort here.  ``_chunks(record, 0)`` gives the
+# record's JSON text in pieces: it is the C encoder (CPython's ``_json``)
+# that ``json.dumps(record, separators=(",", ":"), ensure_ascii=False)``
+# builds afresh on every call, built once.  Its arguments, by position:
+_chunks = c_make_encoder(
+    None,  # markers: no circular-reference check (records are trees)
+    json.JSONEncoder().default,  # default: raise TypeError on other types
+    encode_basestring,  # encoder: strings without ASCII escaping
+    None,  # indent: none
+    ":",  # key separator
+    ",",  # item separator
+    False,  # sort_keys: keep insertion order
+    False,  # skipkeys: non-str keys raise
+    True,  # allow_nan: as json.dumps
+)
 _decode = json.JSONDecoder().raw_decode
+
+_ACCESS_KEYS = frozenset(("object", "op", "args", "result"))
+_PLAIN_KINDS = frozenset(EVENT_KINDS) - {"object-access"}
 
 
 def serialize_trace(trace: Trace) -> str:
-    """The trace file text.  An event line is its fixed header, written
-    directly, followed by the encoded payload; that is byte for byte what
-    encoding the whole record as one object gives, provided step and pid
-    are ints and kind needs no escaping, which is checked."""
+    """The trace file text.  Raises ValueError on an event it cannot
+    write so that it reads back the same: a step other than the event's
+    index, a turn or pid that is not an int, an unknown kind, or an object
+    access whose payload keys are not exactly object, op, args and
+    result."""
     cfg_record = {"record": "config", "trace_format": TRACE_FORMAT}
     cfg_record.update(trace.config.to_json_dict())
-    lines = [_encode(cfg_record)]
-    append = lines.append
-    for ev in trace.events:
-        step, pid, kind = ev.step, ev.pid, ev.kind
-        if type(step) is not int or type(pid) is not int or kind not in EVENT_KINDS:
+    out = [*_chunks(cfg_record, 0), "\n"]
+    extend = out.extend
+    for index, ev in enumerate(trace.events):
+        step, turn, pid, kind, payload = ev.step, ev.turn, ev.pid, ev.kind, ev.payload
+        if type(step) is not int or step != index or type(turn) is not int or type(pid) is not int:
             raise ValueError(
-                f"cannot serialize event (step={step!r}, pid={pid!r}, kind={kind!r}): "
-                "step and pid must be ints and kind one of EVENT_KINDS"
+                f"cannot serialize event {index} (step={step!r}, turn={turn!r}, pid={pid!r}): "
+                "step must be the event's index and turn and pid ints"
             )
-        append(
-            f'{{"record":"event","step":{step},"pid":{pid},"kind":"{kind}",'
-            f'"payload":{_encode(ev.payload)}}}'
-        )
-    append(_encode({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}))
-    append("")  # the text ends with a newline, without copying it to add one
-    return "\n".join(lines)
+        if kind == "object-access":
+            if payload.keys() != _ACCESS_KEYS:
+                raise ValueError(
+                    f"cannot serialize event {index}: an object access payload has exactly "
+                    f"the keys object, op, args and result, not {sorted(payload)}"
+                )
+            extend(_chunks(
+                [turn, pid, payload["object"], payload["op"], payload["args"], payload["result"]],
+                0,
+            ))
+        elif kind in _PLAIN_KINDS:
+            extend(_chunks([turn, pid, kind, payload], 0))
+        else:
+            raise ValueError(f"cannot serialize event {index}: unknown kind {kind!r}")
+        out.append("\n")
+    extend(_chunks({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}, 0))
+    out.append("\n")
+    return "".join(out)
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -125,74 +194,216 @@ def write_trace(trace: Trace, path) -> None:
         fh.write(serialize_trace(trace))
 
 
+# --- the payload schema of the table above ------------------------------------
+
+_OBJECT_PATTERN = re.compile(r"MEM|(KSET|SNAP1|SNAP2)\[(?:0|[1-9][0-9]*)\]")
+_STR = frozenset((str,))
+_STR_OR_NULL = frozenset((str, type(None)))
+_LIST_OR_NULL = frozenset((list, type(None)))
+
+
+def _is_id(value, ids: set) -> bool:
+    """Whether ``value`` is a message id; ``ids`` caches those found so."""
+    if type(value) is not str:
+        return False
+    if value in ids:
+        return True
+    if not is_msg_id(value):
+        return False
+    ids.add(value)
+    return True
+
+
+def _is_ids(value, ids: set) -> bool:
+    if type(value) is not list:
+        return False
+    try:
+        if ids.issuperset(value):
+            return True
+    except TypeError:  # an unhashable member
+        return False
+    return all(_is_id(mid, ids) for mid in value)
+
+
+def _is_view(value) -> bool:
+    return type(value) is list and _STR.issuperset(map(type, value))
+
+
+# Checks of an object access's (args, result), by object family and op.
+
+
+def _mem_write(args, _result, _ids) -> bool:
+    return type(args) is list and len(args) > 0
+
+
+def _mem_snapshot(_args, result, _ids) -> bool:
+    return type(result) is list
+
+
+def _kset_propose(args, result, ids) -> bool:
+    return type(args) is list and len(args) > 0 and _is_id(args[0], ids) and _is_id(result, ids)
+
+
+def _snap1_write(args, _result, _ids) -> bool:
+    return type(args) is list and len(args) > 0 and type(args[0]) is str
+
+
+def _snap1_snapshot(_args, result, _ids) -> bool:
+    return type(result) is list and _STR_OR_NULL.issuperset(map(type, result))
+
+
+def _snap2_write(args, _result, _ids) -> bool:
+    return type(args) is list and len(args) > 0 and _is_view(args[0])
+
+
+def _snap2_snapshot(_args, result, _ids) -> bool:
+    return (
+        type(result) is list
+        and _LIST_OR_NULL.issuperset(map(type, result))
+        and _STR.issuperset(map(type, chain.from_iterable(filter(None, result))))
+    )
+
+
+_ACCESSES = {
+    "MEM": {"write": _mem_write, "snapshot": _mem_snapshot},
+    "KSET": {"propose": _kset_propose},
+    "SNAP1": {"write": _snap1_write, "snapshot": _snap1_snapshot},
+    "SNAP2": {"write": _snap2_write, "snapshot": _snap2_snapshot},
+}
+
+# The fields the checker reads of every other kind's payload, with their
+# types: int, str, _ID or _IDS.
+_ID, _IDS = "a message id", "a list of message ids"
+_PAYLOADS = {
+    "invoke": None,  # by op, in _INVOKES
+    "return": (),
+    "decide": (("instance", int), ("value", str)),
+    "deliver-set": (("round", int), ("set", _IDS)),
+    "deliver-msg": (("msg", _ID),),
+    "crash": (),
+}
+_INVOKES = {
+    "kbo_broadcast": (("msg", _ID),),
+    "ksa_propose": (("msg", _ID), ("instance", int), ("value", str)),
+}
+_TYPE_NAMES = {int: "an integer", str: "a string", _ID: _ID, _IDS: _IDS}
+
+
+def _access_check(name, op, families: dict, lineno: int):
+    """The check of an access to object ``name`` with ``op``.  ``families``
+    caches the checks by op of each name seen."""
+    try:
+        ops = families[name]
+    except (KeyError, TypeError):  # a new name, or no string at all
+        m = _OBJECT_PATTERN.fullmatch(name) if type(name) is str else None
+        if m is None:
+            raise TraceFormatError(f"line {lineno}: unknown object {name!r}") from None
+        ops = families[name] = _ACCESSES[m.group(1) or "MEM"]
+    check = ops.get(op) if type(op) is str else None
+    if check is None:
+        raise TraceFormatError(f"line {lineno}: {name} has no op {op!r}")
+    return check
+
+
+def _payload_error(kind: str, payload, ids: set) -> str | None:
+    """Why a payload of ``kind`` breaks the schema, or None."""
+    if type(payload) is not dict:
+        return "an event payload must be a JSON object"
+    fields = _PAYLOADS[kind]
+    if fields is None:
+        op = payload.get("op")
+        fields = _INVOKES.get(op) if type(op) is str else None
+        if fields is None:
+            return f"an invoke needs an op of {', '.join(_INVOKES)}"
+    for field, want in fields:
+        value = payload.get(field)
+        if type(value) is want:
+            continue
+        if want is _ID and _is_id(value, ids) or want is _IDS and _is_ids(value, ids):
+            continue
+        return f"a {kind} needs {field!r} to be {_TYPE_NAMES[want]}"
+    return None
+
+
+# --- the reader -----------------------------------------------------------------
+
+
 def parse_trace(text: str) -> Trace:
-    from .scenario import ScenarioConfig
+    """The trace in ``text``; TraceFormatError, naming the line, on
+    anything format 3 does not allow."""
+    from .scenario import ConfigError, ScenarioConfig
 
     config = None
     n = 0
     events: list[Event] = []
     append = events.append
-    last_step = -1
+    last_turn = 0
     outcome = None
     turns = 0
+    ids: set = set()  # the message ids found well formed so far
+    families: dict = {}  # object name -> its checks by op, for the names seen
+    payloads = _PAYLOADS
     for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             rec, end = _decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             end = -1
         if end != len(line):
             # Not exactly one JSON value: a blank line, a record padded
-            # with whitespace (json.loads accepts it) or invalid JSON
-            # (json.loads words the error).
+            # with whitespace (json.loads accepts it), invalid JSON
+            # (json.loads words the error) or nesting too deep to decode.
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if type(rec) is not dict:
-            raise TraceFormatError(f"line {lineno}: a record must be a JSON object")
-        kind = rec.get("record")
-        if kind == "event":
-            try:
-                step, pid, ev_kind, payload = rec["step"], rec["pid"], rec["kind"], rec["payload"]
-            except KeyError as exc:
-                raise TraceFormatError(f"line {lineno}: missing event field {exc}") from exc
-            if type(step) is not int or type(pid) is not int:
-                raise TraceFormatError(f"line {lineno}: event step and pid must be integers")
-            if step <= last_step:
-                raise TraceFormatError(f"line {lineno}: event steps must strictly increase")
-            if not 0 < pid <= n:
+            except RecursionError:
+                raise TraceFormatError(f"line {lineno}: JSON nested too deeply") from None
+        if type(rec) is list:
+            size = len(rec)
+            if size == 6:
+                turn, pid, name, op, args, result = rec
+                kind = "object-access"
+                payload = {"object": name, "op": op, "args": args, "result": result}
+            elif size == 4:
+                turn, pid, kind, payload = rec
+            else:
+                raise TraceFormatError(f"line {lineno}: an event has 4 or 6 fields, not {size}")
+            if type(turn) is not int or turn < last_turn:
+                raise TraceFormatError(
+                    f"line {lineno}: an event turn must be an integer >= 0 that never decreases"
+                )
+            if type(pid) is not int or not 0 < pid <= n:
                 if config is None:
                     raise TraceFormatError(f"line {lineno}: an event before the config record")
-                raise TraceFormatError(f"line {lineno}: pid {pid} is not in 1..{n}")
-            if type(payload) is not dict:
-                raise TraceFormatError(f"line {lineno}: an event payload must be a JSON object")
-            if ev_kind == "object-access":
-                # The checker reads the object's name, the arguments of a
-                # write or propose and the cells a snapshot returned.
-                op = payload.get("op")
-                if op == "snapshot":
-                    if type(payload.get("result")) is not list:
-                        raise TraceFormatError(f"line {lineno}: a snapshot needs a list 'result'")
-                elif op == "write" or op == "propose":
-                    args = payload.get("args")
-                    if type(args) is not list or not args:
-                        raise TraceFormatError(
-                            f"line {lineno}: a {op} needs a non-empty list 'args'"
-                        )
-                if type(payload.get("object")) is not str:
+                raise TraceFormatError(f"line {lineno}: pid {pid!r} is not in 1..{n}")
+            if outcome is not None:
+                raise TraceFormatError(f"line {lineno}: an event after the outcome record")
+            if size == 6:
+                try:
+                    check = families[name][op]
+                except (KeyError, TypeError):  # not seen yet, or no string
+                    check = _access_check(name, op, families, lineno)
+                if not check(args, result, ids):
                     raise TraceFormatError(
-                        f"line {lineno}: an object-access needs a string 'object'"
+                        f"line {lineno}: a {name} {op} with malformed args or result"
                     )
-            elif ev_kind == "deliver-set":
-                if type(payload.get("set")) is not list:
-                    raise TraceFormatError(f"line {lineno}: a deliver-set needs a list 'set'")
-            elif ev_kind not in EVENT_KINDS:
-                raise TraceFormatError(f"line {lineno}: unknown event kind {ev_kind!r}")
-            last_step = step
-            append(Event(step, pid, ev_kind, payload))
-        elif kind == "config":
+            elif type(kind) is not str or kind not in payloads:
+                raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
+            else:
+                why = _payload_error(kind, payload, ids)
+                if why is not None:
+                    raise TraceFormatError(f"line {lineno}: {why}")
+            last_turn = turn
+            append(Event(len(events), pid, kind, payload, turn))
+            continue
+        if type(rec) is not dict:
+            raise TraceFormatError(f"line {lineno}: a record must be a JSON array or object")
+        record = rec.get("record")
+        if outcome is not None:
+            raise TraceFormatError(f"line {lineno}: a record after the outcome record")
+        if record == "config":
             if config is not None:
                 raise TraceFormatError(f"line {lineno}: a second config record")
             fmt = rec.get("trace_format", 1)
@@ -201,19 +412,24 @@ def parse_trace(text: str) -> Trace:
                     f"line {lineno}: trace format {fmt!r} is not supported; "
                     f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
                 )
-            config = ScenarioConfig.from_json_dict(rec)
+            try:
+                config = ScenarioConfig.from_json_dict(rec)
+            except ConfigError as exc:
+                raise TraceFormatError(f"line {lineno}: {exc}") from exc
             n = config.n
-        elif kind == "outcome":
+        elif record == "outcome":
             outcome = rec.get("outcome")
             if outcome not in OUTCOMES:
                 raise TraceFormatError(
                     f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
                 )
             turns = rec.get("turns", 0)
-            if type(turns) is not int or turns < 0:
-                raise TraceFormatError(f"line {lineno}: turns must be an integer >= 0")
+            if type(turns) is not int or turns < last_turn:
+                raise TraceFormatError(
+                    f"line {lineno}: turns must be an integer >= 0 and >= the last event's turn"
+                )
         else:
-            raise TraceFormatError(f"line {lineno}: unknown record kind {kind!r}")
+            raise TraceFormatError(f"line {lineno}: unknown record kind {record!r}")
     if config is None:
         raise TraceFormatError("trace has no config record")
     if outcome is None:

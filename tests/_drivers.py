@@ -31,11 +31,11 @@ def run_random_k2s_instance(seed: int, n: int, k: int):
         elif st["phase"] == 1:
             inst.phase_snap1_write(pid, st["val"])
         elif st["phase"] == 2:
-            st["view"] = inst.phase_snap1_read(pid)
+            st["view"] = inst.phase_snap1_read(pid)[1]
         elif st["phase"] == 3:
             inst.phase_snap2_write(pid, st["view"])
         else:
-            outputs[pid] = inst.phase_snap2_read(pid)
+            outputs[pid] = inst.phase_snap2_read(pid)[1]
         st["phase"] += 1
 
     remaining = {pid: PHASES_PER_PROPOSE for pid in range(1, n + 1)}

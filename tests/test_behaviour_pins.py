@@ -6,9 +6,13 @@ MEM events became counts (trace format 2), which changed no behaviour.
 The digest is the one the benchmark gate uses: sha256 over one
 ``[pid, kind, payload]`` JSON line per behaviour event, keys sorted.
 
-The sha256 of each of those runs' serialized trace is pinned too, so the
-trace writer must keep every byte of trace format 2.  Those pins were
-taken with the per-record ``json.dumps`` writer.
+The sha256 of each of those runs' serialized trace is pinned twice.  The
+format-2 pins (``trace``, ``fuzz_template_seed_traces_0_49``) were taken
+with the per-record ``json.dumps`` writer of trace format 2, which
+``_format2`` keeps: the events of today's runs must still give those
+bytes.  The format-3 pins (``trace_format_3``,
+``fuzz_template_seed_format_3_traces_0_49``) hold ``serialize_trace`` to
+every byte of trace format 3.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from bocast.cli import instantiate_template
 from bocast.scenario import load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import serialize_trace
+
+from _format2 import format2_text
 
 PINS = json.loads((Path(__file__).parent / "behaviour_digests.json").read_text(encoding="utf-8"))
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
@@ -43,13 +49,18 @@ def trace_digest(trace) -> str:
     return hashlib.sha256(serialize_trace(trace).encode("utf-8")).hexdigest()
 
 
+def format2_digest(trace) -> str:
+    return hashlib.sha256(format2_text(trace).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("path", sorted(PINS["scenarios"]))
 def test_checked_in_scenario_behaviour_and_verdicts(path):
     trace = run_scenario(load_scenario(Path(path)))
     verdicts = serialize_verdicts(check_all(trace)).encode()
     assert behaviour_digest(trace.events) == PINS["scenarios"][path]["behaviour"]
     assert hashlib.sha256(verdicts).hexdigest() == PINS["scenarios"][path]["verdicts"]
-    assert trace_digest(trace) == PINS["scenarios"][path]["trace"]
+    assert format2_digest(trace) == PINS["scenarios"][path]["trace"]
+    assert trace_digest(trace) == PINS["scenarios"][path]["trace_format_3"]
 
 
 def test_fuzz_template_seed_behaviour():
@@ -59,4 +70,5 @@ def test_fuzz_template_seed_behaviour():
         for i in range(len(PINS["fuzz_template_seeds_0_49"]))
     ]
     assert [behaviour_digest(t.events) for t in traces] == PINS["fuzz_template_seeds_0_49"]
-    assert [trace_digest(t) for t in traces] == PINS["fuzz_template_seed_traces_0_49"]
+    assert [format2_digest(t) for t in traces] == PINS["fuzz_template_seed_traces_0_49"]
+    assert [trace_digest(t) for t in traces] == PINS["fuzz_template_seed_format_3_traces_0_49"]

@@ -16,6 +16,7 @@ from bocast.sim import run_scenario
 from bocast.trace import parse_trace, serialize_trace, write_trace
 
 from _drivers import stack_config
+from _format2 import format2_text
 
 GOLDEN_DIR = Path("scenarios/golden")
 GOLDEN_SCENARIO = GOLDEN_DIR / "width2_profile.scenario.json"
@@ -224,29 +225,97 @@ def test_golden_input_errors_exit_2_naming_the_file(tmp_path, capsys, bad_file, 
     assert "Traceback" not in err
 
 
-def test_check_rejects_a_format_1_trace(tmp_path):
-    old = tmp_path / "format1.trace"
-    old.write_text(GOLDEN_TRACE.read_text().replace('"trace_format":2,', "", 1))
+def _check_subprocess(path):
     env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bocast", "check", "--trace", str(old)],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "bocast", "check", "--trace", str(path)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
     )
-    assert proc.returncode == 2
-    assert "line 1: trace format 1 is not supported" in proc.stderr
+
+
+def _assert_rejected(proc, lineno):
+    assert proc.returncode == 2, proc.stderr
+    assert f"line {lineno}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_check_rejects_a_format_1_trace(tmp_path):
+    old = tmp_path / "format1.trace"
+    old.write_text(GOLDEN_TRACE.read_text().replace('"trace_format":3,', "", 1))
+    proc = _check_subprocess(old)
+    _assert_rejected(proc, 1)
+    assert "line 1: trace format 1 is not supported" in proc.stderr
+
+
+def test_check_rejects_a_format_2_trace(tmp_path):
+    old = tmp_path / "format2.trace"
+    old.write_text(format2_text(run_scenario(load_scenario(GOLDEN_SCENARIO))), encoding="utf-8")
+    proc = _check_subprocess(old)
+    _assert_rejected(proc, 1)
+    assert "line 1: trace format 2 is not supported" in proc.stderr
+
+
+def test_a_run_delivering_an_unbroadcast_id_checks_as_a_validity_failure(tmp_path):
+    # Scenario validation and the reader accept the same ids: a sender
+    # outside 1..n is not a format error but a message nobody broadcast.
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps({
+        "version": 1, "n": 1, "k": 1, "seed": 0, "schedule_policy": "round-robin",
+        "crash_plan": [], "workload": {"1": [{"op": "deliver", "msgs": ["9:9"]}]},
+        "step_budget": 10,
+    }))
+    out = tmp_path / "t.trace"
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "bocast", "run", "--scenario", str(scen), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    proc = _check_subprocess(out)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    verdicts = {rec["property"]: rec for rec in map(json.loads, proc.stdout.splitlines())}
+    assert verdicts["kbo.validity"]["pass"] is False
 
 
 EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
 
 
+def _example_lines() -> list[str]:
+    return serialize_trace(run_scenario(load_scenario(EXAMPLE_SCENARIO))).splitlines()
+
+
+def test_check_rejects_deep_nesting_naming_the_line(tmp_path):
+    lines = _example_lines()
+    lines.insert(1, "[" * 100_000 + "]" * 100_000)
+    bad = tmp_path / "deep.trace"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_rejected(_check_subprocess(bad), 2)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"k": None}, {"n": "x"}, {"workload": "x"}, {"seed": 1e400}],
+    ids=["no-k", "str-n", "str-workload", "infinite-seed"],
+)
+def test_check_rejects_a_malformed_config_naming_line_1(tmp_path, edit):
+    lines = _example_lines()
+    config = json.loads(lines[0])
+    for key, value in edit.items():
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+    lines[0] = json.dumps(config)
+    bad = tmp_path / "config.trace"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_rejected(_check_subprocess(bad), 1)
+
+
 def _first_access(lines, op):
     """Index of the first MEM access with this op."""
-    return next(
-        i for i, line in enumerate(lines)
-        if '"object":"MEM"' in line and f'"op":"{op}"' in line
-    )
+    return next(i for i, line in enumerate(lines) if f'"MEM","{op}"' in line)
 
 
 def _insert_list_record(lines):
@@ -257,7 +326,7 @@ def _insert_list_record(lines):
 def _null_snapshot_result(lines):
     i = _first_access(lines, "snapshot")
     rec = json.loads(lines[i])
-    rec["payload"]["result"] = None
+    rec[5] = None
     lines[i] = json.dumps(rec, separators=(",", ":"))
     return i
 
@@ -265,7 +334,7 @@ def _null_snapshot_result(lines):
 def _null_write_args(lines):
     i = _first_access(lines, "write")
     rec = json.loads(lines[i])
-    rec["payload"]["args"] = None
+    rec[4] = None
     lines[i] = json.dumps(rec, separators=(",", ":"))
     return i
 
@@ -283,28 +352,32 @@ def _edit_first(marker, change):
     return edit
 
 
+# The edits of an event record are by position: [turn, pid, kind,
+# payload], or [turn, pid, object, op, args, result] for an access.
+
+
 def drop_object(rec):
-    del rec["payload"]["object"]
+    del rec[2]
 
 
 def null_set(rec):
-    rec["payload"]["set"] = None
+    rec[3]["set"] = None
 
 
 def pid_99(rec):
-    rec["pid"] = 99
+    rec[1] = 99
 
 
-def str_step(rec):
-    rec["step"] = str(rec["step"])
+def str_turn(rec):
+    rec[0] = str(rec[0])
 
 
 def bool_pid(rec):
-    rec["pid"] = True
+    rec[1] = True
 
 
 def list_payload(rec):
-    rec["payload"] = [rec["payload"]]
+    rec[3] = [rec[3]]
 
 
 def weird_outcome(rec):
@@ -315,41 +388,162 @@ def negative_turns(rec):
     rec["turns"] = -1
 
 
-def _check_subprocess(path):
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "bocast", "check", "--trace", str(path)],
-        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
-    )
-
-
 @pytest.mark.parametrize(
     "edit",
     [
         _insert_list_record,
         _null_snapshot_result,
         _null_write_args,
-        _edit_first('"kind":"object-access"', drop_object),
-        _edit_first('"kind":"deliver-set"', null_set),
-        _edit_first('"record":"event"', pid_99),
-        _edit_first('"record":"event"', str_step),
-        _edit_first('"record":"event"', bool_pid),
-        _edit_first('"kind":"invoke"', list_payload),
+        _edit_first('"MEM"', drop_object),
+        _edit_first('"deliver-set"', null_set),
+        _edit_first('"invoke"', pid_99),
+        _edit_first('"invoke"', str_turn),
+        _edit_first('"invoke"', bool_pid),
+        _edit_first('"invoke"', list_payload),
         _edit_first('"record":"outcome"', weird_outcome),
         _edit_first('"record":"outcome"', negative_turns),
     ],
     ids=lambda edit: edit.__name__,
 )
 def test_check_rejects_malformed_records_naming_the_line(tmp_path, edit):
-    lines = serialize_trace(run_scenario(load_scenario(EXAMPLE_SCENARIO))).splitlines()
+    lines = _example_lines()
     lineno = edit(lines) + 1
     bad = tmp_path / "bad.trace"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    proc = _check_subprocess(bad)
-    assert proc.returncode == 2, proc.stderr
-    assert f"line {lineno}:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    _assert_rejected(_check_subprocess(bad), lineno)
+
+
+# --- payload fields: each deleted or retyped, one event shape at a time -------
+
+ACCESS_POSITIONS = {"object": 2, "op": 3, "args": 4, "result": 5}
+FIELD_EDITS = {
+    "delete": None,
+    "null": lambda value: None,
+    "str": lambda value: "x",
+    "float": lambda value: 1.5,
+    "list": lambda value: [value],
+    "object": lambda value: {"v": value},
+}
+
+# The edits that made `bocast check` exit 1 with a traceback before the
+# reader checked the payload schema.
+CRASHED_BEFORE_THE_SCHEMA = [
+    ("KSET propose", "op", "delete"),
+    ("KSET propose", "args", "list"),
+    ("KSET propose", "result", "delete"),
+    ("KSET propose", "result", "null"),
+    ("KSET propose", "result", "float"),
+    ("KSET propose", "result", "list"),
+    ("KSET propose", "result", "object"),
+    ("MEM snapshot", "op", "delete"),
+    ("MEM snapshot", "args", "delete"),
+    ("MEM write", "op", "delete"),
+    ("MEM write", "result", "delete"),
+    ("SNAP1 snapshot", "op", "delete"),
+    ("SNAP1 snapshot", "args", "delete"),
+    ("SNAP1 write", "op", "delete"),
+    ("SNAP1 write", "result", "delete"),
+    ("SNAP2 snapshot", "op", "delete"),
+    ("SNAP2 snapshot", "args", "delete"),
+    ("SNAP2 snapshot", "result", "list"),
+    ("SNAP2 write", "op", "delete"),
+    ("SNAP2 write", "result", "delete"),
+    ("decide", "instance", "delete"),
+    ("decide", "instance", "null"),
+    ("decide", "instance", "str"),
+    ("decide", "instance", "list"),
+    ("decide", "instance", "object"),
+    ("decide", "value", "delete"),
+    ("decide", "value", "list"),
+    ("decide", "value", "object"),
+    ("deliver-msg", "msg", "delete"),
+    ("deliver-msg", "msg", "null"),
+    ("deliver-msg", "msg", "str"),
+    ("deliver-msg", "msg", "float"),
+    ("deliver-msg", "msg", "list"),
+    ("deliver-msg", "msg", "object"),
+    ("deliver-set", "round", "delete"),
+    ("deliver-set", "set", "list"),
+    ("invoke ksa_propose", "msg", "list"),
+    ("invoke ksa_propose", "msg", "object"),
+    ("invoke ksa_propose", "instance", "delete"),
+    ("invoke ksa_propose", "instance", "list"),
+    ("invoke ksa_propose", "instance", "object"),
+    ("invoke ksa_propose", "value", "delete"),
+    ("invoke ksa_propose", "value", "list"),
+    ("invoke ksa_propose", "value", "object"),
+]
+
+
+def _shape(rec) -> str:
+    """An event's kind, with an invoke's op, or an access's object family and op."""
+    if len(rec) == 6:
+        return f"{rec[2].split('[')[0]} {rec[3]}"
+    return f"invoke {rec[3]['op']}" if rec[2] == "invoke" else rec[2]
+
+
+def _fields(rec) -> list[str]:
+    return list(ACCESS_POSITIONS) if len(rec) == 6 else list(rec[3])
+
+
+def _edit_field(rec, field: str, edit: str) -> None:
+    if len(rec) == 6:
+        holder, key = rec, ACCESS_POSITIONS[field]
+    else:
+        holder, key = rec[3], field
+    if edit == "delete":
+        del holder[key]
+    else:
+        holder[key] = FIELD_EDITS[edit](holder[key])
+
+
+@pytest.fixture(scope="module")
+def example_shapes():
+    """The example trace's lines and the line index of each event shape's
+    first event."""
+    lines = _example_lines()
+    first = {}
+    for i, line in enumerate(lines[1:-1], start=1):
+        first.setdefault(_shape(json.loads(line)), i)
+    return lines, first
+
+
+def _check_edited(tmp_path, lines, i, field, edit):
+    rec = json.loads(lines[i])
+    _edit_field(rec, field, edit)
+    edited = list(lines)
+    edited[i] = json.dumps(rec, separators=(",", ":"), ensure_ascii=False)
+    path = tmp_path / "edited.trace"
+    path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    return main(["check", "--trace", str(path)])
+
+
+@pytest.mark.parametrize(
+    "shape, field, edit", CRASHED_BEFORE_THE_SCHEMA, ids=lambda part: part.replace(" ", "-")
+)
+def test_payload_schema_rejects_the_former_crashes_naming_the_line(
+    tmp_path, capsys, example_shapes, shape, field, edit
+):
+    lines, first = example_shapes
+    i = first[shape]
+    assert _check_edited(tmp_path, lines, i, field, edit) == 2
+    captured = capsys.readouterr()
+    assert f"line {i + 1}:" in captured.err
+    assert captured.out == ""
+
+
+def test_every_payload_field_edit_exits_0_1_or_2(tmp_path, capsys, example_shapes):
+    """Every field of every event shape, deleted or retyped: the check
+    ends with a verdict or an input error, never an exception."""
+    lines, first = example_shapes
+    assert len(first) == 13
+    for i in first.values():
+        for field in _fields(json.loads(lines[i])):
+            for edit in FIELD_EDITS:
+                code = _check_edited(tmp_path, lines, i, field, edit)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (lines[i], field, edit)
+                assert code != 2 or f"line {i + 1}:" in err, (lines[i], field, edit, err)
 
 
 def test_line_separator_characters_in_values_round_trip(tmp_path):

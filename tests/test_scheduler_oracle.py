@@ -6,7 +6,9 @@ definitions (a task is enabled when some message visible in MEM is
 undelivered; a broadcast wait ends when every message its snapshot saw is
 delivered), and which process the starvation rule must force, from
 per-process stall counters updated every turn.  It asserts that the
-simulator's incrementally kept token list and starvation stamps agree.
+simulator's incrementally kept token list and starvation stamps agree,
+and that every event emitted during turn t, a crash included, carries
+``turn == t``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,23 @@ class PollingOracle(Simulation):
         self.stall = {pid: 0 for pid in range(1, self.n + 1)}
         self.turns_checked = 0
         self.overrides = 0
+        self.events_checked = 0
+
+    def _events_since(self, start: int) -> None:
+        events = self.recorder.events[start:]
+        assert [ev.turn for ev in events] == [self.turn] * len(events), f"turn {self.turn}"
+        self.events_checked += len(events)
+
+    def inject_crash(self, pid):
+        start = len(self.recorder.events)
+        super().inject_crash(pid)
+        self._events_since(start)
+
+    def _dispatch(self, token):
+        start = len(self.recorder.events)
+        wrote_mem = super()._dispatch(token)
+        self._events_since(start)
+        return wrote_mem
 
     def poll_all(self) -> list[tuple[int, str]]:
         tokens = []
@@ -86,6 +105,7 @@ def checked_run(config) -> PollingOracle:
     sim = PollingOracle(config)
     trace = sim.run()
     assert sim.turns_checked == trace.turns
+    assert sim.events_checked == len(trace.events)
     assert serialize_trace(trace) == serialize_trace(run_scenario(config))
     return sim
 

@@ -111,6 +111,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot mix"):
             ScenarioConfig.from_json_dict(self.base(workload=wl))
 
+    @pytest.mark.parametrize("mid", ["1:00", "01:0", " 1:0", "1_0:0", "1:0 ", "+1:0", "1", 5])
+    def test_non_canonical_message_ids_rejected(self, mid):
+        wl = {"1": [{"op": "deliver", "msgs": [mid]}]}
+        with pytest.raises(ConfigError, match="malformed message id"):
+            ScenarioConfig.from_json_dict(self.base(workload=wl))
+
     def test_propose_instances_must_increase(self):
         wl = {"1": [
             {"op": "propose", "instance": 2, "value": "a"},
@@ -156,12 +162,12 @@ class TestTraceFormat:
                     assert ev.payload["result"] == [writes.get(1, 0), writes.get(2, 0)]
         assert writes == {1: 2, 2: 1}
 
-    @pytest.mark.parametrize("marker", ["", '"trace_format":1,', '"trace_format":3,'])
+    @pytest.mark.parametrize("marker", ["", '"trace_format":1,', '"trace_format":2,'])
     def test_other_formats_rejected_on_line_1(self, marker):
         text = serialize_trace(run_scenario(stack_config(1, 1, 0, {1: (B("x"),)})))
-        assert text.startswith('{"record":"config","trace_format":2,')
+        assert text.startswith('{"record":"config","trace_format":3,')
         with pytest.raises(TraceFormatError, match="line 1: trace format"):
-            parse_trace(text.replace('"trace_format":2,', marker, 1))
+            parse_trace(text.replace('"trace_format":3,', marker, 1))
 
 
 class TestScheduling:

@@ -1,12 +1,12 @@
 """The trace codec against an independent oracle.
 
-``serialize_trace`` writes each event line as a fixed header plus the
-encoded payload.  The reference below is the writer it replaced: one
-``json.dumps`` of the whole record per line.  Both must give the same
-text for any payload, including strings with quotes, backslashes,
-control characters, non-ASCII and the characters other line splitters
-treat as line ends (U+2028, U+2029, U+0085), and ``parse_trace`` must
-read that text back to the same trace.
+``serialize_trace`` writes each event as a JSON array through one
+prebuilt encoder.  The reference below writes each record with its own
+``json.dumps``.  Both must give the same text for any trace the reader
+accepts, with strings holding quotes, backslashes, control characters,
+non-ASCII and the characters other line splitters treat as line ends
+(U+2028, U+2029, U+0085), and ``parse_trace`` must read that text back to
+the same trace, steps and turns included.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bocast.scenario import WorkItem
-from bocast.trace import EVENT_KINDS, Event, Trace, TraceFormatError, parse_trace, serialize_trace
+from bocast.trace import Event, Trace, TraceFormatError, parse_trace, serialize_trace
 
 from _drivers import stack_config
 
@@ -29,14 +29,15 @@ def reference_serialize(trace: Trace) -> str:
     def dumps(obj) -> str:
         return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
-    cfg = {"record": "config", "trace_format": 2}
+    cfg = {"record": "config", "trace_format": 3}
     cfg.update(trace.config.to_json_dict())
     lines = [dumps(cfg)]
     for ev in trace.events:
-        lines.append(dumps({
-            "record": "event", "step": ev.step, "pid": ev.pid, "kind": ev.kind,
-            "payload": ev.payload,
-        }))
+        p = ev.payload
+        if ev.kind == "object-access":
+            lines.append(dumps([ev.turn, ev.pid, p["object"], p["op"], p["args"], p["result"]]))
+        else:
+            lines.append(dumps([ev.turn, ev.pid, ev.kind, p]))
     lines.append(dumps({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}))
     return "\n".join(lines) + "\n"
 
@@ -53,33 +54,68 @@ values = st.recursive(
     ),
     max_leaves=6,
 )
+ids = st.builds("{}:{}".format, st.integers(1, N), st.integers(0, 30))
+views = st.lists(texts, max_size=3)
+
+
+@st.composite
+def payloads(draw, kind: str) -> dict:
+    """A payload of ``kind`` that the reader accepts: the fields it
+    checks, over any other fields."""
+    payload = draw(st.dictionaries(texts, values, max_size=2))
+    if kind == "invoke":
+        if draw(st.booleans()):
+            payload.update(op="kbo_broadcast", msg=draw(ids), payload=draw(values))
+        else:
+            payload.update(op="ksa_propose", msg=draw(ids), instance=draw(st.integers()),
+                           value=draw(texts))
+    elif kind == "decide":
+        payload.update(instance=draw(st.integers()), value=draw(texts))
+    elif kind == "deliver-set":
+        payload.update(round=draw(st.integers()), set=draw(st.lists(ids, max_size=3)))
+    elif kind == "deliver-msg":
+        payload.update(msg=draw(ids), position=draw(st.integers(0)))
+    return payload
+
+
+@st.composite
+def accesses(draw) -> dict:
+    """An object access payload that the reader accepts."""
+    family, op = draw(st.sampled_from((
+        ("MEM", "write"), ("MEM", "snapshot"), ("KSET", "propose"), ("SNAP1", "write"),
+        ("SNAP1", "snapshot"), ("SNAP2", "write"), ("SNAP2", "snapshot"),
+    )))
+    name = family if family == "MEM" else f"{family}[{draw(st.integers(0, 30))}]"
+    args = result = None
+    if op == "propose":
+        args, result = [draw(ids)], draw(ids)
+    else:
+        cell = {"MEM": st.integers(0), "SNAP1": texts, "SNAP2": views}[family]
+        if op == "write":
+            args = [draw(cell)]
+        else:
+            result = draw(st.lists(cell if family == "MEM" else st.none() | cell, max_size=N))
+    return {"object": name, "op": op, "args": args, "result": result}
 
 
 @st.composite
 def events(draw) -> list[Event]:
     out = []
-    step = -1
-    for _ in range(draw(st.integers(0, 6))):
-        step += draw(st.integers(1, 3))
-        kind = draw(st.sampled_from(EVENT_KINDS))
-        payload = draw(st.dictionaries(texts, values, max_size=3))
-        # what the reader requires of these two kinds
-        if kind == "object-access":
-            result = draw(st.lists(values, max_size=3))
-            payload.update(object=draw(texts), op="snapshot", result=result)
-        elif kind == "deliver-set":
-            payload["set"] = draw(st.lists(texts, max_size=3))
-        out.append(Event(step, draw(st.integers(1, N)), kind, payload))
+    turn = 0
+    for step in range(draw(st.integers(0, 6))):
+        turn += draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(
+            ("invoke", "return", "object-access", "deliver-set", "deliver-msg", "decide", "crash")
+        ))
+        payload = draw(accesses()) if kind == "object-access" else draw(payloads(kind))
+        out.append(Event(step, draw(st.integers(1, N)), kind, payload, turn))
     return out
 
 
-@given(
-    events(),
-    st.sampled_from(("quiescent", "budget-exhausted")),
-    st.integers(0, 2**40),
-)
-@settings(max_examples=100, deadline=None)
-def test_serialize_matches_the_per_record_reference_and_round_trips(evs, outcome, turns):
+@given(events(), st.sampled_from(("quiescent", "budget-exhausted")), st.integers(0, 2**40))
+@settings(max_examples=150, deadline=None)
+def test_serialize_matches_the_per_record_reference_and_round_trips(evs, outcome, extra_turns):
+    turns = (evs[-1].turn if evs else 0) + extra_turns
     trace = Trace(CONFIG, evs, outcome, turns)
     text = serialize_trace(trace)
     assert text == reference_serialize(trace)
@@ -89,6 +125,9 @@ def test_serialize_matches_the_per_record_reference_and_round_trips(evs, outcome
     assert serialize_trace(back) == text
 
 
+ACCESS = {"object": "MEM", "op": "write", "args": [1], "result": None}
+
+
 @pytest.mark.parametrize(
     "event",
     [
@@ -96,12 +135,24 @@ def test_serialize_matches_the_per_record_reference_and_round_trips(evs, outcome
         Event("0", 1, "invoke", {}),
         Event(0, 1, "teleport", {}),
         Event(0, 1.0, "invoke", {}),
+        Event(1, 1, "invoke", {}),
+        Event(0, 1, "invoke", {}, turn=True),
+        Event(0, 1, "object-access", {k: v for k, v in ACCESS.items() if k != "result"}),
+        Event(0, 1, "object-access", dict(ACCESS, note="x")),
     ],
-    ids=["bool-pid", "str-step", "unknown-kind", "float-pid"],
+    ids=[
+        "bool-pid", "str-step", "unknown-kind", "float-pid", "wrong-step", "bool-turn",
+        "access-without-result", "access-with-another-key",
+    ],
 )
 def test_serialize_rejects_what_it_cannot_write_as_valid_json(event):
     with pytest.raises(ValueError):
         serialize_trace(Trace(CONFIG, [event], "quiescent", 0))
+
+
+def _two_event_lines() -> list[str]:
+    events = [Event(0, 1, "return", {}, 0), Event(1, 2, "return", {}, 1)]
+    return serialize_trace(Trace(CONFIG, events, "quiescent", 1)).splitlines()
 
 
 @pytest.mark.parametrize(
@@ -111,12 +162,48 @@ def test_serialize_rejects_what_it_cannot_write_as_valid_json(event):
         (lambda lines: lines[1:2] + lines[:1] + lines[2:],
          "line 1: an event before the config record"),
         (lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:],
-         "line 3: event steps must strictly increase"),
+         "line 3: an event turn must be an integer >= 0 that never decreases"),
+        (lambda lines: lines[:1] + lines[3:] + lines[1:3],
+         "line 3: an event after the outcome record"),
+        (lambda lines: lines + lines[3:], "line 5: a record after the outcome record"),
     ],
-    ids=["second-config", "event-before-config", "step-order"],
+    ids=["second-config", "event-before-config", "turn-order", "event-after-outcome",
+         "second-outcome"],
 )
 def test_parse_rejects_records_out_of_place(edit, message):
-    events = [Event(0, 1, "invoke", {}), Event(1, 2, "return", {})]
-    lines = serialize_trace(Trace(CONFIG, events, "quiescent", 0)).splitlines()
     with pytest.raises(TraceFormatError, match=message):
-        parse_trace("\n".join(edit(lines)))
+        parse_trace("\n".join(edit(_two_event_lines())))
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('[0,1,"MEM","write",[1]]', "an event has 4 or 6 fields, not 5"),
+        ("[]", "an event has 4 or 6 fields, not 0"),
+        ('[0,1,"object-access",{}]', "unknown event kind 'object-access'"),
+        ('[0,1,"teleport",{}]', "unknown event kind 'teleport'"),
+        ('[-1,1,"return",{}]', "an event turn must be an integer >= 0"),
+        ('[0,1,"MEMO","write",[1],null]', "unknown object 'MEMO'"),
+        ('[0,1,"SNAP1[01]","write",["a"],null]', "unknown object 'SNAP1\\[01\\]'"),
+        ('[0,1,"MEM","propose",[1],null]', "MEM has no op 'propose'"),
+        ('[0,1,"KSET[0]","propose",["1:0"],"01:0"]', "a KSET\\[0\\] propose with malformed"),
+        ('[0,1,"SNAP2[0]","snapshot",null,[["a"],"b"]]', "a SNAP2\\[0\\] snapshot with malformed"),
+        ('[0,1,"deliver-msg",{"msg":"1:00"}]', "a deliver-msg needs 'msg' to be a message id"),
+        ('[0,1,"deliver-set",{"round":0,"set":["1:0",[]]}]',
+         "a deliver-set needs 'set' to be a list of message ids"),
+        ('[0,1,"decide",{"instance":true,"value":"a"}]', "a decide needs 'instance' to be an integer"),
+        ('[0,1,"invoke",{"op":"gossip","msg":"1:0"}]', "an invoke needs an op of"),
+    ],
+)
+def test_parse_rejects_malformed_events_naming_the_line(record, message):
+    lines = _two_event_lines()
+    lines.insert(2, record)
+    with pytest.raises(TraceFormatError, match="line 3: " + message):
+        parse_trace("\n".join(lines))
+
+
+def test_turns_below_the_last_event_turn_are_rejected():
+    lines = _two_event_lines()
+    lines[-1] = lines[-1].replace('"turns":1', '"turns":0')
+    with pytest.raises(TraceFormatError, match="line 4: turns must be"):
+        parse_trace("\n".join(lines))

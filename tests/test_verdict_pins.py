@@ -6,9 +6,12 @@ as ``verdict_digests.json`` records them.  Each digest is the sha256 of
 The mutations forge what the checker exists to catch: a dropped
 delivery, a duplicated event line, a forged deliver-set member, a bumped
 MEM count, a blanked snapshot cell and a non-quiescent outcome.  Each one
-edits the JSON records of a serialized trace, numbers the event steps
-afresh and parses the result, so every mutant is a trace ``bocast check``
-accepts.  The target of a mutation is picked by a hash of its name.
+edits the JSON records of a serialized trace and parses the result, so
+every mutant is a trace ``bocast check`` accepts; an event's step is its
+position, so the steps stay numbered from 0 without gaps.  The target of
+a mutation is picked by a hash of its name.  The mutants were first made
+from trace format 2 records, which numbered their steps explicitly; on
+format 3 records they give the same digests.
 
 The digests were computed before ``kbo`` and ``kscd`` shared one law core
 and ``snapshot`` read each object once, so they hold that checker to the
@@ -64,20 +67,26 @@ def _pick(name: str, candidates: list):
     return candidates[int(hashlib.sha256(name.encode()).hexdigest(), 16) % len(candidates)]
 
 
+# An event record is [turn, pid, kind, payload] or, for an object access,
+# [turn, pid, object, op, args, result].
+PID, KIND, PAYLOAD = 1, 2, 3
+OBJECT, OP, ARGS, RESULT = 2, 3, 4, 5
+
+
+def _is_access(rec) -> bool:
+    return len(rec) == 6
+
+
 def _where(records, pred) -> list[int]:
-    return [i for i, rec in enumerate(records) if rec["record"] == "event" and pred(rec)]
+    return [i for i, rec in enumerate(records) if type(rec) is list and pred(rec)]
 
 
 def _kind(*kinds):
-    return lambda rec: rec["kind"] in kinds
+    return lambda rec: not _is_access(rec) and rec[KIND] in kinds
 
 
 def _mem_access(op):
-    return lambda rec: (
-        rec["kind"] == "object-access"
-        and rec["payload"]["object"] == "MEM"
-        and rec["payload"]["op"] == op
-    )
+    return lambda rec: _is_access(rec) and rec[OBJECT] == "MEM" and rec[OP] == op
 
 
 # Each mutation edits ``records`` in place and returns False when the
@@ -111,7 +120,7 @@ def forge_never_broadcast_member(records, name) -> bool:
     found = _where(records, _kind("deliver-set"))
     if found:
         rec = records[_pick(name, found)]
-        rec["payload"]["set"].append(f"{rec['pid']}:999")
+        rec[PAYLOAD]["set"].append(f"{rec[PID]}:999")
     return bool(found)
 
 
@@ -121,43 +130,42 @@ def forge_earlier_member(records, name) -> bool:
     found = []
     for i in _where(records, _kind("deliver-set")):
         rec = records[i]
-        earlier = delivered.setdefault(rec["pid"], [])
+        earlier = delivered.setdefault(rec[PID], [])
         if earlier:
             found.append((i, list(earlier)))
-        earlier.extend(rec["payload"]["set"])
+        earlier.extend(rec[PAYLOAD]["set"])
     if found:
         i, earlier = _pick(name, found)
-        records[i]["payload"]["set"].append(_pick(name + ":member", earlier))
+        records[i][PAYLOAD]["set"].append(_pick(name + ":member", earlier))
     return bool(found)
 
 
 def bump_mem(records, name) -> bool:
     found = _where(records, lambda rec: _mem_access("write")(rec) or _mem_access("snapshot")(rec))
     if found:
-        payload = records[_pick(name, found)]["payload"]
-        cells = payload["args"] if payload["op"] == "write" else payload["result"]
+        rec = records[_pick(name, found)]
+        cells = rec[ARGS] if rec[OP] == "write" else rec[RESULT]
         cells[_pick(name + ":cell", list(range(len(cells))))] += 1
     return bool(found)
 
 
 def blank_snap_cell(records, name) -> bool:
     def one_shot_snapshot(rec):
-        payload = rec["payload"]
         return (
-            rec["kind"] == "object-access"
-            and payload["object"].startswith(("SNAP1[", "SNAP2["))
-            and payload["op"] == "snapshot"
+            _is_access(rec)
+            and rec[OBJECT].startswith(("SNAP1[", "SNAP2["))
+            and rec[OP] == "snapshot"
         )
 
     found = [
         (i, j)
         for i in _where(records, one_shot_snapshot)
-        for j, cell in enumerate(records[i]["payload"]["result"])
+        for j, cell in enumerate(records[i][RESULT])
         if cell is not None
     ]
     if found:
         i, j = _pick(name, found)
-        records[i]["payload"]["result"][j] = None
+        records[i][RESULT][j] = None
     return bool(found)
 
 
@@ -202,11 +210,6 @@ def mutants(bases: dict):
             records = [json.loads(line) for line in lines]
             if not mutate(records, name):
                 continue
-            step = 0
-            for rec in records:
-                if rec["record"] == "event":
-                    rec["step"] = step
-                    step += 1
             text = "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)
             yield name, parse_trace(text)
 
