@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
 from .messages import msg_key, sort_ids
 from .poset import Poset, PosetError, brute_force_antichain, order_bitsets
-from .trace import Trace
+from .trace import Trace, pauses_cyclic_gc
 
 ALL_SUITES = ("kbo", "kscd", "k2s", "snapshot", "ksa", "roundsync")
 
@@ -599,22 +599,24 @@ def _check_roundsync(index: TraceIndex) -> list[Verdict]:
     if len(pids) < 2:
         return [_ok(name)]
 
-    sets_by_round = {pid: dict(index.set_seqs[pid]) for pid in pids}
     totals = {pid: sum(len(mids) for _, mids in index.set_seqs[pid]) for pid in pids}
     if len(set(totals.values())) != 1:
         return [_fail(name, {"reason": "unequal final delivery counts", "totals": totals})]
     r_end = totals[pids[0]]
 
-    participated = [set(sets_by_round[pid]) for pid in pids]
-    common = sorted(set.intersection(*participated)) if participated else []
+    # Each process's sets sorted by round once; a window is then the slice
+    # between two bisections.  Its union does not depend on the order of
+    # the sets, so repeated or out-of-order rounds give what a full scan
+    # of the sequence gives.
+    by_round = {pid: sorted(index.set_seqs[pid], key=itemgetter(0)) for pid in pids}
+    rounds = {pid: [r for r, _ in sets] for pid, sets in by_round.items()}
+    common = sorted(set.intersection(*(set(rounds[pid]) for pid in pids)))
     checkpoints = set(common) | {r_end}
 
     def msgs_between(pid: int, lo: int, hi: int) -> frozenset:
-        acc = set()
-        for r, mids in index.set_seqs[pid]:
-            if lo <= r < hi:
-                acc.update(mids)
-        return frozenset(acc)
+        rs = rounds[pid]
+        window = by_round[pid][bisect_left(rs, lo) : bisect_left(rs, hi)]
+        return frozenset(chain.from_iterable(mids for _, mids in window))
 
     for r in common:
         if r >= r_end:
@@ -647,6 +649,7 @@ _SUITE_FUNCS = {
 }
 
 
+@pauses_cyclic_gc
 def check_all(trace: Trace, suites=ALL_SUITES) -> list[Verdict]:
     index = TraceIndex(trace)
     verdicts: list[Verdict] = []

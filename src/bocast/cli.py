@@ -26,7 +26,7 @@ from .checker import (
 )
 from .poset import BoundViolation
 from .rng import derive
-from .scenario import ConfigError, ScenarioConfig, load_scenario
+from .scenario import MAX_PROCESSES, ConfigError, ScenarioConfig, load_scenario
 from .sim import SimulationError, run_scenario
 from .trace import TraceFormatError, read_trace, serialize_trace, write_trace
 
@@ -62,16 +62,29 @@ def cmd_run(args) -> int:
     return EXIT_OK if trace.quiescent else EXIT_BUDGET
 
 
+def _suites(arg: str | None) -> tuple[str, ...]:
+    """The suites a ``--suites`` comma list names (all when it is not
+    given); CheckerError on a name that is not a suite."""
+    if not arg:
+        return ALL_SUITES
+    suites = tuple(arg.split(","))
+    for suite in suites:
+        if suite not in ALL_SUITES:
+            raise CheckerError(f"unknown suite {suite!r}; the suites are {','.join(ALL_SUITES)}")
+    return suites
+
+
 def cmd_check(args) -> int:
     try:
+        suites = _suites(args.suites)
         trace = read_trace(args.trace)
-    except (TraceFormatError, ConfigError, OSError) as exc:
+    except (CheckerError, TraceFormatError, ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
-    suites = tuple(args.suites.split(",")) if args.suites else ALL_SUITES
-    try:
-        verdicts = check_all(trace, suites)
-    except CheckerError as exc:
-        return _fail_usage(str(exc))
+    verdicts = check_all(trace, suites)
+    # Freed now, the trace lowers the collector's allocation count again;
+    # kept, it is walked once by the collection the report's first
+    # allocation starts (0.1 s on a 60,000-event trace).
+    del trace
     report = serialize_verdicts(verdicts)
     if args.report:
         Path(args.report).write_text(report, encoding="utf-8")
@@ -105,15 +118,25 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.seeds < 0:
+        return _fail_usage(f"--seeds must be >= 0 (got {args.seeds})")
+    try:
+        suites = _suites(args.suites)
+    except CheckerError as exc:
+        return _fail_usage(str(exc))
     try:
         template = json.loads(Path(args.template).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         return _fail_usage(f"template: {exc}")
+    if not isinstance(template, dict):
+        return _fail_usage("template: a fuzz template must be a JSON object")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail_usage(f"--out: {exc}")
 
-    suites = tuple(args.suites.split(",")) if args.suites else ALL_SUITES
     counts: dict[str, dict[str, int]] = {}
     outcomes = {"quiescent": 0, "budget-exhausted": 0}
     crash_counts: dict[int, int] = {}
@@ -166,20 +189,27 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
     """
     from .rng import SplitMix64
 
-    obj = dict(template)
-    base_seed = int(obj.get("seed", 0))
-    seed = derive(base_seed, "fuzz", index)
-    obj["seed"] = seed
-    plan = obj.get("crash_plan", [])
-    if isinstance(plan, dict):
-        sample = plan.get("sample", {})
-        n = int(obj["n"])
-        max_procs = int(sample.get("max_processes", n - 1))
-        lo, hi = sample.get("turn_range", [0, 200])
-        rng = SplitMix64(derive(seed, "crash-plan"))
-        count = rng.randrange(max_procs + 1)
-        victims = rng.sample(range(1, n + 1), count)
-        obj["crash_plan"] = sorted((pid, lo + rng.randrange(max(1, hi - lo))) for pid in victims)
+    try:
+        obj = dict(template)
+        base_seed = int(obj.get("seed", 0))
+        seed = derive(base_seed, "fuzz", index)
+        obj["seed"] = seed
+        plan = obj.get("crash_plan", [])
+        if isinstance(plan, dict):
+            sample = plan.get("sample", {})
+            n = int(obj["n"])
+            if not 1 <= n <= MAX_PROCESSES:  # before the sample lists 1..n
+                raise ConfigError(f"template: n must satisfy 1 <= n <= {MAX_PROCESSES}")
+            max_procs = int(sample.get("max_processes", n - 1))
+            lo, hi = sample.get("turn_range", [0, 200])
+            rng = SplitMix64(derive(seed, "crash-plan"))
+            count = rng.randrange(max_procs + 1)
+            victims = rng.sample(range(1, n + 1), count)
+            obj["crash_plan"] = sorted((pid, lo + rng.randrange(max(1, hi - lo))) for pid in victims)
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed template: {exc!r}") from exc
     return ScenarioConfig.from_json_dict(obj)
 
 

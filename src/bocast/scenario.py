@@ -25,6 +25,15 @@ from .messages import is_msg_id
 
 SCENARIO_VERSION = 1
 
+# Caps on a scenario's size.  Per turn, the simulator and the checker do
+# work linear in n (MEM snapshots, SNAP cells), kscd.ordering compares all
+# n(n-1)/2 pairs of processes, and every turn emits at least one event, so
+# a run that spends its whole budget holds that many events in memory.
+# Both caps admit every checked-in scenario and the benchmark's workloads
+# (n up to 20, a budget of 1,000,000 turns).
+MAX_PROCESSES = 64
+MAX_STEP_BUDGET = 1_000_000
+
 SCHEDULE_POLICIES = ("seeded-random", "round-robin", "scripted")
 
 ORACLE_POLICIES = (
@@ -108,12 +117,17 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.version != SCENARIO_VERSION:
             raise ConfigError(f"unsupported scenario version {self.version}")
-        if self.n < 1:
-            raise ConfigError(f"process count must satisfy n >= 1 (got n={self.n})")
+        if not (1 <= self.n <= MAX_PROCESSES):
+            raise ConfigError(
+                f"process count must satisfy n >= 1 and n <= {MAX_PROCESSES} (got n={self.n})"
+            )
         if not (1 <= self.k <= self.n):
             raise ConfigError(f"agreement degree must satisfy 1 <= k <= n (got k={self.k}, n={self.n})")
-        if self.step_budget <= 0:
-            raise ConfigError(f"step_budget must be positive (got {self.step_budget})")
+        if not (1 <= self.step_budget <= MAX_STEP_BUDGET):
+            raise ConfigError(
+                f"step_budget must satisfy 1 <= step_budget <= {MAX_STEP_BUDGET} "
+                f"(got {self.step_budget})"
+            )
         if not (0 <= self.seed <= (1 << 64) - 1):
             raise ConfigError("seed must fit in 64 bits")
         if self.oracle_policy not in ORACLE_POLICIES:

@@ -44,7 +44,7 @@ from .k2s import RepeatedK2S
 from .objects import SetAgreementOracle
 from .rng import SplitMix64, derive
 from .scenario import ScenarioConfig
-from .trace import Recorder, Trace
+from .trace import Recorder, Trace, pauses_cyclic_gc
 
 FAIRNESS_WINDOW_FACTOR = 4
 
@@ -388,5 +388,6 @@ class Simulation:
                 )
 
 
+@pauses_cyclic_gc
 def run_scenario(config: ScenarioConfig) -> Trace:
     return Simulation(config).run()

@@ -68,6 +68,8 @@ The reader reads format 3 only: a config record without
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import re
 from dataclasses import dataclass
@@ -93,6 +95,35 @@ TRACE_FORMAT = 3
 
 class TraceFormatError(ValueError):
     pass
+
+
+def pauses_cyclic_gc(fn):
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    The bulk builders (``run_scenario``, ``parse_trace``, ``check_all``)
+    allocate one container per event or more: a parsed wide trace holds
+    hundreds of thousands of them.  While they are built, every
+    generational collection walks them again and frees nothing, because
+    these calls build acyclic trees and leave no cyclic garbage:
+    reference counting alone frees all they drop.  That condition is what
+    makes the pause safe, and ``tests/test_gc_pause.py`` enforces it (with
+    the collector off, ``gc.collect()`` finds nothing unreachable after
+    each call).  The collector is enabled again on the way out, also when
+    ``fn`` raises, but only if it was enabled on the way in, so nested
+    calls and callers that run with it off keep their state.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(slots=True)
@@ -328,6 +359,7 @@ def _payload_error(kind: str, payload, ids: set) -> str | None:
 # --- the reader -----------------------------------------------------------------
 
 
+@pauses_cyclic_gc
 def parse_trace(text: str) -> Trace:
     """The trace in ``text``; TraceFormatError, naming the line, on
     anything format 3 does not allow."""

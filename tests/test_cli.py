@@ -175,6 +175,57 @@ def test_fuzz_zero_seeds_is_an_empty_success(tmp_path):
     assert main(["fuzz", "--template", str(TEMPLATE), "--seeds", "0"]) == 0
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "1", "--suites", "bogus"], "unknown suite 'bogus'"),
+    (["--seeds", "1", "--suites", "kbo,"], "unknown suite ''"),
+    (["--seeds", "-1"], "--seeds must be >= 0"),
+])
+def test_fuzz_arguments_are_checked_before_any_run(tmp_path, args, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    out_dir = tmp_path / "fuzz"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bocast", "fuzz", "--template", str(TEMPLATE),
+         "--out", str(out_dir), *args],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out_dir.exists()
+
+
+def test_fuzz_rejects_a_template_that_is_not_an_object(tmp_path, capsys):
+    template = tmp_path / "t.json"
+    template.write_text("[1]", encoding="utf-8")
+    assert main(["fuzz", "--template", str(template), "--seeds", "1"]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_fuzz_rejects_an_out_path_that_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["fuzz", "--template", str(TEMPLATE), "--seeds", "1", "--out", str(taken)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"seed": "x"},
+    {"crash_plan": {"sample": 5}},
+    {"crash_plan": {"sample": {"turn_range": 5}}},
+    {"crash_plan": {"sample": {"max_processes": 9}}},
+    {"n": "a"},
+    {"n": 65},
+])
+def test_fuzz_reports_a_template_it_cannot_expand(tmp_path, capsys, edit):
+    obj = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    obj.update(edit)
+    template = tmp_path / "t.json"
+    template.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["fuzz", "--template", str(template), "--seeds", "3"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["errors"] and summary["outcomes"]["quiescent"] < 3
+
+
 def test_golden_verb_detects_tampering(tmp_path, capsys):
     assert main(["golden", "--dir", str(GOLDEN_DIR)]) == 0
     clone = tmp_path / "golden"

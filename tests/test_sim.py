@@ -1,6 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from bocast.cli import instantiate_template
 from bocast.scenario import (
+    MAX_PROCESSES,
+    MAX_STEP_BUDGET,
     ConfigError,
     ScenarioConfig,
     WorkItem,
@@ -88,6 +94,23 @@ class TestValidation:
             ScenarioConfig.from_json_dict(self.base(n=0))
         with pytest.raises(ConfigError, match="step_budget"):
             ScenarioConfig.from_json_dict(self.base(step_budget=0))
+
+    def test_size_caps(self):
+        assert MAX_PROCESSES >= 20 and MAX_STEP_BUDGET >= 1_000_000  # the benchmark's workloads
+        ScenarioConfig.from_json_dict(self.base(n=MAX_PROCESSES, step_budget=MAX_STEP_BUDGET))
+        with pytest.raises(ConfigError, match=f"n <= {MAX_PROCESSES}"):
+            ScenarioConfig.from_json_dict(self.base(n=MAX_PROCESSES + 1))
+        with pytest.raises(ConfigError, match=f"step_budget <= {MAX_STEP_BUDGET}"):
+            ScenarioConfig.from_json_dict(self.base(step_budget=MAX_STEP_BUDGET + 1))
+
+    def test_size_caps_admit_the_checked_in_scenarios(self):
+        paths = sorted(Path("scenarios").glob("*/*.scenario.json"))
+        templates = sorted(Path("scenarios").glob("templates/*.template.json"))
+        assert paths and templates
+        for path in paths:
+            load_scenario(path)
+        for path in templates:
+            instantiate_template(json.loads(path.read_text(encoding="utf-8")), 0)
 
     def test_unknown_processes_rejected(self):
         with pytest.raises(ConfigError, match="unknown process"):
