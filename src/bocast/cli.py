@@ -55,7 +55,10 @@ def cmd_run(args) -> int:
     except SimulationError as exc:
         return _fail_usage(f"simulation error: {exc}")
     if args.out:
-        write_trace(trace, args.out)
+        try:
+            write_trace(trace, args.out)
+        except OSError as exc:
+            return _fail_usage(f"--out: cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(serialize_trace(trace))
     print(f"run: {trace.outcome} after {trace.turns} turns, {len(trace.events)} events", file=sys.stderr)
@@ -87,7 +90,10 @@ def cmd_check(args) -> int:
     del trace
     report = serialize_verdicts(verdicts)
     if args.report:
-        Path(args.report).write_text(report, encoding="utf-8")
+        try:
+            Path(args.report).write_text(report, encoding="utf-8")
+        except OSError as exc:
+            return _fail_usage(f"--report: cannot write {args.report}: {exc.strerror or exc}")
     sys.stdout.write(report)
     return EXIT_FAIL if any_failure(verdicts) else EXIT_OK
 
@@ -130,6 +136,18 @@ def cmd_fuzz(args) -> int:
         return _fail_usage(f"template: {exc}")
     if not isinstance(template, dict):
         return _fail_usage("template: a fuzz template must be a JSON object")
+    # A template that no seed expands is an input error, not a failed
+    # property; one that only some seeds expand lists the rest in errors.
+    first_error = None
+    for i in range(args.seeds):
+        try:
+            instantiate_template(template, i)
+            break
+        except ConfigError as exc:
+            first_error = first_error or exc
+    else:
+        if first_error is not None:
+            return _fail_usage(f"template: no seed expands it; seed index 0: {first_error}")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         try:

@@ -10,13 +10,18 @@ The width (maximum antichain size) is computed exactly through a maximum
 bipartite matching on the strict comparability relation: a poset of n
 elements has a minimum chain cover of size n - |maximum matching|, and
 that size equals the width (Dilworth, via Fulkerson 1956).  The matching
-is Kuhn's augmenting-path search run as an iterative depth-first search
-over the bitset adjacency, taking the lowest unvisited neighbour first.
+is seeded greedily and then augmented, all on the bitsets: a walk along
+a linear extension matches each element to its successor in the walk
+when that lies above it (on a chain, the whole matching in O(n) big-int
+operations), each element still unmatched takes the lowest-index free
+element above it, and Kuhn's augmenting-path search, run as an iterative
+depth-first search, starts only from the left vertices still exposed.
 It needs no recursion, so chains of any length work, and one search step
-costs O(n/64) word operations: O(n^2) big-int operations in all on a
-chain, O(n * |relation|) in the worst case.  The matching also yields a
-maximum antichain witness (via a minimum vertex cover) and a concrete
-chain decomposition, which is what turns a delivery order of width <= k
+costs O(n/64) word operations.  The matching also yields a maximum
+antichain witness (via a minimum vertex cover), which is the same for
+every maximum matching (Dulmage and Mendelsohn 1958), and a minimum chain
+cover, which is not: which cover ``min_chain_cover`` returns is not part
+of its contract.  The cover is what turns a delivery order of width <= k
 into k total-order channels.
 
 A brute-force maximum-antichain enumerator over element subsets is kept
@@ -71,6 +76,47 @@ def order_bitsets(sequences, index: dict) -> list[int]:
             after[i] |= seen
             seen |= 1 << i
     return [a & ~b for a, b in zip(after, before)]
+
+
+def greedy_matching(up: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """A matching of each element to one above it, seeded greedily, as
+    (match_l, match_r, exposed): ``up[i]`` is the bitset above element i,
+    -1 marks an unmatched vertex and ``exposed`` lists, by index, the
+    left vertices still unmatched.
+
+    (a) Walk a linear extension, elements by decreasing ``up`` size, ties
+        by index, and match each element to the next one in the walk when
+        that one lies above it.  On a chain this is the successor map.
+    (b) Each element still unmatched takes the lowest-index free element
+        above it.
+
+    O(n) big-int operations and one sort of n small ints.
+    """
+    n = len(up)
+    match_l = [-1] * n
+    match_r = [-1] * n
+    # x < y makes up[y] a proper subset of up[x]
+    walk = sorted(range(n), key=lambda i: -up[i].bit_count())
+    free_r = (1 << n) - 1
+    for u, v in zip(walk, walk[1:]):
+        if up[u] >> v & 1:
+            match_l[u] = v
+            match_r[v] = u
+            free_r ^= 1 << v
+    exposed = []
+    for u in range(n):
+        if match_l[u] != -1:
+            continue
+        cand = up[u] & free_r
+        if not cand:
+            exposed.append(u)
+            continue
+        low = cand & -cand
+        free_r ^= low
+        v = low.bit_length() - 1
+        match_l[u] = v
+        match_r[v] = u
+    return match_l, match_r, exposed
 
 
 class Poset:
@@ -159,20 +205,22 @@ class Poset:
     # --- matching machinery ------------------------------------------------
 
     def _max_matching(self) -> tuple[list[int], list[int]]:
-        """Kuhn's maximum matching of each element (left copy) to one above
-        it (right copy), as (match_l, match_r) index lists, -1 if unmatched.
+        """A maximum matching of each element (left copy) to one above it
+        (right copy), as (match_l, match_r) index lists, -1 if unmatched.
 
-        The iterative search visits what a recursive one visits, in the
-        same order, so it finds the same matching.
+        ``greedy_matching`` seeds it; Kuhn's augmenting-path search, run as
+        an iterative depth-first search taking the lowest unvisited
+        neighbour first, then starts once from each left vertex the seed
+        left exposed.  Augmenting never unmatches a left vertex, and a
+        vertex with no augmenting path never gains one from a later
+        augmentation, so by Berge the result is maximum.
         """
         if self._matching is not None:
             return self._matching
         up = list(self.less.values())
-        n = len(up)
-        match_l = [-1] * n
-        match_r = [-1] * n
-        everyone = (1 << n) - 1
-        for root in range(n):
+        match_l, match_r, roots = greedy_matching(up)
+        everyone = (1 << len(up)) - 1
+        for root in roots:
             unvisited = everyone
             path = [root]  # left vertices of the alternating path
             taken = []  # taken[d]: right vertex leading out of path[d]

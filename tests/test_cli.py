@@ -23,6 +23,7 @@ GOLDEN_SCENARIO = GOLDEN_DIR / "width2_profile.scenario.json"
 GOLDEN_TRACE = GOLDEN_DIR / "width2_profile.trace"
 NEG_WIDTH3 = Path("scenarios/negative/width3_antichain.scenario.json")
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
+EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
 
 
 def test_run_reproduces_the_checked_in_golden_trace(tmp_path, capsys):
@@ -208,22 +209,55 @@ def test_fuzz_rejects_an_out_path_that_is_a_file(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", [
-    {"seed": "x"},
-    {"crash_plan": {"sample": 5}},
-    {"crash_plan": {"sample": {"turn_range": 5}}},
-    {"crash_plan": {"sample": {"max_processes": 9}}},
-    {"n": "a"},
-    {"n": 65},
-])
-def test_fuzz_reports_a_template_it_cannot_expand(tmp_path, capsys, edit):
+def _edited_template(tmp_path, edit) -> Path:
     obj = json.loads(TEMPLATE.read_text(encoding="utf-8"))
     obj.update(edit)
     template = tmp_path / "t.json"
     template.write_text(json.dumps(obj), encoding="utf-8")
+    return template
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"seed": "x"}, id="edit0"),
+    pytest.param({"crash_plan": {"sample": 5}}, id="edit1"),
+    pytest.param({"crash_plan": {"sample": {"turn_range": 5}}}, id="edit2"),
+    pytest.param({"n": "a"}, id="edit4"),
+    pytest.param({"n": 65}, id="edit5"),
+])
+def test_fuzz_reports_a_template_it_cannot_expand(tmp_path, capsys, edit):
+    # no seed expands it: an input error, exit 2, not a failed property
+    template = _edited_template(tmp_path, edit)
+    out_dir = tmp_path / "fuzz"
+    assert main(["fuzz", "--template", str(template), "--seeds", "3", "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "template: no seed expands it; seed index 0: " in captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_fuzz_lists_the_seeds_a_template_cannot_expand(tmp_path, capsys):
+    # a crash plan of up to 9 of 5 processes: only some seeds expand
+    template = _edited_template(tmp_path, {"crash_plan": {"sample": {"max_processes": 9}}})
     assert main(["fuzz", "--template", str(template), "--seeds", "3"]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["errors"] and summary["outcomes"]["quiescent"] < 3
+    assert summary["outcomes"]["quiescent"] + len(summary["errors"]) == 3
+
+
+@pytest.mark.parametrize("verb", [
+    ["run", "--scenario", str(EXAMPLE_SCENARIO), "--out"],
+    ["check", "--trace", str(GOLDEN_TRACE), "--report"],
+])
+def test_an_output_path_in_a_missing_directory_exits_2(tmp_path, verb):
+    path = tmp_path / "missing" / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bocast", *verb, str(path)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"{verb[-1]}: cannot write {path}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not path.parent.exists()
 
 
 def test_golden_verb_detects_tampering(tmp_path, capsys):
@@ -328,9 +362,6 @@ def test_a_run_delivering_an_unbroadcast_id_checks_as_a_validity_failure(tmp_pat
     assert "Traceback" not in proc.stderr
     verdicts = {rec["property"]: rec for rec in map(json.loads, proc.stdout.splitlines())}
     assert verdicts["kbo.validity"]["pass"] is False
-
-
-EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
 
 
 def _example_lines() -> list[str]:
