@@ -57,10 +57,6 @@ class Verdict:
     witness: dict | None = None
 
     @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    @property
     def failed(self) -> bool:
         return self.status == "fail"
 
@@ -88,7 +84,6 @@ class TraceIndex:
     """Per-process and per-object views of one trace."""
 
     def __init__(self, trace: Trace):
-        self.trace = trace
         cfg = trace.config
         self.n = cfg.n
         self.k = cfg.k
@@ -96,7 +91,7 @@ class TraceIndex:
         pids = range(1, self.n + 1)
 
         self.faulty: set[int] = set()
-        self.broadcasts: dict[str, tuple[int, int]] = {}  # mid -> (pid, step)
+        self.broadcasts: set[str] = set()  # the invoked message ids
         self.invokes: dict[int, list[dict]] = {pid: [] for pid in pids}
         self.returns: dict[int, list[dict]] = {pid: [] for pid in pids}
         self.decides: list[tuple[int, int, str]] = []  # (pid, instance, value)
@@ -105,15 +100,15 @@ class TraceIndex:
         self.msg_seqs: dict[int, list[str]] = {pid: [] for pid in pids}
         self.objects: dict[str, list] = {}
 
-        for ev in trace.events:
+        for step, ev in enumerate(trace.events):
             kind = ev.kind
             if kind == "crash":
                 self.faulty.add(ev.pid)
             elif kind == "invoke":
                 self.invokes[ev.pid].append(ev.payload)
                 mid = ev.payload.get("msg")
-                if mid is not None and mid not in self.broadcasts:
-                    self.broadcasts[mid] = (ev.pid, ev.step)
+                if mid is not None:
+                    self.broadcasts.add(mid)
                 if ev.payload.get("op") == "ksa_propose":
                     self.proposals.append(
                         (ev.pid, ev.payload["instance"], ev.payload["value"])
@@ -130,7 +125,7 @@ class TraceIndex:
                 self.msg_seqs[ev.pid].append(ev.payload["msg"])
             elif kind == "object-access":
                 self.objects.setdefault(ev.payload["object"], []).append(
-                    (ev.step, ev.pid, ev.payload["op"], ev.payload["args"], ev.payload["result"])
+                    (step, ev.pid, ev.payload["op"], ev.payload["args"], ev.payload["result"])
                 )
 
         self.nonfaulty = [pid for pid in pids if pid not in self.faulty]
@@ -156,7 +151,6 @@ class OrderResult:
     strict: dict[str, int]
     excluded: list[str]
     sequences: dict[int, list[str]]
-    valid: bool
 
 
 def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
@@ -178,13 +172,10 @@ def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
     excluded = sort_ids(set().union(*index.msg_seqs.values()) - set(elements))
     try:
         poset = Poset(elements, less, key=msg_key)
-        valid = True
     except PosetError:
         poset = None
-        valid = False
     return OrderResult(
-        poset=poset, elements=elements, strict=less, excluded=excluded,
-        sequences=sequences, valid=valid,
+        poset=poset, elements=elements, strict=less, excluded=excluded, sequences=sequences,
     )
 
 
@@ -273,7 +264,7 @@ def _delivery_laws(index: TraceIndex, seqs, unit_key: str, unit_of, not_delivere
     delivered = {pid: set(mids) for pid, mids in seqs.items()}
     validity = integrity = None
     for pid, mids in seqs.items():
-        if validity is None and not delivered[pid] <= index.broadcasts.keys():
+        if validity is None and not delivered[pid] <= index.broadcasts:
             mid = next(mid for mid in mids if mid not in index.broadcasts)
             validity = {"pid": pid, "msg": mid}
         if integrity is None and len(delivered[pid]) != len(mids):
@@ -505,7 +496,7 @@ def _check_snapshot(index: TraceIndex) -> list[Verdict]:
         mem = object_id == "MEM"
         cells: dict[int, object] = {}
         views = []  # (step, pid, {(cell number, value)}) of each snapshot
-        for step, pid, op, args, res in sorted(index.objects[object_id]):
+        for step, pid, op, args, res in index.objects[object_id]:  # in step order
             bad = None  # the first cell (from 1) that fails replay
             if op == "write":
                 value = _canon_cell(args[0])

@@ -26,7 +26,7 @@ from .checker import (
 )
 from .poset import BoundViolation
 from .rng import derive
-from .scenario import MAX_PROCESSES, ConfigError, ScenarioConfig, load_scenario
+from .scenario import MAX_PROCESSES, ConfigError, ScenarioConfig, load_scenario, require_int
 from .sim import SimulationError, run_scenario
 from .trace import TraceFormatError, read_trace, serialize_trace, write_trace
 
@@ -99,6 +99,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.k is not None and args.k < 1:
+        return _fail_usage(f"--k must be >= 1 (got {args.k})")
     try:
         trace = read_trace(args.trace)
     except (TraceFormatError, ConfigError, OSError) as exc:
@@ -209,17 +211,18 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
 
     try:
         obj = dict(template)
-        base_seed = int(obj.get("seed", 0))
+        base_seed = require_int(obj.get("seed", 0), "seed")
         seed = derive(base_seed, "fuzz", index)
         obj["seed"] = seed
         plan = obj.get("crash_plan", [])
         if isinstance(plan, dict):
             sample = plan.get("sample", {})
-            n = int(obj["n"])
+            n = require_int(obj["n"], "n")
             if not 1 <= n <= MAX_PROCESSES:  # before the sample lists 1..n
                 raise ConfigError(f"template: n must satisfy 1 <= n <= {MAX_PROCESSES}")
-            max_procs = int(sample.get("max_processes", n - 1))
+            max_procs = require_int(sample.get("max_processes", n - 1), "max_processes")
             lo, hi = sample.get("turn_range", [0, 200])
+            lo, hi = require_int(lo, "turn_range"), require_int(hi, "turn_range")
             rng = SplitMix64(derive(seed, "crash-plan"))
             count = rng.randrange(max_procs + 1)
             victims = rng.sample(range(1, n + 1), count)
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a trace's delivery order into channels")
     p.add_argument("--trace", required=True)
-    p.add_argument("--k", type=int, help="channel bound (default: the trace's k)")
+    p.add_argument("--k", type=int, help="channel bound, at least 1 (default: the trace's k)")
     p.add_argument(
         "--scope",
         default="non-faulty-only",

@@ -14,8 +14,7 @@ non-empty chain of non-empty views, bounded by min(k, number of distinct
 inputs), nested within and across processes.
 
 Each phase op is a separate scheduler step in the simulator, so other
-processes interleave between them; ``k2s_propose`` below runs the phases
-back to back for direct (single-threaded) use in tests and tools.
+processes interleave between them.
 """
 
 from __future__ import annotations
@@ -34,23 +33,17 @@ def canon_sets(sets) -> list:
 
 
 class K2SInstance:
-    def __init__(self, n: int, k: int, oracle: SetAgreementOracle, instance_no: int):
-        self.n = n
-        self.k = k
+    def __init__(self, n: int, oracle: SetAgreementOracle, instance_no: int):
         self.oracle = oracle
         self.instance_no = instance_no
         self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", one_shot=True)
         self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", one_shot=True)
-        self.invoked: set[int] = set()
 
     # --- phase operations (one shared-object op each) -------------------
 
     def phase_propose(self, pid: int, value: str) -> str:
-        if pid in self.invoked:
-            raise ProtocolViolation(
-                f"K2S[{self.instance_no}]: p{pid} invoked the instance twice"
-            )
-        self.invoked.add(pid)
+        # a second invocation by pid is a second proposal to the oracle's
+        # instance, which the oracle refuses
         return self.oracle.propose(self.instance_no, pid, value)
 
     def phase_snap1_write(self, pid: int, val: str) -> None:
@@ -67,16 +60,6 @@ class K2SInstance:
         arr = self.snap2.snapshot(pid)
         return arr, frozenset(v for v in arr if v is not None)
 
-    # --- convenience ----------------------------------------------------
-
-    def k2s_propose(self, pid: int, value: str) -> frozenset:
-        """Run all phases back to back and return the family of views."""
-        val = self.phase_propose(pid, value)
-        self.phase_snap1_write(pid, val)
-        view = self.phase_snap1_read(pid)[1]
-        self.phase_snap2_write(pid, view)
-        return self.phase_snap2_read(pid)[1]
-
 
 class RepeatedK2S:
     """Instances keyed by round number, created lazily on first use.
@@ -85,9 +68,8 @@ class RepeatedK2S:
     are allocated fresh for every instance.
     """
 
-    def __init__(self, n: int, k: int, oracle: SetAgreementOracle):
+    def __init__(self, n: int, oracle: SetAgreementOracle):
         self.n = n
-        self.k = k
         self.oracle = oracle
         self.instances: dict[int, K2SInstance] = {}
         self._last_round: dict[int, int] = {}
@@ -95,7 +77,7 @@ class RepeatedK2S:
     def instance(self, round_no: int) -> K2SInstance:
         inst = self.instances.get(round_no)
         if inst is None:
-            inst = K2SInstance(self.n, self.k, self.oracle, round_no)
+            inst = K2SInstance(self.n, self.oracle, round_no)
             self.instances[round_no] = inst
         return inst
 
@@ -108,6 +90,3 @@ class RepeatedK2S:
             )
         self._last_round[pid] = round_no
         return self.instance(round_no)
-
-    def repeated_k2s_propose(self, pid: int, round_no: int, value: str) -> frozenset:
-        return self.enter(pid, round_no).k2s_propose(pid, value)

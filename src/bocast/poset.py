@@ -24,13 +24,12 @@ cover, which is not: which cover ``min_chain_cover`` returns is not part
 of its contract.  The cover is what turns a delivery order of width <= k
 into k total-order channels.
 
-A brute-force maximum-antichain enumerator over element subsets is kept
-as an independent oracle for small posets; the two must always agree.
+A brute-force maximum-antichain enumerator over element subsets covers
+relations that are not partial orders (the checker's fallback on forged
+traces); on small posets it agrees with the matching.
 """
 
 from __future__ import annotations
-
-from .rng import SplitMix64
 
 
 class PosetError(ValueError):
@@ -124,33 +123,21 @@ class Poset:
 
     ``key`` fixes the deterministic element ordering used in outputs and
     the bit positions: element ``elements[i]`` is bit ``i``.  Each value
-    of the input ``less`` is either an iterable of the elements strictly
-    above its key or such an int bitset; ``self.less`` always holds
-    bitsets.
+    of ``less`` is the int bitset of the elements strictly above its key.
     """
 
     def __init__(self, elements, less: dict, key=None):
         self.key = key if key is not None else lambda x: x
         self.elements = sorted(elements, key=self.key)
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        if len(set(self.elements)) != len(self.elements):
             raise PosetError("duplicate elements")
-        self.less = {x: self._bitset(x, less.get(x, 0)) for x in self.elements}
+        outside = -1 << len(self.elements)  # bits of no element, and the sign
+        self.less = {x: less.get(x, 0) for x in self.elements}
+        for x, ups in self.less.items():
+            if ups & outside:
+                raise PosetError(f"unknown element above {x!r}")
         self._validate()
         self._matching = None
-
-    def _bitset(self, x, ups) -> int:
-        if isinstance(ups, int):
-            if ups < 0 or ups >> len(self.elements):
-                raise PosetError(f"unknown element above {x!r}")
-            return ups
-        mask = 0
-        for y in ups:
-            i = self._index.get(y)
-            if i is None:
-                raise PosetError(f"unknown element {y!r} above {x!r}")
-            mask |= 1 << i
-        return mask
 
     def _validate(self) -> None:
         # For each x, only a few y in less[x] are tested: the lowest and
@@ -181,26 +168,6 @@ class Poset:
                             f"transitivity violated at {x!r} < {self.elements[j]!r}"
                         )
                     rest &= ~(above | 1 << j)
-
-    # --- queries ---------------------------------------------------------
-
-    def lt(self, x, y) -> bool:
-        return bool(self.less[x] >> self._index[y] & 1)
-
-    def comparable(self, x, y) -> bool:
-        return x == y or self.lt(x, y) or self.lt(y, x)
-
-    def is_antichain(self, xs) -> bool:
-        xs = list(xs)
-        return all(
-            not self.comparable(xs[i], xs[j])
-            for i in range(len(xs))
-            for j in range(i + 1, len(xs))
-        )
-
-    def is_chain(self, xs) -> bool:
-        xs = list(xs)
-        return all(self.lt(xs[i], xs[i + 1]) for i in range(len(xs) - 1))
 
     # --- matching machinery ------------------------------------------------
 
@@ -307,12 +274,7 @@ class Poset:
         return assignment, chains
 
 
-# --- independent brute-force oracle ------------------------------------------
-
-
-def brute_force_width(poset: Poset) -> int:
-    """Maximum antichain size by exhaustive subset search; <= 20 elements."""
-    return len(brute_force_antichain(poset.elements, poset.comparable, key=poset.key))
+# --- brute force, for relations that are not partial orders ------------------
 
 
 def brute_force_antichain(elements, comparable, key=None) -> list:
@@ -351,77 +313,3 @@ def brute_force_antichain(elements, comparable, key=None) -> list:
             picked.append(elements[v])
             mask &= ~(conflict[v] | bit)
     return picked
-
-
-# --- generators ---------------------------------------------------------------
-
-
-def from_edges(elements, edges, key=None) -> Poset:
-    """Poset from cover/arbitrary forward edges; closes transitively.
-
-    ``edges`` must be acyclic; cycles surface as PosetError.  The closure
-    is taken in reverse topological order (Kahn 1962) as bitsets over the
-    key order, with no recursion, so edge chains of any length work.
-    """
-    order = sorted(elements, key=key if key is not None else lambda x: x)
-    index = {x: i for i, x in enumerate(order)}
-    if len(index) != len(order):
-        raise PosetError("duplicate elements")
-    succ = {x: set() for x in order}
-    for x, y in edges:
-        if x not in index or y not in index:
-            raise PosetError(f"edge ({x!r}, {y!r}) names an unknown element")
-        succ[x].add(y)
-    indegree = dict.fromkeys(order, 0)
-    for ys in succ.values():
-        for y in ys:
-            indegree[y] += 1
-    topo = [x for x in order if not indegree[x]]
-    for x in topo:  # grows while it is walked
-        for y in succ[x]:
-            indegree[y] -= 1
-            if not indegree[y]:
-                topo.append(y)
-    if len(topo) != len(order):
-        stuck = next(x for x in order if indegree[x])
-        raise PosetError(f"edges form a cycle; {stuck!r} lies on or after it")
-    less = {}
-    for x in reversed(topo):
-        mask = 0
-        for y in succ[x]:
-            mask |= less[y] | 1 << index[y]
-        less[x] = mask
-    return Poset(order, less, key=key)
-
-
-def intersect_orders(sequences, key=None) -> Poset:
-    """Poset from the intersection of total orders over a common element set."""
-    if not sequences:
-        return Poset([], {}, key=key)
-    elements = sorted(sequences[0], key=key)
-    index = {x: i for i, x in enumerate(elements)}
-    less = dict(zip(elements, order_bitsets(sequences, index)))
-    return Poset(elements, less, key=key)
-
-
-def random_poset(seed: int, max_elems: int = 12) -> Poset:
-    """Seeded random poset: either a closed random DAG or an intersection
-    of a few random total orders (the delivery-order shape)."""
-    rng = SplitMix64(seed)
-    n = rng.randrange(max_elems + 1)
-    elements = list(range(n))
-    if rng.randrange(2) == 0:
-        threshold = rng.randrange(101)
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.randrange(100) < threshold
-        ]
-        return from_edges(elements, edges)
-    orders = []
-    for _ in range(1 + rng.randrange(4)):
-        perm = list(elements)
-        rng.shuffle(perm)
-        orders.append(perm)
-    return intersect_orders(orders)

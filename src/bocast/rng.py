@@ -50,12 +50,6 @@ class SplitMix64:
             raise ValueError("randrange needs n >= 1")
         return self.next_u64() % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample(self, seq, count: int) -> list:
         """Deterministic sample without replacement, order preserved by draw."""
         pool = list(seq)

@@ -48,6 +48,14 @@ class ConfigError(ValueError):
     """Raised when a scenario violates one of its invariants."""
 
 
+def require_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer (a bool is not); ConfigError
+    otherwise, so that no number is rounded or coerced."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class WorkItem:
     op: str  # "broadcast" | "propose" | "deliver"
@@ -90,7 +98,10 @@ class SchedulePolicy:
         if isinstance(obj, str):
             return SchedulePolicy(kind=obj)
         if isinstance(obj, dict) and obj.get("policy") == "scripted":
-            script = tuple((int(pid), str(thread)) for pid, thread in obj.get("script", []))
+            script = tuple(
+                (require_int(pid, "a schedule script pid"), thread)
+                for pid, thread in obj.get("script", [])
+            )
             return SchedulePolicy(kind="scripted", script=script)
         raise ConfigError(f"unrecognized schedule_policy {obj!r}")
 
@@ -156,6 +167,10 @@ class ScenarioConfig:
                 if mode == "scripted" and item.op == "propose":
                     raise ConfigError("scripted scenarios cannot mix propose items with deliver items")
                 if item.op == "propose":
+                    if type(item.instance) is not int or type(item.value) is not str:
+                        raise ConfigError(
+                            f"propose item of p{pid} needs an integer instance and a string value"
+                        )
                     instances.append(item.instance)
                 if item.op == "deliver":
                     if not item.msgs:
@@ -200,25 +215,25 @@ class ScenarioConfig:
                 for pid, items in obj.get("workload", {}).items()
             }
             config = ScenarioConfig(
-                n=int(obj["n"]),
-                k=int(obj["k"]),
-                seed=int(obj["seed"]),
+                n=require_int(obj["n"], "n"),
+                k=require_int(obj["k"], "k"),
+                seed=require_int(obj["seed"], "seed"),
                 schedule=SchedulePolicy.from_json_dict(obj.get("schedule_policy", "seeded-random")),
-                crash_plan=tuple((int(p), int(t)) for p, t in obj.get("crash_plan", [])),
+                crash_plan=tuple(
+                    (require_int(p, "a crash_plan pid"), require_int(t, "a crash_plan turn"))
+                    for p, t in obj.get("crash_plan", [])
+                ),
                 workload=workload,
-                step_budget=int(obj.get("step_budget", 100_000)),
+                step_budget=require_int(obj.get("step_budget", 100_000), "step_budget"),
                 oracle_policy=obj.get("oracle_policy", "first-k-adversarial"),
-                version=int(obj.get("version", SCENARIO_VERSION)),
+                version=require_int(obj.get("version", SCENARIO_VERSION), "version"),
             )
         except ConfigError:
             raise
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario: {exc}") from exc
         config.validate()
         return config
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
 def load_scenario(path) -> ScenarioConfig:

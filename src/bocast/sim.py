@@ -198,7 +198,7 @@ class Simulation:
             self.oracle = SetAgreementOracle(
                 k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle")
             )
-            self.kss = RepeatedK2S(self.n, config.k, self.oracle)
+            self.kss = RepeatedK2S(self.n, self.oracle)
             self.procs = {
                 pid: _StackProcess(
                     pid,

@@ -23,8 +23,8 @@ that never decreases and is at most the outcome's ``turns``.  One turn
 may emit several consecutive events (an operation invocation plus its
 shared-object access, a set delivery plus its per-message deliveries),
 and a crash carries the turn at which it fires.  ``pid`` is an integer
-(not a boolean) in 1..n.  An event's ``step`` is not written: it is the
-event's index in the trace, counted from 0, and the reader sets it so.
+(not a boolean) in 1..n.  An event's step is its index in the trace,
+counted from 0; it is not written, and ``Event`` does not hold it.
 The outcome record's ``outcome`` is ``"quiescent"`` or
 ``"budget-exhausted"`` and its ``turns`` an integer >= 0.  Crash plans
 and the step budget count scheduler turns, not events.
@@ -128,7 +128,6 @@ def pauses_cyclic_gc(fn):
 
 @dataclass(slots=True)
 class Event:
-    step: int
     pid: int
     kind: str
     payload: dict
@@ -148,17 +147,15 @@ class Trace:
 
 
 class Recorder:
-    """Assigns event step indices in emission order; each event carries
-    ``turn``, which the scheduler sets at the start of every turn."""
+    """Keeps events in emission order; each event carries ``turn``, which
+    the scheduler sets at the start of every turn."""
 
     def __init__(self):
         self.events: list[Event] = []
         self.turn = 0
 
-    def emit(self, pid: int, kind: str, payload: dict) -> Event:
-        ev = Event(len(self.events), pid, kind, payload, self.turn)
-        self.events.append(ev)
-        return ev
+    def emit(self, pid: int, kind: str, payload: dict) -> None:
+        self.events.append(Event(pid, kind, payload, self.turn))
 
 
 # One encoder and one decoder for every record.  Insertion order of keys
@@ -185,20 +182,19 @@ _PLAIN_KINDS = frozenset(EVENT_KINDS) - {"object-access"}
 
 def serialize_trace(trace: Trace) -> str:
     """The trace file text.  Raises ValueError on an event it cannot
-    write so that it reads back the same: a step other than the event's
-    index, a turn or pid that is not an int, an unknown kind, or an object
-    access whose payload keys are not exactly object, op, args and
-    result."""
+    write so that it reads back the same: a turn or pid that is not an
+    int, an unknown kind, or an object access whose payload keys are not
+    exactly object, op, args and result."""
     cfg_record = {"record": "config", "trace_format": TRACE_FORMAT}
     cfg_record.update(trace.config.to_json_dict())
     out = [*_chunks(cfg_record, 0), "\n"]
     extend = out.extend
     for index, ev in enumerate(trace.events):
-        step, turn, pid, kind, payload = ev.step, ev.turn, ev.pid, ev.kind, ev.payload
-        if type(step) is not int or step != index or type(turn) is not int or type(pid) is not int:
+        turn, pid, kind, payload = ev.turn, ev.pid, ev.kind, ev.payload
+        if type(turn) is not int or type(pid) is not int:
             raise ValueError(
-                f"cannot serialize event {index} (step={step!r}, turn={turn!r}, pid={pid!r}): "
-                "step must be the event's index and turn and pid ints"
+                f"cannot serialize event {index} (turn={turn!r}, pid={pid!r}): "
+                "turn and pid must be ints"
             )
         if kind == "object-access":
             if payload.keys() != _ACCESS_KEYS:
@@ -352,7 +348,8 @@ def _payload_error(kind: str, payload, ids: set) -> str | None:
             continue
         if want is _ID and _is_id(value, ids) or want is _IDS and _is_ids(value, ids):
             continue
-        return f"a {kind} needs {field!r} to be {_TYPE_NAMES[want]}"
+        article = "an" if kind == "invoke" else "a"
+        return f"{article} {kind} needs {field!r} to be {_TYPE_NAMES[want]}"
     return None
 
 
@@ -428,7 +425,7 @@ def parse_trace(text: str) -> Trace:
                 if why is not None:
                     raise TraceFormatError(f"line {lineno}: {why}")
             last_turn = turn
-            append(Event(len(events), pid, kind, payload, turn))
+            append(Event(pid, kind, payload, turn))
             continue
         if type(rec) is not dict:
             raise TraceFormatError(f"line {lineno}: a record must be a JSON array or object")

@@ -1,9 +1,14 @@
-"""Shared drivers for randomized and exhaustive object-level tests."""
+"""Shared drivers for randomized and exhaustive tests, and the helpers
+only tests use: poset builders and queries, back-to-back K2S proposals,
+scenario text."""
 
 from __future__ import annotations
 
-from bocast.k2s import K2SInstance
+import json
+
+from bocast.k2s import K2SInstance, RepeatedK2S
 from bocast.objects import SetAgreementOracle, SnapshotArray
+from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem
 
@@ -18,7 +23,7 @@ def run_random_k2s_instance(seed: int, n: int, k: int):
     """
     rng = SplitMix64(seed)
     oracle = SetAgreementOracle(k=k, policy="first-k-adversarial", seed=derive(seed, "oracle"))
-    inst = K2SInstance(n, k, oracle, 0)
+    inst = K2SInstance(n, oracle, 0)
     values = {pid: f"v{1 + rng.randrange(n)}" for pid in range(1, n + 1)}
 
     state = {pid: {"phase": 0} for pid in range(1, n + 1)}
@@ -157,3 +162,131 @@ def sampled_stack_config(n: int, k: int, seed: int, max_msgs=4, crash_turn_range
         n, k, derive(seed, "run"), propose_workload(n, instances), crash_plan=plan,
         oracle_policy=oracle_policy,
     )
+
+
+def dumps(config: ScenarioConfig) -> str:
+    """The scenario file text of ``config``."""
+    return json.dumps(config.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
+
+
+def shuffled(seq, rng: SplitMix64) -> list:
+    """The items of ``seq`` in a Fisher-Yates shuffle drawn from ``rng``."""
+    items = list(seq)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+# --- K2S phases back to back ----------------------------------------------------
+
+
+def k2s_propose(inst: K2SInstance, pid: int, value: str) -> frozenset:
+    """Run all phases of one proposal back to back; the family of views."""
+    val = inst.phase_propose(pid, value)
+    inst.phase_snap1_write(pid, val)
+    view = inst.phase_snap1_read(pid)[1]
+    inst.phase_snap2_write(pid, view)
+    return inst.phase_snap2_read(pid)[1]
+
+
+def repeated_k2s_propose(kss: RepeatedK2S, pid: int, round_no: int, value: str) -> frozenset:
+    return k2s_propose(kss.enter(pid, round_no), pid, value)
+
+
+# --- posets: queries, builders, a brute-force width -------------------------------
+
+
+def lt(poset: Poset, x, y) -> bool:
+    return bool(poset.less[x] >> poset.elements.index(y) & 1)
+
+
+def comparable(poset: Poset, x, y) -> bool:
+    return x == y or lt(poset, x, y) or lt(poset, y, x)
+
+
+def is_antichain(poset: Poset, xs) -> bool:
+    """Whether ``xs`` are distinct and none lies above another."""
+    pos = {x: i for i, x in enumerate(poset.elements)}
+    xs = list(xs)
+    members = sum(1 << pos[x] for x in set(xs))
+    return members.bit_count() == len(xs) and not any(poset.less[x] & members for x in xs)
+
+
+def is_chain(poset: Poset, xs) -> bool:
+    pos = {x: i for i, x in enumerate(poset.elements)}
+    xs = list(xs)
+    return all(poset.less[x] >> pos[y] & 1 for x, y in zip(xs, xs[1:]))
+
+
+def brute_force_width(poset: Poset) -> int:
+    """Maximum antichain size by exhaustive subset search; <= 20 elements."""
+    return len(brute_force_antichain(
+        poset.elements, lambda x, y: comparable(poset, x, y), key=poset.key
+    ))
+
+
+def from_edges(elements, edges, key=None) -> Poset:
+    """Poset from cover/arbitrary forward edges; closes transitively.
+
+    ``edges`` must be acyclic; cycles surface as PosetError.  The closure
+    is taken in reverse topological order (Kahn 1962) as bitsets over the
+    key order, with no recursion, so edge chains of any length work.
+    """
+    order = sorted(elements, key=key if key is not None else lambda x: x)
+    index = {x: i for i, x in enumerate(order)}
+    if len(index) != len(order):
+        raise PosetError("duplicate elements")
+    succ = {x: set() for x in order}
+    for x, y in edges:
+        if x not in index or y not in index:
+            raise PosetError(f"edge ({x!r}, {y!r}) names an unknown element")
+        succ[x].add(y)
+    indegree = dict.fromkeys(order, 0)
+    for ys in succ.values():
+        for y in ys:
+            indegree[y] += 1
+    topo = [x for x in order if not indegree[x]]
+    for x in topo:  # grows while it is walked
+        for y in succ[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                topo.append(y)
+    if len(topo) != len(order):
+        stuck = next(x for x in order if indegree[x])
+        raise PosetError(f"edges form a cycle; {stuck!r} lies on or after it")
+    less = {}
+    for x in reversed(topo):
+        mask = 0
+        for y in succ[x]:
+            mask |= less[y] | 1 << index[y]
+        less[x] = mask
+    return Poset(order, less, key=key)
+
+
+def intersect_orders(sequences, key=None) -> Poset:
+    """Poset from the intersection of total orders over a common element set."""
+    if not sequences:
+        return Poset([], {}, key=key)
+    elements = sorted(sequences[0], key=key)
+    index = {x: i for i, x in enumerate(elements)}
+    less = dict(zip(elements, order_bitsets(sequences, index)))
+    return Poset(elements, less, key=key)
+
+
+def random_poset(seed: int, max_elems: int = 12) -> Poset:
+    """Seeded random poset: either a closed random DAG or an intersection
+    of a few random total orders (the delivery-order shape)."""
+    rng = SplitMix64(seed)
+    n = rng.randrange(max_elems + 1)
+    elements = list(range(n))
+    if rng.randrange(2) == 0:
+        threshold = rng.randrange(101)
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.randrange(100) < threshold
+        ]
+        return from_edges(elements, edges)
+    return intersect_orders([shuffled(elements, rng) for _ in range(1 + rng.randrange(4))])

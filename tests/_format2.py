@@ -19,9 +19,9 @@ def format2_text(trace) -> str:
     cfg = {"record": "config", "trace_format": 2}
     cfg.update(trace.config.to_json_dict())
     lines = [dumps(cfg)]
-    for ev in trace.events:
+    for step, ev in enumerate(trace.events):
         lines.append(dumps({
-            "record": "event", "step": ev.step, "pid": ev.pid, "kind": ev.kind,
+            "record": "event", "step": step, "pid": ev.pid, "kind": ev.kind,
             "payload": ev.payload,
         }))
     lines.append(dumps({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}))

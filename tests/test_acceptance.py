@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from bocast.checker import TraceIndex, check_all, serialize_verdicts, width_and_antichain, build_order
-from bocast.poset import BoundViolation, brute_force_width, random_poset
+from bocast.poset import BoundViolation
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem, load_scenario
 from bocast.sim import run_scenario
@@ -17,7 +17,9 @@ from bocast.trace import serialize_trace
 
 from _drivers import (
     assert_k2s_properties,
+    brute_force_width,
     one_shot_schedules,
+    random_poset,
     replay_one_shot,
     run_random_k2s_instance,
     sampled_stack_config,

@@ -17,12 +17,12 @@ from bocast.checker import (
     width_and_antichain,
 )
 from bocast.messages import sort_ids
-from bocast.poset import BoundViolation, brute_force_width, iter_bits
+from bocast.poset import BoundViolation, iter_bits
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, serialize_trace
 
-from _drivers import propose_workload, sampled_stack_config, stack_config
+from _drivers import brute_force_width, propose_workload, sampled_stack_config, stack_config
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 D = lambda *mids: WorkItem(op="deliver", msgs=tuple(mids))
@@ -47,7 +47,7 @@ def scripted(n, k, wl, schedule="round-robin", crash_plan=(), script=()):
 class TestBuildOrder:
     def test_golden_profile_width_and_channels(self, golden_trace):
         result = build_order(golden_trace)
-        assert result.valid and not result.excluded
+        assert result.poset is not None and not result.excluded
         assert [r + len(m) for r, m in TraceIndex(golden_trace).set_seqs[1]] == [2, 3, 5, 6]
         assert [r + len(m) for r, m in TraceIndex(golden_trace).set_seqs[2]] == [1, 2, 4, 5, 6]
         assert result.poset.width() == 2
@@ -142,10 +142,9 @@ class TestBitsetOrder:
     def test_build_order_matches_the_pairwise_definition(self, sequences):
         n = len(sequences)
         events = [
-            Event(step, pid, "deliver-msg", {"msg": mid})
-            for step, (pid, mid) in enumerate(
-                (pid, mid) for pid, seq in enumerate(sequences, start=1) for mid in seq
-            )
+            Event(pid, "deliver-msg", {"msg": mid})
+            for pid, seq in enumerate(sequences, start=1)
+            for mid in seq
         ]
         trace = Trace(stack_config(n, 1, 0, {}), events, "quiescent", 0)
         result = build_order(trace)
@@ -156,8 +155,8 @@ class TestBitsetOrder:
         }
         assert got == expected
         transitive = all(expected[y] <= expected[x] for x in expected for y in expected[x])
-        assert result.valid == transitive
-        if result.valid:
+        assert (result.poset is not None) == transitive
+        if transitive:
             assert result.poset.width() == brute_force_width(result.poset)
 
 
@@ -222,7 +221,7 @@ class TestNegativeControls:
             "pid_reversed": 2,
         }
         # per-message width stays within 2: only the set rule is broken
-        assert verdicts["kbo.bounded"].passed
+        assert verdicts["kbo.bounded"].status == "pass"
 
     def test_width3_antichain_witness(self):
         trace = run_scenario(load_scenario("scenarios/negative/width3_antichain.scenario.json"))
@@ -252,7 +251,7 @@ class TestReplay:
             if ev.kind == "object-access" and ev.payload["op"] == "snapshot" and ev.payload["object"] == "MEM":
                 payload = json.loads(json.dumps(ev.payload))
                 payload["result"][0] = ["77:0"]
-                events[i] = Event(ev.step, ev.pid, ev.kind, payload)
+                events[i] = Event(ev.pid, ev.kind, payload)
                 break
         tampered = Trace(trace.config, events, trace.outcome, trace.turns)
         verdicts = {v.property: v for v in check_all(tampered, suites=("snapshot",))}
@@ -260,14 +259,15 @@ class TestReplay:
 
     @staticmethod
     def forge_mem(trace, op, change):
-        """The trace with the first MEM ``op`` event's payload changed."""
+        """The trace with the first MEM ``op`` event's payload changed, that
+        event's step and the event."""
         events = list(trace.events)
         for i, ev in enumerate(events):
             if ev.kind == "object-access" and ev.payload["object"] == "MEM" and ev.payload["op"] == op:
                 payload = json.loads(json.dumps(ev.payload))
                 change(payload)
-                events[i] = Event(ev.step, ev.pid, ev.kind, payload)
-                return Trace(trace.config, events, trace.outcome, trace.turns), ev
+                events[i] = Event(ev.pid, ev.kind, payload)
+                return Trace(trace.config, events, trace.outcome, trace.turns), i, ev
         raise AssertionError(f"no MEM {op}")
 
     def test_skipped_mem_increment_detected(self):
@@ -276,9 +276,9 @@ class TestReplay:
         def skip(payload):
             payload["args"][0] += 1
 
-        forged, ev = self.forge_mem(trace, "write", skip)
+        forged, step, ev = self.forge_mem(trace, "write", skip)
         verdicts = {v.property: v for v in check_all(forged, suites=("snapshot",))}
-        assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": ev.step, "cell": ev.pid}
+        assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": step, "cell": ev.pid}
 
     def test_mem_snapshot_disagreeing_with_writes_detected(self):
         trace = run_scenario(sampled_stack_config(3, 2, 2))
@@ -286,15 +286,15 @@ class TestReplay:
         def bump(payload):
             payload["result"][2] += 1
 
-        forged, ev = self.forge_mem(trace, "snapshot", bump)
+        forged, step, _ev = self.forge_mem(trace, "snapshot", bump)
         verdicts = {v.property: v for v in check_all(forged, suites=("snapshot",))}
-        assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": ev.step, "cell": 3}
+        assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": step, "cell": 3}
 
     def test_clean_traces_replay_exactly(self):
         trace = run_scenario(sampled_stack_config(4, 3, 8))
         verdicts = {v.property: v for v in check_all(trace, suites=("snapshot",))}
-        assert verdicts["snapshot.replay"].passed
-        assert verdicts["snapshot.containment"].passed
+        assert verdicts["snapshot.replay"].status == "pass"
+        assert verdicts["snapshot.containment"].status == "pass"
 
 
 def pairwise_incomparable(views):
@@ -362,7 +362,7 @@ class TestLiveness:
         assert [r for r, _ in idx.set_seqs[2]] == [0, 1]
         assert [r for r, _ in idx.set_seqs[1]] == [0]
         verdicts = {v.property: v for v in check_all(trace, suites=("roundsync",))}
-        assert verdicts["roundsync.window"].passed
+        assert verdicts["roundsync.window"].status == "pass"
 
 
 def test_verdict_serialization_is_stable():

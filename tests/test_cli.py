@@ -7,15 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bocast
 from bocast.cli import main
 from bocast.rng import SplitMix64
-from bocast.scenario import WorkItem, load_scenario
+from bocast.scenario import ConfigError, ScenarioConfig, WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import parse_trace, serialize_trace, write_trace
 
-from _drivers import stack_config
+from _drivers import shuffled, stack_config
 from _format2 import format2_text
 
 GOLDEN_DIR = Path("scenarios/golden")
@@ -24,6 +25,15 @@ GOLDEN_TRACE = GOLDEN_DIR / "width2_profile.trace"
 NEG_WIDTH3 = Path("scenarios/negative/width3_antichain.scenario.json")
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
 EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
+
+
+def _bocast(*args: str, timeout: int = 120) -> subprocess.CompletedProcess:
+    """``python -m bocast *args`` in a child process that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "bocast", *args],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=timeout,
+    )
 
 
 def test_run_reproduces_the_checked_in_golden_trace(tmp_path, capsys):
@@ -55,6 +65,71 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
     code = main(["run", "--scenario", str(bad)])
     assert code == 2
     assert "1 <= k <= n" in capsys.readouterr().err
+
+
+# Fields of the two scenarios by key path: every number, a crash-plan
+# entry, a propose instance and value, a deliver msgs entry, a script pid.
+RETYPABLE = {
+    EXAMPLE_SCENARIO: [
+        ("n",), ("k",), ("seed",), ("step_budget",), ("version",), ("crash_plan", 0, 0),
+        ("crash_plan", 0, 1), ("workload", "1", 0, "instance"), ("workload", "1", 0, "value"),
+    ],
+    GOLDEN_SCENARIO: [
+        ("n",), ("k",), ("seed",), ("step_budget",), ("version",),
+        ("workload", "1", 2, "msgs", 0), ("schedule_policy", "script", 0, 0),
+    ],
+}
+RETYPED = st.one_of(
+    st.integers(-2, 70), st.integers(), st.floats(allow_nan=False), st.booleans(),
+    st.text(max_size=6), st.none(), st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _retyped(scenario: Path, field: tuple, value) -> tuple[dict, object]:
+    """The scenario object with ``field`` set to ``value``, and its old value."""
+    obj = json.loads(scenario.read_text(encoding="utf-8"))
+    slot = obj
+    for key in field[:-1]:
+        slot = slot[key]
+    was, slot[field[-1]] = slot[field[-1]], value
+    return obj, was
+
+
+@pytest.mark.parametrize("scenario", RETYPABLE, ids=["example", "golden"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_retyped_field_is_refused_or_round_trips(scenario, data):
+    # a value of another type is refused, never coerced; one of the same
+    # type is refused or runs to a trace that check reads back
+    value = data.draw(RETYPED, label="value")
+    obj, was = _retyped(scenario, data.draw(st.sampled_from(RETYPABLE[scenario])), value)
+    try:
+        config = ScenarioConfig.from_json_dict(obj)
+    except ConfigError:
+        return
+    assert type(value) is type(was)
+    assert parse_trace(serialize_trace(run_scenario(config))).config == config
+
+
+PROPOSE_TYPES = "propose item of p1 needs an integer instance and a string value"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (("workload", "1", 0, "value"), 5, PROPOSE_TYPES),
+    (("workload", "1", 0, "value"), None, PROPOSE_TYPES),
+    (("workload", "1", 0, "instance"), "0", PROPOSE_TYPES),
+    (("n",), 3.7, "n must be an integer, not float"),
+    (("k",), True, "k must be an integer, not bool"),
+], ids=["int-value", "null-value", "str-instance", "float-n", "bool-k"])
+def test_run_refuses_what_check_would_refuse(tmp_path, capsys, field, value, message):
+    # each of these once ran with exit 0, to a trace check refused or with
+    # the number rounded
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(_retyped(EXAMPLE_SCENARIO, field, value)[0]))
+    out = tmp_path / "t.trace"
+    assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_budget_exhaustion_gets_distinct_status(tmp_path):
@@ -117,14 +192,23 @@ def test_decompose_reports_bound_violation(capsys):
     assert "antichain witness:" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_decompose_refuses_a_bound_below_1(k):
+    # exit 1 means a property failed; a bound no order can meet is a usage error
+    proc = _bocast("decompose", "--trace", str(GOLDEN_TRACE), f"--k={k}")
+    assert proc.returncode == 2, proc.stderr
+    assert f"--k must be >= 1 (got {k})" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.fixture(scope="module")
 def long_chain_trace(tmp_path_factory):
     """A k=1 trace whose agreed order is one 3000-message chain listed in
     random key order: both processes deliver every message in the same
     shuffled order."""
     per_process = 1500
-    mids = [f"{pid}:{i}" for pid in (1, 2) for i in range(per_process)]
-    SplitMix64(3).shuffle(mids)
+    mids = shuffled([f"{pid}:{i}" for pid in (1, 2) for i in range(per_process)], SplitMix64(3))
     workload = {
         pid: tuple(WorkItem(op="broadcast", payload=f"m{pid}.{i}") for i in range(per_process))
         + tuple(WorkItem(op="deliver", msgs=(mid,)) for mid in mids)
@@ -140,11 +224,7 @@ def long_chain_trace(tmp_path_factory):
 
 @pytest.mark.parametrize("verb", [["check", "--suites", "kbo"], ["decompose", "--k", "1"]])
 def test_long_chain_needs_no_recursion(long_chain_trace, verb):
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bocast", verb[0], "--trace", str(long_chain_trace), *verb[1:]],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = _bocast(verb[0], "--trace", str(long_chain_trace), *verb[1:], timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     if verb[0] == "decompose":
@@ -182,13 +262,8 @@ def test_fuzz_zero_seeds_is_an_empty_success(tmp_path):
     (["--seeds", "-1"], "--seeds must be >= 0"),
 ])
 def test_fuzz_arguments_are_checked_before_any_run(tmp_path, args, message):
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
     out_dir = tmp_path / "fuzz"
-    proc = subprocess.run(
-        [sys.executable, "-m", "bocast", "fuzz", "--template", str(TEMPLATE),
-         "--out", str(out_dir), *args],
-        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
-    )
+    proc = _bocast("fuzz", "--template", str(TEMPLATE), "--out", str(out_dir), *args)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -249,11 +324,7 @@ def test_fuzz_lists_the_seeds_a_template_cannot_expand(tmp_path, capsys):
 ])
 def test_an_output_path_in_a_missing_directory_exits_2(tmp_path, verb):
     path = tmp_path / "missing" / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bocast", *verb, str(path)],
-        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
-    )
+    proc = _bocast(*verb, str(path))
     assert proc.returncode == 2, proc.stderr
     assert f"{verb[-1]}: cannot write {path}: " in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -311,11 +382,7 @@ def test_golden_input_errors_exit_2_naming_the_file(tmp_path, capsys, bad_file, 
 
 
 def _check_subprocess(path):
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "bocast", "check", "--trace", str(path)],
-        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
-    )
+    return _bocast("check", "--trace", str(path))
 
 
 def _assert_rejected(proc, lineno):
@@ -351,11 +418,7 @@ def test_a_run_delivering_an_unbroadcast_id_checks_as_a_validity_failure(tmp_pat
         "step_budget": 10,
     }))
     out = tmp_path / "t.trace"
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "bocast", "run", "--scenario", str(scen), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    run = _bocast("run", "--scenario", str(scen), "--out", str(out))
     assert run.returncode == 0, run.stderr
     proc = _check_subprocess(out)
     assert proc.returncode == 1, proc.stderr
@@ -378,8 +441,8 @@ def test_check_rejects_deep_nesting_naming_the_line(tmp_path):
 
 @pytest.mark.parametrize(
     "edit",
-    [{"k": None}, {"n": "x"}, {"workload": "x"}, {"seed": 1e400}],
-    ids=["no-k", "str-n", "str-workload", "infinite-seed"],
+    [{"k": None}, {"n": "x"}, {"workload": "x"}, {"seed": 1e400}, {"n": 3.7}, {"k": True}],
+    ids=["no-k", "str-n", "str-workload", "infinite-seed", "float-n", "bool-k"],
 )
 def test_check_rejects_a_malformed_config_naming_line_1(tmp_path, edit):
     lines = _example_lines()

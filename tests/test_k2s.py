@@ -3,23 +3,23 @@ import pytest
 from bocast.k2s import K2SInstance, RepeatedK2S, canon_sets
 from bocast.objects import ProtocolViolation, SetAgreementOracle
 
-from _drivers import assert_k2s_properties, run_random_k2s_instance
+from _drivers import assert_k2s_properties, k2s_propose, repeated_k2s_propose, run_random_k2s_instance
 
 
 def make_instance(n, k, seed=0, policy="first-k-adversarial", instance_no=0):
     oracle = SetAgreementOracle(k=k, policy=policy, seed=seed)
-    return K2SInstance(n, k, oracle, instance_no)
+    return K2SInstance(n, oracle, instance_no)
 
 
 def test_solo_proposer_gets_singleton_family():
     for k in (1, 2, 3):
         inst = make_instance(3, k)
-        assert inst.k2s_propose(1, "v") == frozenset({frozenset({"v"})})
+        assert k2s_propose(inst, 1, "v") == frozenset({frozenset({"v"})})
 
 
 def test_k1_collapses_to_one_decided_value():
     inst = make_instance(3, 1)
-    outs = [inst.k2s_propose(pid, v) for pid, v in ((1, "a"), (2, "b"), (3, "c"))]
+    outs = [k2s_propose(inst, pid, v) for pid, v in ((1, "a"), (2, "b"), (3, "c"))]
     for sets in outs:
         assert sets == frozenset({frozenset({"a"})})
 
@@ -31,9 +31,9 @@ def test_sequential_run_golden():
     # stream) give b and a; views then grow {a} -> {a,b} and both later
     # processes see both views in the second snapshot.
     inst = make_instance(3, 2, seed=1)
-    out1 = inst.k2s_propose(1, "a")
-    out2 = inst.k2s_propose(2, "b")
-    out3 = inst.k2s_propose(3, "c")
+    out1 = k2s_propose(inst, 1, "a")
+    out2 = k2s_propose(inst, 2, "b")
+    out3 = k2s_propose(inst, 3, "c")
     assert inst.oracle.instances[0].decisions == {1: "a", 2: "b", 3: "a"}
     assert canon_sets(out1) == [["a"]]
     assert canon_sets(out2) == [["a"], ["a", "b"]]
@@ -43,32 +43,32 @@ def test_sequential_run_golden():
 
 def test_double_invocation_rejected():
     inst = make_instance(2, 2)
-    inst.k2s_propose(1, "a")
+    k2s_propose(inst, 1, "a")
     with pytest.raises(ProtocolViolation):
-        inst.k2s_propose(1, "b")
+        k2s_propose(inst, 1, "b")
 
 
 class TestRepeated:
     def test_rounds_are_isolated(self):
         oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=0)
-        kss = RepeatedK2S(2, 2, oracle)
-        out0 = kss.repeated_k2s_propose(1, 0, "x")
-        out5 = kss.repeated_k2s_propose(1, 5, "y")
+        kss = RepeatedK2S(2, oracle)
+        out0 = repeated_k2s_propose(kss, 1, 0, "x")
+        out5 = repeated_k2s_propose(kss, 1, 5, "y")
         assert out0 == frozenset({frozenset({"x"})})
         assert out5 == frozenset({frozenset({"y"})})
         assert kss.instance(0).snap1 is not kss.instance(5).snap1
 
     def test_same_round_outputs_nest_across_processes(self):
         oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=3)
-        kss = RepeatedK2S(2, 2, oracle)
-        a = kss.repeated_k2s_propose(1, 4, "x")
-        b = kss.repeated_k2s_propose(2, 4, "y")
+        kss = RepeatedK2S(2, oracle)
+        a = repeated_k2s_propose(kss, 1, 4, "x")
+        b = repeated_k2s_propose(kss, 2, 4, "y")
         assert a <= b or b <= a
 
     def test_round_reuse_rejected(self):
         oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=0)
-        kss = RepeatedK2S(2, 2, oracle)
-        kss.repeated_k2s_propose(1, 3, "x")
+        kss = RepeatedK2S(2, oracle)
+        repeated_k2s_propose(kss, 1, 3, "x")
         with pytest.raises(ProtocolViolation):
             kss.enter(1, 3)
         with pytest.raises(ProtocolViolation):

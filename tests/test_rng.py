@@ -1,5 +1,7 @@
 from bocast.rng import MASK64, SplitMix64, derive, mix64
 
+from _drivers import shuffled
+
 
 def test_streams_are_reproducible():
     a = SplitMix64(123)
@@ -29,9 +31,6 @@ def test_randrange_bounds_and_determinism():
 
 
 def test_shuffle_and_sample_are_seed_deterministic():
-    r1, r2 = SplitMix64(5), SplitMix64(5)
-    xs, ys = list(range(12)), list(range(12))
-    r1.shuffle(xs)
-    r2.shuffle(ys)
+    xs, ys = shuffled(range(12), SplitMix64(5)), shuffled(range(12), SplitMix64(5))
     assert xs == ys and sorted(xs) == list(range(12))
     assert SplitMix64(5).sample(range(10), 4) == SplitMix64(5).sample(range(10), 4)

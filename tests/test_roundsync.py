@@ -96,9 +96,9 @@ def _trace(n, k, crashed, sequences) -> Trace:
     events = []
     for pid in sorted(sequences):
         for r, mids in sequences[pid]:
-            events.append(Event(len(events), pid, "deliver-set", {"round": r, "set": list(mids)}))
+            events.append(Event(pid, "deliver-set", {"round": r, "set": list(mids)}))
     for pid in sorted(crashed):
-        events.append(Event(len(events), pid, "crash", {}))
+        events.append(Event(pid, "crash", {}))
     return Trace(stack_config(n, k, 0, {}), events, "quiescent", 0)
 
 
@@ -117,7 +117,7 @@ def test_repeated_and_out_of_order_rounds():
     for k in (1, 2, 3):
         index = TraceIndex(_trace(3, k, set(), seqs))
         _same(index)
-    assert _check_roundsync(TraceIndex(_trace(3, 3, set(), seqs)))[0].passed
+    assert _check_roundsync(TraceIndex(_trace(3, 3, set(), seqs)))[0].status == "pass"
     assert _check_roundsync(TraceIndex(_trace(3, 1, set(), seqs)))[0].failed
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from bocast.poset import Poset, greedy_matching, intersect_orders, random_poset
+from bocast.poset import Poset, greedy_matching
 from bocast.rng import SplitMix64
+
+from _drivers import intersect_orders, is_chain, random_poset, shuffled
 from test_poset import delivery_poset
 from test_witness_invariance import _agreed_orders, antichain_from, hopcroft_karp
 
@@ -60,9 +62,7 @@ def interleaving(seed: int, m: int, w: int, random_keys: bool) -> Poset:
     all.  Chain c is c, c + w, c + 2w, ... (the way one sender's messages
     sort by key), or a random relabelling of that with ``random_keys``."""
     rng = SplitMix64(seed)
-    label = list(range(m))
-    if random_keys:
-        rng.shuffle(label)
+    label = shuffled(range(m), rng) if random_keys else list(range(m))
     chains = [[label[x] for x in range(c, m, w)] for c in range(w)]
     sequences = []
     for _ in range(2):
@@ -83,7 +83,7 @@ def assert_valid_chain_cover(poset: Poset) -> None:
     flat = [x for chain in chains for x in chain]
     assert len(flat) == len(poset.elements) and set(flat) == set(poset.elements)
     for chain in chains:
-        assert poset.is_chain(chain)
+        assert is_chain(poset, chain)
 
 
 def assert_agrees_with_reference(poset: Poset) -> None:
@@ -135,7 +135,7 @@ def test_greedy_seed_is_the_successor_map_on_a_chain(order):
     if order == "reverse-key":
         seq.reverse()
     elif order == "random-key":
-        SplitMix64(3000).shuffle(seq)
+        seq = shuffled(seq, SplitMix64(3000))
     poset = intersect_orders([seq])
     match_l, match_r, exposed = greedy_matching(list(poset.less.values()))
     assert exposed == [seq[-1]]

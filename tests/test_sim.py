@@ -15,7 +15,7 @@ from bocast.scenario import (
 from bocast.sim import Simulation, SimulationError, run_scenario
 from bocast.trace import TraceFormatError, parse_trace, serialize_trace
 
-from _drivers import propose_workload, sampled_stack_config, stack_config
+from _drivers import dumps, propose_workload, sampled_stack_config, stack_config
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 
@@ -151,7 +151,7 @@ class TestValidation:
     def test_json_round_trip(self, tmp_path):
         cfg = sampled_stack_config(4, 3, 7)
         path = tmp_path / "s.json"
-        path.write_text(cfg.dumps(), encoding="utf-8")
+        path.write_text(dumps(cfg), encoding="utf-8")
         assert load_scenario(path) == cfg
 
 

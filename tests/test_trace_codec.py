@@ -6,7 +6,7 @@ prebuilt encoder.  The reference below writes each record with its own
 accepts, with strings holding quotes, backslashes, control characters,
 non-ASCII and the characters other line splitters treat as line ends
 (U+2028, U+2029, U+0085), and ``parse_trace`` must read that text back to
-the same trace, steps and turns included.
+the same trace, turns included.
 """
 
 from __future__ import annotations
@@ -102,13 +102,13 @@ def accesses(draw) -> dict:
 def events(draw) -> list[Event]:
     out = []
     turn = 0
-    for step in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 6))):
         turn += draw(st.integers(0, 3))
         kind = draw(st.sampled_from(
             ("invoke", "return", "object-access", "deliver-set", "deliver-msg", "decide", "crash")
         ))
         payload = draw(accesses()) if kind == "object-access" else draw(payloads(kind))
-        out.append(Event(step, draw(st.integers(1, N)), kind, payload, turn))
+        out.append(Event(draw(st.integers(1, N)), kind, payload, turn))
     return out
 
 
@@ -131,17 +131,16 @@ ACCESS = {"object": "MEM", "op": "write", "args": [1], "result": None}
 @pytest.mark.parametrize(
     "event",
     [
-        Event(0, True, "invoke", {}),
-        Event("0", 1, "invoke", {}),
-        Event(0, 1, "teleport", {}),
-        Event(0, 1.0, "invoke", {}),
-        Event(1, 1, "invoke", {}),
-        Event(0, 1, "invoke", {}, turn=True),
-        Event(0, 1, "object-access", {k: v for k, v in ACCESS.items() if k != "result"}),
-        Event(0, 1, "object-access", dict(ACCESS, note="x")),
+        Event(True, "invoke", {}),
+        Event(1, "invoke", {}, turn="0"),
+        Event(1, "teleport", {}),
+        Event(1.0, "invoke", {}),
+        Event(1, "invoke", {}, turn=True),
+        Event(1, "object-access", {k: v for k, v in ACCESS.items() if k != "result"}),
+        Event(1, "object-access", dict(ACCESS, note="x")),
     ],
     ids=[
-        "bool-pid", "str-step", "unknown-kind", "float-pid", "wrong-step", "bool-turn",
+        "bool-pid", "str-turn", "unknown-kind", "float-pid", "bool-turn",
         "access-without-result", "access-with-another-key",
     ],
 )
@@ -151,7 +150,7 @@ def test_serialize_rejects_what_it_cannot_write_as_valid_json(event):
 
 
 def _two_event_lines() -> list[str]:
-    events = [Event(0, 1, "return", {}, 0), Event(1, 2, "return", {}, 1)]
+    events = [Event(1, "return", {}, 0), Event(2, "return", {}, 1)]
     return serialize_trace(Trace(CONFIG, events, "quiescent", 1)).splitlines()
 
 

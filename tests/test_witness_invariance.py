@@ -18,11 +18,13 @@ import pytest
 
 from bocast.checker import build_order
 from bocast.cli import instantiate_template
-from bocast.poset import Poset, iter_bits, random_poset
+from bocast.poset import Poset, iter_bits
 from bocast.rng import SplitMix64
 from bocast.scenario import load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import parse_trace
+
+from _drivers import random_poset, shuffled
 
 SCENARIOS = sorted(Path("scenarios").glob("*/*.scenario.json"))
 GOLDEN_TRACES = sorted(Path("scenarios/golden").glob("*.trace"))
@@ -40,9 +42,7 @@ def shuffled_kuhn(poset: Poset, rng: SplitMix64) -> tuple[list[int], list[int]]:
     match_r = [-1] * n
 
     def augment(u: int, seen: set) -> bool:
-        neighbours = list(iter_bits(up[u]))
-        rng.shuffle(neighbours)
-        for v in neighbours:
+        for v in shuffled(iter_bits(up[u]), rng):
             if v in seen:
                 continue
             seen.add(v)
@@ -51,9 +51,7 @@ def shuffled_kuhn(poset: Poset, rng: SplitMix64) -> tuple[list[int], list[int]]:
                 return True
         return False
 
-    roots = list(range(n))
-    rng.shuffle(roots)
-    for u in roots:
+    for u in shuffled(range(n), rng):
         augment(u, set())
     return match_l, match_r
 
