@@ -26,7 +26,14 @@ from .checker import (
 )
 from .poset import BoundViolation
 from .rng import derive
-from .scenario import MAX_PROCESSES, ConfigError, ScenarioConfig, load_scenario, require_int
+from .scenario import (
+    MAX_PROCESSES,
+    ConfigError,
+    ScenarioConfig,
+    load_json,
+    load_scenario,
+    require_int,
+)
 from .sim import SimulationError, run_scenario
 from .trace import TraceFormatError, read_trace, serialize_trace, write_trace
 
@@ -133,8 +140,8 @@ def cmd_fuzz(args) -> int:
     except CheckerError as exc:
         return _fail_usage(str(exc))
     try:
-        template = json.loads(Path(args.template).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        template = load_json(args.template)
+    except (OSError, ConfigError) as exc:
         return _fail_usage(f"template: {exc}")
     if not isinstance(template, dict):
         return _fail_usage("template: a fuzz template must be a JSON object")

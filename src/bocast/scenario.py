@@ -19,7 +19,9 @@ The two kinds cannot be mixed in one scenario.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .messages import is_msg_id
 
@@ -33,6 +35,10 @@ SCENARIO_VERSION = 1
 # (n up to 20, a budget of 1,000,000 turns).
 MAX_PROCESSES = 64
 MAX_STEP_BUDGET = 1_000_000
+
+# A workload key is a pid written one way only: decimal digits without
+# sign, space or leading zero, so no two keys can name the same process.
+_CANONICAL_PID = re.compile(r"0|[1-9][0-9]*")
 
 SCHEDULE_POLICIES = ("seeded-random", "round-robin", "scripted")
 
@@ -54,6 +60,15 @@ def require_int(value, name: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, not {type(value).__name__}")
     return value
+
+
+def _workload_pid(key: str) -> int:
+    """The pid a workload key names; ConfigError unless it is in canonical form."""
+    if _CANONICAL_PID.fullmatch(key) is None:
+        raise ConfigError(
+            f"workload key {key!r} must be a pid written without sign, space or leading zero"
+        )
+    return int(key)
 
 
 @dataclass(frozen=True)
@@ -211,7 +226,7 @@ class ScenarioConfig:
     def from_json_dict(obj: dict) -> "ScenarioConfig":
         try:
             workload = {
-                int(pid): tuple(WorkItem.from_json_dict(item) for item in items)
+                _workload_pid(pid): tuple(WorkItem.from_json_dict(item) for item in items)
                 for pid, items in obj.get("workload", {}).items()
             }
             config = ScenarioConfig(
@@ -236,10 +251,30 @@ class ScenarioConfig:
         return config
 
 
+def read_utf8(path, error: type[Exception]) -> str:
+    """The text of the file at ``path``, newlines translated as ``open``
+    does; ``error``, naming the file and the line, when it is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line = head.count("\n") + 1
+        raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_json(path):
+    """The JSON value in the file at ``path``; ConfigError, naming the
+    file, when it is not UTF-8, not JSON, or nested too deeply to decode."""
+    text = read_utf8(path, ConfigError)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
+
+
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return ScenarioConfig.from_json_dict(obj)
+    return ScenarioConfig.from_json_dict(load_json(path))

@@ -25,7 +25,10 @@ traces.  All scheduling randomness comes from a SplitMix64 stream derived
 from the scenario seed, and a starvation rule forces any continuously
 enabled process to be scheduled at least once per window of
 FAIRNESS_WINDOW_FACTOR * n turns, which also makes the seeded-random
-policy fair in the hard sense.
+policy fair in the hard sense.  The rule costs O(1) on most turns: the
+scheduler keeps one lower bound on the turns from which processes have
+waited, and looks at all n of them only once that bound is a full
+window old.
 
 The run halts as quiescent when no thread is enabled: every workload is
 finished, no broadcast is mid-flight, every background loop is idle and
@@ -35,7 +38,7 @@ turn budget and the partial trace is reported as budget-exhausted.
 
 from __future__ import annotations
 
-import heapq
+import math
 
 from .kbo import unpack_order
 from .kscd import BroadcastEngine, MemCounts
@@ -96,6 +99,7 @@ class _StackProcess(_Process):
         self.cur_item = None
         self.cur_mid = None
         self.engine = engine
+        self.task_enabled = engine.task_enabled  # the task thread is the engine's loop
         self.table = DecisionTable()
 
     def main_enabled(self) -> bool:
@@ -140,9 +144,6 @@ class _StackProcess(_Process):
         else:
             raise SimulationError(f"unknown main state {self.state!r}")
         return False
-
-    def task_enabled(self) -> bool:
-        return self.engine.task_enabled()
 
     def task_step(self) -> None:
         delivered = self.engine.task_step()
@@ -215,11 +216,16 @@ class Simulation:
                 for pid in range(1, self.n + 1)
             }
 
+        self.schedule_kind = config.schedule.kind
         self.sched_rng = SplitMix64(derive(config.seed, "schedule"))
         self.rr_next = 1
         self.last_thread = {pid: "task" for pid in range(1, self.n + 1)}
         self.script_pos = 0
         self.fair_window = FAIRNESS_WINDOW_FACTOR * self.n
+        # crash_turns[turn]: the pids the crash plan fells at turn, in plan order
+        self.crash_turns: dict[int, list[int]] = {}
+        for pid, at_turn in config.crash_plan:
+            self.crash_turns.setdefault(at_turn, []).append(pid)
 
         # Enabled flags per pid (index 0 unused) and the token list they give.
         self.main_thread = "main" if self.mode == "stack" else "script"
@@ -227,11 +233,14 @@ class Simulation:
         self.task_on = [False] * (self.n + 1)
         self.tokens: list[tuple[int, str]] = []
         # Starvation: since[pid] is the turn from which pid has owned a
-        # token without being picked (None when it owns none), and
-        # waiting is a lazy min-heap of (since, pid) entries.
+        # token without being picked (None when it owns none), and oldest
+        # is a lower bound on the stamps in since: raising a stamp keeps
+        # it one, and _set_since lowers it below a new stamp.
         self.since: list[int | None] = [None] * (self.n + 1)
-        self.waiting: list[tuple[int, int]] = []
-        self._refresh(range(1, self.n + 1))
+        self.oldest: float = math.inf
+        for pid in range(1, self.n + 1):
+            self._refresh(pid)
+        self._rebuild_tokens()
 
     # --- public ----------------------------------------------------------
 
@@ -240,58 +249,60 @@ class Simulation:
             raise SimulationError(f"process {pid} crashed twice")
         self.crashed.add(pid)
         self.recorder.emit(pid, "crash", {})
-        self._refresh((pid,))
+        if self._refresh(pid):
+            self._rebuild_tokens()
 
     def run(self) -> Trace:
         budget = self.config.step_budget
+        crash_turns, recorder, task_on = self.crash_turns, self.recorder, self.task_on
         while True:
-            self.recorder.turn = self.turn  # the turn of every event, crashes too
-            for pid, at_turn in self.config.crash_plan:
-                if at_turn == self.turn and pid not in self.crashed:
+            turn = self.turn
+            recorder.turn = turn  # the turn of every event, crashes too
+            for pid in crash_turns.get(turn, ()):
+                if pid not in self.crashed:
                     self.inject_crash(pid)
             tokens = self.tokens
             if not tokens:
                 self._check_no_deadlock()
                 outcome = "quiescent"
                 break
-            if self.turn >= budget:
+            if turn >= budget:
                 outcome = "budget-exhausted"
                 break
             token = self._pick(tokens)
             wrote_mem = self._dispatch(token)
-            self.turn += 1
-            self._refresh((token[0],))
+            self.turn = turn + 1
+            changed = self._refresh(token[0])
             if wrote_mem:  # it can enable idle tasks, and nothing else
-                self._refresh([pid for pid in range(1, self.n + 1) if not self.task_on[pid]])
+                for pid in range(1, self.n + 1):
+                    if not task_on[pid] and self._refresh(pid):
+                        changed = True
+            if changed:
+                self._rebuild_tokens()
         return Trace(self.config, self.recorder.events, outcome, self.turn)
 
     # --- scheduling -------------------------------------------------------
 
-    def _poll(self, pid: int) -> tuple[bool, bool]:
-        """(main or script, task) enabled, from scratch."""
+    def _refresh(self, pid: int) -> bool:
+        """Poll ``pid`` again from scratch; returns whether a flag changed,
+        in which case the caller rebuilds the token list."""
         if pid in self.crashed:
-            return False, False
-        proc = self.procs[pid]
-        return proc.main_enabled(), proc.task_enabled()
-
-    def _refresh(self, pids) -> None:
-        """Poll ``pids`` again; rebuild the token list if a flag changed."""
-        changed = False
-        for pid in pids:
-            main, task = self._poll(pid)
-            if main == self.main_on[pid] and task == self.task_on[pid]:
-                continue
-            if (main or task) != (self.main_on[pid] or self.task_on[pid]):
-                self._set_since(pid, self.turn if main or task else None)
-            self.main_on[pid], self.task_on[pid] = main, task
-            changed = True
-        if changed:
-            self._rebuild_tokens()
+            main = task = False
+        else:
+            proc = self.procs[pid]
+            main, task = proc.main_enabled(), proc.task_enabled()
+        was_main, was_task = self.main_on[pid], self.task_on[pid]
+        if main == was_main and task == was_task:
+            return False
+        if (main or task) != (was_main or was_task):
+            self._set_since(pid, self.turn if main or task else None)
+        self.main_on[pid], self.task_on[pid] = main, task
+        return True
 
     def _set_since(self, pid: int, turn: int | None) -> None:
         self.since[pid] = turn
-        if turn is not None:
-            heapq.heappush(self.waiting, (turn, pid))
+        if turn is not None and turn < self.oldest:
+            self.oldest = turn
 
     def _rebuild_tokens(self) -> None:
         main_thread = self.main_thread
@@ -306,29 +317,26 @@ class Simulation:
     def _starving(self) -> int | None:
         """The lowest pid that has owned a token unpicked for a full window."""
         limit = self.turn - self.fair_window
-        waiting, since = self.waiting, self.since
-        while waiting and since[waiting[0][1]] != waiting[0][0]:
-            heapq.heappop(waiting)  # stale: picked or idle since it was pushed
-        if not waiting or waiting[0][0] > limit:
+        if self.oldest > limit:
             return None
-        for pid in range(1, self.n + 1):
-            if since[pid] is not None and since[pid] <= limit:
-                return pid
-        raise SimulationError("starvation heap out of step with its stamps")
+        self.oldest = min((s for s in self.since if s is not None), default=math.inf)  # exact
+        if self.oldest > limit:
+            return None
+        return next(pid for pid, s in enumerate(self.since) if s is not None and s <= limit)
 
     def _pick(self, tokens) -> tuple[int, str]:
-        starving = self._starving()
+        # _starving() is None while oldest is under a window old; skip its frame
+        starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
         if starving is not None:
             token = self._prefer(starving, tokens)
+        elif self.schedule_kind == "seeded-random":
+            token = tokens[self.sched_rng.randrange(len(tokens))]
+        elif self.schedule_kind == "round-robin":
+            token = self._round_robin(tokens)
         else:
-            kind = self.config.schedule.kind
-            if kind == "seeded-random":
-                token = tokens[self.sched_rng.randrange(len(tokens))]
-            elif kind == "round-robin":
-                token = self._round_robin(tokens)
-            else:
-                token = self._scripted(tokens)
-        self._set_since(token[0], self.turn + 1)
+            token = self._scripted(tokens)
+        # above every other stamp, so oldest stays a lower bound
+        self.since[token[0]] = self.turn + 1
         return token
 
     def _prefer(self, pid: int, tokens) -> tuple[int, str]:

@@ -467,5 +467,6 @@ def parse_trace(text: str) -> Trace:
 
 
 def read_trace(path) -> Trace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    from .scenario import read_utf8
+
+    return parse_trace(read_utf8(path, TraceFormatError))

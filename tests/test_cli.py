@@ -441,8 +441,10 @@ def test_check_rejects_deep_nesting_naming_the_line(tmp_path):
 
 @pytest.mark.parametrize(
     "edit",
-    [{"k": None}, {"n": "x"}, {"workload": "x"}, {"seed": 1e400}, {"n": 3.7}, {"k": True}],
-    ids=["no-k", "str-n", "str-workload", "infinite-seed", "float-n", "bool-k"],
+    [{"k": None}, {"n": "x"}, {"workload": "x"}, {"seed": 1e400}, {"n": 3.7}, {"k": True},
+     {"workload": {"+1": [{"op": "broadcast", "payload": "x"}]}}],
+    ids=["no-k", "str-n", "str-workload", "infinite-seed", "float-n", "bool-k",
+         "signed-workload-key"],
 )
 def test_check_rejects_a_malformed_config_naming_line_1(tmp_path, edit):
     lines = _example_lines()
@@ -456,6 +458,60 @@ def test_check_rejects_a_malformed_config_naming_line_1(tmp_path, edit):
     bad = tmp_path / "config.trace"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _assert_rejected(_check_subprocess(bad), 1)
+
+
+# Each verb's arguments up to the path of the file it reads.
+READS = {
+    "run": ["run", "--scenario"], "check": ["check", "--trace"],
+    "decompose": ["decompose", "--trace"], "fuzz": ["fuzz", "--seeds", "1", "--template"],
+}
+
+
+def _assert_input_refused(proc, path, message):
+    assert proc.returncode == 2, proc.stderr
+    assert f"{path}: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("verb", sorted(READS))
+@pytest.mark.parametrize("data, lineno", [(b"\xff\xfe{}", 1), (b'{"n":\r\n"\xc3(x"}', 2)],
+                         ids=["utf16-bom", "line-2"])
+def test_input_that_is_not_utf8_exits_2_naming_the_file_and_line(tmp_path, verb, data, lineno):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(data)
+    proc = _bocast(*READS[verb], str(bad))
+    _assert_input_refused(proc, bad, f"line {lineno}: not UTF-8")
+
+
+@pytest.mark.parametrize("verb", ["run", "fuzz"])
+def test_deep_nesting_in_a_scenario_or_template_exits_2(tmp_path, verb):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    proc = _bocast(*READS[verb], str(deep))
+    _assert_input_refused(proc, deep, "JSON nested too deeply")
+
+
+@pytest.mark.parametrize("key", ["01", " 2", "+1", "2 ", "1_0", "\u0661", "-1"])
+def test_a_workload_key_that_is_not_a_canonical_pid_is_refused(key):
+    obj = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
+    obj["workload"][key] = [{"op": "broadcast", "payload": "late"}]
+    with pytest.raises(ConfigError, match="without sign, space or leading zero"):
+        ScenarioConfig.from_json_dict(obj)
+
+
+def test_aliased_workload_keys_exit_2(tmp_path):
+    # "01" and " 2" used to replace the work items of p1 and p2
+    obj = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
+    obj["workload"].update({"01": [{"op": "broadcast", "payload": "a"}],
+                            " 2": [{"op": "broadcast", "payload": "b"}]})
+    scen = tmp_path / "aliased.scenario.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "aliased.trace"
+    proc = _bocast("run", "--scenario", str(scen), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "workload key '01'" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def _first_access(lines, op):

@@ -34,3 +34,13 @@ def test_shuffle_and_sample_are_seed_deterministic():
     xs, ys = shuffled(range(12), SplitMix64(5)), shuffled(range(12), SplitMix64(5))
     assert xs == ys and sorted(xs) == list(range(12))
     assert SplitMix64(5).sample(range(10), 4) == SplitMix64(5).sample(range(10), 4)
+
+
+def test_inlined_draws_match_mix64():
+    # next_u64 and randrange spell out the finalizer; both must stay the
+    # draw mix64(state) of the same advancing state
+    seed, draws, ranged = 0xDEADBEEF, SplitMix64(0xDEADBEEF), SplitMix64(0xDEADBEEF)
+    for i, n in enumerate((1, 2, 7, 1 << 63, MASK64, 1 << 70) * 5):
+        seed = (seed + 0x9E3779B97F4A7C15) & MASK64
+        assert draws.next_u64() == mix64(seed), i
+        assert ranged.randrange(n) == mix64(seed) % n, i

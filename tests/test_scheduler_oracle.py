@@ -7,8 +7,9 @@ undelivered; a broadcast wait ends when every message its snapshot saw is
 delivered), and which process the starvation rule must force, from
 per-process stall counters updated every turn.  It asserts that the
 simulator's incrementally kept token list and starvation stamps agree,
-and that every event emitted during turn t, a crash included, carries
-``turn == t``.
+that ``oldest`` bounds every live stamp from below, that a forced pick
+goes to the starved process, and that every event emitted during turn
+t, a crash included, carries ``turn == t``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class PollingOracle(Simulation):
         self.stall = {pid: 0 for pid in range(1, self.n + 1)}
         self.turns_checked = 0
         self.overrides = 0
+        self.stale_bounds = 0  # turns on which _starving() looked at every stamp
         self.events_checked = 0
 
     def _events_since(self, start: int) -> None:
@@ -83,8 +85,12 @@ class PollingOracle(Simulation):
         assert tokens == self.poll_all(), f"token list out of date at turn {self.turn}"
         owners = sorted({pid for pid, _ in tokens})
         starving = [pid for pid in owners if self.stall[pid] >= self.fair_window]
+        assert self.oldest <= min(s for s in self.since if s is not None), f"turn {self.turn}"
+        self.stale_bounds += self.oldest <= self.turn - self.fair_window
         assert self._starving() == (starving[0] if starving else None), f"turn {self.turn}"
         token = super()._pick(tokens)
+        if starving:
+            assert token[0] == starving[0], f"turn {self.turn}"
         for pid in self.stall:
             if pid == token[0] or pid not in owners:
                 self.stall[pid] = 0
@@ -129,6 +135,23 @@ def test_starvation_overrides_are_exercised():
 def test_round_robin_with_crashes_and_proposals(seed):
     cfg = sampled_stack_config(4, 2, 100 + seed)
     checked_run(dataclasses.replace(cfg, schedule=SchedulePolicy("round-robin")))
+
+
+@pytest.mark.parametrize("schedule", ["seeded-random", "round-robin"])
+def test_wide_n20_k4(schedule):
+    # n = 20, k = 4: a window of 80 turns over up to 40 tokens, so stamps
+    # go stale often and some of them starve
+    sim = checked_run(stack_config(20, 4, 3, broadcasts(20, 1), schedule=schedule))
+    assert sim.stale_bounds > sim.overrides
+    if schedule == "seeded-random":
+        assert sim.overrides > 0
+
+
+def test_crashes_at_one_turn_fire_in_plan_order():
+    cfg = stack_config(4, 2, 0, broadcasts(4, 2), crash_plan=((3, 5), (1, 5)))
+    crashes = [ev for ev in run_scenario(cfg).events if ev.kind == "crash"]
+    assert [(ev.pid, ev.turn) for ev in crashes] == [(3, 5), (1, 5)]
+    checked_run(cfg)
 
 
 @pytest.mark.parametrize("seed", range(4))
