@@ -382,31 +382,64 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
     return out
 
 
+def _growing_chain(n: int, accesses, inputs: set, bound: int) -> set[int] | None:
+    """The pids that took a snapshot of a SNAP2 object whose every output
+    is known safe without looking at it, or None when that is not shown.
+
+    When the object replays in one pass, each output is the family of
+    distinct views written before it, so the outputs are prefixes of one
+    growing family and nest pairwise.  If moreover every written view
+    lies in ``inputs`` with a size in 1..``bound``, every snapshot sees
+    1..``bound`` distinct views and the written views form a chain, then
+    every output passes validity, set size, view size and both
+    inclusions.
+    """
+    if not replays_in_one_pass(n, accesses, mem=False):
+        return None
+    views: set[frozenset] = set()  # the distinct views written so far
+    pids = set()
+    for _step, pid, op, args, _res in accesses:
+        if op == "write":
+            view = frozenset(args[0])
+            if not (view <= inputs and 1 <= len(view) <= bound):
+                return None
+            views.add(view)
+        elif op == "snapshot":
+            if not 1 <= len(views) <= bound:
+                return None
+            pids.add(pid)
+    if first_incomparable(list(views)) is not None:
+        return None
+    return pids
+
+
 def _check_k2s(index: TraceIndex) -> list[Verdict]:
     out = []
     instances = index.k2s_instances()
 
     proposals: dict[int, dict[int, str]] = {}
-    outputs: dict[int, dict[int, frozenset]] = {}
+    snapped: dict[int, set[int]] = {}  # the pids that took a SNAP2[r] snapshot
+    validity = set_size = view_size = intra = inter = None
     for r in instances:
         proposals[r] = {}
         for _, pid, op, args, _res in index.objects.get(f"KSET[{r}]", ()):
             if op == "propose":
                 proposals[r][pid] = args[0]
-        outputs[r] = {}
-        for _, pid, op, _args, res in index.objects.get(f"SNAP2[{r}]", ()):
-            if op == "snapshot":
-                outputs[r][pid] = frozenset(frozenset(cell) for cell in res if cell is not None)
-
-    def inputs_of(r: int) -> set:
-        return set(proposals[r].values())
-
-    validity = set_size = view_size = intra = inter = None
-    for r in instances:
-        inputs = inputs_of(r)
+        inputs = set(proposals[r].values())
         bound = min(index.k, len(inputs)) if inputs else 0
-        for pid in sorted(outputs[r]):
-            sets = outputs[r][pid]
+        accesses = index.objects.get(f"SNAP2[{r}]", ())
+        pids = _growing_chain(index.n, accesses, inputs, bound)
+        if pids is not None:
+            snapped[r] = pids
+            continue
+        outputs: dict[int, frozenset] = {}
+        for _, pid, op, _args, res in accesses:
+            if op == "snapshot":
+                outputs[pid] = frozenset(frozenset(cell) for cell in res if cell is not None)
+        snapped[r] = set(outputs)
+
+        for pid in sorted(outputs):
+            sets = outputs[pid]
             for view in sets:
                 bad = sorted(v for v in view if v not in inputs)
                 if bad and not validity:
@@ -424,11 +457,11 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
                         "pid": pid,
                         "views": [sorted(views[i]), sorted(views[i + 1])],
                     }
-        pids_out = sorted(outputs[r])
+        pids_out = sorted(outputs)
         for i in range(len(pids_out)):
             for j in range(i + 1, len(pids_out)):
-                si = outputs[r][pids_out[i]]
-                sj = outputs[r][pids_out[j]]
+                si = outputs[pids_out[i]]
+                sj = outputs[pids_out[j]]
                 if not (si <= sj or sj <= si) and not inter:
                     inter = {"instance": r, "pids": [pids_out[i], pids_out[j]]}
 
@@ -446,7 +479,7 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
         for pid in sorted(proposals[r]):
             if pid in index.faulty:
                 continue
-            if pid not in outputs[r]:
+            if pid not in snapped[r]:
                 term = {"instance": r, "pid": pid}
                 break
         if term:
@@ -486,14 +519,52 @@ def _is_count(value, expect: int) -> bool:
     return type(value) is int and value == expect  # not bool, not float
 
 
+_INT = frozenset((int,))
+
+
+def replays_in_one_pass(n: int, accesses, mem: bool) -> bool:
+    """Whether a snapshot object's accesses replay against one running
+    list of its n cells, so that both snapshot laws hold for it.
+
+    The cells keep the raw written values, which have the JSON shape of
+    the snapshot cells, so each snapshot costs one list comparison.  A
+    one-shot cell (``SNAP1``, ``SNAP2``) starts empty (None) and is
+    written once, with a value; a MEM cell starts at 0 and each write
+    raises it by one, an int.  The answer is False, at the first access
+    that breaks these rules: a pid outside 1..n, a one-shot cell written
+    twice, a MEM write that is not the next count, a snapshot not equal
+    to the cells, or a MEM snapshot holding other than ints (``true``
+    and ``1.0`` equal counts).  False says nothing about the laws; the
+    caller then walks the object cell by cell.
+    """
+    cells = [0 if mem else None] * n
+    for _step, pid, op, args, res in accesses:
+        if not 0 < pid <= n:
+            return False
+        if op == "write":
+            value, i = args[0], pid - 1
+            if mem:
+                if type(value) is not int or value != cells[i] + 1:
+                    return False
+            elif value is None or cells[i] is not None:
+                return False
+            cells[i] = value
+        elif op == "snapshot" and (res != cells or mem and not _INT.issuperset(map(type, res))):
+            return False
+    return True
+
+
 def _check_snapshot(index: TraceIndex) -> list[Verdict]:
     """View containment of the one-shot objects and replay of every
-    snapshot object, in one walk over each object's accesses."""
+    snapshot object.  An object that replays in one pass holds both
+    laws; any other is walked cell by cell, which finds the witnesses."""
     containment = replay = None
     for object_id in sorted(index.objects):
         if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
             continue
         mem = object_id == "MEM"
+        if replays_in_one_pass(index.n, index.objects[object_id], mem):
+            continue
         cells: dict[int, object] = {}
         views = []  # (step, pid, {(cell number, value)}) of each snapshot
         for step, pid, op, args, res in index.objects[object_id]:  # in step order

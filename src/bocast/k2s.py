@@ -38,6 +38,8 @@ class K2SInstance:
         self.instance_no = instance_no
         self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", one_shot=True)
         self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", one_shot=True)
+        # each SNAP2 cell's view in canonic list form, built once at its write
+        self.snap2_lists: list[list | None] = [None] * n
 
     # --- phase operations (one shared-object op each) -------------------
 
@@ -53,12 +55,17 @@ class K2SInstance:
         arr = self.snap1.snapshot(pid)  # the cells, and the view: the written ones
         return arr, frozenset(v for v in arr if v is not None)
 
-    def phase_snap2_write(self, pid: int, view: frozenset) -> None:
+    def phase_snap2_write(self, pid: int, view: frozenset) -> list:
+        """Publish ``view``; returns its canonic list."""
         self.snap2.write(pid, view)
+        listed = self.snap2_lists[pid - 1] = canon_view(view)
+        return listed
 
-    def phase_snap2_read(self, pid: int) -> tuple[tuple, frozenset]:
+    def phase_snap2_read(self, pid: int) -> tuple[list, frozenset]:
+        """The cells as canonic lists (None where unwritten), and the
+        family of views: the written ones."""
         arr = self.snap2.snapshot(pid)
-        return arr, frozenset(v for v in arr if v is not None)
+        return list(self.snap2_lists), frozenset(v for v in arr if v is not None)
 
 
 class RepeatedK2S:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from operator import ge
 
-from .k2s import RepeatedK2S, canon_sets, canon_view
+from .k2s import RepeatedK2S, canon_sets
 from .messages import min_id, msg_key, sort_ids
 from .objects import SnapshotArray
 from .trace import Recorder
@@ -43,10 +43,23 @@ def unfold_views(sets) -> list[frozenset]:
     """Turn a chain of views into a sequence of disjoint non-empty sets.
 
     Repeatedly takes the non-empty set of minimal size and subtracts it
-    from the rest.  Nested inputs guarantee the minimum is unique.
+    from the rest.  Nested inputs guarantee the minimum is unique.  On a
+    chain that is each view less the one before it, so one sort by size
+    unfolds it; a family that is not a chain takes the loop, which names
+    the ties it meets.
     """
-    work = list(sets)
     out: list[frozenset] = []
+    below = frozenset()  # the largest view taken so far
+    for view in sorted(sets, key=len):
+        if below < view:
+            out.append(view - below)
+            below = view
+        elif view != below:
+            break
+    else:
+        return out
+    work = list(sets)
+    out = []
     while True:
         nonempty = [s for s in work if s]
         if not nonempty:
@@ -148,8 +161,8 @@ class BroadcastEngine:
             self.tstate = "snap2w"
             return None
         if self.tstate == "snap2w":
-            self._inst.phase_snap2_write(self.pid, self.view)
-            self._obj_event(self._inst.snap2.object_id, "write", [canon_view(self.view)], None)
+            listed = self._inst.phase_snap2_write(self.pid, self.view)
+            self._obj_event(self._inst.snap2.object_id, "write", [listed], None)
             self.tstate = "snap2s"
             return None
         if self.tstate == "snap2s":
@@ -165,13 +178,8 @@ class BroadcastEngine:
         return None
 
     def _step_snap2_read(self) -> frozenset:
-        arr, sets = self._inst.phase_snap2_read(self.pid)
-        self._obj_event(
-            self._inst.snap2.object_id,
-            "snapshot",
-            None,
-            [canon_view(v) if v is not None else None for v in arr],
-        )
+        cells, sets = self._inst.phase_snap2_read(self.pid)
+        self._obj_event(self._inst.snap2.object_id, "snapshot", None, cells)
 
         new_seq = unfold_views(sets)
         fresh = set().union(*new_seq)

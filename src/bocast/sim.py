@@ -25,7 +25,9 @@ traces.  All scheduling randomness comes from a SplitMix64 stream derived
 from the scenario seed, and a starvation rule forces any continuously
 enabled process to be scheduled at least once per window of
 FAIRNESS_WINDOW_FACTOR * n turns, which also makes the seeded-random
-policy fair in the hard sense.  The rule costs O(1) on most turns: the
+policy fair in the hard sense.  A schedule script is the exception: it
+runs verbatim, so the rule applies only once the script is used up and
+round robin finishes the run.  The rule costs O(1) on most turns: the
 scheduler keeps one lower bound on the turns from which processes have
 waited, and looks at all n of them only once that bound is a full
 window old.
@@ -220,6 +222,7 @@ class Simulation:
         self.sched_rng = SplitMix64(derive(config.seed, "schedule"))
         self.rr_next = 1
         self.last_thread = {pid: "task" for pid in range(1, self.n + 1)}
+        self.script = config.schedule.script if self.schedule_kind == "scripted" else ()
         self.script_pos = 0
         self.fair_window = FAIRNESS_WINDOW_FACTOR * self.n
         # crash_turns[turn]: the pids the crash plan fells at turn, in plan order
@@ -325,16 +328,17 @@ class Simulation:
         return next(pid for pid, s in enumerate(self.since) if s is not None and s <= limit)
 
     def _pick(self, tokens) -> tuple[int, str]:
-        # _starving() is None while oldest is under a window old; skip its frame
-        starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
-        if starving is not None:
-            token = self._prefer(starving, tokens)
-        elif self.schedule_kind == "seeded-random":
-            token = tokens[self.sched_rng.randrange(len(tokens))]
-        elif self.schedule_kind == "round-robin":
-            token = self._round_robin(tokens)
+        if self.script_pos < len(self.script):
+            token = self._scripted(tokens)  # a script runs verbatim: no starvation override
         else:
-            token = self._scripted(tokens)
+            # _starving() is None while oldest is under a window old; skip its frame
+            starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
+            if starving is not None:
+                token = self._prefer(starving, tokens)
+            elif self.schedule_kind == "seeded-random":
+                token = tokens[self.sched_rng.randrange(len(tokens))]
+            else:  # round-robin, or a scripted schedule past its script
+                token = self._round_robin(tokens)
         # above every other stamp, so oldest stays a lower bound
         self.since[token[0]] = self.turn + 1
         return token
@@ -364,18 +368,15 @@ class Simulation:
         raise SimulationError("round-robin found no token")
 
     def _scripted(self, tokens) -> tuple[int, str]:
-        script = self.config.schedule.script
-        if self.script_pos < len(script):
-            token = script[self.script_pos]
-            self.script_pos += 1
-            if token not in tokens:
-                pid, thread = token
-                raise SimulationError(
-                    f"schedule script entry {self.script_pos - 1} names "
-                    f"disabled thread {thread!r} of p{pid} at turn {self.turn}"
-                )
-            return token
-        return self._round_robin(tokens)
+        token = self.script[self.script_pos]
+        self.script_pos += 1
+        if token not in tokens:
+            pid, thread = token
+            raise SimulationError(
+                f"schedule script entry {self.script_pos - 1} names "
+                f"disabled thread {thread!r} of p{pid} at turn {self.turn}"
+            )
+        return token
 
     # --- stepping -----------------------------------------------------------
 

@@ -1,11 +1,14 @@
 """Wider randomized sweeps than the unit tests: alternate oracle policies,
 schedule policies and workload shapes, all checked by the full suite."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bocast.checker import any_failure, check_all
-from bocast.kscd import unfold_views
+from bocast.k2s import canon_sets
+from bocast.kscd import EngineInvariantError, unfold_views
 from bocast.rng import derive
 from bocast.scenario import WorkItem
 from bocast.sim import run_scenario
@@ -79,3 +82,36 @@ def test_unfold_views_partitions_the_largest_view(views):
         prefix |= part
         rebuilt.append(frozenset(prefix))
     assert set(rebuilt) == set(views)
+
+
+def unfold_by_minimum(sets) -> list[frozenset]:
+    """The reference unfolding: take the non-empty view of minimal size,
+    subtract it from every view, repeat."""
+    work = list(sets)
+    out = []
+    while nonempty := [s for s in work if s]:
+        min_size = min(len(s) for s in nonempty)
+        mins = {s for s in nonempty if len(s) == min_size}
+        if len(mins) != 1:
+            raise EngineInvariantError(f"non-nested view family: ties among {canon_sets(mins)}")
+        chosen = next(iter(mins))
+        out.append(chosen)
+        work = [s - chosen for s in work]
+    return out
+
+
+@given(st.one_of(
+    nested_views(),
+    st.lists(st.frozensets(st.sampled_from("abcd")), max_size=5),
+    nested_views().map(lambda views: [frozenset(), *views, *views]),
+))
+@settings(max_examples=300, deadline=None)
+def test_unfold_views_matches_the_reference(views):
+    # chains, their repeats and empty views, and families that are no chain
+    try:
+        expected = unfold_by_minimum(views)
+    except EngineInvariantError as exc:
+        with pytest.raises(EngineInvariantError, match=re.escape(str(exc))):
+            unfold_views(views)
+    else:
+        assert unfold_views(views) == expected

@@ -8,8 +8,9 @@ delivered), and which process the starvation rule must force, from
 per-process stall counters updated every turn.  It asserts that the
 simulator's incrementally kept token list and starvation stamps agree,
 that ``oldest`` bounds every live stamp from below, that a forced pick
-goes to the starved process, and that every event emitted during turn
-t, a crash included, carries ``turn == t``.
+goes to the starved process (except while a schedule script runs, which
+it does verbatim), and that every event emitted during turn t, a crash
+included, carries ``turn == t``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class PollingOracle(Simulation):
         self.overrides = 0
         self.stale_bounds = 0  # turns on which _starving() looked at every stamp
         self.events_checked = 0
+        self.scripted_past_starving = 0  # script turns that left a starving process waiting
 
     def _events_since(self, start: int) -> None:
         events = self.recorder.events[start:]
@@ -88,8 +90,11 @@ class PollingOracle(Simulation):
         assert self.oldest <= min(s for s in self.since if s is not None), f"turn {self.turn}"
         self.stale_bounds += self.oldest <= self.turn - self.fair_window
         assert self._starving() == (starving[0] if starving else None), f"turn {self.turn}"
+        scripted = self.script_pos < len(self.script)  # a script runs verbatim
         token = super()._pick(tokens)
-        if starving:
+        if scripted:
+            self.scripted_past_starving += bool(starving)
+        elif starving:
             assert token[0] == starving[0], f"turn {self.turn}"
         for pid in self.stall:
             if pid == token[0] or pid not in owners:
@@ -97,7 +102,7 @@ class PollingOracle(Simulation):
             else:
                 self.stall[pid] += 1
         self.turns_checked += 1
-        self.overrides += bool(starving)
+        self.overrides += bool(starving) and not scripted
         return token
 
     def run(self):
@@ -169,6 +174,22 @@ def test_scripted_schedule_prefix_then_fallback():
     cfg = stack_config(3, 2, 0, propose_workload(3, {1: [0, 1], 2: [0], 3: [1]}),
                        schedule="scripted", script=script, crash_plan=((3, 20),))
     checked_run(cfg)
+
+
+def test_a_script_runs_verbatim_past_the_starvation_window():
+    # p1 runs 12 turns while p2's script thread waits: the window is 4n = 8
+    # turns, so the starvation rule would hand p2 turn 8, were it not a script
+    wl = {
+        1: (*(B(f"m{i}") for i in range(11)), WorkItem(op="deliver", msgs=("1:0",))),
+        2: (B("x"), WorkItem(op="deliver", msgs=("2:0",))),
+    }
+    script = ((1, "script"),) * 12 + ((2, "script"),)
+    cfg = stack_config(2, 1, 0, wl, schedule="scripted", script=script)
+    sim = checked_run(cfg)
+    assert sim.scripted_past_starving > 0
+    trace = run_scenario(cfg)
+    turn_pids = sorted({(ev.turn, ev.pid) for ev in trace.events})
+    assert turn_pids == [(t, 1) for t in range(12)] + [(12, 2), (13, 2)]
 
 
 @pytest.mark.parametrize(

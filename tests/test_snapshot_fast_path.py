@@ -1,0 +1,286 @@
+"""The one-pass snapshot replay against the cell-by-cell walk.
+
+``checker.replays_in_one_pass`` lets the ``snapshot`` suite skip the
+per-cell walk of every object it accepts, and lets ``k2s`` skip the
+per-output view families of a SNAP2 object it accepts.  A "no" must
+leave both suites as they were, so with the helper forced to say "no"
+everywhere, every verdict byte must stay what the fast paths give.  That
+is checked on the verdict-pin mutants and their bases, on the checked-in
+traces, and on forged traces of MEM and one K2S round (KSET, SNAP1,
+SNAP2) whose forgeries are the cases the fast paths must refuse: a cell
+written twice, a pid outside 1..n, a trailing extra cell, a boolean or
+float among MEM counts, an empty SNAP2 snapshot, views that break the
+chain or leave the inputs.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from bocast import checker
+from bocast.checker import TraceIndex, check_all, serialize_verdicts
+from bocast.sim import run_scenario
+from bocast.trace import Event, Trace, parse_trace
+
+from _drivers import sampled_stack_config, stack_config
+from test_verdict_pins import base_traces, mutants
+
+
+def assert_paths_agree(trace, name="") -> None:
+    fast = serialize_verdicts(check_all(trace))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checker, "replays_in_one_pass", lambda *args, **kwargs: False)
+        full = serialize_verdicts(check_all(trace))
+    assert fast == full, name
+
+
+def test_verdict_pin_mutants_and_their_bases():
+    bases = base_traces()
+    forged = list(mutants(bases))
+    assert len(forged) == 106
+    for name, trace in [*bases.items(), *forged]:
+        assert_paths_agree(trace, name)
+
+
+@pytest.mark.parametrize("path", sorted(Path("scenarios").glob("*/*.trace")), ids=str)
+def test_checked_in_traces(path):
+    assert_paths_agree(parse_trace(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_honest_runs_take_the_fast_paths(seed):
+    index = TraceIndex(run_scenario(sampled_stack_config(4, 2, seed)))
+    rounds = index.k2s_instances()
+    assert rounds
+    assert checker.replays_in_one_pass(index.n, index.objects["MEM"], mem=True)
+    for r in rounds:
+        inputs = {args[0] for _, _, _, args, _ in index.objects[f"KSET[{r}]"]}
+        bound = min(index.k, len(inputs))
+        assert checker.replays_in_one_pass(index.n, index.objects[f"SNAP1[{r}]"], mem=False)
+        assert checker._growing_chain(index.n, index.objects[f"SNAP2[{r}]"], inputs, bound)
+
+
+# --- forged traces: MEM and one K2S round -----------------------------------------
+
+# An access is [pid, object, op, args, result]; the n processes each run
+# these phases in turn, in an interleaving hypothesis draws.
+PHASES = (
+    "mem-write", "mem-snapshot", "mem-write", "mem-snapshot",
+    "propose", "snap1-write", "snap1-snapshot", "snap2-write", "snap2-snapshot",
+)
+OUTSIDER = "9:9"  # a message id no process proposes
+
+
+@st.composite
+def k2s_round(draw):
+    """n, k and the accesses of a run whose snapshots all show the cells
+    written before them; a SNAP2 write holds the view its writer's SNAP1
+    snapshot gave or, drawn, a wild one (with an outsider, another
+    proposer's value alone, or empty)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    order = draw(st.permutations([pid for pid in range(1, n + 1) for _ in PHASES]))
+    order = order[: draw(st.one_of(st.just(len(order)), st.integers(0, len(order))))]
+    mem, snap1, snap2 = [0] * n, [None] * n, [None] * n
+    proposed: list[str] = []
+    phase = dict.fromkeys(range(1, n + 1), 0)
+    decided, seen = {}, {}
+    acc = []
+    for pid in order:
+        step = PHASES[phase[pid]]
+        phase[pid] += 1
+        if step == "mem-write":
+            mem[pid - 1] += 1
+            acc.append([pid, "MEM", "write", [mem[pid - 1]], None])
+        elif step == "mem-snapshot":
+            acc.append([pid, "MEM", "snapshot", None, list(mem)])
+        elif step == "propose":
+            value = f"{pid}:0"
+            proposed.append(value)
+            decided[pid] = draw(st.sampled_from(proposed))
+            acc.append([pid, "KSET[0]", "propose", [value], decided[pid]])
+        elif step == "snap1-write":
+            snap1[pid - 1] = decided[pid]
+            acc.append([pid, "SNAP1[0]", "write", [decided[pid]], None])
+        elif step == "snap1-snapshot":
+            seen[pid] = sorted({v for v in snap1 if v is not None})
+            acc.append([pid, "SNAP1[0]", "snapshot", None, list(snap1)])
+        elif step == "snap2-write":
+            view = draw(st.sampled_from((
+                seen[pid],
+                sorted({*seen[pid], OUTSIDER}),
+                [f"{draw(st.integers(1, n))}:0"],
+                [],
+            )))
+            snap2[pid - 1] = view
+            acc.append([pid, "SNAP2[0]", "write", [view], None])
+        else:
+            acc.append([pid, "SNAP2[0]", "snapshot", None, list(snap2)])
+    return n, k, acc
+
+
+def _where(acc, obj_prefix: str, op: str) -> list[int]:
+    return [i for i, a in enumerate(acc) if a[1].startswith(obj_prefix) and a[2] == op]
+
+
+def _show(acc, start: int, obj: str, pid: int, value) -> None:
+    """Every snapshot of ``obj`` from ``start`` on shows ``value`` in pid's cell."""
+    for a in acc[start:]:
+        if a[1] == obj and a[2] == "snapshot":
+            a[4] = [value if i == pid else cell for i, cell in enumerate(a[4], 1)]
+
+
+def rewrite_same(draw, n, acc) -> bool:
+    found = _where(acc, "SNAP", "write")
+    if found:
+        i = draw(st.sampled_from(found))
+        acc.insert(i + 1, list(acc[i]))
+    return bool(found)
+
+
+def rewrite_new(draw, n, acc) -> bool:
+    """A one-shot cell written again, with a value every later snapshot shows."""
+    found = _where(acc, "SNAP", "write")
+    if found:
+        i = draw(st.sampled_from(found))
+        pid, obj = acc[i][0], acc[i][1]
+        value = OUTSIDER if obj.startswith("SNAP1") else [OUTSIDER]
+        j = draw(st.integers(i + 1, len(acc)))
+        acc.insert(j, [pid, obj, "write", [value], None])
+        _show(acc, j + 1, obj, pid, value)
+    return bool(found)
+
+
+def pid_out_of_range(draw, n, acc) -> bool:
+    if acc:
+        acc[draw(st.integers(0, len(acc) - 1))][0] = draw(st.sampled_from((0, n + 1)))
+    return bool(acc)
+
+
+def trailing_null(draw, n, acc) -> bool:
+    found = _where(acc, "", "snapshot")
+    if found:
+        a = acc[draw(st.sampled_from(found))]
+        a[4] = [*a[4], None]
+    return bool(found)
+
+
+def non_int_count(draw, n, acc) -> bool:
+    """A MEM snapshot cell that equals the count but is a bool or a float."""
+    found = [
+        (i, j)
+        for i in _where(acc, "MEM", "snapshot")
+        for j, c in enumerate(acc[i][4])
+        if type(c) is int and c < 2
+    ]
+    if found:
+        i, j = draw(st.sampled_from(found))
+        cells = list(acc[i][4])
+        cells[j] = draw(st.sampled_from((bool, float)))(cells[j])
+        acc[i][4] = cells
+    return bool(found)
+
+
+def empty_snap2(draw, n, acc) -> bool:
+    """A SNAP2 snapshot taken before any view was written."""
+    writes = _where(acc, "SNAP2", "write")
+    at = draw(st.integers(0, writes[0] if writes else len(acc)))
+    acc.insert(at, [draw(st.integers(1, n)), "SNAP2[0]", "snapshot", None, [None] * n])
+    return True
+
+
+def _chain_break(draw, acc, writes):
+    """(i, view): one of the SNAP2 writes at ``writes`` and a view drawn
+    from the inputs that is incomparable with another written view; None
+    when there is none."""
+    inputs = {a[3][0] for a in acc if a[1] == "KSET[0]"}
+    pairs = [
+        (i, o)
+        for i in writes
+        for o in _where(acc, "SNAP2", "write")
+        if o != i and acc[o][3][0] and inputs - set(acc[o][3][0])
+    ]
+    if not pairs:
+        return None
+    i, o = draw(st.sampled_from(pairs))
+    other = acc[o][3][0]
+    return i, sorted({*other[1:], draw(st.sampled_from(sorted(inputs - set(other))))})
+
+
+def seen_chain_break(draw, n, acc) -> bool:
+    """A SNAP2 write that some snapshot follows, and every later snapshot,
+    hold a view that breaks the chain."""
+    snapshots = _where(acc, "SNAP2", "snapshot")
+    writes = [
+        i for i in _where(acc, "SNAP2", "write")
+        if 1 <= acc[i][0] <= n and snapshots and i < snapshots[-1]
+    ]
+    found = _chain_break(draw, acc, writes)
+    if found:
+        i, view = found
+        acc[i][3] = [view]
+        _show(acc, i + 1, "SNAP2[0]", acc[i][0], view)
+    return bool(found)
+
+
+def unseen_chain_break(draw, n, acc) -> bool:
+    """A process's SNAP2 write moved after every SNAP2 access, its own
+    snapshot dropped, with a view that breaks the chain."""
+    writes = [i for i in _where(acc, "SNAP2", "write") if 1 <= acc[i][0] <= n]
+    found = _chain_break(draw, acc, writes)
+    if found:
+        i, view = found
+        pid = acc[i][0]
+        _show(acc, i + 1, "SNAP2[0]", pid, None)
+        acc[:] = [a for a in acc if not (a[0] == pid and a[1] == "SNAP2[0]")]
+        acc.append([pid, "SNAP2[0]", "write", [view], None])
+    return bool(found)
+
+
+def view_outside_inputs(draw, n, acc) -> bool:
+    """A SNAP2 view, and every later snapshot of it, gains the outsider."""
+    found = [i for i in _where(acc, "SNAP2", "write") if 1 <= acc[i][0] <= n]
+    if found:
+        i = draw(st.sampled_from(found))
+        view = sorted({*acc[i][3][0], OUTSIDER})
+        acc[i][3] = [view]
+        _show(acc, i + 1, "SNAP2[0]", acc[i][0], view)
+    return bool(found)
+
+
+FORGERIES = {
+    f.__name__: f
+    for f in (
+        rewrite_same, rewrite_new, pid_out_of_range, trailing_null, non_int_count,
+        empty_snap2, unseen_chain_break, seen_chain_break, view_outside_inputs,
+    )
+}
+
+
+def as_trace(n: int, k: int, acc) -> Trace:
+    events = [
+        Event(pid, "object-access", {"object": obj, "op": op, "args": args, "result": res}, turn)
+        for turn, (pid, obj, op, args, res) in enumerate(acc)
+    ]
+    return Trace(stack_config(n, k, 0, {}), events, "quiescent", len(events))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k2s_round(), st.lists(st.sampled_from(sorted(FORGERIES)), max_size=3), st.data())
+def test_forged_rounds(run, forgeries, data):
+    n, k, acc = run
+    for name in forgeries:
+        FORGERIES[name](data.draw, n, acc)
+    assert_paths_agree(as_trace(n, k, acc))
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+@settings(max_examples=40, deadline=None)
+@given(run=k2s_round(), data=st.data())
+def test_each_forgery(name, run, data):
+    n, k, acc = run
+    assume(FORGERIES[name](data.draw, n, acc))
+    assert_paths_agree(as_trace(n, k, acc))
