@@ -1,28 +1,16 @@
 """Deterministic simulator and trace checker for a bounded-order broadcast
 stack built from k-set agreement and snapshot objects."""
 
-from .scenario import ConfigError, ScenarioConfig, SchedulePolicy, WorkItem, load_scenario
-from .sim import Simulation, SimulationError, run_scenario
-from .trace import Event, Trace, parse_trace, read_trace, serialize_trace, write_trace
-from .checker import ALL_SUITES, Verdict, build_order, check_all
+from .scenario import ScenarioConfig
+from .sim import run_scenario
+from .trace import parse_trace, serialize_trace
+from .checker import ALL_SUITES, check_all
 
 __all__ = [
     "ALL_SUITES",
-    "ConfigError",
-    "Event",
     "ScenarioConfig",
-    "SchedulePolicy",
-    "Simulation",
-    "SimulationError",
-    "Trace",
-    "Verdict",
-    "WorkItem",
-    "build_order",
     "check_all",
-    "load_scenario",
     "parse_trace",
-    "read_trace",
     "run_scenario",
     "serialize_trace",
-    "write_trace",
 ]

@@ -386,15 +386,15 @@ def _growing_chain(n: int, accesses, inputs: set, bound: int) -> set[int] | None
     """The pids that took a snapshot of a SNAP2 object whose every output
     is known safe without looking at it, or None when that is not shown.
 
-    When the object replays in one pass, each output is the family of
-    distinct views written before it, so the outputs are prefixes of one
-    growing family and nest pairwise.  If moreover every written view
-    lies in ``inputs`` with a size in 1..``bound``, every snapshot sees
-    1..``bound`` distinct views and the written views form a chain, then
-    every output passes validity, set size, view size and both
-    inclusions.
+    When the object's snapshots nest (``replay``), each output is the
+    family of distinct views written before it, so the outputs are
+    prefixes of one growing family and nest pairwise.  If moreover every
+    written view lies in ``inputs`` with a size in 1..``bound``, every
+    snapshot sees 1..``bound`` distinct views and the written views form
+    a chain, then every output passes validity, set size, view size and
+    both inclusions.
     """
-    if not replays_in_one_pass(n, accesses, mem=False):
+    if not replay(n, accesses, mem=False)[1]:
         return None
     views: set[frozenset] = set()  # the distinct views written so far
     pids = set()
@@ -438,32 +438,25 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
                 outputs[pid] = frozenset(frozenset(cell) for cell in res if cell is not None)
         snapped[r] = set(outputs)
 
-        for pid in sorted(outputs):
+        pids_out = sorted(outputs)
+        for pid in pids_out:
             sets = outputs[pid]
-            for view in sets:
-                bad = sorted(v for v in view if v not in inputs)
+            # by size, then content: the witnesses do not depend on set order
+            views = sorted((len(view), sorted(view), view) for view in sets)
+            for size, values, _view in views:
+                bad = [v for v in values if v not in inputs]
                 if bad and not validity:
                     validity = {"instance": r, "pid": pid, "values": bad}
+                if not (1 <= size <= bound) and not view_size:
+                    view_size = {"instance": r, "pid": pid, "view": values, "bound": bound}
             if not (1 <= len(sets) <= bound) and not set_size:
                 set_size = {"instance": r, "pid": pid, "sets": len(sets), "bound": bound}
-            for view in sets:
-                if not (1 <= len(view) <= bound) and not view_size:
-                    view_size = {"instance": r, "pid": pid, "view": sorted(view), "bound": bound}
-            views = sorted(sets, key=len)
-            for i in range(len(views) - 1):
-                if not views[i] <= views[i + 1] and not intra:
-                    intra = {
-                        "instance": r,
-                        "pid": pid,
-                        "views": [sorted(views[i]), sorted(views[i + 1])],
-                    }
-        pids_out = sorted(outputs)
-        for i in range(len(pids_out)):
-            for j in range(i + 1, len(pids_out)):
-                si = outputs[pids_out[i]]
-                sj = outputs[pids_out[j]]
-                if not (si <= sj or sj <= si) and not inter:
-                    inter = {"instance": r, "pids": [pids_out[i], pids_out[j]]}
+            for (_, low, a), (_, high, b) in zip(views, views[1:]):
+                if not a <= b and not intra:
+                    intra = {"instance": r, "pid": pid, "views": [low, high]}
+        pair = None if inter else first_incomparable([outputs[pid] for pid in pids_out])
+        if pair is not None:
+            inter = {"instance": r, "pids": [pids_out[pair[0]], pids_out[pair[1]]]}
 
     out.append(_verdict("k2s.validity", validity))
     out.append(_verdict("k2s.set-size", set_size))
@@ -488,14 +481,6 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
     return out
 
 
-def _canon_cell(value):
-    if isinstance(value, list):
-        return tuple(value) if not value or not isinstance(value[0], list) else tuple(
-            tuple(v) for v in value
-        )
-    return value
-
-
 def first_incomparable(views) -> tuple[int, int] | None:
     """The first pair (i, j), i < j in list order, of views neither of
     which contains the other; None when the views form a chain.
@@ -515,90 +500,81 @@ def first_incomparable(views) -> tuple[int, int] | None:
     raise AssertionError("a sorted family that is not a chain has an incomparable pair")
 
 
-def _is_count(value, expect: int) -> bool:
-    return type(value) is int and value == expect  # not bool, not float
-
-
 _INT = frozenset((int,))
 
 
-def replays_in_one_pass(n: int, accesses, mem: bool) -> bool:
-    """Whether a snapshot object's accesses replay against one running
-    list of its n cells, so that both snapshot laws hold for it.
+def replay(n: int, accesses, mem: bool) -> tuple[tuple[int, int] | None, bool]:
+    """Replay a snapshot object's accesses against one running list of
+    its n cells: ``(bad, nested)``.
 
     The cells keep the raw written values, which have the JSON shape of
     the snapshot cells, so each snapshot costs one list comparison.  A
-    one-shot cell (``SNAP1``, ``SNAP2``) starts empty (None) and is
-    written once, with a value; a MEM cell starts at 0 and each write
-    raises it by one, an int.  The answer is False, at the first access
-    that breaks these rules: a pid outside 1..n, a one-shot cell written
-    twice, a MEM write that is not the next count, a snapshot not equal
-    to the cells, or a MEM snapshot holding other than ints (``true``
-    and ``1.0`` equal counts).  False says nothing about the laws; the
-    caller then walks the object cell by cell.
+    one-shot cell (``SNAP1``, ``SNAP2``) starts empty (None); a MEM cell
+    starts at 0 and each write raises it by one, an int.
+
+    ``bad`` is (step, cell) of the first access that breaks replay, where
+    the pass stops, or None.  It breaks on a pid outside 1..n (the cell is
+    the pid), a MEM write that is not the next count (the writer's cell),
+    and a snapshot that is not equal to the cells or, for MEM, holds other
+    than ints (``true`` and ``1.0`` equal counts); the cell is then the
+    first that differs, or the first missing or extra one.  ``nested`` is
+    whether nothing broke replay and no one-shot cell was written twice:
+    each snapshot then holds the cells written before it, so the
+    snapshots nest.
     """
     cells = [0 if mem else None] * n
-    for _step, pid, op, args, res in accesses:
+    rewritten = False
+    for step, pid, op, args, res in accesses:
         if not 0 < pid <= n:
-            return False
+            return (step, pid), False
         if op == "write":
             value, i = args[0], pid - 1
             if mem:
                 if type(value) is not int or value != cells[i] + 1:
-                    return False
-            elif value is None or cells[i] is not None:
-                return False
+                    return (step, pid), False
+            elif cells[i] is not None:
+                rewritten = True
             cells[i] = value
         elif op == "snapshot" and (res != cells or mem and not _INT.issuperset(map(type, res))):
-            return False
-    return True
+            differ = (
+                i for i, (got, want) in enumerate(zip(res, cells), 1)
+                if got != want or mem and type(got) is not int
+            )
+            return (step, next(differ, min(len(res), n) + 1)), False
+    return None, not rewritten
 
 
 def _check_snapshot(index: TraceIndex) -> list[Verdict]:
-    """View containment of the one-shot objects and replay of every
-    snapshot object.  An object that replays in one pass holds both
-    laws; any other is walked cell by cell, which finds the witnesses."""
-    containment = replay = None
+    """Replay of every snapshot object and view containment of the
+    one-shot ones, from one ``replay`` pass per object.  Only a one-shot
+    object whose snapshots are not shown to nest has its snapshot views
+    compared."""
+    containment = broken = None
     for object_id in sorted(index.objects):
         if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
             continue
+        accesses = index.objects[object_id]
         mem = object_id == "MEM"
-        if replays_in_one_pass(index.n, index.objects[object_id], mem):
+        bad, nested = replay(index.n, accesses, mem)
+        if bad is not None and broken is None:
+            broken = {"object": object_id, "step": bad[0], "cell": bad[1]}
+        if mem or nested or containment is not None:
             continue
-        cells: dict[int, object] = {}
-        views = []  # (step, pid, {(cell number, value)}) of each snapshot
-        for step, pid, op, args, res in index.objects[object_id]:  # in step order
-            bad = None  # the first cell (from 1) that fails replay
-            if op == "write":
-                value = _canon_cell(args[0])
-                # MEM cells are counts: each write by p raises p's count by one
-                if mem and not _is_count(value, cells.get(pid, 0) + 1):
-                    bad = pid
-                cells[pid] = value
-            elif op == "snapshot" and mem:
-                # an unwritten MEM cell reads 0
-                bad = next(
-                    (i for i, cell in enumerate(res, 1) if not _is_count(cell, cells.get(i, 0))),
-                    None,
-                )
-            elif op == "snapshot":
-                view = {i: _canon_cell(cell) for i, cell in enumerate(res, 1) if cell is not None}
-                if view != cells:
-                    cell_nos = range(1, len(res) + 1)
-                    bad = next((i for i in cell_nos if view.get(i) != cells.get(i)), None)
-                views.append((step, pid, frozenset(view.items())))
-            if bad is not None and replay is None:
-                replay = {"object": object_id, "step": step, "cell": bad}
-        if containment is None and object_id.startswith(("SNAP1[", "SNAP2[")):
-            pair = first_incomparable([entries for _, _, entries in views])
-            if pair is not None:
-                i, j = pair
-                containment = {
-                    "object": object_id,
-                    "pids": [views[i][1], views[j][1]],
-                    "steps": [views[i][0], views[j][0]],
-                }
-    return [_verdict("snapshot.containment", containment), _verdict("snapshot.replay", replay)]
+        snapshots = [(step, pid, res) for step, pid, op, _args, res in accesses if op == "snapshot"]
+        # a view is the set of (cell number, value) of the written cells;
+        # SNAP2 values are lists, hashed as tuples
+        pair = first_incomparable([
+            frozenset(
+                (i, tuple(cell) if type(cell) is list else cell)
+                for i, cell in enumerate(res, 1)
+                if cell is not None
+            )
+            for _, _, res in snapshots
+        ])
+        if pair is not None:
+            (step_i, pid_i, _), (step_j, pid_j, _) = snapshots[pair[0]], snapshots[pair[1]]
+            containment = {"object": object_id, "pids": [pid_i, pid_j], "steps": [step_i, step_j]}
+    return [_verdict("snapshot.containment", containment), _verdict("snapshot.replay", broken)]
 
 
 def _check_ksa(index: TraceIndex) -> list[Verdict]:

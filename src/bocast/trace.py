@@ -418,6 +418,10 @@ def parse_trace(text: str) -> Trace:
                     raise TraceFormatError(
                         f"line {lineno}: a {name} {op} with malformed args or result"
                     )
+                if op == "snapshot" and len(result) != n:
+                    raise TraceFormatError(
+                        f"line {lineno}: a {name} snapshot holds {len(result)} cells, not n = {n}"
+                    )
             elif type(kind) is not str or kind not in payloads:
                 raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
             else:

@@ -27,9 +27,10 @@ TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
 EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
 
 
-def _bocast(*args: str, timeout: int = 120) -> subprocess.CompletedProcess:
-    """``python -m bocast *args`` in a child process that imports this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]))
+def _bocast(*args: str, timeout: int = 120, **env: str) -> subprocess.CompletedProcess:
+    """``python -m bocast *args`` in a child process that imports this
+    checkout, with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bocast.__file__).resolve().parents[1]), **env)
     return subprocess.run(
         [sys.executable, "-m", "bocast", *args],
         capture_output=True, text=True, encoding="utf-8", env=env, timeout=timeout,
@@ -612,6 +613,60 @@ def test_check_rejects_malformed_records_naming_the_line(tmp_path, edit):
     bad = tmp_path / "bad.trace"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _assert_rejected(_check_subprocess(bad), lineno)
+
+
+def _edited_example(tmp_path, lineno: int, old: str, new: str) -> Path:
+    """The example trace with ``old`` replaced by ``new`` on line ``lineno``."""
+    lines = _example_lines()
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    path = tmp_path / "edited.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _verdicts(proc) -> dict:
+    return {rec["property"]: rec for rec in map(json.loads, proc.stdout.splitlines())}
+
+
+@pytest.mark.parametrize(
+    "lineno, old, new",
+    [
+        (4, "[0,0,1]", "[]"),
+        (8, "[0,1,1]", "[0,1]"),
+        (18, '[null,null,"1:0"]', "[null,null]"),  # hides p3's own SNAP1 cell
+        (4, "[0,0,1]", "[0,0,1,0]"),
+        (20, '[null,null,["1:0"]]', '[null,null,["1:0"],null]'),
+    ],
+    ids=["mem-empty", "mem-short", "snap1-short", "mem-extra", "snap2-extra"],
+)
+def test_check_rejects_a_snapshot_of_other_than_n_cells(tmp_path, lineno, old, new):
+    proc = _check_subprocess(_edited_example(tmp_path, lineno, old, new))
+    _assert_rejected(proc, lineno)
+    assert "cells, not n = 3" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ['"x"', "[1]"])
+def test_a_mem_write_that_is_not_a_count_fails_replay(tmp_path, value):
+    # line 10 is p1's first MEM write and line 80 its second
+    assert '[57,1,"MEM","write",[2],null]' == _example_lines()[79]
+    path = _edited_example(tmp_path, 10, '"MEM","write",[1]', f'"MEM","write",[{value}]')
+    proc = _check_subprocess(path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    replay = _verdicts(proc)["snapshot.replay"]
+    assert replay["witness"] == {"object": "MEM", "step": 8, "cell": 1}
+
+
+def test_k2s_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
+    # p2's SNAP2[0] output holds two views outside the inputs
+    old, new = '[["1:0","3:0"],["1:0","3:0"],["1:0"]]', '[["1:0","8:8"],["1:0","8:8"],["7:7"]]'
+    path = _edited_example(tmp_path, 29, old, new)
+    procs = [_bocast("check", "--trace", str(path), PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [proc.returncode for proc in procs] == [1, 1], procs[0].stderr
+    assert procs[0].stdout == procs[1].stdout
+    validity = _verdicts(procs[0])["k2s.validity"]
+    assert validity["witness"] == {"instance": 0, "pid": 2, "values": ["7:7"]}
 
 
 # --- payload fields: each deleted or retyped, one event shape at a time -------

@@ -1,27 +1,34 @@
-"""The one-pass snapshot replay against the cell-by-cell walk.
+"""The one-pass snapshot replay against a cell-by-cell reference walk.
 
-``checker.replays_in_one_pass`` lets the ``snapshot`` suite skip the
-per-cell walk of every object it accepts, and lets ``k2s`` skip the
-per-output view families of a SNAP2 object it accepts.  A "no" must
-leave both suites as they were, so with the helper forced to say "no"
-everywhere, every verdict byte must stay what the fast paths give.  That
-is checked on the verdict-pin mutants and their bases, on the checked-in
-traces, and on forged traces of MEM and one K2S round (KSET, SNAP1,
-SNAP2) whose forgeries are the cases the fast paths must refuse: a cell
-written twice, a pid outside 1..n, a trailing extra cell, a boolean or
-float among MEM counts, an empty SNAP2 snapshot, views that break the
-chain or leave the inputs.
+``checker.replay`` decides, in one pass over a snapshot object's
+accesses, where replay first breaks and whether the snapshots nest; the
+``snapshot`` suite takes both of its verdicts and witnesses from that
+pass and compares views only for a one-shot object not shown to nest.
+``reference_snapshot`` below is an independent definition of the same
+two verdicts: it walks each object cell by cell in dicts of canonical
+cells and compares every pair of one-shot views.  Their verdict bytes
+must agree.  The ``k2s`` suite skips the per-output view families of a
+SNAP2 object that ``checker._growing_chain`` accepts, so its verdicts
+must also be those of the per-output path with that skip turned off.
+Both are checked on the verdict-pin mutants and their bases, on the
+checked-in traces, and on forged traces of MEM and one K2S round (KSET,
+SNAP1, SNAP2) whose forgeries are the cases the one pass must catch: a
+cell written twice (also with a view that keeps the chain), a pid
+outside 1..n, a missing or trailing extra cell, a boolean or float among
+MEM counts, a MEM write that is not a count, an empty SNAP2 snapshot,
+views that break the chain or leave the inputs.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bocast import checker
-from bocast.checker import TraceIndex, check_all, serialize_verdicts
+from bocast.checker import TraceIndex, Verdict, check_all, serialize_verdicts
 from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, parse_trace
 
@@ -29,12 +36,87 @@ from _drivers import sampled_stack_config, stack_config
 from test_verdict_pins import base_traces, mutants
 
 
-def assert_paths_agree(trace, name="") -> None:
-    fast = serialize_verdicts(check_all(trace))
+def _canon(cell):
+    """A hashable copy of a cell: lists become tuples, at any depth."""
+    return tuple(map(_canon, cell)) if isinstance(cell, list) else cell
+
+
+def _is_count(value, expect: int) -> bool:
+    return type(value) is int and value == expect  # not bool, not float
+
+
+def _verdict(name: str, witness) -> Verdict:
+    return Verdict(name, "pass") if witness is None else Verdict(name, "fail", witness)
+
+
+def reference_snapshot(index: TraceIndex) -> list[Verdict]:
+    """The two ``snapshot`` verdicts by definition.
+
+    Cell i of an object is p_i's last write; a MEM cell reads 0 until
+    written, and each MEM write must raise the writer's count by one.
+    Every snapshot must show cells 1..n as written, no more and no fewer
+    (a MEM cell as an int).  Replay of an object fails at its first access
+    that breaks this, at the writer's cell for a write or a pid outside
+    1..n, and at the first wrong, missing or extra cell for a snapshot;
+    the walk stops replaying that object there.  The first failing object
+    in name order gives the witness.  Containment compares every pair of
+    snapshot views of each one-shot object, all of its snapshots counted.
+    """
+    n = index.n
+    containment = replay = None
+    for object_id in sorted(index.objects):
+        if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
+            continue
+        mem = object_id == "MEM"
+        cells: dict[int, object] = {}
+        views = []  # (step, pid, {(cell number, value)}) of each one-shot snapshot
+        bad = None  # (step, cell) where replay breaks
+        for step, pid, op, args, res in index.objects[object_id]:  # in step order
+            if op == "snapshot" and not mem:
+                view = frozenset((i, _canon(c)) for i, c in enumerate(res, 1) if c is not None)
+                views.append((step, pid, view))
+            if bad is not None:
+                continue
+            if not 1 <= pid <= n:
+                bad = step, pid
+            elif op == "write":
+                value = _canon(args[0])
+                if mem and not _is_count(value, cells.get(pid, 0) + 1):
+                    bad = step, pid
+                cells[pid] = value
+            elif op == "snapshot":
+
+                def wrong(i: int) -> bool:
+                    if i > len(res) or i > n:  # missing or extra
+                        return True
+                    if mem:
+                        return not _is_count(res[i - 1], cells.get(i, 0))
+                    return _canon(res[i - 1]) != cells.get(i)
+
+                cell = next((i for i in range(1, max(len(res), n) + 1) if wrong(i)), None)
+                if cell is not None:
+                    bad = step, cell
+        if bad is not None and replay is None:
+            replay = {"object": object_id, "step": bad[0], "cell": bad[1]}
+        if containment is None:
+            containment = next(
+                (
+                    {"object": object_id, "pids": [pid_a, pid_b], "steps": [step_a, step_b]}
+                    for (step_a, pid_a, a), (step_b, pid_b, b) in combinations(views, 2)
+                    if not (a <= b or b <= a)
+                ),
+                None,
+            )
+    return [_verdict("snapshot.containment", containment), _verdict("snapshot.replay", replay)]
+
+
+def assert_matches_the_references(trace, name="") -> None:
+    snapshot = serialize_verdicts(check_all(trace, ("snapshot",)))
+    assert snapshot == serialize_verdicts(reference_snapshot(TraceIndex(trace))), name
+    k2s = serialize_verdicts(check_all(trace, ("k2s",)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checker, "replays_in_one_pass", lambda *args, **kwargs: False)
-        full = serialize_verdicts(check_all(trace))
-    assert fast == full, name
+        mp.setattr(checker, "_growing_chain", lambda *args: None)
+        assert k2s == serialize_verdicts(check_all(trace, ("k2s",))), name
 
 
 def test_verdict_pin_mutants_and_their_bases():
@@ -42,12 +124,12 @@ def test_verdict_pin_mutants_and_their_bases():
     forged = list(mutants(bases))
     assert len(forged) == 106
     for name, trace in [*bases.items(), *forged]:
-        assert_paths_agree(trace, name)
+        assert_matches_the_references(trace, name)
 
 
 @pytest.mark.parametrize("path", sorted(Path("scenarios").glob("*/*.trace")), ids=str)
 def test_checked_in_traces(path):
-    assert_paths_agree(parse_trace(path.read_text(encoding="utf-8")))
+    assert_matches_the_references(parse_trace(path.read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -55,12 +137,26 @@ def test_honest_runs_take_the_fast_paths(seed):
     index = TraceIndex(run_scenario(sampled_stack_config(4, 2, seed)))
     rounds = index.k2s_instances()
     assert rounds
-    assert checker.replays_in_one_pass(index.n, index.objects["MEM"], mem=True)
+    assert checker.replay(index.n, index.objects["MEM"], mem=True) == (None, True)
     for r in rounds:
         inputs = {args[0] for _, _, _, args, _ in index.objects[f"KSET[{r}]"]}
         bound = min(index.k, len(inputs))
-        assert checker.replays_in_one_pass(index.n, index.objects[f"SNAP1[{r}]"], mem=False)
+        assert checker.replay(index.n, index.objects[f"SNAP1[{r}]"], mem=False) == (None, True)
         assert checker._growing_chain(index.n, index.objects[f"SNAP2[{r}]"], inputs, bound)
+
+
+@pytest.mark.parametrize("value", ["x", [1], 1.0, True])
+def test_a_mem_write_that_is_not_a_count_fails_replay_at_its_step(value):
+    # p1 writes a non-count, then writes again: the pass stops at the first
+    # write, so the second is never compared with it
+    acc = [
+        [1, "MEM", "write", [value], None],
+        [1, "MEM", "snapshot", None, [1, 0]],
+        [1, "MEM", "write", [2], None],
+    ]
+    verdicts = {v.property: v for v in check_all(as_trace(2, 1, acc), ("snapshot",))}
+    assert verdicts["snapshot.replay"].witness == {"object": "MEM", "step": 0, "cell": 1}
+    assert verdicts["snapshot.containment"].status == "pass"
 
 
 # --- forged traces: MEM and one K2S round -----------------------------------------
@@ -154,6 +250,24 @@ def rewrite_new(draw, n, acc) -> bool:
     return bool(found)
 
 
+def rewrite_grown(draw, n, acc) -> bool:
+    """A SNAP2 cell written again with its view plus one input, which
+    every later snapshot shows: the written views may still form a chain,
+    but snapshots before and after the rewrite need not nest."""
+    inputs = sorted({a[3][0] for a in acc if a[1] == "KSET[0]"})
+    found = [i for i in _where(acc, "SNAP2", "write") if 1 <= acc[i][0] <= n]
+    if found and inputs:
+        i = draw(st.sampled_from(found))
+        pid = acc[i][0]
+        view = acc[i][3][0]
+        added = draw(st.sampled_from([v for v in inputs if v not in view] or inputs))
+        view = sorted({*view, added})
+        j = draw(st.integers(i + 1, len(acc)))
+        acc.insert(j, [pid, "SNAP2[0]", "write", [view], None])
+        _show(acc, j + 1, "SNAP2[0]", pid, view)
+    return bool(found and inputs)
+
+
 def pid_out_of_range(draw, n, acc) -> bool:
     if acc:
         acc[draw(st.integers(0, len(acc) - 1))][0] = draw(st.sampled_from((0, n + 1)))
@@ -165,6 +279,21 @@ def trailing_null(draw, n, acc) -> bool:
     if found:
         a = acc[draw(st.sampled_from(found))]
         a[4] = [*a[4], None]
+    return bool(found)
+
+
+def missing_cell(draw, n, acc) -> bool:
+    found = _where(acc, "", "snapshot")
+    if found:
+        a = acc[draw(st.sampled_from(found))]
+        a[4] = a[4][:-1]
+    return bool(found)
+
+
+def mem_write_not_a_count(draw, n, acc) -> bool:
+    found = _where(acc, "MEM", "write")
+    if found:
+        acc[draw(st.sampled_from(found))][3] = [draw(st.sampled_from(("x", [1], 1.0, True)))]
     return bool(found)
 
 
@@ -254,8 +383,9 @@ def view_outside_inputs(draw, n, acc) -> bool:
 FORGERIES = {
     f.__name__: f
     for f in (
-        rewrite_same, rewrite_new, pid_out_of_range, trailing_null, non_int_count,
-        empty_snap2, unseen_chain_break, seen_chain_break, view_outside_inputs,
+        rewrite_same, rewrite_new, rewrite_grown, pid_out_of_range, trailing_null, missing_cell,
+        mem_write_not_a_count, non_int_count, empty_snap2, unseen_chain_break,
+        seen_chain_break, view_outside_inputs,
     )
 }
 
@@ -274,7 +404,7 @@ def test_forged_rounds(run, forgeries, data):
     n, k, acc = run
     for name in forgeries:
         FORGERIES[name](data.draw, n, acc)
-    assert_paths_agree(as_trace(n, k, acc))
+    assert_matches_the_references(as_trace(n, k, acc))
 
 
 @pytest.mark.parametrize("name", sorted(FORGERIES))
@@ -283,4 +413,24 @@ def test_forged_rounds(run, forgeries, data):
 def test_each_forgery(name, run, data):
     n, k, acc = run
     assume(FORGERIES[name](data.draw, n, acc))
-    assert_paths_agree(as_trace(n, k, acc))
+    assert_matches_the_references(as_trace(n, k, acc))
+
+
+def test_a_snap2_cell_rewritten_within_the_chain_is_not_taken_as_nested():
+    # the written views {1:0} and {1:0, 2:0} form a chain, but p1's output
+    # holds only the first and p2's only the second
+    acc = [
+        [1, "KSET[0]", "propose", ["1:0"], "1:0"],
+        [2, "KSET[0]", "propose", ["2:0"], "2:0"],
+        [1, "SNAP2[0]", "write", [["1:0"]], None],
+        [1, "SNAP2[0]", "snapshot", None, [["1:0"], None]],
+        [1, "SNAP2[0]", "write", [["1:0", "2:0"]], None],
+        [2, "SNAP2[0]", "snapshot", None, [["1:0", "2:0"], None]],
+    ]
+    trace = as_trace(2, 2, acc)
+    verdicts = {v.property: v.witness for v in check_all(trace, ("k2s", "snapshot"))}
+    assert verdicts["k2s.inter-inclusion"] == {"instance": 0, "pids": [1, 2]}
+    containment = {"object": "SNAP2[0]", "pids": [1, 2], "steps": [3, 5]}
+    assert verdicts["snapshot.containment"] == containment
+    assert verdicts["snapshot.replay"] is None
+    assert_matches_the_references(trace)

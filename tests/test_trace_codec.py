@@ -94,7 +94,8 @@ def accesses(draw) -> dict:
         if op == "write":
             args = [draw(cell)]
         else:
-            result = draw(st.lists(cell if family == "MEM" else st.none() | cell, max_size=N))
+            cells = cell if family == "MEM" else st.none() | cell
+            result = draw(st.lists(cells, min_size=N, max_size=N))
     return {"object": name, "op": op, "args": args, "result": result}
 
 
