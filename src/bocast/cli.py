@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .checker import (
     ALL_SUITES,
+    SCOPES,
     CheckerError,
     any_failure,
     build_order,
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scope",
         default="non-faulty-only",
-        choices=("non-faulty-only", "all-pairs-delivered-by-both"),
+        choices=SCOPES,
     )
     p.set_defaults(fn=cmd_decompose)
 

@@ -19,7 +19,7 @@ processes interleave between them.
 
 from __future__ import annotations
 
-from .objects import ProtocolViolation, SetAgreementOracle, SnapshotArray
+from .objects import SetAgreementOracle, SnapshotArray
 
 
 def canon_view(view) -> list:
@@ -37,15 +37,17 @@ class K2SInstance:
         self.oracle = oracle
         self.instance_no = instance_no
         self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", one_shot=True)
+        # SNAP2 cells hold views in canonic list form, as the trace writes them
         self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", one_shot=True)
-        # each SNAP2 cell's view in canonic list form, built once at its write
-        self.snap2_lists: list[list | None] = [None] * n
+        # the views written to SNAP2 so far, grown at each write: a
+        # one-shot cell is written once, so no read need rebuild it
+        self.family: frozenset = frozenset()
 
     # --- phase operations (one shared-object op each) -------------------
 
     def phase_propose(self, pid: int, value: str) -> str:
-        # a second invocation by pid is a second proposal to the oracle's
-        # instance, which the oracle refuses
+        # a second invocation by pid, or one to a round no later than its
+        # last, is a proposal the oracle refuses
         return self.oracle.propose(self.instance_no, pid, value)
 
     def phase_snap1_write(self, pid: int, val: str) -> None:
@@ -57,29 +59,29 @@ class K2SInstance:
 
     def phase_snap2_write(self, pid: int, view: frozenset) -> list:
         """Publish ``view``; returns its canonic list."""
-        self.snap2.write(pid, view)
-        listed = self.snap2_lists[pid - 1] = canon_view(view)
+        listed = canon_view(view)
+        self.snap2.write(pid, listed)
+        self.family = self.family | {view}
         return listed
 
     def phase_snap2_read(self, pid: int) -> tuple[list, frozenset]:
         """The cells as canonic lists (None where unwritten), and the
         family of views: the written ones."""
-        arr = self.snap2.snapshot(pid)
-        return list(self.snap2_lists), frozenset(v for v in arr if v is not None)
+        return list(self.snap2.snapshot(pid)), self.family
 
 
 class RepeatedK2S:
     """Instances keyed by round number, created lazily on first use.
 
-    Per-process round numbers must strictly increase; two snapshot objects
-    are allocated fresh for every instance.
+    Two snapshot objects are allocated fresh for every instance.  Per-process
+    round numbers must strictly increase: a round is entered by its
+    agreement proposal, which the oracle refuses otherwise.
     """
 
     def __init__(self, n: int, oracle: SetAgreementOracle):
         self.n = n
         self.oracle = oracle
         self.instances: dict[int, K2SInstance] = {}
-        self._last_round: dict[int, int] = {}
 
     def instance(self, round_no: int) -> K2SInstance:
         inst = self.instances.get(round_no)
@@ -87,13 +89,3 @@ class RepeatedK2S:
             inst = K2SInstance(self.n, self.oracle, round_no)
             self.instances[round_no] = inst
         return inst
-
-    def enter(self, pid: int, round_no: int) -> K2SInstance:
-        """Start p's participation in a round, enforcing round monotonicity."""
-        last = self._last_round.get(pid)
-        if last is not None and round_no <= last:
-            raise ProtocolViolation(
-                f"repeated K2S: p{pid} entered round {round_no} after round {last}"
-            )
-        self._last_round[pid] = round_no
-        return self.instance(round_no)

@@ -16,6 +16,13 @@ halves:
   the returned chain of views into a sequence of disjoint message sets,
   reconcile it with the pending sequence, and deliver the first set.
 
+The set of messages a process has delivered lives in one place: per
+sender, the first index not yet delivered (``prefix``) and the indices
+delivered past it (``ahead``).  A broadcast's wait compares ``prefix``
+with the counts its MEM snapshot saw, and a re-delivery is caught where a
+delivered set is recorded.  The engine keeps only the size of that set
+beside it, which numbers the next K2S round.
+
 Determinism choices: whenever "some message" of a set is needed, the
 minimum in canonical (sender, index) order is taken; any choice would be
 correct, a fixed one makes runs reproducible.
@@ -30,7 +37,7 @@ from __future__ import annotations
 from operator import ge
 
 from .k2s import RepeatedK2S, canon_sets
-from .messages import min_id, msg_key, sort_ids
+from .messages import min_id, msg_key
 from .objects import SnapshotArray
 from .trace import Recorder
 
@@ -40,13 +47,12 @@ class EngineInvariantError(RuntimeError):
 
 
 def unfold_views(sets) -> list[frozenset]:
-    """Turn a chain of views into a sequence of disjoint non-empty sets.
+    """Turn a chain of views into a sequence of disjoint non-empty sets:
+    each view less the one before it, in order of size.
 
-    Repeatedly takes the non-empty set of minimal size and subtracts it
-    from the rest.  Nested inputs guarantee the minimum is unique.  On a
-    chain that is each view less the one before it, so one sort by size
-    unfolds it; a family that is not a chain takes the loop, which names
-    the ties it meets.
+    Views of one-shot snapshots are nested, so the family is a chain
+    (empty and repeated views add nothing).  A family that is not a chain
+    raises, naming two views that tie or are incomparable.
     """
     out: list[frozenset] = []
     below = frozenset()  # the largest view taken so far
@@ -55,22 +61,16 @@ def unfold_views(sets) -> list[frozenset]:
             out.append(view - below)
             below = view
         elif view != below:
-            break
-    else:
-        return out
-    work = list(sets)
-    out = []
-    while True:
-        nonempty = [s for s in work if s]
-        if not nonempty:
-            return out
-        min_size = min(len(s) for s in nonempty)
-        mins = {s for s in nonempty if len(s) == min_size}
-        if len(mins) != 1:
-            raise EngineInvariantError(f"non-nested view family: ties among {canon_sets(mins)}")
-        chosen = next(iter(mins))
-        out.append(chosen)
-        work = [s - chosen for s in work]
+            raise EngineInvariantError(f"non-nested view family: {_unnested_pair(sets)}")
+    return out
+
+
+def _unnested_pair(sets) -> str:
+    """The first two views of a family that is not a chain, in canonic
+    order, of which the first is not in the second."""
+    family = canon_sets(sets)
+    a, b = next((a, b) for a, b in zip(family, family[1:]) if not set(a) <= set(b))
+    return f"{a} and {b} {'tie' if len(a) == len(b) else 'are incomparable'}"
 
 
 class MemCounts:
@@ -81,6 +81,13 @@ class MemCounts:
         self.array = SnapshotArray(n, "MEM", initial=0)
         self.total = 0
 
+    def publish(self, pid: int) -> int:
+        """Raise p's cell by one, for its next message; returns the new count."""
+        count = self.array.cells[pid - 1] + 1
+        self.array.write(pid, count)
+        self.total += 1
+        return count
+
 
 class BroadcastEngine:
     def __init__(self, pid: int, mem: MemCounts, kss: RepeatedK2S, recorder: Recorder):
@@ -89,11 +96,11 @@ class BroadcastEngine:
         self.kss = kss
         self.recorder = recorder
 
-        self.count = 0  # messages this process has published: its MEM cell
-        self.delivered: set[str] = set()
-        # prefix[s]: the first index of p_{s+1}'s messages not delivered
-        # here; ahead: (s, index) delivered past that prefix (sets are not
-        # delivered in index order)
+        # The messages delivered here: prefix[s] is the first index of
+        # p_{s+1}'s messages not delivered, and ahead holds (s, index) of
+        # those delivered past that prefix (sets are not delivered in index
+        # order).  delivered_count is their number, the next round's.
+        self.delivered_count = 0
         self.prefix = [0] * mem.array.n
         self.ahead: set[tuple[int, int]] = set()
         self.seq: list[frozenset] = []
@@ -101,7 +108,6 @@ class BroadcastEngine:
 
         self.tstate = "idle"  # idle|kset|snap1w|snap1s|snap2w|snap2s
         self.prop: str | None = None
-        self.round = -1
         self.val: str | None = None
         self.view: frozenset | None = None
         self._inst = None
@@ -110,10 +116,7 @@ class BroadcastEngine:
 
     def broadcast_write(self) -> None:
         """Publish this process's next message: its MEM count goes up by one."""
-        self.count += 1
-        self.mem.array.write(self.pid, self.count)
-        self.mem.total += 1
-        self._obj_event("MEM", "write", [self.count], None)
+        self._obj_event("MEM", "write", [self.mem.publish(self.pid)], None)
 
     def broadcast_snapshot(self) -> None:
         self.wait_for = self.mem.array.snapshot(self.pid)
@@ -131,7 +134,7 @@ class BroadcastEngine:
             return True
         # Everything delivered here is in MEM and MEM only grows, so some
         # message visible in MEM is undelivered iff MEM holds more.
-        return self.mem.total > len(self.delivered)
+        return self.mem.total > self.delivered_count
 
     def task_step(self) -> frozenset | None:
         """Run one task step; returns the delivered set when one is emitted."""
@@ -170,10 +173,10 @@ class BroadcastEngine:
         raise EngineInvariantError(f"unknown task state {self.tstate!r}")
 
     def _step_kset(self) -> None:
-        self.round = len(self.delivered)
-        self._inst = self.kss.enter(self.pid, self.round)
+        # the round is numbered by the delivery count
+        self._inst = self.kss.instance(self.delivered_count)
         self.val = self._inst.phase_propose(self.pid, self.prop)
-        self._obj_event(f"KSET[{self.round}]", "propose", [self.prop], self.val)
+        self._obj_event(f"KSET[{self.delivered_count}]", "propose", [self.prop], self.val)
         self.tstate = "snap1w"
         return None
 
@@ -187,12 +190,8 @@ class BroadcastEngine:
         self.seq = new_seq + self.seq
 
         first = self.seq.pop(0)
-        if first & self.delivered:
-            raise EngineInvariantError(
-                f"p{self.pid} re-delivery of {sort_ids(first & self.delivered)} at round {self.round}"
-            )
-        self.delivered |= first
         self._advance_prefixes(first)
+        self.delivered_count += len(first)
         self.tstate = "idle"
         self.prop = None
         self._inst = None
@@ -201,11 +200,16 @@ class BroadcastEngine:
     # --- helpers ----------------------------------------------------------
 
     def _advance_prefixes(self, mids) -> None:
+        """Record ``mids`` as delivered, none of which may be already."""
         prefix, ahead = self.prefix, self.ahead
         for mid in mids:
             sender, index = msg_key(mid)
             s = sender - 1
             if index != prefix[s]:
+                if index < prefix[s] or (s, index) in ahead:
+                    raise EngineInvariantError(
+                        f"p{self.pid} re-delivery of {mid} at round {self.delivered_count}"
+                    )
                 ahead.add((s, index))
                 continue
             index += 1

@@ -72,9 +72,8 @@ class SnapshotArray:
 
 @dataclass
 class KsaInstance:
-    instance_no: int
-    distinct: list = field(default_factory=list)    # distinct values in arrival order
-    decisions: dict = field(default_factory=dict)   # pid -> decided value
+    rng: SplitMix64  # the instance's own draws, for the adversarial policies
+    distinct: list = field(default_factory=list)  # distinct values in arrival order
 
 
 class SetAgreementOracle:
@@ -91,15 +90,13 @@ class SetAgreementOracle:
         self.policy = policy
         self.seed = seed
         self.instances: dict[int, KsaInstance] = {}
-        self._rngs: dict[int, SplitMix64] = {}
         self._last_instance: dict[int, int] = {}
 
     def instance(self, instance_no: int) -> KsaInstance:
         inst = self.instances.get(instance_no)
         if inst is None:
-            inst = KsaInstance(instance_no)
+            inst = KsaInstance(SplitMix64(derive(self.seed, "ksa", instance_no)))
             self.instances[instance_no] = inst
-            self._rngs[instance_no] = SplitMix64(derive(self.seed, "ksa", instance_no))
         return inst
 
     def propose(self, instance_no: int, pid: int, value: str) -> str:
@@ -114,9 +111,7 @@ class SetAgreementOracle:
         if value not in inst.distinct:
             inst.distinct.append(value)
 
-        decided = self._decide(inst, pid, value)
-        inst.decisions[pid] = decided
-        return decided
+        return self._decide(inst, pid, value)
 
     def _decide(self, inst: KsaInstance, pid: int, value: str) -> str:
         if self.policy == "first-1":
@@ -129,4 +124,4 @@ class SetAgreementOracle:
             pool = inst.distinct[: self.k + 1]
         else:
             raise ProtocolViolation(f"unknown oracle policy {self.policy!r}")
-        return pool[self._rngs[inst.instance_no].randrange(len(pool))]
+        return pool[inst.rng.randrange(len(pool))]

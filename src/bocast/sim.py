@@ -62,21 +62,18 @@ class _Process:
     """What both process kinds share: the work items and the emission of
     invocations and deliveries."""
 
-    def __init__(self, pid, items, recorder, payloads):
+    def __init__(self, pid, items, recorder):
         self.pid = pid
         self.items = items
         self.recorder = recorder
-        self.payloads = payloads  # mid -> payload, shared by all processes
         self.deliver_pos = 0
 
     def _invoke(self, item, index: int) -> str:
         """Emit the invocation of ``item`` as this process's message ``index``."""
         mid = f"{self.pid}:{index}"
         if item.op == "broadcast":
-            self.payloads[mid] = item.payload
             inv = {"op": "kbo_broadcast", "msg": mid, "payload": item.payload}
         else:
-            self.payloads[mid] = {"instance": item.instance, "value": item.value}
             inv = {"op": "ksa_propose", "msg": mid, "instance": item.instance, "value": item.value}
         self.recorder.emit(self.pid, "invoke", inv)
         return mid
@@ -94,14 +91,15 @@ class _Process:
 class _StackProcess(_Process):
     """Workload-driven main thread plus broadcast engine of one process."""
 
-    def __init__(self, pid, items, engine, recorder, payloads):
-        super().__init__(pid, items, recorder, payloads)
-        self.widx = 0
+    def __init__(self, pid, items, engine, recorder, proposals):
+        super().__init__(pid, items, recorder)
+        self.widx = 0  # items invoked; the current one, if any, is items[widx - 1]
         self.state = "idle"  # idle | bsnap | bwait | dwait
-        self.cur_item = None
-        self.cur_mid = None
         self.engine = engine
         self.task_enabled = engine.task_enabled  # the task thread is the engine's loop
+        # mid -> (instance, value) of every proposal, shared by all processes:
+        # only these deliveries are decided on, whatever a broadcast carries
+        self.proposals = proposals
         self.table = DecisionTable()
 
     def main_enabled(self) -> bool:
@@ -110,7 +108,7 @@ class _StackProcess(_Process):
         if self.state == "bwait":
             return self.engine.broadcast_wait_ok()
         if self.state == "dwait":
-            return self.table.ready(self.cur_item.instance)
+            return self.table.ready(self.items[self.widx - 1].instance)
         return True  # bsnap
 
     def main_blocked(self) -> bool:
@@ -120,8 +118,10 @@ class _StackProcess(_Process):
         """Run one main-thread step; returns whether it wrote MEM."""
         if self.state == "idle":
             # each item broadcasts one message, so the item's index is the message's
-            self.cur_item = self.items[self.widx]
-            self.cur_mid = self._invoke(self.cur_item, self.widx)
+            item = self.items[self.widx]
+            mid = self._invoke(item, self.widx)
+            if item.op == "propose":
+                self.proposals[mid] = (item.instance, item.value)
             self.widx += 1
             self.engine.broadcast_write()
             self.state = "bsnap"
@@ -130,13 +130,14 @@ class _StackProcess(_Process):
             self.engine.broadcast_snapshot()
             self.state = "bwait"
         elif self.state == "bwait":
-            if self.cur_item.op == "broadcast":
-                self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": self.cur_mid})
+            if self.items[self.widx - 1].op == "broadcast":
+                mid = f"{self.pid}:{self.widx - 1}"
+                self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": mid})
                 self.state = "idle"
             else:
                 self.state = "dwait"
         elif self.state == "dwait":
-            nb = self.cur_item.instance
+            nb = self.items[self.widx - 1].instance
             x = self.table.take(nb)
             self.recorder.emit(self.pid, "decide", {"instance": nb, "value": x})
             self.recorder.emit(
@@ -152,15 +153,17 @@ class _StackProcess(_Process):
         if delivered is None:
             return
         for mid in self._deliver(delivered):
-            self.table.on_deliver(self.payloads[mid])
+            proposal = self.proposals.get(mid)
+            if proposal is not None:
+                self.table.on_deliver(*proposal)
 
 
 class _ScriptProcess(_Process):
     """Replays prescribed broadcast/deliver items, one item per step, on
     its single ``script`` thread."""
 
-    def __init__(self, pid, items, recorder, payloads):
-        super().__init__(pid, items, recorder, payloads)
+    def __init__(self, pid, items, recorder):
+        super().__init__(pid, items, recorder)
         self.idx = 0
         self.next_index = 0
 
@@ -192,7 +195,6 @@ class Simulation:
         self.n = config.n
         self.mode = config.mode()
         self.recorder = Recorder()
-        payloads: dict[str, object] = {}
         self.turn = 0
         self.crashed: set[int] = set()
 
@@ -202,19 +204,20 @@ class Simulation:
                 k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle")
             )
             self.kss = RepeatedK2S(self.n, self.oracle)
+            proposals: dict[str, tuple[int, str]] = {}
             self.procs = {
                 pid: _StackProcess(
                     pid,
                     config.workload.get(pid, ()),
                     BroadcastEngine(pid, self.mem, self.kss, self.recorder),
                     self.recorder,
-                    payloads,
+                    proposals,
                 )
                 for pid in range(1, self.n + 1)
             }
         else:
             self.procs = {
-                pid: _ScriptProcess(pid, config.workload.get(pid, ()), self.recorder, payloads)
+                pid: _ScriptProcess(pid, config.workload.get(pid, ()), self.recorder)
                 for pid in range(1, self.n + 1)
             }
 
@@ -334,37 +337,36 @@ class Simulation:
             # _starving() is None while oldest is under a window old; skip its frame
             starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
             if starving is not None:
-                token = self._prefer(starving, tokens)
+                token = self._prefer(starving)
             elif self.schedule_kind == "seeded-random":
                 token = tokens[self.sched_rng.randrange(len(tokens))]
             else:  # round-robin, or a scripted schedule past its script
-                token = self._round_robin(tokens)
+                token = self._round_robin()
         # above every other stamp, so oldest stays a lower bound
         self.since[token[0]] = self.turn + 1
         return token
 
-    def _prefer(self, pid: int, tokens) -> tuple[int, str]:
-        mine = [t for t in tokens if t[0] == pid]
-        for want in ("task", "main", "script"):
-            for t in mine:
-                if t[1] == want:
-                    return t
+    def _prefer(self, pid: int) -> tuple[int, str]:
+        """``pid``'s task token if it owns one, else its main token."""
+        if self.task_on[pid]:
+            return (pid, "task")
+        if self.main_on[pid]:
+            return (pid, self.main_thread)
         raise SimulationError("starvation override found no token")
 
-    def _round_robin(self, tokens) -> tuple[int, str]:
+    def _round_robin(self) -> tuple[int, str]:
         for off in range(self.n):
             pid = ((self.rr_next - 1 + off) % self.n) + 1
-            mine = [t for t in tokens if t[0] == pid]
-            if not mine:
+            main, task = self.main_on[pid], self.task_on[pid]
+            if not (main or task):
                 continue
             self.rr_next = (pid % self.n) + 1
-            if len(mine) == 1:
-                token = mine[0]
+            if main and task:  # alternate between the two threads
+                thread = "main" if self.last_thread[pid] == "task" else "task"
             else:
-                prefer = "main" if self.last_thread[pid] == "task" else "task"
-                token = (pid, prefer)
-            self.last_thread[pid] = token[1]
-            return token
+                thread = self.main_thread if main else "task"
+            self.last_thread[pid] = thread
+            return (pid, thread)
         raise SimulationError("round-robin found no token")
 
     def _scripted(self, tokens) -> tuple[int, str]:

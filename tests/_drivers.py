@@ -191,7 +191,7 @@ def k2s_propose(inst: K2SInstance, pid: int, value: str) -> frozenset:
 
 
 def repeated_k2s_propose(kss: RepeatedK2S, pid: int, round_no: int, value: str) -> frozenset:
-    return k2s_propose(kss.enter(pid, round_no), pid, value)
+    return k2s_propose(kss.instance(round_no), pid, value)
 
 
 # --- posets: queries, builders, a brute-force width -------------------------------

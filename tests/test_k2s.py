@@ -31,14 +31,18 @@ def test_sequential_run_golden():
     # stream) give b and a; views then grow {a} -> {a,b} and both later
     # processes see both views in the second snapshot.
     inst = make_instance(3, 2, seed=1)
-    out1 = k2s_propose(inst, 1, "a")
-    out2 = k2s_propose(inst, 2, "b")
-    out3 = k2s_propose(inst, 3, "c")
-    assert inst.oracle.instances[0].decisions == {1: "a", 2: "b", 3: "a"}
-    assert canon_sets(out1) == [["a"]]
-    assert canon_sets(out2) == [["a"], ["a", "b"]]
-    assert canon_sets(out3) == [["a"], ["a", "b"]]
-    assert_k2s_properties({1: "a", 2: "b", 3: "c"}, {1: out1, 2: out2, 3: out3}, k=2)
+    decided = {}
+    outs = {}
+    for pid, value in ((1, "a"), (2, "b"), (3, "c")):
+        decided[pid] = inst.phase_propose(pid, value)
+        inst.phase_snap1_write(pid, decided[pid])
+        inst.phase_snap2_write(pid, inst.phase_snap1_read(pid)[1])
+        outs[pid] = inst.phase_snap2_read(pid)[1]
+    assert decided == {1: "a", 2: "b", 3: "a"}
+    assert canon_sets(outs[1]) == [["a"]]
+    assert canon_sets(outs[2]) == [["a"], ["a", "b"]]
+    assert canon_sets(outs[3]) == [["a"], ["a", "b"]]
+    assert_k2s_properties({1: "a", 2: "b", 3: "c"}, outs, k=2)
 
 
 def test_double_invocation_rejected():
@@ -70,9 +74,9 @@ class TestRepeated:
         kss = RepeatedK2S(2, oracle)
         repeated_k2s_propose(kss, 1, 3, "x")
         with pytest.raises(ProtocolViolation):
-            kss.enter(1, 3)
+            kss.instance(3).phase_propose(1, "y")
         with pytest.raises(ProtocolViolation):
-            kss.enter(1, 1)
+            kss.instance(1).phase_propose(1, "y")
 
 
 @pytest.mark.parametrize("seed", range(60))

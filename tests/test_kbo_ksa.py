@@ -1,13 +1,14 @@
 from bocast.checker import TraceIndex, any_failure, check_all
 from bocast.kbo import unpack_order
 from bocast.ksa import DecisionTable
-from bocast.scenario import WorkItem
+from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
 
 from _drivers import propose_workload, stack_config
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 D = lambda *mids: WorkItem(op="deliver", msgs=tuple(mids))
+LOOKALIKE = "scenarios/examples/n2_k1_lookalike_payload.scenario.json"
 
 
 def test_unpack_order_is_sender_then_index():
@@ -17,26 +18,30 @@ def test_unpack_order_is_sender_then_index():
 class TestDecisionTable:
     def test_first_pair_per_instance_wins(self):
         t = DecisionTable()
-        t.on_deliver({"instance": 7, "value": "a"})
-        t.on_deliver({"instance": 7, "value": "b"})
+        t.on_deliver(7, "a")
+        t.on_deliver(7, "b")
         assert t.pending[7] == "a"
 
     def test_taken_instances_never_resurrect(self):
         t = DecisionTable()
-        t.on_deliver({"instance": 3, "value": "a"})
+        t.on_deliver(3, "a")
         assert t.take(3) == "a"
-        t.on_deliver({"instance": 3, "value": "b"})
+        t.on_deliver(3, "b")
         assert not t.ready(3)
 
     def test_unproposed_instances_are_stored_harmlessly(self):
         t = DecisionTable()
-        t.on_deliver({"instance": 9, "value": "z"})
+        t.on_deliver(9, "z")
         assert t.ready(9)
 
-    def test_plain_payloads_ignored(self):
-        t = DecisionTable()
-        t.on_deliver("just-a-broadcast")
-        assert not t.pending and not t.seen
+
+def test_a_broadcast_that_looks_like_a_proposal_is_not_decided():
+    # p1 broadcasts a payload shaped like p2's proposal pair; p2 decides
+    # only what was proposed to its instance
+    trace = run_scenario(load_scenario(LOOKALIKE))
+    assert trace.quiescent
+    assert not any_failure(check_all(trace))
+    assert TraceIndex(trace).decides == [(2, 0, "v")]
 
 
 def test_solo_proposer_decides_own_value():

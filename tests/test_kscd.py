@@ -1,9 +1,14 @@
+import re
+
 import pytest
 
 from bocast.checker import TraceIndex, any_failure, check_all
-from bocast.kscd import EngineInvariantError, unfold_views
+from bocast.k2s import RepeatedK2S
+from bocast.kscd import BroadcastEngine, EngineInvariantError, MemCounts, unfold_views
+from bocast.objects import SetAgreementOracle
 from bocast.scenario import WorkItem
 from bocast.sim import run_scenario
+from bocast.trace import Recorder
 
 from _drivers import propose_workload, sampled_stack_config, stack_config
 
@@ -19,8 +24,24 @@ class TestUnfoldViews:
         assert unfold_views({frozenset({"x", "y"})}) == [frozenset({"x", "y"})]
 
     def test_size_ties_rejected(self):
-        with pytest.raises(EngineInvariantError):
+        with pytest.raises(EngineInvariantError, match=re.escape("['a'] and ['b'] tie")):
             unfold_views({frozenset("a"), frozenset("b")})
+
+    def test_incomparable_views_rejected(self):
+        # no two views tie, but the family is no chain
+        with pytest.raises(EngineInvariantError, match=re.escape("['a'] and ['b', 'c'] are incomparable")):
+            unfold_views({frozenset("a"), frozenset("bc"), frozenset("abc")})
+
+
+def test_a_second_delivery_of_a_message_is_refused():
+    oracle = SetAgreementOracle(k=1, policy="first-1", seed=0)
+    engine = BroadcastEngine(1, MemCounts(2), RepeatedK2S(2, oracle), Recorder())
+    engine._advance_prefixes({"1:0", "2:1"})  # 1:0 extends p1's prefix, 2:1 lies past p2's
+    for again in ("1:0", "2:1"):
+        with pytest.raises(EngineInvariantError, match=f"p1 re-delivery of {again} at round 0"):
+            engine._advance_prefixes({again})
+    engine._advance_prefixes({"2:0"})
+    assert engine.prefix == [1, 2] and not engine.ahead
 
 
 def test_solo_broadcast_delivers_own_message():

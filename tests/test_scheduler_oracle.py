@@ -4,13 +4,16 @@
 processes are enabled, by polling every process with the MEM-as-id-sets
 definitions (a task is enabled when some message visible in MEM is
 undelivered; a broadcast wait ends when every message its snapshot saw is
-delivered), and which process the starvation rule must force, from
-per-process stall counters updated every turn.  It asserts that the
-simulator's incrementally kept token list and starvation stamps agree,
-that ``oldest`` bounds every live stamp from below, that a forced pick
-goes to the starved process (except while a schedule script runs, which
-it does verbatim), and that every event emitted during turn t, a crash
-included, carries ``turn == t``.
+delivered; a process's delivered ids are those of its deliver-msg events,
+not the engine's own record), and which process the starvation rule must
+force, from per-process stall counters updated every turn.  It asserts
+that the simulator's incrementally kept token list and starvation stamps
+agree, that ``oldest`` bounds every live stamp from below, that a forced
+pick goes to the starved process, its task thread first (except while a
+schedule script runs, which it does verbatim), that every round-robin
+pick is the one a reference that scans the token list makes, and that
+every event emitted during turn t, a crash included, carries
+``turn == t``.
 """
 
 from __future__ import annotations
@@ -43,11 +46,18 @@ class PollingOracle(Simulation):
         self.stale_bounds = 0  # turns on which _starving() looked at every stamp
         self.events_checked = 0
         self.scripted_past_starving = 0  # script turns that left a starving process waiting
+        self.delivered = {pid: set() for pid in range(1, self.n + 1)}  # from deliver-msg events
+        self.rr_picks = 0  # round-robin picks checked against the reference
+        self.ref_rr_next = 1
+        self.ref_last_thread = {pid: "task" for pid in range(1, self.n + 1)}
 
     def _events_since(self, start: int) -> None:
         events = self.recorder.events[start:]
         assert [ev.turn for ev in events] == [self.turn] * len(events), f"turn {self.turn}"
         self.events_checked += len(events)
+        for ev in events:
+            if ev.kind == "deliver-msg":
+                self.delivered[ev.pid].add(ev.payload["msg"])
 
     def inject_crash(self, pid):
         start = len(self.recorder.events)
@@ -71,11 +81,12 @@ class PollingOracle(Simulation):
                     tokens.append((pid, "script"))
                 continue
             engine = proc.engine
+            delivered = self.delivered[pid]
             if proc.state == "bwait":
-                main = mem_ids(engine.wait_for) <= engine.delivered
+                main = mem_ids(engine.wait_for) <= delivered
             else:
                 main = proc.main_enabled()
-            backlog = mem_ids(self.mem.array.cells) - engine.delivered
+            backlog = mem_ids(self.mem.array.cells) - delivered
             task = engine.tstate != "idle" or bool(engine.seq) or bool(backlog)
             if main:
                 tokens.append((pid, "main"))
@@ -95,7 +106,11 @@ class PollingOracle(Simulation):
         if scripted:
             self.scripted_past_starving += bool(starving)
         elif starving:
-            assert token[0] == starving[0], f"turn {self.turn}"
+            mine = [t for t in tokens if t[0] == starving[0]]
+            assert token == min(mine, key=lambda t: t[1] != "task"), f"turn {self.turn}"
+        elif self.schedule_kind != "seeded-random":
+            assert token == self.reference_round_robin(tokens), f"turn {self.turn}"
+            self.rr_picks += 1
         for pid in self.stall:
             if pid == token[0] or pid not in owners:
                 self.stall[pid] = 0
@@ -104,6 +119,20 @@ class PollingOracle(Simulation):
         self.turns_checked += 1
         self.overrides += bool(starving) and not scripted
         return token
+
+    def reference_round_robin(self, tokens):
+        """From the next pid on, the first that owns a token; a pid owning
+        both takes the thread it did not take last."""
+        for off in range(self.n):
+            pid = (self.ref_rr_next - 1 + off) % self.n + 1
+            mine = [t for t in tokens if t[0] == pid]
+            if mine:
+                self.ref_rr_next = pid % self.n + 1
+                if len(mine) == 2:
+                    mine = [(pid, "main" if self.ref_last_thread[pid] == "task" else "task")]
+                self.ref_last_thread[pid] = mine[0][1]
+                return mine[0]
+        raise AssertionError("no token")
 
     def run(self):
         trace = super().run()
@@ -139,7 +168,7 @@ def test_starvation_overrides_are_exercised():
 @pytest.mark.parametrize("seed", range(4))
 def test_round_robin_with_crashes_and_proposals(seed):
     cfg = sampled_stack_config(4, 2, 100 + seed)
-    checked_run(dataclasses.replace(cfg, schedule=SchedulePolicy("round-robin")))
+    assert checked_run(dataclasses.replace(cfg, schedule=SchedulePolicy("round-robin"))).rr_picks > 0
 
 
 @pytest.mark.parametrize("schedule", ["seeded-random", "round-robin"])
@@ -199,6 +228,7 @@ def test_a_script_runs_verbatim_past_the_starvation_window():
         "scenarios/negative/ordering_breach.scenario.json",
         "scenarios/negative/width3_antichain.scenario.json",
         "scenarios/examples/n3_k2_propose.scenario.json",
+        "scenarios/examples/n2_k1_lookalike_payload.scenario.json",
     ],
 )
 def test_checked_in_scenarios(path):
