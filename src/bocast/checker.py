@@ -99,44 +99,44 @@ class TraceIndex:
         self.set_seqs: dict[int, list[tuple[int, tuple[str, ...]]]] = {pid: [] for pid in pids}
         self.msg_seqs: dict[int, list[str]] = {pid: [] for pid in pids}
         self.objects: dict[str, list] = {}
+        rounds: set[int] = set()
 
-        for step, ev in enumerate(trace.events):
-            kind = ev.kind
-            if kind == "crash":
-                self.faulty.add(ev.pid)
-            elif kind == "invoke":
-                self.invokes[ev.pid].append(ev.payload)
-                mid = ev.payload.get("msg")
-                if mid is not None:
-                    self.broadcasts.add(mid)
-                if ev.payload.get("op") == "ksa_propose":
-                    self.proposals.append(
-                        (ev.pid, ev.payload["instance"], ev.payload["value"])
-                    )
-            elif kind == "return":
-                self.returns[ev.pid].append(ev.payload)
-            elif kind == "decide":
-                self.decides.append((ev.pid, ev.payload["instance"], ev.payload["value"]))
+        objects, faulty, broadcasts = self.objects, self.faulty, self.broadcasts
+        for step, row in enumerate(trace.rows):
+            if len(row) == 6:
+                _turn, pid, name, op, args, result = row
+                accesses = objects.get(name)
+                if accesses is None:
+                    accesses = objects[name] = []
+                    m = _ROUND_OBJECT.fullmatch(name)
+                    if m:
+                        rounds.add(int(m.group(1)))
+                accesses.append((step, pid, op, args, result))
+                continue
+            _turn, pid, kind, payload = row
+            if kind == "deliver-msg":
+                self.msg_seqs[pid].append(payload["msg"])
             elif kind == "deliver-set":
-                self.set_seqs[ev.pid].append(
-                    (ev.payload["round"], tuple(ev.payload["set"]))
-                )
-            elif kind == "deliver-msg":
-                self.msg_seqs[ev.pid].append(ev.payload["msg"])
-            elif kind == "object-access":
-                self.objects.setdefault(ev.payload["object"], []).append(
-                    (step, ev.pid, ev.payload["op"], ev.payload["args"], ev.payload["result"])
-                )
+                self.set_seqs[pid].append((payload["round"], tuple(payload["set"])))
+            elif kind == "invoke":
+                self.invokes[pid].append(payload)
+                mid = payload.get("msg")
+                if mid is not None:
+                    broadcasts.add(mid)
+                if payload.get("op") == "ksa_propose":
+                    self.proposals.append((pid, payload["instance"], payload["value"]))
+            elif kind == "return":
+                self.returns[pid].append(payload)
+            elif kind == "decide":
+                self.decides.append((pid, payload["instance"], payload["value"]))
+            elif kind == "crash":
+                faulty.add(pid)
 
-        self.nonfaulty = [pid for pid in pids if pid not in self.faulty]
+        self.nonfaulty = [pid for pid in pids if pid not in faulty]
+        self.k2s_rounds = sorted(rounds)  # the r of every KSET[r], SNAP1[r] or SNAP2[r]
 
-    def k2s_instances(self) -> list[int]:
-        rounds = set()
-        for object_id in self.objects:
-            m = re.fullmatch(r"(?:KSET|SNAP1|SNAP2)\[(\d+)\]", object_id)
-            if m:
-                rounds.add(int(m.group(1)))
-        return sorted(rounds)
+
+_ROUND_OBJECT = re.compile(r"(?:KSET|SNAP1|SNAP2)\[(\d+)\]")
 
 
 @dataclass
@@ -415,7 +415,7 @@ def _growing_chain(n: int, accesses, inputs: set, bound: int) -> set[int] | None
 
 def _check_k2s(index: TraceIndex) -> list[Verdict]:
     out = []
-    instances = index.k2s_instances()
+    instances = index.k2s_rounds
 
     proposals: dict[int, dict[int, str]] = {}
     snapped: dict[int, set[int]] = {}  # the pids that took a SNAP2[r] snapshot
@@ -602,7 +602,7 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
     out.append(_verdict("ksa.agreement", agreement))
 
     oracle_validity = oracle_agreement = None
-    for r in index.k2s_instances():
+    for r in index.k2s_rounds:
         events = [e for e in index.objects.get(f"KSET[{r}]", ()) if e[2] == "propose"]
         proposed = {args[0] for _, _, _, args, _ in events}
         decided_vals = {res for _, _, _, _, res in events}

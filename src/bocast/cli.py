@@ -69,7 +69,7 @@ def cmd_run(args) -> int:
             return _fail_usage(f"--out: cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(serialize_trace(trace))
-    print(f"run: {trace.outcome} after {trace.turns} turns, {len(trace.events)} events", file=sys.stderr)
+    print(f"run: {trace.outcome} after {trace.turns} turns, {len(trace.rows)} events", file=sys.stderr)
     return EXIT_OK if trace.quiescent else EXIT_BUDGET
 
 

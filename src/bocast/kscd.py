@@ -219,8 +219,4 @@ class BroadcastEngine:
             prefix[s] = index
 
     def _obj_event(self, object_id: str, op: str, args, result) -> None:
-        self.recorder.emit(
-            self.pid,
-            "object-access",
-            {"object": object_id, "op": op, "args": args, "result": result},
-        )
+        self.recorder.emit(self.pid, object_id, op, args, result)

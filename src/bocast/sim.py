@@ -66,7 +66,6 @@ class _Process:
         self.pid = pid
         self.items = items
         self.recorder = recorder
-        self.deliver_pos = 0
 
     def _invoke(self, item, index: int) -> str:
         """Emit the invocation of ``item`` as this process's message ``index``."""
@@ -78,13 +77,14 @@ class _Process:
         self.recorder.emit(self.pid, "invoke", inv)
         return mid
 
-    def _deliver(self, mids) -> list[str]:
-        """Emit one delivered set, then its members one by one."""
+    def _deliver(self, mids, position: int) -> list[str]:
+        """Emit one delivered set, then its members one by one; ``position``
+        is the number of messages this process delivered before the set."""
         order = unpack_order(mids)
-        self.recorder.emit(self.pid, "deliver-set", {"round": self.deliver_pos, "set": order})
-        for mid in order:
-            self.recorder.emit(self.pid, "deliver-msg", {"msg": mid, "position": self.deliver_pos})
-            self.deliver_pos += 1
+        emit, pid = self.recorder.emit, self.pid
+        emit(pid, "deliver-set", {"round": position, "set": order})
+        for position, mid in enumerate(order, position):
+            emit(pid, "deliver-msg", {"msg": mid, "position": position})
         return order
 
 
@@ -149,10 +149,11 @@ class _StackProcess(_Process):
         return False
 
     def task_step(self) -> None:
+        position = self.engine.delivered_count  # before the set is added
         delivered = self.engine.task_step()
         if delivered is None:
             return
-        for mid in self._deliver(delivered):
+        for mid in self._deliver(delivered, position):
             proposal = self.proposals.get(mid)
             if proposal is not None:
                 self.table.on_deliver(*proposal)
@@ -166,6 +167,7 @@ class _ScriptProcess(_Process):
         super().__init__(pid, items, recorder)
         self.idx = 0
         self.next_index = 0
+        self.deliver_pos = 0  # messages delivered so far
 
     def main_enabled(self) -> bool:
         return self.idx < len(self.items)
@@ -181,7 +183,7 @@ class _ScriptProcess(_Process):
             self.next_index += 1
             self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": mid})
         else:
-            self._deliver(item.msgs)
+            self.deliver_pos += len(self._deliver(item.msgs, self.deliver_pos))
         return False
 
     def task_enabled(self) -> bool:
@@ -285,7 +287,7 @@ class Simulation:
                         changed = True
             if changed:
                 self._rebuild_tokens()
-        return Trace(self.config, self.recorder.events, outcome, self.turn)
+        return Trace(self.config, self.recorder.rows, outcome, self.turn)
 
     # --- scheduling -------------------------------------------------------
 

@@ -24,7 +24,7 @@ may emit several consecutive events (an operation invocation plus its
 shared-object access, a set delivery plus its per-message deliveries),
 and a crash carries the turn at which it fires.  ``pid`` is an integer
 (not a boolean) in 1..n.  An event's step is its index in the trace,
-counted from 0; it is not written, and ``Event`` does not hold it.
+counted from 0; it is not written, and no row holds it.
 The outcome record's ``outcome`` is ``"quiescent"`` or
 ``"budget-exhausted"`` and its ``turns`` an integer >= 0.  Crash plans
 and the step budget count scheduler turns, not events.
@@ -64,6 +64,13 @@ byte-identical output.
 
 The reader reads format 3 only: a config record without
 ``"trace_format": 3`` is rejected on its line.
+
+In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
+each event as the JSON array its line decodes to, and the simulator's
+``Recorder`` builds the same lists, so the run, the writer, the reader
+and the checker's index all handle one list per event and nothing else.
+``Trace.events`` is a view for readers outside the package: it builds
+``Event`` records from the rows on each call.
 """
 
 from __future__ import annotations
@@ -128,6 +135,8 @@ def pauses_cyclic_gc(fn):
 
 @dataclass(slots=True)
 class Event:
+    """One event as a record: what ``Trace.events`` builds from a row."""
+
     pid: int
     kind: str
     payload: dict
@@ -136,8 +145,12 @@ class Event:
 
 @dataclass
 class Trace:
+    """A trace in memory: its config, its events as format-3 rows (the
+    lists the file holds, one per event, in trace order), its outcome and
+    its turn count."""
+
     config: "ScenarioConfig"
-    events: list[Event]
+    rows: list[list]
     outcome: str  # one of OUTCOMES
     turns: int
 
@@ -145,17 +158,31 @@ class Trace:
     def quiescent(self) -> bool:
         return self.outcome == "quiescent"
 
+    @property
+    def events(self) -> list[Event]:
+        """The rows as ``Event`` records, built afresh on each call: an
+        access's payload is keyed object, op, args and result, any other
+        event's payload is its row's.  A view for readers outside the
+        package; nothing in ``bocast`` reads it."""
+        return [
+            Event(row[1], "object-access", dict(zip(_ACCESS_KEYS, row[2:])), row[0])
+            if len(row) == 6 else Event(row[1], row[2], row[3], row[0])
+            for row in self.rows
+        ]
+
 
 class Recorder:
-    """Keeps events in emission order; each event carries ``turn``, which
-    the scheduler sets at the start of every turn."""
+    """Keeps events as format-3 rows in emission order; each row starts
+    with ``turn``, which the scheduler sets at the start of every turn."""
 
     def __init__(self):
-        self.events: list[Event] = []
+        self.rows: list[list] = []
         self.turn = 0
 
-    def emit(self, pid: int, kind: str, payload: dict) -> None:
-        self.events.append(Event(pid, kind, payload, self.turn))
+    def emit(self, pid: int, *fields) -> None:
+        """Record an event: ``object, op, args, result`` for an object
+        access, ``kind, payload`` for any other."""
+        self.rows.append([self.turn, pid, *fields])
 
 
 # One encoder and one decoder for every record.  Insertion order of keys
@@ -174,45 +201,38 @@ _chunks = c_make_encoder(
     False,  # skipkeys: non-str keys raise
     True,  # allow_nan: as json.dumps
 )
-_decode = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once  # (text, pos) -> (value, end of value)
 
-_ACCESS_KEYS = frozenset(("object", "op", "args", "result"))
+_ACCESS_KEYS = ("object", "op", "args", "result")
 _PLAIN_KINDS = frozenset(EVENT_KINDS) - {"object-access"}
 
 
 def serialize_trace(trace: Trace) -> str:
-    """The trace file text.  Raises ValueError on an event it cannot
-    write so that it reads back the same: a turn or pid that is not an
-    int, an unknown kind, or an object access whose payload keys are not
-    exactly object, op, args and result."""
+    """The trace file text.  Raises ValueError on a row it cannot write so
+    that it reads back the same: a turn or pid that is not an int, an
+    unknown kind, or other than 4 or 6 fields."""
     cfg_record = {"record": "config", "trace_format": TRACE_FORMAT}
     cfg_record.update(trace.config.to_json_dict())
     out = [*_chunks(cfg_record, 0), "\n"]
-    extend = out.extend
-    for index, ev in enumerate(trace.events):
-        turn, pid, kind, payload = ev.turn, ev.pid, ev.kind, ev.payload
-        if type(turn) is not int or type(pid) is not int:
+    extend, append = out.extend, out.append
+    plain = _PLAIN_KINDS
+    for index, row in enumerate(trace.rows):
+        size = len(row)
+        if size == 4:
+            kind = row[2]
+            if type(kind) is not str or kind not in plain:
+                raise ValueError(f"cannot serialize event {index}: unknown kind {kind!r}")
+        elif size != 6:
+            raise ValueError(f"cannot serialize event {index}: it has {size} fields, not 4 or 6")
+        if type(row[0]) is not int or type(row[1]) is not int:
             raise ValueError(
-                f"cannot serialize event {index} (turn={turn!r}, pid={pid!r}): "
+                f"cannot serialize event {index} (turn={row[0]!r}, pid={row[1]!r}): "
                 "turn and pid must be ints"
             )
-        if kind == "object-access":
-            if payload.keys() != _ACCESS_KEYS:
-                raise ValueError(
-                    f"cannot serialize event {index}: an object access payload has exactly "
-                    f"the keys object, op, args and result, not {sorted(payload)}"
-                )
-            extend(_chunks(
-                [turn, pid, payload["object"], payload["op"], payload["args"], payload["result"]],
-                0,
-            ))
-        elif kind in _PLAIN_KINDS:
-            extend(_chunks([turn, pid, kind, payload], 0))
-        else:
-            raise ValueError(f"cannot serialize event {index}: unknown kind {kind!r}")
-        out.append("\n")
+        extend(_chunks(row, 0))
+        append("\n")
     extend(_chunks({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}, 0))
-    out.append("\n")
+    append("\n")
     return "".join(out)
 
 
@@ -364,23 +384,36 @@ def parse_trace(text: str) -> Trace:
 
     config = None
     n = 0
-    events: list[Event] = []
-    append = events.append
+    rows: list[list] = []
+    append = rows.append
     last_turn = 0
     outcome = None
     turns = 0
     ids: set = set()  # the message ids found well formed so far
     families: dict = {}  # object name -> its checks by op, for the names seen
     payloads = _PAYLOADS
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    find, size_of_text = text.find, len(text)
+    lineno = 0
+    start = 0  # where the next line starts
+    while start < size_of_text:
+        lineno += 1
+        stop = find("\n", start)
+        if stop < 0:
+            stop = size_of_text
+        # One JSON value that ends where the line does is the record.
+        # Decoding in place leaves no slice of the text and no line list.
         try:
-            rec, end = _decode(line)
-        except (ValueError, RecursionError):
+            rec, end = _scan(text, start)
+        except (StopIteration, ValueError, RecursionError):
             end = -1
-        if end != len(line):
-            # Not exactly one JSON value: a blank line, a record padded
-            # with whitespace (json.loads accepts it), invalid JSON
-            # (json.loads words the error) or nesting too deep to decode.
+        line_start, start = start, stop + 1
+        if end != stop:
+            # Not exactly one JSON value on the line: a blank line, a
+            # record padded with whitespace (json.loads accepts it), one
+            # the scanner read on past the line end (JSON whitespace holds
+            # "\n"), invalid JSON (json.loads words the error) or nesting
+            # too deep to decode.
+            line = text[line_start:stop]
             if not line.strip():
                 continue
             try:
@@ -393,8 +426,6 @@ def parse_trace(text: str) -> Trace:
             size = len(rec)
             if size == 6:
                 turn, pid, name, op, args, result = rec
-                kind = "object-access"
-                payload = {"object": name, "op": op, "args": args, "result": result}
             elif size == 4:
                 turn, pid, kind, payload = rec
             else:
@@ -429,7 +460,7 @@ def parse_trace(text: str) -> Trace:
                 if why is not None:
                     raise TraceFormatError(f"line {lineno}: {why}")
             last_turn = turn
-            append(Event(pid, kind, payload, turn))
+            append(rec)
             continue
         if type(rec) is not dict:
             raise TraceFormatError(f"line {lineno}: a record must be a JSON array or object")
@@ -467,7 +498,7 @@ def parse_trace(text: str) -> Trace:
         raise TraceFormatError("trace has no config record")
     if outcome is None:
         raise TraceFormatError("trace has no outcome record")
-    return Trace(config=config, events=events, outcome=outcome, turns=turns)
+    return Trace(config, rows, outcome, turns)
 
 
 def read_trace(path) -> Trace:

@@ -1,6 +1,6 @@
 """Shared drivers for randomized and exhaustive tests, and the helpers
 only tests use: poset builders and queries, back-to-back K2S proposals,
-scenario text."""
+scenario text, traces forged from event records."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from bocast.objects import SetAgreementOracle, SnapshotArray
 from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem
+from bocast.trace import Trace
 
 PHASES_PER_PROPOSE = 5
 
@@ -162,6 +163,19 @@ def sampled_stack_config(n: int, k: int, seed: int, max_msgs=4, crash_turn_range
         n, k, derive(seed, "run"), propose_workload(n, instances), crash_plan=plan,
         oracle_policy=oracle_policy,
     )
+
+
+def trace_of_events(config: ScenarioConfig, events, outcome="quiescent", turns=0) -> Trace:
+    """A trace whose rows are ``events`` (``Event`` records) written as
+    format-3 rows: the inverse of ``Trace.events``."""
+    rows = []
+    for ev in events:
+        if ev.kind == "object-access":
+            p = ev.payload
+            rows.append([ev.turn, ev.pid, p["object"], p["op"], p["args"], p["result"]])
+        else:
+            rows.append([ev.turn, ev.pid, ev.kind, ev.payload])
+    return Trace(config, rows, outcome, turns)
 
 
 def dumps(config: ScenarioConfig) -> str:

@@ -20,9 +20,11 @@ from bocast.messages import sort_ids
 from bocast.poset import BoundViolation, iter_bits
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
-from bocast.trace import Event, Trace, serialize_trace
+from bocast.trace import Event, serialize_trace
 
-from _drivers import brute_force_width, propose_workload, sampled_stack_config, stack_config
+from _drivers import (
+    brute_force_width, propose_workload, sampled_stack_config, stack_config, trace_of_events,
+)
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 D = lambda *mids: WorkItem(op="deliver", msgs=tuple(mids))
@@ -146,7 +148,7 @@ class TestBitsetOrder:
             for pid, seq in enumerate(sequences, start=1)
             for mid in seq
         ]
-        trace = Trace(stack_config(n, 1, 0, {}), events, "quiescent", 0)
+        trace = trace_of_events(stack_config(n, 1, 0, {}), events)
         result = build_order(trace)
         expected = pairwise_less(sequences)
         assert result.elements == list(expected)
@@ -253,7 +255,7 @@ class TestReplay:
                 payload["result"][0] = ["77:0"]
                 events[i] = Event(ev.pid, ev.kind, payload)
                 break
-        tampered = Trace(trace.config, events, trace.outcome, trace.turns)
+        tampered = trace_of_events(trace.config, events, trace.outcome, trace.turns)
         verdicts = {v.property: v for v in check_all(tampered, suites=("snapshot",))}
         assert verdicts["snapshot.replay"].failed
 
@@ -267,7 +269,7 @@ class TestReplay:
                 payload = json.loads(json.dumps(ev.payload))
                 change(payload)
                 events[i] = Event(ev.pid, ev.kind, payload)
-                return Trace(trace.config, events, trace.outcome, trace.turns), i, ev
+                return trace_of_events(trace.config, events, trace.outcome, trace.turns), i, ev
         raise AssertionError(f"no MEM {op}")
 
     def test_skipped_mem_increment_detected(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bocast.checker import TraceIndex, Verdict, _check_roundsync
 from bocast.trace import Event, Trace
 
-from _drivers import stack_config
+from _drivers import stack_config, trace_of_events
 from test_verdict_pins import PINS, base_traces, mutants
 
 
@@ -99,7 +99,7 @@ def _trace(n, k, crashed, sequences) -> Trace:
             events.append(Event(pid, "deliver-set", {"round": r, "set": list(mids)}))
     for pid in sorted(crashed):
         events.append(Event(pid, "crash", {}))
-    return Trace(stack_config(n, k, 0, {}), events, "quiescent", 0)
+    return trace_of_events(stack_config(n, k, 0, {}), events)
 
 
 @settings(max_examples=400, deadline=None)

@@ -52,20 +52,20 @@ class PollingOracle(Simulation):
         self.ref_last_thread = {pid: "task" for pid in range(1, self.n + 1)}
 
     def _events_since(self, start: int) -> None:
-        events = self.recorder.events[start:]
-        assert [ev.turn for ev in events] == [self.turn] * len(events), f"turn {self.turn}"
-        self.events_checked += len(events)
-        for ev in events:
-            if ev.kind == "deliver-msg":
-                self.delivered[ev.pid].add(ev.payload["msg"])
+        rows = self.recorder.rows[start:]
+        assert [row[0] for row in rows] == [self.turn] * len(rows), f"turn {self.turn}"
+        self.events_checked += len(rows)
+        for row in rows:
+            if len(row) == 4 and row[2] == "deliver-msg":
+                self.delivered[row[1]].add(row[3]["msg"])
 
     def inject_crash(self, pid):
-        start = len(self.recorder.events)
+        start = len(self.recorder.rows)
         super().inject_crash(pid)
         self._events_since(start)
 
     def _dispatch(self, token):
-        start = len(self.recorder.events)
+        start = len(self.recorder.rows)
         wrote_mem = super()._dispatch(token)
         self._events_since(start)
         return wrote_mem
@@ -145,7 +145,7 @@ def checked_run(config) -> PollingOracle:
     sim = PollingOracle(config)
     trace = sim.run()
     assert sim.turns_checked == trace.turns
-    assert sim.events_checked == len(trace.events)
+    assert sim.events_checked == len(trace.rows)
     assert serialize_trace(trace) == serialize_trace(run_scenario(config))
     return sim
 

@@ -32,7 +32,7 @@ from bocast.checker import TraceIndex, Verdict, check_all, serialize_verdicts
 from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, parse_trace
 
-from _drivers import sampled_stack_config, stack_config
+from _drivers import sampled_stack_config, stack_config, trace_of_events
 from test_verdict_pins import base_traces, mutants
 
 
@@ -135,7 +135,7 @@ def test_checked_in_traces(path):
 @pytest.mark.parametrize("seed", range(3))
 def test_honest_runs_take_the_fast_paths(seed):
     index = TraceIndex(run_scenario(sampled_stack_config(4, 2, seed)))
-    rounds = index.k2s_instances()
+    rounds = index.k2s_rounds
     assert rounds
     assert checker.replay(index.n, index.objects["MEM"], mem=True) == (None, True)
     for r in rounds:
@@ -395,7 +395,7 @@ def as_trace(n: int, k: int, acc) -> Trace:
         Event(pid, "object-access", {"object": obj, "op": op, "args": args, "result": res}, turn)
         for turn, (pid, obj, op, args, res) in enumerate(acc)
     ]
-    return Trace(stack_config(n, k, 0, {}), events, "quiescent", len(events))
+    return trace_of_events(stack_config(n, k, 0, {}), events, turns=len(events))
 
 
 @settings(max_examples=200, deadline=None)

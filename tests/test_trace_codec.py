@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from bocast.scenario import WorkItem
 from bocast.trace import Event, Trace, TraceFormatError, parse_trace, serialize_trace
 
-from _drivers import stack_config
+from _drivers import stack_config, trace_of_events
 
 N = 4
 CONFIG = stack_config(N, 2, 0, {1: (WorkItem(op="broadcast", payload="x"),)})
@@ -117,42 +117,42 @@ def events(draw) -> list[Event]:
 @settings(max_examples=150, deadline=None)
 def test_serialize_matches_the_per_record_reference_and_round_trips(evs, outcome, extra_turns):
     turns = (evs[-1].turn if evs else 0) + extra_turns
-    trace = Trace(CONFIG, evs, outcome, turns)
+    trace = trace_of_events(CONFIG, evs, outcome, turns)
     text = serialize_trace(trace)
     assert text == reference_serialize(trace)
     back = parse_trace(text)
+    assert back.rows == trace.rows
     assert back.events == evs
     assert (back.config, back.outcome, back.turns) == (CONFIG, outcome, turns)
     assert serialize_trace(back) == text
 
 
-ACCESS = {"object": "MEM", "op": "write", "args": [1], "result": None}
-
-
 @pytest.mark.parametrize(
-    "event",
+    "row",
     [
-        Event(True, "invoke", {}),
-        Event(1, "invoke", {}, turn="0"),
-        Event(1, "teleport", {}),
-        Event(1.0, "invoke", {}),
-        Event(1, "invoke", {}, turn=True),
-        Event(1, "object-access", {k: v for k, v in ACCESS.items() if k != "result"}),
-        Event(1, "object-access", dict(ACCESS, note="x")),
+        [0, True, "invoke", {}],
+        ["0", 1, "invoke", {}],
+        [0, 1, "teleport", {}],
+        [0, 1, "object-access", {}],
+        [0, 1.0, "invoke", {}],
+        [True, 1, "invoke", {}],
+        [0, 1, "MEM", "write", [1]],
+        [0, 1, "MEM", "write", [1], None, "x"],
+        [0, True, "MEM", "write", [1], None],
     ],
     ids=[
-        "bool-pid", "str-turn", "unknown-kind", "float-pid", "bool-turn",
-        "access-without-result", "access-with-another-key",
+        "bool-pid", "str-turn", "unknown-kind", "access-kind-in-a-4-field-row", "float-pid",
+        "bool-turn", "access-without-result", "access-with-another-key", "access-with-bool-pid",
     ],
 )
-def test_serialize_rejects_what_it_cannot_write_as_valid_json(event):
+def test_serialize_rejects_what_it_cannot_write_as_valid_json(row):
     with pytest.raises(ValueError):
-        serialize_trace(Trace(CONFIG, [event], "quiescent", 0))
+        serialize_trace(Trace(CONFIG, [row], "quiescent", 0))
 
 
 def _two_event_lines() -> list[str]:
-    events = [Event(1, "return", {}, 0), Event(2, "return", {}, 1)]
-    return serialize_trace(Trace(CONFIG, events, "quiescent", 1)).splitlines()
+    rows = [[0, 1, "return", {}], [1, 2, "return", {}]]
+    return serialize_trace(Trace(CONFIG, rows, "quiescent", 1)).splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,309 @@
+"""The in-place trace reader against the line-by-line reader it replaced.
+
+``parse_trace`` walks the text with the JSON scanner and keeps a record
+on its fast path only when the value ends exactly at the line end and no
+``"\\n"`` lies inside it; every other line is decoded on its own, as
+``reference_parse`` below does for every line.  ``reference_parse`` is
+the reader before the walk: it splits the text at ``"\\n"`` and decodes
+each line.  Both must give the same rows, config, outcome and turns, or
+the same ``TraceFormatError`` message, on any edit of the checked-in
+traces: blank lines, CRLF line ends, padding, a record split over two
+lines, two records on one line, no final newline, deep nesting and raw
+U+2028 or U+0085 inside strings.  The schema checks of each record are
+shared: what differs is only how the text is cut into records.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bocast.checker import check_all
+from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
+from bocast.sim import run_scenario
+from bocast.trace import (
+    OUTCOMES, TRACE_FORMAT, Event, TraceFormatError, _PAYLOADS, _access_check, _payload_error,
+    parse_trace, serialize_trace,
+)
+
+EXAMPLE = Path("scenarios/examples/n3_k2_propose.scenario.json")
+GOLDEN_TRACE = Path("scenarios/golden/width2_profile.trace")
+
+
+def reference_parse(text: str):
+    """(config, rows, outcome, turns) of ``text``, one line at a time."""
+    config = None
+    n = 0
+    rows = []
+    last_turn = 0
+    outcome = None
+    turns = 0
+    ids: set = set()
+    families: dict = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise TraceFormatError(f"line {lineno}: JSON nested too deeply") from None
+        if type(rec) is list:
+            size = len(rec)
+            if size == 6:
+                turn, pid, name, op, args, result = rec
+            elif size == 4:
+                turn, pid, kind, payload = rec
+            else:
+                raise TraceFormatError(f"line {lineno}: an event has 4 or 6 fields, not {size}")
+            if type(turn) is not int or turn < last_turn:
+                raise TraceFormatError(
+                    f"line {lineno}: an event turn must be an integer >= 0 that never decreases"
+                )
+            if type(pid) is not int or not 0 < pid <= n:
+                if config is None:
+                    raise TraceFormatError(f"line {lineno}: an event before the config record")
+                raise TraceFormatError(f"line {lineno}: pid {pid!r} is not in 1..{n}")
+            if outcome is not None:
+                raise TraceFormatError(f"line {lineno}: an event after the outcome record")
+            if size == 6:
+                check = _access_check(name, op, families, lineno)
+                if not check(args, result, ids):
+                    raise TraceFormatError(
+                        f"line {lineno}: a {name} {op} with malformed args or result"
+                    )
+                if op == "snapshot" and len(result) != n:
+                    raise TraceFormatError(
+                        f"line {lineno}: a {name} snapshot holds {len(result)} cells, not n = {n}"
+                    )
+            elif type(kind) is not str or kind not in _PAYLOADS:
+                raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
+            else:
+                why = _payload_error(kind, payload, ids)
+                if why is not None:
+                    raise TraceFormatError(f"line {lineno}: {why}")
+            last_turn = turn
+            rows.append(rec)
+            continue
+        if type(rec) is not dict:
+            raise TraceFormatError(f"line {lineno}: a record must be a JSON array or object")
+        record = rec.get("record")
+        if outcome is not None:
+            raise TraceFormatError(f"line {lineno}: a record after the outcome record")
+        if record == "config":
+            if config is not None:
+                raise TraceFormatError(f"line {lineno}: a second config record")
+            fmt = rec.get("trace_format", 1)
+            if fmt != TRACE_FORMAT:
+                raise TraceFormatError(
+                    f"line {lineno}: trace format {fmt!r} is not supported; "
+                    f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
+                )
+            try:
+                config = ScenarioConfig.from_json_dict(rec)
+            except ConfigError as exc:
+                raise TraceFormatError(f"line {lineno}: {exc}") from exc
+            n = config.n
+        elif record == "outcome":
+            outcome = rec.get("outcome")
+            if outcome not in OUTCOMES:
+                raise TraceFormatError(
+                    f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
+                )
+            turns = rec.get("turns", 0)
+            if type(turns) is not int or turns < last_turn:
+                raise TraceFormatError(
+                    f"line {lineno}: turns must be an integer >= 0 and >= the last event's turn"
+                )
+        else:
+            raise TraceFormatError(f"line {lineno}: unknown record kind {record!r}")
+    if config is None:
+        raise TraceFormatError("trace has no config record")
+    if outcome is None:
+        raise TraceFormatError("trace has no outcome record")
+    return config, rows, outcome, turns
+
+
+def _read(reader, text: str):
+    """What ``reader`` gives for ``text``: its result or its error message."""
+    try:
+        return "ok", reader(text)
+    except TraceFormatError as exc:
+        return "error", str(exc)
+
+
+def _parsed(text: str):
+    trace = parse_trace(text)
+    return trace.config, trace.rows, trace.outcome, trace.turns
+
+
+def assert_same_reading(text: str) -> None:
+    assert _read(_parsed, text) == _read(reference_parse, text)
+
+
+def _example_text() -> str:
+    return serialize_trace(run_scenario(load_scenario(EXAMPLE)))
+
+
+BASES = {
+    "example": _example_text(),
+    "golden": GOLDEN_TRACE.read_text(encoding="utf-8"),
+}
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+# --- edits of a trace's lines ---------------------------------------------------
+# Each edit draws where it applies and changes the list of lines in place;
+# the text is the lines joined by "\n", with a final "\n" unless an edit
+# drops it.
+
+
+def blank_line(draw, lines):
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " ", "\t", "\r"))))
+
+
+def crlf(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] += "\r"
+
+
+def pad(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    before, after = draw(st.sampled_from((" ", ""))), draw(st.sampled_from((" ", "\t", "")))
+    lines[i] = before + lines[i] + after
+
+
+def split_record(draw, lines):
+    i = draw(st.integers(0, len(lines) - 1))
+    cut = draw(st.integers(0, len(lines[i])))
+    lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+
+
+def split_at_whitespace(draw, lines):
+    """Split a line where JSON allows whitespace: after a comma or colon."""
+    i = draw(st.integers(0, len(lines) - 1))
+    cuts = [j + 1 for j, ch in enumerate(lines[i]) if ch in ",:"]
+    if cuts:
+        cut = draw(st.sampled_from(cuts))
+        lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+
+
+def join_records(draw, lines):
+    if len(lines) > 1:
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i : i + 2] = [lines[i] + draw(st.sampled_from(("", " "))) + lines[i + 1]]
+
+
+def deep_nesting(draw, lines):
+    lines.insert(draw(st.integers(0, len(lines))), DEEP)
+
+
+def raw_separator(draw, lines):
+    """A raw U+2028 or U+0085 right inside a string of some line."""
+    i = draw(st.integers(0, len(lines) - 1))
+    quotes = [j + 1 for j, ch in enumerate(lines[i]) if ch == '"']
+    if quotes:
+        at = draw(st.sampled_from(quotes))
+        lines[i] = lines[i][:at] + draw(st.sampled_from((" ", "\x85"))) + lines[i][at:]
+
+
+EDITS = {
+    f.__name__: f
+    for f in (
+        blank_line, crlf, pad, split_record, split_at_whitespace, join_records, deep_nesting,
+        raw_separator,
+    )
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(BASES)),
+    st.lists(st.sampled_from(sorted(EDITS)), max_size=4),
+    st.booleans(),
+    st.data(),
+)
+def test_edited_traces_read_as_the_line_reader_reads_them(base, edits, final_newline, data):
+    lines = BASES[base].split("\n")[:-1]
+    for name in edits:
+        EDITS[name](data.draw, lines)
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    assert_same_reading(text)
+
+
+@pytest.mark.parametrize("name", sorted(EDITS))
+@settings(max_examples=25, deadline=None)
+@given(base=st.sampled_from(sorted(BASES)), data=st.data())
+def test_each_edit(name, base, data):
+    lines = BASES[base].split("\n")[:-1]
+    EDITS[name](data.draw, lines)
+    assert_same_reading("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_crlf_throughout_reads_as_lf(base):
+    text = BASES[base]
+    crlf_text = text.replace("\n", "\r\n")
+    assert _parsed(crlf_text) == _parsed(text) == reference_parse(crlf_text)
+
+
+def test_a_record_split_at_json_whitespace_is_rejected_on_its_line():
+    # JSON whitespace holds "\n", so a scanner walking the whole text reads
+    # this record across the line end; it must be refused as the line
+    # reader refuses its first half
+    lines = BASES["example"].split("\n")
+    assert '"deliver-set",{"round":0' in lines[20]
+    lines[20] = lines[20].replace('"round":', '\n"round":', 1)
+    text = "\n".join(lines)
+    message = "line 21: invalid JSON (Expecting property name enclosed in double quotes)"
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == message
+    assert _read(reference_parse, text) == ("error", message)
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_checked_in_traces_read_alike(base):
+    assert_same_reading(BASES[base])
+    assert serialize_trace(parse_trace(BASES[base])) == BASES[base]
+
+
+# --- one representation ----------------------------------------------------------
+
+
+def test_the_run_codec_and_checker_build_no_event(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an Event was built")
+
+    config = load_scenario(EXAMPLE)
+    monkeypatch.setattr(Event, "__init__", refuse)
+    trace = run_scenario(config)
+    text = serialize_trace(trace)
+    parsed = parse_trace(text)
+    check_all(parsed)
+    serialize_trace(parsed)
+    with pytest.raises(AssertionError, match="an Event was built"):
+        parsed.events
+
+
+def test_events_is_a_fresh_view_of_the_rows():
+    trace = parse_trace(BASES["example"])
+    events = trace.events
+    assert events is not trace.events and events == trace.events
+    assert len(events) == len(trace.rows)
+    for ev, row in zip(events, trace.rows):
+        if len(row) == 6:
+            assert (ev.kind, ev.payload) == (
+                "object-access", dict(zip(("object", "op", "args", "result"), row[2:]))
+            )
+        else:
+            assert (ev.kind, ev.payload) == (row[2], row[3])
+        assert (ev.turn, ev.pid) == (row[0], row[1])
+    events.clear()
+    assert trace.events
+
