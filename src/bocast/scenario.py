@@ -1,19 +1,12 @@
 """Scenario configuration: the versioned input format of a simulation run.
 
 A scenario file is a single JSON object whose fields are exactly the
-configuration fields below.  Two execution modes exist, selected by the
-workload content:
-
-* stack mode - work items are ``broadcast`` and ``propose`` operations and
-  every process runs the full protocol stack (agreement oracle, snapshot
-  objects, set broadcast, per-message unpacking, repeated agreement).
-* scripted mode - work items are ``broadcast`` and ``deliver`` directives
-  replayed verbatim.  This mode produces delivery patterns the stack
-  cannot or should not produce (reference profiles, forged violations for
-  checker tests) while still going through the normal scheduler, trace
-  and determinism machinery.
-
-The two kinds cannot be mixed in one scenario.
+configuration fields below.  Its work items are ``broadcast`` and
+``propose`` operations, and every process runs the full protocol stack on
+them (agreement oracle, snapshot objects, set broadcast, per-message
+unpacking, repeated agreement).  A scenario cannot prescribe deliveries:
+a delivery pattern the stack does not make is a trace written by hand,
+which only the checker reads.
 """
 
 from __future__ import annotations
@@ -22,8 +15,6 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-from .messages import is_msg_id
 
 SCENARIO_VERSION = 1
 
@@ -73,18 +64,15 @@ def _workload_pid(key: str) -> int:
 
 @dataclass(frozen=True)
 class WorkItem:
-    op: str  # "broadcast" | "propose" | "deliver"
+    op: str  # "broadcast" | "propose"
     payload: str | None = None       # broadcast
     instance: int | None = None      # propose
     value: str | None = None         # propose
-    msgs: tuple[str, ...] = ()       # deliver
 
     def to_json_dict(self) -> dict:
         if self.op == "broadcast":
             return {"op": "broadcast", "payload": self.payload}
-        if self.op == "propose":
-            return {"op": "propose", "instance": self.instance, "value": self.value}
-        return {"op": "deliver", "msgs": list(self.msgs)}
+        return {"op": "propose", "instance": self.instance, "value": self.value}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "WorkItem":
@@ -93,8 +81,6 @@ class WorkItem:
             return WorkItem(op="broadcast", payload=obj["payload"])
         if op == "propose":
             return WorkItem(op="propose", instance=obj["instance"], value=obj["value"])
-        if op == "deliver":
-            return WorkItem(op="deliver", msgs=tuple(obj["msgs"]))
         raise ConfigError(f"unknown workload op {op!r}")
 
 
@@ -133,13 +119,6 @@ class ScenarioConfig:
     oracle_policy: str = "first-k-adversarial"
     version: int = SCENARIO_VERSION
 
-    def mode(self) -> str:
-        for items in self.workload.values():
-            for item in items:
-                if item.op == "deliver":
-                    return "scripted"
-        return "stack"
-
     def validate(self) -> None:
         if self.version != SCENARIO_VERSION:
             raise ConfigError(f"unsupported scenario version {self.version}")
@@ -171,38 +150,28 @@ class ScenarioConfig:
                 raise ConfigError(f"crash turn must be >= 0 (got {turn} for p{pid})")
             seen_crash.add(pid)
 
-        mode = self.mode()
         for pid, items in self.workload.items():
             if not (1 <= pid <= self.n):
                 raise ConfigError(f"workload names unknown process {pid}")
             instances = []
             for item in items:
-                if item.op not in ("broadcast", "propose", "deliver"):
+                if item.op not in ("broadcast", "propose"):
                     raise ConfigError(f"unknown workload op {item.op!r}")
-                if mode == "scripted" and item.op == "propose":
-                    raise ConfigError("scripted scenarios cannot mix propose items with deliver items")
                 if item.op == "propose":
                     if type(item.instance) is not int or type(item.value) is not str:
                         raise ConfigError(
                             f"propose item of p{pid} needs an integer instance and a string value"
                         )
                     instances.append(item.instance)
-                if item.op == "deliver":
-                    if not item.msgs:
-                        raise ConfigError(f"deliver item of p{pid} has an empty message set")
-                    for mid in item.msgs:
-                        if not is_msg_id(mid):
-                            raise ConfigError(f"malformed message id {mid!r} in deliver item of p{pid}")
             if instances != sorted(set(instances)):
                 raise ConfigError(f"propose instance numbers of p{pid} must strictly increase")
 
         if self.schedule.kind == "scripted":
-            threads = ("script",) if mode == "scripted" else ("main", "task")
             for pid, thread in self.schedule.script:
                 if not (1 <= pid <= self.n):
                     raise ConfigError(f"schedule script names unknown process {pid}")
-                if thread not in threads:
-                    raise ConfigError(f"schedule script names unknown thread {thread!r} for this mode")
+                if thread not in ("main", "task"):
+                    raise ConfigError(f"schedule script names unknown thread {thread!r}")
 
     # --- serialization -------------------------------------------------
 

@@ -2,18 +2,16 @@
 
 A run is a sequence of turns.  Each turn the scheduler collects the
 enabled (process, thread) tokens, picks one according to the schedule
-policy, and executes exactly one step of that thread.  In stack mode a
-process has two threads: ``main`` runs the workload operations (broadcast
-or propose, including their blocking waits, modeled as enabled
-predicates) and ``task`` runs the background delivery loop.  In scripted
-mode a process has a single ``script`` thread replaying its work items.
-Both kinds share one process model: a main thread (``script`` in
-scripted mode) and a task thread, and one emitter of invocations and
-deliveries.  A delivered set is one deliver-set event, then one
-deliver-msg event per member in ``kbo.unpack_order``; its round is the
-number of messages the process delivered before it, which in stack mode
-is also the number of its K2S round.  Every event carries the turn that
-emitted it; a crash carries the turn at which it fires.
+policy, and executes exactly one step of that thread.  Every process runs
+the full stack on two threads: ``main`` runs the workload operations
+(broadcast or propose, including their blocking waits, modeled as enabled
+predicates) and ``task`` runs the background delivery loop.  A delivered
+set is one deliver-set event, then one deliver-msg event per member in
+``kbo.unpack_order``; its round is the number of messages the process
+delivered before it, which is also the number of its K2S round.  Every
+event carries the turn that emitted it; a crash carries the turn at which
+it fires.  Deliveries the stack never makes are not simulated: a trace
+that holds them is written by hand and only checked.
 
 The enabled tokens are kept up to date, not polled: a process's main
 and task predicates change only on its own step or its crash, and its
@@ -59,40 +57,13 @@ class SimulationError(RuntimeError):
 
 
 class _Process:
-    """What both process kinds share: the work items and the emission of
-    invocations and deliveries."""
+    """One process: its workload on the main thread and its broadcast
+    engine on the task thread."""
 
-    def __init__(self, pid, items, recorder):
+    def __init__(self, pid, items, engine, recorder, proposals):
         self.pid = pid
         self.items = items
         self.recorder = recorder
-
-    def _invoke(self, item, index: int) -> str:
-        """Emit the invocation of ``item`` as this process's message ``index``."""
-        mid = f"{self.pid}:{index}"
-        if item.op == "broadcast":
-            inv = {"op": "kbo_broadcast", "msg": mid, "payload": item.payload}
-        else:
-            inv = {"op": "ksa_propose", "msg": mid, "instance": item.instance, "value": item.value}
-        self.recorder.emit(self.pid, "invoke", inv)
-        return mid
-
-    def _deliver(self, mids, position: int) -> list[str]:
-        """Emit one delivered set, then its members one by one; ``position``
-        is the number of messages this process delivered before the set."""
-        order = unpack_order(mids)
-        emit, pid = self.recorder.emit, self.pid
-        emit(pid, "deliver-set", {"round": position, "set": order})
-        for position, mid in enumerate(order, position):
-            emit(pid, "deliver-msg", {"msg": mid, "position": position})
-        return order
-
-
-class _StackProcess(_Process):
-    """Workload-driven main thread plus broadcast engine of one process."""
-
-    def __init__(self, pid, items, engine, recorder, proposals):
-        super().__init__(pid, items, recorder)
         self.widx = 0  # items invoked; the current one, if any, is items[widx - 1]
         self.state = "idle"  # idle | bsnap | bwait | dwait
         self.engine = engine
@@ -116,11 +87,16 @@ class _StackProcess(_Process):
 
     def main_step(self) -> bool:
         """Run one main-thread step; returns whether it wrote MEM."""
+        emit, pid = self.recorder.emit, self.pid
         if self.state == "idle":
             # each item broadcasts one message, so the item's index is the message's
             item = self.items[self.widx]
-            mid = self._invoke(item, self.widx)
-            if item.op == "propose":
+            mid = f"{pid}:{self.widx}"
+            if item.op == "broadcast":
+                emit(pid, "invoke", {"op": "kbo_broadcast", "msg": mid, "payload": item.payload})
+            else:
+                emit(pid, "invoke", {"op": "ksa_propose", "msg": mid,
+                                     "instance": item.instance, "value": item.value})
                 self.proposals[mid] = (item.instance, item.value)
             self.widx += 1
             self.engine.broadcast_write()
@@ -131,63 +107,35 @@ class _StackProcess(_Process):
             self.state = "bwait"
         elif self.state == "bwait":
             if self.items[self.widx - 1].op == "broadcast":
-                mid = f"{self.pid}:{self.widx - 1}"
-                self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": mid})
+                emit(pid, "return", {"op": "kbo_broadcast", "msg": f"{pid}:{self.widx - 1}"})
                 self.state = "idle"
             else:
                 self.state = "dwait"
         elif self.state == "dwait":
             nb = self.items[self.widx - 1].instance
             x = self.table.take(nb)
-            self.recorder.emit(self.pid, "decide", {"instance": nb, "value": x})
-            self.recorder.emit(
-                self.pid, "return", {"op": "ksa_propose", "instance": nb, "value": x}
-            )
+            emit(pid, "decide", {"instance": nb, "value": x})
+            emit(pid, "return", {"op": "ksa_propose", "instance": nb, "value": x})
             self.state = "idle"
         else:
             raise SimulationError(f"unknown main state {self.state!r}")
         return False
 
     def task_step(self) -> None:
+        """Run one step of the engine; a delivered set is emitted as one
+        deliver-set event, then its members one by one."""
         position = self.engine.delivered_count  # before the set is added
         delivered = self.engine.task_step()
         if delivered is None:
             return
-        for mid in self._deliver(delivered, position):
+        emit, pid = self.recorder.emit, self.pid
+        order = unpack_order(delivered)
+        emit(pid, "deliver-set", {"round": position, "set": order})
+        for position, mid in enumerate(order, position):
+            emit(pid, "deliver-msg", {"msg": mid, "position": position})
             proposal = self.proposals.get(mid)
             if proposal is not None:
                 self.table.on_deliver(*proposal)
-
-
-class _ScriptProcess(_Process):
-    """Replays prescribed broadcast/deliver items, one item per step, on
-    its single ``script`` thread."""
-
-    def __init__(self, pid, items, recorder):
-        super().__init__(pid, items, recorder)
-        self.idx = 0
-        self.next_index = 0
-        self.deliver_pos = 0  # messages delivered so far
-
-    def main_enabled(self) -> bool:
-        return self.idx < len(self.items)
-
-    def main_blocked(self) -> bool:
-        return False
-
-    def main_step(self) -> bool:
-        item = self.items[self.idx]
-        self.idx += 1
-        if item.op == "broadcast":
-            mid = self._invoke(item, self.next_index)
-            self.next_index += 1
-            self.recorder.emit(self.pid, "return", {"op": "kbo_broadcast", "msg": mid})
-        else:
-            self.deliver_pos += len(self._deliver(item.msgs, self.deliver_pos))
-        return False
-
-    def task_enabled(self) -> bool:
-        return False
 
 
 class Simulation:
@@ -195,33 +143,26 @@ class Simulation:
         config.validate()
         self.config = config
         self.n = config.n
-        self.mode = config.mode()
         self.recorder = Recorder()
         self.turn = 0
         self.crashed: set[int] = set()
 
-        if self.mode == "stack":
-            self.mem = MemCounts(self.n)
-            self.oracle = SetAgreementOracle(
-                k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle")
+        self.mem = MemCounts(self.n)
+        self.oracle = SetAgreementOracle(
+            k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle")
+        )
+        self.kss = RepeatedK2S(self.n, self.oracle)
+        proposals: dict[str, tuple[int, str]] = {}
+        self.procs = {
+            pid: _Process(
+                pid,
+                config.workload.get(pid, ()),
+                BroadcastEngine(pid, self.mem, self.kss, self.recorder),
+                self.recorder,
+                proposals,
             )
-            self.kss = RepeatedK2S(self.n, self.oracle)
-            proposals: dict[str, tuple[int, str]] = {}
-            self.procs = {
-                pid: _StackProcess(
-                    pid,
-                    config.workload.get(pid, ()),
-                    BroadcastEngine(pid, self.mem, self.kss, self.recorder),
-                    self.recorder,
-                    proposals,
-                )
-                for pid in range(1, self.n + 1)
-            }
-        else:
-            self.procs = {
-                pid: _ScriptProcess(pid, config.workload.get(pid, ()), self.recorder)
-                for pid in range(1, self.n + 1)
-            }
+            for pid in range(1, self.n + 1)
+        }
 
         self.schedule_kind = config.schedule.kind
         self.sched_rng = SplitMix64(derive(config.seed, "schedule"))
@@ -236,7 +177,6 @@ class Simulation:
             self.crash_turns.setdefault(at_turn, []).append(pid)
 
         # Enabled flags per pid (index 0 unused) and the token list they give.
-        self.main_thread = "main" if self.mode == "stack" else "script"
         self.main_on = [False] * (self.n + 1)
         self.task_on = [False] * (self.n + 1)
         self.tokens: list[tuple[int, str]] = []
@@ -313,11 +253,10 @@ class Simulation:
             self.oldest = turn
 
     def _rebuild_tokens(self) -> None:
-        main_thread = self.main_thread
         tokens = []
         for pid in range(1, self.n + 1):
             if self.main_on[pid]:
-                tokens.append((pid, main_thread))
+                tokens.append((pid, "main"))
             if self.task_on[pid]:
                 tokens.append((pid, "task"))
         self.tokens = tokens
@@ -353,7 +292,7 @@ class Simulation:
         if self.task_on[pid]:
             return (pid, "task")
         if self.main_on[pid]:
-            return (pid, self.main_thread)
+            return (pid, "main")
         raise SimulationError("starvation override found no token")
 
     def _round_robin(self) -> tuple[int, str]:
@@ -366,7 +305,7 @@ class Simulation:
             if main and task:  # alternate between the two threads
                 thread = "main" if self.last_thread[pid] == "task" else "task"
             else:
-                thread = self.main_thread if main else "task"
+                thread = "main" if main else "task"
             self.last_thread[pid] = thread
             return (pid, thread)
         raise SimulationError("round-robin found no token")

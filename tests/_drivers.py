@@ -1,17 +1,18 @@
 """Shared drivers for randomized and exhaustive tests, and the helpers
 only tests use: poset builders and queries, back-to-back K2S proposals,
-scenario text, traces forged from event records."""
+scenario text, the width-k schedules, traces forged from event records."""
 
 from __future__ import annotations
 
 import json
 
 from bocast.k2s import K2SInstance, RepeatedK2S
+from bocast.kbo import unpack_order
 from bocast.objects import SetAgreementOracle, SnapshotArray
 from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem
-from bocast.trace import Trace
+from bocast.trace import Event, Trace
 
 PHASES_PER_PROPOSE = 5
 
@@ -147,6 +148,49 @@ def stack_config(
     )
 
 
+def width_k_scenario(k: int, variant: str = "broadcast", *, writers: int | None = None,
+                     seed: int = 0, oracle_policy: str = "echo") -> ScenarioConfig:
+    """A scripted schedule on which the stack reaches width ``writers``
+    (k by default) with n = writers + 1.
+
+    The writers p1..pw each broadcast, or propose v<p> to instance 0 in
+    the ``propose`` variant; p(w+1), the reader, has no work.  The steps:
+
+    1. for p = w..1, p publishes (main) and takes its MEM snapshot (task),
+       so p sees and proposes p:0 in K2S round 0;
+    2. the reader takes its MEM snapshot and proposes 1:0;
+    3. pw..p1 each propose, write SNAP1 and read it: p's view is
+       {p:0, ..., w:0};
+    4. the reader runs its five K2S steps and delivers all w messages in
+       one set, so in the order 1:0, ..., w:0;
+    5. broadcast: pw..p1 each write SNAP2, then pw..p1 each read it; each
+       sees every view and delivers w:0 first, then the others downwards.
+       propose: p1..pw each write SNAP2 and read it in turn; p sees the
+       views of p1..p and first delivers p:0, so decides v<p>.
+
+    Round robin finishes the run.
+    """
+    w = k if writers is None else writers
+    reader = w + 1
+    down = range(w, 0, -1)
+    script = [token for p in down for token in ((p, "main"), (p, "task"))]
+    script.append((reader, "task"))
+    script += [(p, "task") for p in down for _ in range(3)]
+    script += [(reader, "task")] * 5
+    if variant == "broadcast":
+        script += [(p, "task") for p in down] * 2
+        workload = {p: (WorkItem(op="broadcast", payload=f"m{p}"),) for p in range(1, reader)}
+    elif variant == "propose":
+        script += [(p, "task") for p in range(1, reader) for _ in range(2)]
+        workload = {
+            p: (WorkItem(op="propose", instance=0, value=f"v{p}"),) for p in range(1, reader)
+        }
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return stack_config(reader, k, seed, workload, schedule="scripted", script=script,
+                        oracle_policy=oracle_policy, step_budget=1_000)
+
+
 def sampled_stack_config(n: int, k: int, seed: int, max_msgs=4, crash_turn_range=200,
                          oracle_policy="first-k-adversarial") -> ScenarioConfig:
     """One fuzzed scenario: sampled per-process propose workloads and a
@@ -176,6 +220,45 @@ def trace_of_events(config: ScenarioConfig, events, outcome="quiescent", turns=0
         else:
             rows.append([ev.turn, ev.pid, ev.kind, ev.payload])
     return Trace(config, rows, outcome, turns)
+
+
+def forged_trace(n: int, k: int, steps, outcome="quiescent") -> Trace:
+    """A trace of deliveries written by hand, one step per turn, made
+    through ``trace_of_events``.  A step is one of:
+
+    * ``(pid, payload)``: pid broadcasts ``payload`` as its next message;
+    * ``(pid, (id, ...))``: pid delivers that set, one deliver-set event
+      and then a deliver-msg per member in ``unpack_order``, as a run does;
+    * ``(pid, None)``: pid crashes.
+
+    The config lists the broadcasts as workload and the crashes as plan."""
+    events, crash_plan = [], []
+    workload: dict[int, list] = {}
+    delivered: dict[int, int] = {}
+    for turn, (pid, step) in enumerate(steps):
+        if step is None:
+            events.append(Event(pid, "crash", {}, turn))
+            crash_plan.append((pid, turn))
+        elif isinstance(step, str):
+            items = workload.setdefault(pid, [])
+            mid = f"{pid}:{len(items)}"
+            items.append(WorkItem(op="broadcast", payload=step))
+            events.append(Event(pid, "invoke", {"op": "kbo_broadcast", "msg": mid, "payload": step}, turn))
+            events.append(Event(pid, "return", {"op": "kbo_broadcast", "msg": mid}, turn))
+        else:
+            order = unpack_order(step)
+            position = delivered.get(pid, 0)
+            delivered[pid] = position + len(order)
+            events.append(Event(pid, "deliver-set", {"round": position, "set": order}, turn))
+            events += [
+                Event(pid, "deliver-msg", {"msg": mid, "position": i}, turn)
+                for i, mid in enumerate(order, position)
+            ]
+    config = stack_config(
+        n, k, 0, {pid: tuple(items) for pid, items in workload.items()},
+        crash_plan=crash_plan, schedule="round-robin", step_budget=max(1, len(steps)),
+    )
+    return trace_of_events(config, events, outcome, len(steps))
 
 
 def dumps(config: ScenarioConfig) -> str:

@@ -18,32 +18,23 @@ from bocast.checker import (
 )
 from bocast.messages import sort_ids
 from bocast.poset import BoundViolation, iter_bits
-from bocast.scenario import WorkItem, load_scenario
+from bocast.scenario import WorkItem
 from bocast.sim import run_scenario
-from bocast.trace import Event, serialize_trace
+from bocast.trace import Event, read_trace, serialize_trace
 
 from _drivers import (
-    brute_force_width, propose_workload, sampled_stack_config, stack_config, trace_of_events,
+    brute_force_width, forged_trace, propose_workload, sampled_stack_config, stack_config,
+    trace_of_events,
 )
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
-D = lambda *mids: WorkItem(op="deliver", msgs=tuple(mids))
 
-GOLDEN_SCENARIO = "scenarios/golden/width2_profile.scenario.json"
+FORGED = "scenarios/forged/"
 
 
 @pytest.fixture(scope="module")
 def golden_trace():
-    return run_scenario(load_scenario(GOLDEN_SCENARIO))
-
-
-def scripted(n, k, wl, schedule="round-robin", crash_plan=(), script=()):
-    return run_scenario(
-        stack_config(
-            n, k, 0, wl,
-            schedule=schedule, crash_plan=crash_plan, script=script, step_budget=1000,
-        )
-    )
+    return read_trace(FORGED + "width2_profile.trace")
 
 
 class TestBuildOrder:
@@ -65,19 +56,15 @@ class TestBuildOrder:
         assert len(exc.value.antichain) == 2
 
     def test_identical_sequences_give_a_total_order(self):
-        wl = {
-            1: (B("a"), D("1:0"), D("2:0")),
-            2: (B("b"), D("1:0"), D("2:0")),
-        }
-        result = build_order(scripted(2, 2, wl))
+        steps = [(1, "a"), (2, "b"), (1, ("1:0",)), (2, ("1:0",)), (1, ("2:0",)), (2, ("2:0",))]
+        result = build_order(forged_trace(2, 2, steps))
         assert result.poset.width() == 1
 
     def test_fully_reversed_sequences_give_a_full_antichain(self):
-        wl = {
-            1: (B("a"), B("a2"), D("1:0"), D("1:1"), D("2:0"), D("2:1")),
-            2: (B("b"), B("b2"), D("2:1"), D("2:0"), D("1:1"), D("1:0")),
-        }
-        result = build_order(scripted(2, 2, wl))
+        ids = ["1:0", "1:1", "2:0", "2:1"]
+        steps = [(1, "a"), (1, "a2"), (2, "b"), (2, "b2")]
+        steps += [(1, (mid,)) for mid in ids] + [(2, (mid,)) for mid in reversed(ids)]
+        result = build_order(forged_trace(2, 2, steps))
         width, antichain = width_and_antichain(result)
         assert width == 4
         assert antichain == ["1:0", "1:1", "2:0", "2:1"]
@@ -85,13 +72,9 @@ class TestBuildOrder:
     def test_faulty_processes_excluded_by_default(self):
         # p2 delivers both messages reversed, then crashes; the default
         # scope ignores its sequence entirely
-        wl = {
-            1: (B("a"), B("a2"), D("1:0"), D("1:1")),
-            2: (D("1:1"), D("1:0")),
-        }
-        script = ((2, "script"), (2, "script"))  # p2 finishes, then crashes
-        trace = scripted(2, 2, wl, schedule="scripted", script=script,
-                         crash_plan=((2, 2),))
+        steps = [(2, ("1:1",)), (2, ("1:0",)), (2, None)]  # p2 finishes, then crashes
+        steps += [(1, "a"), (1, "a2"), (1, ("1:0",)), (1, ("1:1",))]
+        trace = forged_trace(2, 2, steps)
         default = build_order(trace)
         assert TraceIndex(trace).faulty == {2}
         assert default.poset.width() == 1
@@ -100,17 +83,15 @@ class TestBuildOrder:
         assert both.poset.width() == 2
 
     def test_messages_seen_only_by_faulty_processes_are_reported(self):
-        wl = {1: (B("a"), D("1:0")), 2: (D("1:0"), D("9:9"))}
-        script = ((2, "script"), (2, "script"))
-        trace = scripted(2, 2, wl, schedule="scripted", script=script,
-                         crash_plan=((2, 2),))
+        steps = [(2, ("1:0",)), (2, ("9:9",)), (2, None), (1, "a"), (1, ("1:0",))]
+        trace = forged_trace(2, 2, steps)
         result = build_order(trace)
         assert TraceIndex(trace).faulty == {2}
         assert result.excluded == ["9:9"]
 
     def test_duplicate_deliveries_deduplicated_and_flagged(self):
-        wl = {1: (B("a"), B("c"), D("1:0"), D("1:0"), D("1:1"))}
-        trace = scripted(1, 1, wl)
+        steps = [(1, "a"), (1, "c"), (1, ("1:0",)), (1, ("1:0",)), (1, ("1:1",))]
+        trace = forged_trace(1, 1, steps)
         result = build_order(trace)
         assert result.sequences == {1: ["1:0", "1:1"]}
         assert result.poset.width() == 1
@@ -213,7 +194,7 @@ class TestCrossingSweep:
 
 class TestNegativeControls:
     def test_ordering_breach_witness(self):
-        trace = run_scenario(load_scenario("scenarios/negative/ordering_breach.scenario.json"))
+        trace = read_trace(FORGED + "ordering_breach.trace")
         verdicts = {v.property: v for v in check_all(trace)}
         assert verdicts["kscd.ordering"].failed
         assert verdicts["kscd.ordering"].witness == {
@@ -226,20 +207,19 @@ class TestNegativeControls:
         assert verdicts["kbo.bounded"].status == "pass"
 
     def test_width3_antichain_witness(self):
-        trace = run_scenario(load_scenario("scenarios/negative/width3_antichain.scenario.json"))
+        trace = read_trace(FORGED + "width3_antichain.trace")
         verdicts = {v.property: v for v in check_all(trace)}
         assert verdicts["kbo.bounded"].failed
         assert verdicts["kbo.bounded"].witness["antichain"] == ["1:0", "2:0", "3:0"]
         assert verdicts["kbo.bounded"].witness["width"] == 3
 
     def test_unbroadcast_delivery_fails_validity(self):
-        wl = {1: (D("9:9"),)}
-        verdicts = {v.property: v for v in check_all(scripted(1, 1, wl))}
+        verdicts = {v.property: v for v in check_all(forged_trace(1, 1, [(1, ("9:9",))]))}
         assert verdicts["kbo.validity"].failed
         assert verdicts["kscd.validity"].failed
 
     def test_all_verdicts_emitted_despite_failures(self):
-        trace = run_scenario(load_scenario("scenarios/negative/width3_antichain.scenario.json"))
+        trace = read_trace(FORGED + "width3_antichain.trace")
         verdicts = check_all(trace)
         names = [v.property for v in verdicts]
         assert len(names) == len(set(names)) == 25

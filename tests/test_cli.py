@@ -4,25 +4,27 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bocast
 from bocast.cli import main
 from bocast.rng import SplitMix64
-from bocast.scenario import ConfigError, ScenarioConfig, WorkItem, load_scenario
-from bocast.sim import run_scenario
+from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
+from bocast.sim import SimulationError, run_scenario
 from bocast.trace import parse_trace, serialize_trace, write_trace
 
-from _drivers import shuffled, stack_config
+from _drivers import forged_trace, shuffled
 from _format2 import format2_text
 
 GOLDEN_DIR = Path("scenarios/golden")
-GOLDEN_SCENARIO = GOLDEN_DIR / "width2_profile.scenario.json"
-GOLDEN_TRACE = GOLDEN_DIR / "width2_profile.trace"
-NEG_WIDTH3 = Path("scenarios/negative/width3_antichain.scenario.json")
+GOLDEN_ENTRY = "width2_broadcast"
+GOLDEN_SCENARIO = GOLDEN_DIR / f"{GOLDEN_ENTRY}.scenario.json"
+GOLDEN_TRACE = GOLDEN_DIR / f"{GOLDEN_ENTRY}.trace"
+FORGED_WIDTH3 = Path("scenarios/forged/width3_antichain.trace")
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
 EXAMPLE_SCENARIO = Path("scenarios/examples/n3_k2_propose.scenario.json")
 
@@ -69,7 +71,9 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
 
 
 # Fields of the two scenarios by key path: every number, a crash-plan
-# entry, a propose instance and value, a deliver msgs entry, a script pid.
+# entry, a propose instance and value, a script entry's pid and thread.
+# (A broadcast payload may be any JSON value.)
+SCRIPT_PID = ("schedule_policy", "script", 0, 0)
 RETYPABLE = {
     EXAMPLE_SCENARIO: [
         ("n",), ("k",), ("seed",), ("step_budget",), ("version",), ("crash_plan", 0, 0),
@@ -77,9 +81,10 @@ RETYPABLE = {
     ],
     GOLDEN_SCENARIO: [
         ("n",), ("k",), ("seed",), ("step_budget",), ("version",),
-        ("workload", "1", 2, "msgs", 0), ("schedule_policy", "script", 0, 0),
+        SCRIPT_PID, ("schedule_policy", "script", 0, 1),
     ],
 }
+FIELDS = sorted({field for fields in RETYPABLE.values() for field in fields}, key=str)
 RETYPED = st.one_of(
     st.integers(-2, 70), st.integers(), st.floats(allow_nan=False), st.booleans(),
     st.text(max_size=6), st.none(), st.lists(st.integers(0, 3), max_size=2),
@@ -97,19 +102,33 @@ def _retyped(scenario: Path, field: tuple, value) -> tuple[dict, object]:
 
 
 @pytest.mark.parametrize("scenario", RETYPABLE, ids=["example", "golden"])
-@given(data=st.data())
+@given(field=st.sampled_from(FIELDS), value=RETYPED)
+@example(field=SCRIPT_PID, value=3)  # p3 has no work: its main thread is never enabled
 @settings(max_examples=80, deadline=None)
-def test_a_retyped_field_is_refused_or_round_trips(scenario, data):
+def test_a_retyped_field_is_refused_or_round_trips(scenario, field, value):
     # a value of another type is refused, never coerced; one of the same
     # type is refused or runs to a trace that check reads back
-    value = data.draw(RETYPED, label="value")
-    obj, was = _retyped(scenario, data.draw(st.sampled_from(RETYPABLE[scenario])), value)
+    assume(field in RETYPABLE[scenario])
+    obj, was = _retyped(scenario, field, value)
     try:
         config = ScenarioConfig.from_json_dict(obj)
     except ConfigError:
         return
     assert type(value) is type(was)
-    assert parse_trace(serialize_trace(run_scenario(config))).config == config
+    try:
+        trace = run_scenario(config)
+    except SimulationError:
+        # whether a script names a disabled thread only the run can tell:
+        # a refusal if run exits exactly 2 with a message and no traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            proc = _bocast("run", "--scenario", str(path), "--out", str(Path(tmp) / "t.trace"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: simulation error: ")
+        assert "Traceback" not in proc.stderr
+        return
+    assert parse_trace(serialize_trace(trace)).config == config
 
 
 PROPOSE_TYPES = "propose item of p1 needs an integer instance and a string value"
@@ -155,10 +174,8 @@ def test_check_passes_on_golden_trace(tmp_path, capsys):
     assert all(rec["pass"] for rec in lines)
 
 
-def test_check_fails_on_forged_trace(tmp_path, capsys):
-    trace_path = tmp_path / "w3.trace"
-    assert main(["run", "--scenario", str(NEG_WIDTH3), "--out", str(trace_path)]) == 0
-    code = main(["check", "--trace", str(trace_path)])
+def test_check_fails_on_forged_trace(capsys):
+    code = main(["check", "--trace", str(FORGED_WIDTH3)])
     assert code == 1
     out = capsys.readouterr().out
     rec = next(
@@ -210,14 +227,9 @@ def long_chain_trace(tmp_path_factory):
     shuffled order."""
     per_process = 1500
     mids = shuffled([f"{pid}:{i}" for pid in (1, 2) for i in range(per_process)], SplitMix64(3))
-    workload = {
-        pid: tuple(WorkItem(op="broadcast", payload=f"m{pid}.{i}") for i in range(per_process))
-        + tuple(WorkItem(op="deliver", msgs=(mid,)) for mid in mids)
-        for pid in (1, 2)
-    }
-    trace = run_scenario(stack_config(2, 1, 0, workload, schedule="round-robin",
-                                      step_budget=100_000))
-    assert trace.quiescent
+    steps = [(pid, f"m{pid}.{i}") for i in range(per_process) for pid in (1, 2)]
+    steps += [(pid, (mid,)) for mid in mids for pid in (1, 2)]
+    trace = forged_trace(2, 1, steps)
     path = tmp_path_factory.mktemp("chain") / "chain3000.trace"
     write_trace(trace, path)
     return path
@@ -336,14 +348,14 @@ def test_golden_verb_detects_tampering(tmp_path, capsys):
     assert main(["golden", "--dir", str(GOLDEN_DIR)]) == 0
     clone = tmp_path / "golden"
     shutil.copytree(GOLDEN_DIR, clone)
-    trace = clone / "width2_profile.trace"
-    trace.write_text(trace.read_text().replace('"m4"', '"mX"'))
+    trace = clone / f"{GOLDEN_ENTRY}.trace"
+    trace.write_text(trace.read_text().replace('"m2"', '"mX"'))
     assert main(["golden", "--dir", str(clone)]) == 1
 
 
 def _drop_meta_key(key):
     def edit(clone):
-        meta_path = clone / "width2_profile.golden.json"
+        meta_path = clone / f"{GOLDEN_ENTRY}.golden.json"
         meta = json.loads(meta_path.read_text())
         del meta[key]
         meta_path.write_text(json.dumps(meta))
@@ -351,34 +363,46 @@ def _drop_meta_key(key):
 
 
 def _set_meta_suites(clone):
-    meta_path = clone / "width2_profile.golden.json"
+    meta_path = clone / f"{GOLDEN_ENTRY}.golden.json"
     meta = json.loads(meta_path.read_text())
     meta["suites"] = ["kbo", "bogus"]
     meta_path.write_text(json.dumps(meta))
 
 
+def _write(suffix: str, data: bytes):
+    def edit(clone):
+        (clone / f"{GOLDEN_ENTRY}{suffix}").write_bytes(data)
+    return edit
+
+
+def _unlink(suffix: str):
+    def edit(clone):
+        (clone / f"{GOLDEN_ENTRY}{suffix}").unlink()
+    return edit
+
+
 @pytest.mark.parametrize(
-    "bad_file, edit",
+    "suffix, edit",
     [
-        ("width2_profile.golden.json", lambda c: (c / "width2_profile.golden.json").write_text("{nope")),
-        ("width2_profile.golden.json", lambda c: (c / "width2_profile.golden.json").write_text("[1, 2]")),
-        ("width2_profile.golden.json", _drop_meta_key("trace")),
-        ("width2_profile.golden.json", _set_meta_suites),
-        ("width2_profile.scenario.json", lambda c: (c / "width2_profile.scenario.json").unlink()),
-        ("width2_profile.scenario.json", lambda c: (c / "width2_profile.scenario.json").write_text("{}")),
-        ("width2_profile.trace", lambda c: (c / "width2_profile.trace").unlink()),
-        ("width2_profile.trace", lambda c: (c / "width2_profile.trace").write_bytes(b"\xff\xfe")),
-        ("width2_profile.verdicts", lambda c: (c / "width2_profile.verdicts").unlink()),
-        ("width2_profile.verdicts", lambda c: (c / "width2_profile.verdicts").write_bytes(b"\x80")),
+        pytest.param(".golden.json", _write(".golden.json", b"{nope"), id="meta-not-json"),
+        pytest.param(".golden.json", _write(".golden.json", b"[1, 2]"), id="meta-not-an-object"),
+        pytest.param(".golden.json", _drop_meta_key("trace"), id="meta-without-trace"),
+        pytest.param(".golden.json", _set_meta_suites, id="meta-unknown-suite"),
+        pytest.param(".scenario.json", _unlink(".scenario.json"), id="scenario-missing"),
+        pytest.param(".scenario.json", _write(".scenario.json", b"{}"), id="scenario-empty"),
+        pytest.param(".trace", _unlink(".trace"), id="trace-missing"),
+        pytest.param(".trace", _write(".trace", b"\xff\xfe"), id="trace-not-utf8"),
+        pytest.param(".verdicts", _unlink(".verdicts"), id="verdicts-missing"),
+        pytest.param(".verdicts", _write(".verdicts", b"\x80"), id="verdicts-not-utf8"),
     ],
 )
-def test_golden_input_errors_exit_2_naming_the_file(tmp_path, capsys, bad_file, edit):
+def test_golden_input_errors_exit_2_naming_the_file(tmp_path, capsys, suffix, edit):
     clone = tmp_path / "golden"
     shutil.copytree(GOLDEN_DIR, clone)
     edit(clone)
     assert main(["golden", "--dir", str(clone)]) == 2
     err = capsys.readouterr().err
-    assert str(clone / bad_file) in err
+    assert str(clone / f"{GOLDEN_ENTRY}{suffix}") in err
     assert "Traceback" not in err
 
 
@@ -410,22 +434,36 @@ def test_check_rejects_a_format_2_trace(tmp_path):
 
 
 def test_a_run_delivering_an_unbroadcast_id_checks_as_a_validity_failure(tmp_path):
-    # Scenario validation and the reader accept the same ids: a sender
-    # outside 1..n is not a format error but a message nobody broadcast.
-    scen = tmp_path / "s.json"
-    scen.write_text(json.dumps({
-        "version": 1, "n": 1, "k": 1, "seed": 0, "schedule_policy": "round-robin",
-        "crash_plan": [], "workload": {"1": [{"op": "deliver", "msgs": ["9:9"]}]},
-        "step_budget": 10,
-    }))
+    # The reader accepts an id whose sender is outside 1..n: it is not a
+    # format error but a message nobody broadcast.
     out = tmp_path / "t.trace"
-    run = _bocast("run", "--scenario", str(scen), "--out", str(out))
-    assert run.returncode == 0, run.stderr
+    write_trace(forged_trace(1, 1, [(1, ("9:9",))]), out)
     proc = _check_subprocess(out)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     verdicts = {rec["property"]: rec for rec in map(json.loads, proc.stdout.splitlines())}
     assert verdicts["kbo.validity"]["pass"] is False
+
+
+def test_a_deliver_item_is_refused_by_run_and_in_a_trace_config(tmp_path):
+    # a scenario cannot prescribe deliveries: a deliver item is an unknown op
+    obj = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
+    obj["workload"]["1"].append({"op": "deliver", "msgs": ["1:0"]})
+    scen = tmp_path / "deliver.scenario.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    proc = _bocast("run", "--scenario", str(scen), "--out", str(tmp_path / "t.trace"))
+    assert proc.returncode == 2, proc.stderr
+    assert "unknown workload op 'deliver'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = Path("scenarios/forged/ordering_breach.trace").read_text(encoding="utf-8").splitlines()
+    config = json.loads(lines[0])
+    config["workload"]["1"].append({"op": "deliver", "msgs": ["1:0"]})
+    lines[0] = json.dumps(config)
+    bad = tmp_path / "deliver.trace"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _check_subprocess(bad)
+    _assert_rejected(proc, 1)
+    assert "unknown workload op 'deliver'" in proc.stderr
 
 
 def _example_lines() -> list[str]:

@@ -127,9 +127,9 @@ class _ProbedText(str):
 
 
 class _ProbedConfig(ScenarioConfig):
-    def mode(self):
+    def validate(self):
         _seen.append(gc.isenabled())
-        return super().mode()
+        return super().validate()
 
 
 class _ProbedTrace(Trace):

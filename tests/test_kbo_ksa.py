@@ -4,10 +4,9 @@ from bocast.ksa import DecisionTable
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
 
-from _drivers import propose_workload, stack_config
+from _drivers import forged_trace, propose_workload, stack_config
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
-D = lambda *mids: WorkItem(op="deliver", msgs=tuple(mids))
 LOOKALIKE = "scenarios/examples/n2_k1_lookalike_payload.scenario.json"
 
 
@@ -76,12 +75,8 @@ def test_k2_decisions_bounded_and_proposed():
 def test_different_set_partitions_do_not_violate_the_bound():
     # p1 gets the two messages in two singleton sets, p2 in one set;
     # canonical unpacking keeps the per-message orders compatible.
-    wl = {
-        1: (B("x"), D("1:0"), D("2:0")),
-        2: (B("y"), D("1:0", "2:0")),
-    }
-    cfg = stack_config(2, 2, 0, wl, schedule="round-robin")
-    trace = run_scenario(cfg)
+    steps = [(1, "x"), (2, "y"), (1, ("1:0",)), (2, ("1:0", "2:0")), (1, ("2:0",))]
+    trace = forged_trace(2, 2, steps)
     idx = TraceIndex(trace)
     assert idx.msg_seqs[1] == idx.msg_seqs[2] == ["1:0", "2:0"]
     assert not any_failure(check_all(trace, suites=("kbo", "kscd")))

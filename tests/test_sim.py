@@ -15,7 +15,7 @@ from bocast.scenario import (
 from bocast.sim import Simulation, SimulationError, run_scenario
 from bocast.trace import TraceFormatError, parse_trace, serialize_trace
 
-from _drivers import dumps, propose_workload, sampled_stack_config, stack_config
+from _drivers import dumps, forged_trace, propose_workload, sampled_stack_config, stack_config
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 
@@ -23,11 +23,6 @@ B = lambda payload: WorkItem(op="broadcast", payload=payload)
 class TestDeterminism:
     def test_stack_runs_are_byte_identical(self):
         cfg = sampled_stack_config(5, 2, 123)
-        assert serialize_trace(run_scenario(cfg)) == serialize_trace(run_scenario(cfg))
-
-    def test_scripted_runs_are_byte_identical(self):
-        wl = {1: (B("a"), WorkItem(op="deliver", msgs=("1:0",)))}
-        cfg = stack_config(1, 1, 9, wl, schedule="round-robin")
         assert serialize_trace(run_scenario(cfg)) == serialize_trace(run_scenario(cfg))
 
 
@@ -125,20 +120,27 @@ class TestValidation:
             ScenarioConfig.from_json_dict(self.base(oracle_policy="nonsense"))
         with pytest.raises(ConfigError, match="schedule_policy"):
             ScenarioConfig.from_json_dict(self.base(schedule_policy="nonsense"))
+        # a process has a main and a task thread, nothing else
+        script = {"policy": "scripted", "script": [[1, "script"]]}
+        with pytest.raises(ConfigError, match="unknown thread 'script'"):
+            ScenarioConfig.from_json_dict(self.base(schedule_policy=script))
 
-    def test_deliver_and_propose_cannot_mix(self):
-        wl = {
-            "1": [{"op": "deliver", "msgs": ["1:0"]}],
-            "2": [{"op": "propose", "instance": 0, "value": "v"}],
-        }
-        with pytest.raises(ConfigError, match="cannot mix"):
-            ScenarioConfig.from_json_dict(self.base(workload=wl))
+    def test_a_deliver_item_is_an_unknown_op(self):
+        # a scenario cannot prescribe deliveries, with proposals or without
+        for other in ([], [{"op": "propose", "instance": 0, "value": "v"}]):
+            wl = {"1": [{"op": "deliver", "msgs": ["1:0"]}], "2": other}
+            with pytest.raises(ConfigError, match="unknown workload op 'deliver'"):
+                ScenarioConfig.from_json_dict(self.base(workload=wl))
 
     @pytest.mark.parametrize("mid", ["1:00", "01:0", " 1:0", "1_0:0", "1:0 ", "+1:0", "1", 5])
     def test_non_canonical_message_ids_rejected(self, mid):
-        wl = {"1": [{"op": "deliver", "msgs": [mid]}]}
-        with pytest.raises(ConfigError, match="malformed message id"):
-            ScenarioConfig.from_json_dict(self.base(workload=wl))
+        # no scenario names a message; a trace that delivers one is read
+        # only if the id is canonical
+        lines = serialize_trace(forged_trace(1, 1, [(1, "x"), (1, ("1:0",))])).splitlines()
+        assert lines[3].startswith('[1,1,"deliver-set",')
+        lines[3] = lines[3].replace('["1:0"]', json.dumps([mid]))
+        with pytest.raises(TraceFormatError, match="line 4: "):
+            parse_trace("\n".join(lines) + "\n")
 
     def test_propose_instances_must_increase(self):
         wl = {"1": [

@@ -30,7 +30,7 @@ from bocast.trace import (
 )
 
 EXAMPLE = Path("scenarios/examples/n3_k2_propose.scenario.json")
-GOLDEN_TRACE = Path("scenarios/golden/width2_profile.trace")
+GOLDEN_TRACE = Path("scenarios/golden/width2_broadcast.trace")
 
 
 def reference_parse(text: str):

@@ -16,6 +16,12 @@ format 3 records they give the same digests.
 The digests were computed before ``kbo`` and ``kscd`` shared one law core
 and ``snapshot`` read each object once, so they hold that checker to the
 verdicts and witnesses of the one before it.
+
+Three of the bases are forged traces, checked in under
+``scenarios/forged/``.  Each was first the run of a scenario that
+prescribed its deliveries, and each is still pinned under that
+scenario's (or trace's) path: the hash of that key picks the targets of
+its mutations.
 """
 
 from __future__ import annotations
@@ -31,16 +37,17 @@ from bocast.checker import check_all, serialize_verdicts
 from bocast.cli import instantiate_template
 from bocast.scenario import load_scenario
 from bocast.sim import run_scenario
-from bocast.trace import parse_trace, serialize_trace
+from bocast.trace import parse_trace, read_trace, serialize_trace
 
 PINS = json.loads((Path(__file__).parent / "verdict_digests.json").read_text(encoding="utf-8"))
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
-GOLDEN_TRACE = "scenarios/golden/width2_profile.trace"
-SCENARIOS = (
-    "scenarios/examples/n3_k2_propose.scenario.json",
-    "scenarios/negative/ordering_breach.scenario.json",
-    "scenarios/negative/width3_antichain.scenario.json",
-)
+EXAMPLE = "scenarios/examples/n3_k2_propose.scenario.json"
+# pin key -> the forged trace pinned under it
+FORGED = {
+    "scenarios/golden/width2_profile.trace": "scenarios/forged/width2_profile.trace",
+    "scenarios/negative/ordering_breach.scenario.json": "scenarios/forged/ordering_breach.trace",
+    "scenarios/negative/width3_antichain.scenario.json": "scenarios/forged/width3_antichain.trace",
+}
 MUTATED_TEMPLATE_SEEDS = range(10)
 
 # Properties the mutations as a whole must make fail.
@@ -193,9 +200,8 @@ def _template_trace(seed_index: int):
 
 def base_traces() -> dict:
     """The traces that are pinned as they are and then mutated."""
-    bases = {GOLDEN_TRACE: parse_trace(Path(GOLDEN_TRACE).read_text(encoding="utf-8"))}
-    for path in SCENARIOS:
-        bases[path] = run_scenario(load_scenario(Path(path)))
+    bases = {key: read_trace(path) for key, path in FORGED.items()}
+    bases[EXAMPLE] = run_scenario(load_scenario(Path(EXAMPLE)))
     for i in MUTATED_TEMPLATE_SEEDS:
         bases[f"template-seed-{i}"] = _template_trace(i)
     return bases
@@ -220,7 +226,7 @@ def bases():
 
 
 def test_checked_in_traces(bases):
-    got = {name: verdict_digest(bases[name]) for name in (GOLDEN_TRACE, *SCENARIOS)}
+    got = {name: verdict_digest(bases[name]) for name in (*FORGED, EXAMPLE)}
     assert got == PINS["traces"]
 
 
