@@ -203,7 +203,11 @@ def cmd_fuzz(args) -> int:
     }
     text = json.dumps(summary, indent=2, ensure_ascii=False) + "\n"
     if out_dir:
-        (out_dir / "summary.json").write_text(text, encoding="utf-8")
+        path = out_dir / "summary.json"
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _fail_usage(f"--out: cannot write {path}: {exc.strerror or exc}")
     sys.stdout.write(text)
     return EXIT_FAIL if failing_seeds or errors else EXIT_OK
 

@@ -13,10 +13,21 @@ event carries the turn that emitted it; a crash carries the turn at which
 it fires.  Deliveries the stack never makes are not simulated: a trace
 that holds them is written by hand and only checked.
 
-The enabled tokens are kept up to date, not polled: a process's main
-and task predicates change only on its own step or its crash, and its
-task predicate also on a MEM write by anyone.  The token list is ordered
-by pid, main before task, as if all n processes were polled every turn.
+The enabled tokens are kept up to date, not polled.  A process waits in
+two places: a broadcast until it has delivered everything its MEM
+snapshot saw, a propose until it decides; its task idles only while MEM
+holds nothing it has not delivered.  So only four steps can change its
+flags: its own delivery (a wait can end, the task can go idle), its own
+main step (its workload moves on), a MEM write by anyone (an idle task
+can wake) and its crash (both go off).  After a delivery or a main step
+the scheduler polls the stepped process again, after a MEM write also
+every idle task, and a crash polls its victim.  A task step that
+delivers nothing (the MEM snapshot that picks a candidate, the KSET
+propose, the SNAP1 write and snapshot, the SNAP2 write) polls nobody:
+it leaves the task mid-round, so still enabled, and changes neither MEM
+nor what any process has delivered, so no flag.  The token list is
+ordered by pid, main before task, as if all n processes were polled
+every turn.
 
 Determinism: given equal configurations, runs produce byte-identical
 traces.  All scheduling randomness comes from a SplitMix64 stream derived
@@ -50,6 +61,9 @@ from .scenario import ScenarioConfig
 from .trace import Recorder, Trace, pauses_cyclic_gc
 
 FAIRNESS_WINDOW_FACTOR = 4
+
+# Which enabled flags run() polls again after a step (see _dispatch)
+REPOLL_NONE, REPOLL_OWN, REPOLL_MEM = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -121,13 +135,14 @@ class _Process:
             raise SimulationError(f"unknown main state {self.state!r}")
         return False
 
-    def task_step(self) -> None:
-        """Run one step of the engine; a delivered set is emitted as one
-        deliver-set event, then its members one by one."""
+    def task_step(self) -> bool:
+        """Run one step of the engine; returns whether it delivered a set.
+        A delivered set is emitted as one deliver-set event, then its
+        members one by one."""
         position = self.engine.delivered_count  # before the set is added
         delivered = self.engine.task_step()
         if delivered is None:
-            return
+            return False
         emit, pid = self.recorder.emit, self.pid
         order = unpack_order(delivered)
         emit(pid, "deliver-set", {"round": position, "set": order})
@@ -136,6 +151,7 @@ class _Process:
             proposal = self.proposals.get(mid)
             if proposal is not None:
                 self.table.on_deliver(*proposal)
+        return True
 
 
 class Simulation:
@@ -218,10 +234,12 @@ class Simulation:
                 outcome = "budget-exhausted"
                 break
             token = self._pick(tokens)
-            wrote_mem = self._dispatch(token)
+            repoll = self._dispatch(token)
             self.turn = turn + 1
+            if not repoll:
+                continue
             changed = self._refresh(token[0])
-            if wrote_mem:  # it can enable idle tasks, and nothing else
+            if repoll == REPOLL_MEM:  # a MEM write can enable idle tasks, and nothing else
                 for pid in range(1, self.n + 1):
                     if not task_on[pid] and self._refresh(pid):
                         changed = True
@@ -323,14 +341,17 @@ class Simulation:
 
     # --- stepping -----------------------------------------------------------
 
-    def _dispatch(self, token) -> bool:
-        """Run one step; returns whether it wrote MEM."""
+    def _dispatch(self, token) -> int:
+        """Run one step; returns the flags it can have changed, so the
+        ones ``run`` polls again: ``REPOLL_NONE`` for a task step that
+        delivered nothing, ``REPOLL_OWN`` (the stepped process's) for a
+        delivery or a main step that did not write MEM, and
+        ``REPOLL_MEM`` (those and every idle task's) for a MEM write."""
         pid, thread = token
         proc = self.procs[pid]
         if thread == "task":
-            proc.task_step()
-            return False
-        return proc.main_step()
+            return REPOLL_OWN if proc.task_step() else REPOLL_NONE
+        return REPOLL_MEM if proc.main_step() else REPOLL_OWN
 
     def _check_no_deadlock(self) -> None:
         for pid, proc in self.procs.items():

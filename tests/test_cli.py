@@ -297,6 +297,17 @@ def test_fuzz_rejects_an_out_path_that_is_a_file(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_fuzz_exits_2_when_it_cannot_write_the_summary(tmp_path):
+    # every seed has run by then: still an output error, exit 2, not a failed property
+    out_dir = tmp_path / "fuzz"
+    (out_dir / "summary.json").mkdir(parents=True)
+    proc = _bocast("fuzz", "--template", str(TEMPLATE), "--seeds", "1", "--out", str(out_dir))
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: --out: cannot write {out_dir / 'summary.json'}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def _edited_template(tmp_path, edit) -> Path:
     obj = json.loads(TEMPLATE.read_text(encoding="utf-8"))
     obj.update(edit)

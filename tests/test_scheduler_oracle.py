@@ -13,7 +13,10 @@ pick goes to the starved process, its task thread first (except while a
 schedule script runs, which it does verbatim), that every round-robin
 pick is the one a reference that scans the token list makes, and that
 every event emitted during turn t, a crash included, carries
-``turn == t``.
+``turn == t``.  The simulator polls nobody after a task step that
+delivers nothing; the oracle counts those turns, and its check at the
+next pick is what shows that each skipped poll would have changed
+nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from bocast.scenario import SchedulePolicy, WorkItem, load_scenario
-from bocast.sim import Simulation, run_scenario
+from bocast.sim import REPOLL_NONE, Simulation, run_scenario
 from bocast.trace import serialize_trace
 
 from _drivers import propose_workload, sampled_stack_config, stack_config
@@ -44,6 +47,7 @@ class PollingOracle(Simulation):
         self.turns_checked = 0
         self.overrides = 0
         self.stale_bounds = 0  # turns on which _starving() looked at every stamp
+        self.skipped_repolls = 0  # turns after which the simulator polled nobody
         self.events_checked = 0
         self.scripted_past_starving = 0  # script turns that left a starving process waiting
         self.delivered = {pid: set() for pid in range(1, self.n + 1)}  # from deliver-msg events
@@ -66,9 +70,10 @@ class PollingOracle(Simulation):
 
     def _dispatch(self, token):
         start = len(self.recorder.rows)
-        wrote_mem = super()._dispatch(token)
+        repoll = super()._dispatch(token)
         self._events_since(start)
-        return wrote_mem
+        self.skipped_repolls += repoll == REPOLL_NONE
+        return repoll
 
     def poll_all(self) -> list[tuple[int, str]]:
         tokens = []
@@ -152,7 +157,7 @@ def broadcasts(n: int, per_process: int):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_seeded_random_with_crashes_and_proposals(seed):
-    checked_run(sampled_stack_config(5, 2, seed))
+    assert checked_run(sampled_stack_config(5, 2, seed)).skipped_repolls > 0
 
 
 def test_starvation_overrides_are_exercised():
@@ -164,7 +169,9 @@ def test_starvation_overrides_are_exercised():
 @pytest.mark.parametrize("seed", range(4))
 def test_round_robin_with_crashes_and_proposals(seed):
     cfg = sampled_stack_config(4, 2, 100 + seed)
-    assert checked_run(dataclasses.replace(cfg, schedule=SchedulePolicy("round-robin"))).rr_picks > 0
+    sim = checked_run(dataclasses.replace(cfg, schedule=SchedulePolicy("round-robin")))
+    assert sim.rr_picks > 0
+    assert sim.skipped_repolls > 0
 
 
 @pytest.mark.parametrize("schedule", ["seeded-random", "round-robin"])
@@ -173,6 +180,7 @@ def test_wide_n20_k4(schedule):
     # go stale often and some of them starve
     sim = checked_run(stack_config(20, 4, 3, broadcasts(20, 1), schedule=schedule))
     assert sim.stale_bounds > sim.overrides
+    assert sim.skipped_repolls > 0
     if schedule == "seeded-random":
         assert sim.overrides > 0
 
