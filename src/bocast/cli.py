@@ -33,6 +33,7 @@ from .scenario import (
     ScenarioConfig,
     load_json,
     load_scenario,
+    read_utf8,
     require_int,
 )
 from .sim import SimulationError, run_scenario
@@ -115,8 +116,12 @@ def cmd_decompose(args) -> int:
         return _fail_usage(str(exc))
     result = build_order(trace, scope=args.scope)
     if result.poset is None:
-        width, antichain = width_and_antichain(result)
-        print(f"delivery order is not a partial order; width {width}, antichain {antichain}")
+        try:
+            width, antichain = width_and_antichain(result)
+            detail = f"width {width}, antichain {antichain}"
+        except ValueError:  # more elements than the exhaustive search takes
+            detail = f"{len(result.elements)} elements, too many to search for its width"
+        print(f"delivery order is not a partial order; {detail}")
         return EXIT_FAIL
     k = args.k if args.k is not None else trace.config.k
     try:
@@ -247,48 +252,41 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
 
 
 class _GoldenInputError(Exception):
-    """A golden entry's meta, scenario, trace or verdicts file is missing or invalid."""
+    """A golden entry's scenario, trace or verdicts file is missing or invalid."""
+
+
+GOLDEN_FILES = (".scenario.json", ".trace", ".verdicts")
 
 
 def _read_golden_file(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _GoldenInputError(f"{path}: cannot read: {exc}") from exc
+        return read_utf8(path, _GoldenInputError)
+    except OSError as exc:
+        raise _GoldenInputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
-def _load_golden_entry(gold_dir: Path, meta_path: Path):
-    """(config, trace text, verdicts text or None, suites) of one entry."""
-    try:
-        meta = json.loads(_read_golden_file(meta_path))
-        scenario_path = gold_dir / meta["scenario"]
-        trace_path = gold_dir / meta["trace"]
-        verdicts_path = gold_dir / meta["verdicts"] if meta.get("verdicts") else None
-        suites = tuple(meta.get("suites", ALL_SUITES))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _GoldenInputError(f"{meta_path}: invalid golden meta: {exc!r}") from exc
-    unknown = [suite for suite in suites if suite not in ALL_SUITES]
-    if unknown:
-        raise _GoldenInputError(f"{meta_path}: unknown suites {unknown}")
+def _load_golden_entry(base: str):
+    """(config, trace text, verdicts text) of the entry named by ``base``."""
+    scenario_path, trace_path, verdicts_path = (Path(base + suffix) for suffix in GOLDEN_FILES)
     try:
         config = load_scenario(scenario_path)
     except (ConfigError, OSError) as exc:
         raise _GoldenInputError(f"{scenario_path}: {exc}") from exc
-    want = _read_golden_file(trace_path)
-    want_v = _read_golden_file(verdicts_path) if verdicts_path is not None else None
-    return config, want, want_v, suites
+    return config, _read_golden_file(trace_path), _read_golden_file(verdicts_path)
 
 
 def cmd_golden(args) -> int:
+    """Rerun each entry named by any of its ``GOLDEN_FILES`` in the directory."""
     gold_dir = Path(args.dir)
-    metas = sorted(gold_dir.glob("*.golden.json"))
-    if not metas:
-        return _fail_usage(f"no *.golden.json entries under {gold_dir}")
+    names = sorted(
+        {path.name[: -len(suffix)] for suffix in GOLDEN_FILES for path in gold_dir.glob(f"*{suffix}")}
+    )
+    if not names:
+        return _fail_usage(f"no golden entries (*.scenario.json) under {gold_dir}")
     failures = 0
-    for meta_path in metas:
-        name = meta_path.stem.replace(".golden", "")
+    for name in names:
         try:
-            config, want, want_v, suites = _load_golden_entry(gold_dir, meta_path)
+            config, want, want_v = _load_golden_entry(str(gold_dir / name))
         except _GoldenInputError as exc:
             return _fail_usage(str(exc))
         try:
@@ -301,7 +299,7 @@ def cmd_golden(args) -> int:
             print(f"{name}: TRACE MISMATCH")
             failures += 1
             continue
-        if want_v is not None and serialize_verdicts(check_all(trace, suites)) != want_v:
+        if serialize_verdicts(check_all(trace)) != want_v:
             print(f"{name}: VERDICT MISMATCH")
             failures += 1
             continue

@@ -1,20 +1,24 @@
 """The agreement-plus-two-snapshots object (K2S) and its repeated store.
 
-One instance combines one k-set-agreement instance with two fresh
-one-shot snapshot arrays.  A proposer runs three phases:
+One instance combines one k-set-agreement instance KSET[r] with two
+fresh one-shot snapshot arrays SNAP1[r] and SNAP2[r].  A proposal runs
+five steps, each one operation on one of those objects:
 
-1. propose its value to the agreement instance and keep the decided value,
-2. publish the decided value through the first snapshot and read back the
-   set of values published so far (its view),
-3. publish its view through the second snapshot and read back the family
-   of views published so far (its output).
+1. propose its value to KSET[r] and keep the decided value;
+2. write the decided value to SNAP1[r];
+3. snapshot SNAP1[r]: the values written so far are its view;
+4. write its view to SNAP2[r];
+5. snapshot SNAP2[r]: the views written so far are its output.
+
+``K2SInstance.step`` runs a proposer's next step and keeps, per
+proposer, what the later steps need: its step count, its decided value
+and its view.  The simulator runs each step as one scheduler step, so
+other processes interleave between them, and each object writes the
+trace row of its own access.
 
 Because one-shot snapshot views are inclusion-related, every output is a
 non-empty chain of non-empty views, bounded by min(k, number of distinct
 inputs), nested within and across processes.
-
-Each phase op is a separate scheduler step in the simulator, so other
-processes interleave between them.
 """
 
 from __future__ import annotations
@@ -33,41 +37,43 @@ def canon_sets(sets) -> list:
 
 
 class K2SInstance:
-    def __init__(self, n: int, oracle: SetAgreementOracle, instance_no: int):
+    """One K2S object; ``step`` runs a proposer's next step."""
+
+    def __init__(self, n: int, oracle: SetAgreementOracle, instance_no: int, emit):
         self.oracle = oracle
         self.instance_no = instance_no
-        self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", one_shot=True)
+        self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", emit, one_shot=True)
         # SNAP2 cells hold views in canonic list form, as the trace writes them
-        self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", one_shot=True)
+        self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", emit, one_shot=True)
         # the views written to SNAP2 so far, grown at each write: a
         # one-shot cell is written once, so no read need rebuild it
         self.family: frozenset = frozenset()
+        # per proposer: the steps it has run (by pid, index 0 unused), its
+        # decided value, its SNAP1 view
+        self.steps = [0] * (n + 1)
+        self.decided: dict[int, str] = {}
+        self.views: dict[int, frozenset] = {}
 
-    # --- phase operations (one shared-object op each) -------------------
-
-    def phase_propose(self, pid: int, value: str) -> str:
-        # a second invocation by pid, or one to a round no later than its
-        # last, is a proposal the oracle refuses
-        return self.oracle.propose(self.instance_no, pid, value)
-
-    def phase_snap1_write(self, pid: int, val: str) -> None:
-        self.snap1.write(pid, val)
-
-    def phase_snap1_read(self, pid: int) -> tuple[tuple, frozenset]:
-        arr = self.snap1.snapshot(pid)  # the cells, and the view: the written ones
-        return arr, frozenset(v for v in arr if v is not None)
-
-    def phase_snap2_write(self, pid: int, view: frozenset) -> list:
-        """Publish ``view``; returns its canonic list."""
-        listed = canon_view(view)
-        self.snap2.write(pid, listed)
-        self.family = self.family | {view}
-        return listed
-
-    def phase_snap2_read(self, pid: int) -> tuple[list, frozenset]:
-        """The cells as canonic lists (None where unwritten), and the
-        family of views: the written ones."""
-        return list(self.snap2.snapshot(pid)), self.family
+    def step(self, pid: int, value: str) -> frozenset | None:
+        """Run pid's next step of its proposal of ``value``; the family of
+        views at the fifth step, else None.  The one-shot SNAP2 refuses a
+        sixth, with ProtocolViolation."""
+        done = self.steps[pid]
+        self.steps[pid] = done + 1
+        if done == 0:
+            self.decided[pid] = self.oracle.propose(self.instance_no, pid, value)
+        elif done == 1:
+            self.snap1.write(pid, self.decided[pid])
+        elif done == 2:
+            self.views[pid] = frozenset(v for v in self.snap1.snapshot(pid) if v is not None)
+        elif done == 3:
+            view = self.views[pid]
+            self.snap2.write(pid, canon_view(view))
+            self.family = self.family | {view}
+        else:
+            self.snap2.snapshot(pid)
+            return self.family
+        return None
 
 
 class RepeatedK2S:
@@ -78,14 +84,15 @@ class RepeatedK2S:
     agreement proposal, which the oracle refuses otherwise.
     """
 
-    def __init__(self, n: int, oracle: SetAgreementOracle):
+    def __init__(self, n: int, oracle: SetAgreementOracle, emit):
         self.n = n
         self.oracle = oracle
+        self.emit = emit
         self.instances: dict[int, K2SInstance] = {}
 
     def instance(self, round_no: int) -> K2SInstance:
         inst = self.instances.get(round_no)
         if inst is None:
-            inst = K2SInstance(self.n, self.oracle, round_no)
+            inst = K2SInstance(self.n, self.oracle, round_no, self.emit)
             self.instances[round_no] = inst
         return inst

@@ -27,9 +27,12 @@ Determinism choices: whenever "some message" of a set is needed, the
 minimum in canonical (sender, index) order is taken; any choice would be
 correct, a fixed one makes runs reproducible.
 
-Every shared-object operation is one scheduler step, so a K2S round
-spreads over five steps (agreement, two writes, two snapshots) and other
-processes interleave between them.
+Every shared-object operation is one scheduler step, and each object
+writes the trace row of its own access.  A K2S round spreads over five
+steps (agreement, two writes, two snapshots) with other processes
+interleaved; the K2S instance runs them, keeping per process what the
+later steps need, so the engine knows only whether it is idle or in the
+round numbered by its delivery count, and what it proposed there.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from operator import ge
 from .k2s import RepeatedK2S, canon_sets
 from .messages import min_id, msg_key
 from .objects import SnapshotArray
-from .trace import Recorder
 
 
 class EngineInvariantError(RuntimeError):
@@ -77,24 +79,21 @@ class MemCounts:
     """MEM, whose cell i counts the messages p_i has published, with the
     running total of its cells."""
 
-    def __init__(self, n: int):
-        self.array = SnapshotArray(n, "MEM", initial=0)
+    def __init__(self, n: int, emit):
+        self.array = SnapshotArray(n, "MEM", emit, initial=0)
         self.total = 0
 
-    def publish(self, pid: int) -> int:
-        """Raise p's cell by one, for its next message; returns the new count."""
-        count = self.array.cells[pid - 1] + 1
-        self.array.write(pid, count)
+    def publish(self, pid: int) -> None:
+        """Raise p's cell by one, for its next message."""
+        self.array.write(pid, self.array.cells[pid - 1] + 1)
         self.total += 1
-        return count
 
 
 class BroadcastEngine:
-    def __init__(self, pid: int, mem: MemCounts, kss: RepeatedK2S, recorder: Recorder):
+    def __init__(self, pid: int, mem: MemCounts, kss: RepeatedK2S):
         self.pid = pid
         self.mem = mem
         self.kss = kss
-        self.recorder = recorder
 
         # The messages delivered here: prefix[s] is the first index of
         # p_{s+1}'s messages not delivered, and ahead holds (s, index) of
@@ -106,21 +105,17 @@ class BroadcastEngine:
         self.seq: list[frozenset] = []
         self.wait_for: tuple = ()  # MEM counts seen by the broadcast snapshot
 
-        self.tstate = "idle"  # idle|kset|snap1w|snap1s|snap2w|snap2s
-        self.prop: str | None = None
-        self.val: str | None = None
-        self.view: frozenset | None = None
-        self._inst = None
+        self.tstate = "idle"  # idle | k2s: in the K2S round numbered delivered_count
+        self.prop: str | None = None  # the candidate proposed in that round
 
     # --- broadcast operation steps --------------------------------------
 
     def broadcast_write(self) -> None:
         """Publish this process's next message: its MEM count goes up by one."""
-        self._obj_event("MEM", "write", [self.mem.publish(self.pid)], None)
+        self.mem.publish(self.pid)
 
     def broadcast_snapshot(self) -> None:
         self.wait_for = self.mem.array.snapshot(self.pid)
-        self._obj_event("MEM", "snapshot", None, list(self.wait_for))
 
     def broadcast_wait_ok(self) -> bool:
         return all(map(ge, self.prefix, self.wait_for))
@@ -128,9 +123,7 @@ class BroadcastEngine:
     # --- background task -------------------------------------------------
 
     def task_enabled(self) -> bool:
-        if self.tstate != "idle":
-            return True
-        if self.seq:
+        if self.tstate != "idle" or self.seq:
             return True
         # Everything delivered here is in MEM and MEM only grows, so some
         # message visible in MEM is undelivered iff MEM holds more.
@@ -139,62 +132,32 @@ class BroadcastEngine:
     def task_step(self) -> frozenset | None:
         """Run one task step; returns the delivered set when one is emitted."""
         if self.tstate == "idle":
-            if not self.seq:
+            self.tstate = "k2s"
+            if self.seq:
+                self.prop = min_id(self.seq[0])
+            else:
                 arr = self.mem.array.snapshot(self.pid)
-                self._obj_event("MEM", "snapshot", None, list(arr))
                 # the oldest undelivered message of the first sender with one
                 for s, (done, count) in enumerate(zip(self.prefix, arr)):
                     if done < count:
                         self.prop = f"{s + 1}:{done}"
-                        self.tstate = "kset"
                         break
+                else:
+                    self.tstate = "idle"
                 return None
-            self.prop = min_id(self.seq[0])
-            return self._step_kset()
-        if self.tstate == "kset":
-            return self._step_kset()
-        if self.tstate == "snap1w":
-            self._inst.phase_snap1_write(self.pid, self.val)
-            self._obj_event(self._inst.snap1.object_id, "write", [self.val], None)
-            self.tstate = "snap1s"
-            return None
-        if self.tstate == "snap1s":
-            arr, self.view = self._inst.phase_snap1_read(self.pid)
-            self._obj_event(self._inst.snap1.object_id, "snapshot", None, list(arr))
-            self.tstate = "snap2w"
-            return None
-        if self.tstate == "snap2w":
-            listed = self._inst.phase_snap2_write(self.pid, self.view)
-            self._obj_event(self._inst.snap2.object_id, "write", [listed], None)
-            self.tstate = "snap2s"
-            return None
-        if self.tstate == "snap2s":
-            return self._step_snap2_read()
-        raise EngineInvariantError(f"unknown task state {self.tstate!r}")
-
-    def _step_kset(self) -> None:
         # the round is numbered by the delivery count
-        self._inst = self.kss.instance(self.delivered_count)
-        self.val = self._inst.phase_propose(self.pid, self.prop)
-        self._obj_event(f"KSET[{self.delivered_count}]", "propose", [self.prop], self.val)
-        self.tstate = "snap1w"
-        return None
-
-    def _step_snap2_read(self) -> frozenset:
-        cells, sets = self._inst.phase_snap2_read(self.pid)
-        self._obj_event(self._inst.snap2.object_id, "snapshot", None, cells)
+        sets = self.kss.instance(self.delivered_count).step(self.pid, self.prop)
+        if sets is None:
+            return None
 
         new_seq = unfold_views(sets)
         fresh = set().union(*new_seq)
-        self.seq = [kept for s in self.seq if (kept := s - fresh)]
-        self.seq = new_seq + self.seq
-
+        self.seq = new_seq + [kept for s in self.seq if (kept := s - fresh)]
         first = self.seq.pop(0)
         self._advance_prefixes(first)
         self.delivered_count += len(first)
         self.tstate = "idle"
         self.prop = None
-        self._inst = None
         return first
 
     # --- helpers ----------------------------------------------------------
@@ -217,6 +180,3 @@ class BroadcastEngine:
                 ahead.remove((s, index))
                 index += 1
             prefix[s] = index
-
-    def _obj_event(self, object_id: str, op: str, args, result) -> None:
-        self.recorder.emit(self.pid, object_id, op, args, result)

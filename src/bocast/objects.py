@@ -3,7 +3,11 @@
 The simulator executes every operation on these objects as a single
 atomic scheduler step, so linearizability holds by construction and the
 one-shot containment property (any two snapshot views are related by
-inclusion) follows directly from the array semantics.
+inclusion) follows directly from the array semantics.  Each object
+records the trace row of every access it performs through the ``emit``
+it is built with (``Recorder.emit``): a write is ``[value]`` -> null, a
+snapshot null -> the n cells, and a propose to instance r is the object
+``KSET[r]`` with ``[value]`` -> the decided value.
 
 The agreement oracle is the one primitive the stack cannot build from
 reads and writes, so its behavior is a configurable policy:
@@ -39,9 +43,10 @@ class SnapshotArray:
     discipline per process.
     """
 
-    def __init__(self, n: int, object_id: str, one_shot: bool = False, initial=BOTTOM):
+    def __init__(self, n: int, object_id: str, emit, one_shot: bool = False, initial=BOTTOM):
         self.n = n
         self.object_id = object_id
+        self.emit = emit
         self.one_shot = one_shot
         self.cells = [initial] * n
         self._wrote = set()
@@ -54,6 +59,7 @@ class SnapshotArray:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} wrote a one-shot cell twice")
             self._wrote.add(pid)
         self.cells[pid - 1] = value
+        self.emit(pid, self.object_id, "write", [value], None)
 
     def snapshot(self, pid: int) -> tuple:
         self._check_pid(pid)
@@ -63,6 +69,7 @@ class SnapshotArray:
             if pid in self._snapped:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} took two one-shot snapshots")
             self._snapped.add(pid)
+        self.emit(pid, self.object_id, "snapshot", None, self.cells[:])
         return tuple(self.cells)
 
     def _check_pid(self, pid: int) -> None:
@@ -85,10 +92,11 @@ class SetAgreementOracle:
     (at most k distinct decided values per instance).
     """
 
-    def __init__(self, k: int, policy: str, seed: int):
+    def __init__(self, k: int, policy: str, seed: int, emit):
         self.k = k
         self.policy = policy
         self.seed = seed
+        self.emit = emit
         self.instances: dict[int, KsaInstance] = {}
         self._last_instance: dict[int, int] = {}
 
@@ -111,7 +119,9 @@ class SetAgreementOracle:
         if value not in inst.distinct:
             inst.distinct.append(value)
 
-        return self._decide(inst, pid, value)
+        decided = self._decide(inst, pid, value)
+        self.emit(pid, f"KSET[{instance_no}]", "propose", [value], decided)
+        return decided
 
     def _decide(self, inst: KsaInstance, pid: int, value: str) -> str:
         if self.policy == "first-1":

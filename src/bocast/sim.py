@@ -163,17 +163,18 @@ class Simulation:
         self.turn = 0
         self.crashed: set[int] = set()
 
-        self.mem = MemCounts(self.n)
+        emit = self.recorder.emit
+        self.mem = MemCounts(self.n, emit)
         self.oracle = SetAgreementOracle(
-            k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle")
+            k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle"), emit=emit
         )
-        self.kss = RepeatedK2S(self.n, self.oracle)
+        self.kss = RepeatedK2S(self.n, self.oracle, emit)
         proposals: dict[str, tuple[int, str]] = {}
         self.procs = {
             pid: _Process(
                 pid,
                 config.workload.get(pid, ()),
-                BroadcastEngine(pid, self.mem, self.kss, self.recorder),
+                BroadcastEngine(pid, self.mem, self.kss),
                 self.recorder,
                 proposals,
             )

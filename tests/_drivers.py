@@ -12,44 +12,32 @@ from bocast.objects import SetAgreementOracle, SnapshotArray
 from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem
-from bocast.trace import Event, Trace
+from bocast.trace import Event, Recorder, Trace
 
-PHASES_PER_PROPOSE = 5
+STEPS_PER_PROPOSE = 5
 
 
 def run_random_k2s_instance(seed: int, n: int, k: int):
-    """Drive one K2S instance with a seeded random phase interleaving.
+    """Drive one K2S instance with a seeded random interleaving of its
+    proposers' steps.
 
     Values may repeat across processes so the distinct-input bound gets
     exercised below n.  Returns (proposals, outputs) keyed by process.
     """
     rng = SplitMix64(seed)
-    oracle = SetAgreementOracle(k=k, policy="first-k-adversarial", seed=derive(seed, "oracle"))
-    inst = K2SInstance(n, oracle, 0)
+    emit = Recorder().emit
+    oracle = SetAgreementOracle(k=k, policy="first-k-adversarial", seed=derive(seed, "oracle"), emit=emit)
+    inst = K2SInstance(n, oracle, 0, emit)
     values = {pid: f"v{1 + rng.randrange(n)}" for pid in range(1, n + 1)}
 
-    state = {pid: {"phase": 0} for pid in range(1, n + 1)}
     outputs = {}
-
-    def step(pid: int) -> None:
-        st = state[pid]
-        if st["phase"] == 0:
-            st["val"] = inst.phase_propose(pid, values[pid])
-        elif st["phase"] == 1:
-            inst.phase_snap1_write(pid, st["val"])
-        elif st["phase"] == 2:
-            st["view"] = inst.phase_snap1_read(pid)[1]
-        elif st["phase"] == 3:
-            inst.phase_snap2_write(pid, st["view"])
-        else:
-            outputs[pid] = inst.phase_snap2_read(pid)[1]
-        st["phase"] += 1
-
-    remaining = {pid: PHASES_PER_PROPOSE for pid in range(1, n + 1)}
-    for _ in range(n * PHASES_PER_PROPOSE):
+    remaining = {pid: STEPS_PER_PROPOSE for pid in range(1, n + 1)}
+    for _ in range(n * STEPS_PER_PROPOSE):
         choices = sorted(remaining)
         pid = choices[rng.randrange(len(choices))]
-        step(pid)
+        sets = inst.step(pid, values[pid])
+        if sets is not None:
+            outputs[pid] = sets
         remaining[pid] -= 1
         if remaining[pid] == 0:
             del remaining[pid]
@@ -96,7 +84,7 @@ def one_shot_schedules(n: int):
 
 def replay_one_shot(n: int, schedule) -> dict[int, frozenset]:
     """Run one write/snapshot interleaving on a fresh one-shot array."""
-    arr = SnapshotArray(n, "X", one_shot=True)
+    arr = SnapshotArray(n, "X", Recorder().emit, one_shot=True)
     seen = set()
     views = {}
     for pid in schedule:
@@ -275,16 +263,14 @@ def shuffled(seq, rng: SplitMix64) -> list:
     return items
 
 
-# --- K2S phases back to back ----------------------------------------------------
+# --- K2S proposals back to back ----------------------------------------------------
 
 
 def k2s_propose(inst: K2SInstance, pid: int, value: str) -> frozenset:
-    """Run all phases of one proposal back to back; the family of views."""
-    val = inst.phase_propose(pid, value)
-    inst.phase_snap1_write(pid, val)
-    view = inst.phase_snap1_read(pid)[1]
-    inst.phase_snap2_write(pid, view)
-    return inst.phase_snap2_read(pid)[1]
+    """Run the five steps of one proposal back to back; the family of views."""
+    for _ in range(STEPS_PER_PROPOSE - 1):
+        assert inst.step(pid, value) is None
+    return inst.step(pid, value)
 
 
 def repeated_k2s_propose(kss: RepeatedK2S, pid: int, round_no: int, value: str) -> frozenset:

@@ -2,13 +2,27 @@ import pytest
 
 from bocast.k2s import K2SInstance, RepeatedK2S, canon_sets
 from bocast.objects import ProtocolViolation, SetAgreementOracle
+from bocast.trace import Recorder
 
-from _drivers import assert_k2s_properties, k2s_propose, repeated_k2s_propose, run_random_k2s_instance
+from _drivers import (
+    STEPS_PER_PROPOSE,
+    assert_k2s_properties,
+    k2s_propose,
+    repeated_k2s_propose,
+    run_random_k2s_instance,
+)
 
 
-def make_instance(n, k, seed=0, policy="first-k-adversarial", instance_no=0):
-    oracle = SetAgreementOracle(k=k, policy=policy, seed=seed)
-    return K2SInstance(n, oracle, instance_no)
+def make_instance(n, k, seed=0, policy="first-k-adversarial", instance_no=0, recorder=None):
+    emit = (recorder or Recorder()).emit
+    oracle = SetAgreementOracle(k=k, policy=policy, seed=seed, emit=emit)
+    return K2SInstance(n, oracle, instance_no, emit)
+
+
+def make_repeated(n, k, seed):
+    emit = Recorder().emit
+    oracle = SetAgreementOracle(k=k, policy="first-k-adversarial", seed=seed, emit=emit)
+    return RepeatedK2S(n, oracle, emit)
 
 
 def test_solo_proposer_gets_singleton_family():
@@ -26,23 +40,50 @@ def test_k1_collapses_to_one_decided_value():
 
 def test_sequential_run_golden():
     # Three fully sequential proposers, k=2, adversarial oracle seed 1.
-    # Derived by hand-stepping the three phases: the first proposer keeps
+    # Derived by hand-stepping the five steps: the first proposer keeps
     # its own value; the draws for p2 and p3 (documented per-instance
     # stream) give b and a; views then grow {a} -> {a,b} and both later
     # processes see both views in the second snapshot.
     inst = make_instance(3, 2, seed=1)
-    decided = {}
-    outs = {}
-    for pid, value in ((1, "a"), (2, "b"), (3, "c")):
-        decided[pid] = inst.phase_propose(pid, value)
-        inst.phase_snap1_write(pid, decided[pid])
-        inst.phase_snap2_write(pid, inst.phase_snap1_read(pid)[1])
-        outs[pid] = inst.phase_snap2_read(pid)[1]
-    assert decided == {1: "a", 2: "b", 3: "a"}
+    outs = {pid: k2s_propose(inst, pid, value) for pid, value in ((1, "a"), (2, "b"), (3, "c"))}
+    assert inst.decided == {1: "a", 2: "b", 3: "a"}
     assert canon_sets(outs[1]) == [["a"]]
     assert canon_sets(outs[2]) == [["a"], ["a", "b"]]
     assert canon_sets(outs[3]) == [["a"], ["a", "b"]]
     assert_k2s_properties({1: "a", 2: "b", 3: "c"}, outs, k=2)
+
+
+def test_one_proposal_writes_its_five_rows_in_order():
+    # p1 proposes to round 3 after p2's whole proposal: each of p1's five
+    # steps writes one row, with the shapes of the trace format's schema
+    # table (the echo oracle decides each proposer's own value)
+    recorder = Recorder()
+    inst = make_instance(3, 2, policy="echo", instance_no=3, recorder=recorder)
+    k2s_propose(inst, 2, "b")
+    before = len(recorder.rows)
+    results = []
+    for done in range(STEPS_PER_PROPOSE):
+        results.append(inst.step(1, "a"))
+        assert len(recorder.rows) == before + done + 1
+    assert recorder.rows[before:] == [
+        [0, 1, "KSET[3]", "propose", ["a"], "a"],
+        [0, 1, "SNAP1[3]", "write", ["a"], None],
+        [0, 1, "SNAP1[3]", "snapshot", None, ["a", "b", None]],
+        [0, 1, "SNAP2[3]", "write", [["a", "b"]], None],
+        [0, 1, "SNAP2[3]", "snapshot", None, [["a", "b"], ["b"], None]],
+    ]
+    assert results[:4] == [None] * 4
+    assert canon_sets(results[4]) == [["b"], ["a", "b"]]
+
+
+def test_a_sixth_step_is_refused_and_writes_no_row():
+    recorder = Recorder()
+    inst = make_instance(2, 2, recorder=recorder)
+    k2s_propose(inst, 1, "a")
+    rows = len(recorder.rows)
+    with pytest.raises(ProtocolViolation, match=r"SNAP2\[0\]: p1 took two one-shot snapshots"):
+        inst.step(1, "a")
+    assert len(recorder.rows) == rows == STEPS_PER_PROPOSE
 
 
 def test_double_invocation_rejected():
@@ -54,8 +95,7 @@ def test_double_invocation_rejected():
 
 class TestRepeated:
     def test_rounds_are_isolated(self):
-        oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=0)
-        kss = RepeatedK2S(2, oracle)
+        kss = make_repeated(2, 2, seed=0)
         out0 = repeated_k2s_propose(kss, 1, 0, "x")
         out5 = repeated_k2s_propose(kss, 1, 5, "y")
         assert out0 == frozenset({frozenset({"x"})})
@@ -63,20 +103,18 @@ class TestRepeated:
         assert kss.instance(0).snap1 is not kss.instance(5).snap1
 
     def test_same_round_outputs_nest_across_processes(self):
-        oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=3)
-        kss = RepeatedK2S(2, oracle)
+        kss = make_repeated(2, 2, seed=3)
         a = repeated_k2s_propose(kss, 1, 4, "x")
         b = repeated_k2s_propose(kss, 2, 4, "y")
         assert a <= b or b <= a
 
     def test_round_reuse_rejected(self):
-        oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=0)
-        kss = RepeatedK2S(2, oracle)
+        kss = make_repeated(2, 2, seed=0)
         repeated_k2s_propose(kss, 1, 3, "x")
         with pytest.raises(ProtocolViolation):
-            kss.instance(3).phase_propose(1, "y")
+            kss.instance(3).step(1, "y")
         with pytest.raises(ProtocolViolation):
-            kss.instance(1).phase_propose(1, "y")
+            kss.instance(1).step(1, "y")
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -34,8 +34,9 @@ class TestUnfoldViews:
 
 
 def test_a_second_delivery_of_a_message_is_refused():
-    oracle = SetAgreementOracle(k=1, policy="first-1", seed=0)
-    engine = BroadcastEngine(1, MemCounts(2), RepeatedK2S(2, oracle), Recorder())
+    emit = Recorder().emit
+    oracle = SetAgreementOracle(k=1, policy="first-1", seed=0, emit=emit)
+    engine = BroadcastEngine(1, MemCounts(2, emit), RepeatedK2S(2, oracle, emit))
     engine._advance_prefixes({"1:0", "2:1"})  # 1:0 extends p1's prefix, 2:1 lies past p2's
     for again in ("1:0", "2:1"):
         with pytest.raises(EngineInvariantError, match=f"p1 re-delivery of {again} at round 0"):
