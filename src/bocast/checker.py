@@ -31,15 +31,14 @@ others.  Failing verdicts carry a minimal machine-readable witness.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
 from .messages import msg_key, sort_ids
-from .poset import Poset, PosetError, brute_force_antichain, order_bitsets
-from .trace import Trace, pauses_cyclic_gc
+from .poset import BRUTE_FORCE_LIMIT, Poset, PosetError, brute_force_antichain, order_bitsets
+from .trace import OBJECT_NAME, Trace, pauses_cyclic_gc
 
 ALL_SUITES = ("kbo", "kscd", "k2s", "snapshot", "ksa", "roundsync")
 
@@ -108,9 +107,9 @@ class TraceIndex:
                 accesses = objects.get(name)
                 if accesses is None:
                     accesses = objects[name] = []
-                    m = _ROUND_OBJECT.fullmatch(name)
-                    if m:
-                        rounds.add(int(m.group(1)))
+                    m = OBJECT_NAME.fullmatch(name)
+                    if m and m[2] is not None:
+                        rounds.add(int(m[2]))
                 accesses.append((step, pid, op, args, result))
                 continue
             _turn, pid, kind, payload = row
@@ -134,9 +133,6 @@ class TraceIndex:
 
         self.nonfaulty = [pid for pid in pids if pid not in faulty]
         self.k2s_rounds = sorted(rounds)  # the r of every KSET[r], SNAP1[r] or SNAP2[r]
-
-
-_ROUND_OBJECT = re.compile(r"(?:KSET|SNAP1|SNAP2)\[(\d+)\]")
 
 
 @dataclass
@@ -179,14 +175,17 @@ def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
     )
 
 
-def width_and_antichain(result: OrderResult) -> tuple[int, list[str]]:
+def width_and_antichain(result: OrderResult) -> tuple[int | None, list[str]]:
     """Width of the agreed order with a maximum antichain witness.
 
     Falls back to exhaustive search when the raw relation is not
-    transitive (possible on forged traces that break termination)."""
+    transitive (possible on forged traces that break termination), up to
+    BRUTE_FORCE_LIMIT elements; past that it gives ``(None, [])``."""
     if result.poset is not None:
         w = result.poset.width()
         return w, result.poset.max_antichain()
+    if len(result.elements) > BRUTE_FORCE_LIMIT:
+        return None, []
     strict = result.strict
     position = {mid: i for i, mid in enumerate(result.elements)}
 
@@ -314,20 +313,16 @@ def _check_kbo(index: TraceIndex) -> list[Verdict]:
     out = [_verdict("kbo.validity", validity), _verdict("kbo.integrity", integrity)]
 
     result = build_order(index)
-    try:
-        width, antichain = width_and_antichain(result)
-    except ValueError:
+    width, antichain = width_and_antichain(result)
+    if width is None:
         # not a partial order and too large for exhaustive search: the
         # trace is already deeply broken, report conservatively
-        out.append(
-            _fail(
-                "kbo.bounded",
-                {"reason": "delivery relation is not a partial order", "width": None},
-            )
-        )
-    else:
+        witness = {"reason": "delivery relation is not a partial order", "width": None}
+    elif width > index.k:
         witness = {"width": width, "antichain": antichain, "excluded": result.excluded}
-        out.append(_verdict("kbo.bounded", witness if width > index.k else None))
+    else:
+        witness = None
+    out.append(_verdict("kbo.bounded", witness))
 
     out.extend(_termination_verdicts(index, "kbo", t1, t2))
     return out

@@ -116,11 +116,11 @@ def cmd_decompose(args) -> int:
         return _fail_usage(str(exc))
     result = build_order(trace, scope=args.scope)
     if result.poset is None:
-        try:
-            width, antichain = width_and_antichain(result)
-            detail = f"width {width}, antichain {antichain}"
-        except ValueError:  # more elements than the exhaustive search takes
+        width, antichain = width_and_antichain(result)
+        if width is None:  # more elements than the exhaustive search takes
             detail = f"{len(result.elements)} elements, too many to search for its width"
+        else:
+            detail = f"width {width}, antichain {antichain}"
         print(f"delivery order is not a partial order; {detail}")
         return EXIT_FAIL
     k = args.k if args.k is not None else trace.config.k

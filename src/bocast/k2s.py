@@ -1,8 +1,9 @@
 """The agreement-plus-two-snapshots object (K2S) and its repeated store.
 
-One instance combines one k-set-agreement instance KSET[r] with two
-fresh one-shot snapshot arrays SNAP1[r] and SNAP2[r].  A proposal runs
-five steps, each one operation on one of those objects:
+The K2S object of round r is three fresh objects of that round, which
+``K2SInstance`` builds: a k-set-agreement object KSET[r] and two one-shot
+snapshot arrays SNAP1[r] and SNAP2[r].  A proposal runs five steps, each
+one operation on one of those objects:
 
 1. propose its value to KSET[r] and keep the decided value;
 2. write the decided value to SNAP1[r];
@@ -23,7 +24,10 @@ inputs), nested within and across processes.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .objects import SetAgreementOracle, SnapshotArray
+from .rng import derive
 
 
 def canon_view(view) -> list:
@@ -37,14 +41,16 @@ def canon_sets(sets) -> list:
 
 
 class K2SInstance:
-    """One K2S object; ``step`` runs a proposer's next step."""
+    """The K2S object of round ``round_no``; ``step`` runs a proposer's
+    next step.  KSET draws from ``derive(seed, "ksa", round_no)``."""
 
-    def __init__(self, n: int, oracle: SetAgreementOracle, instance_no: int, emit):
-        self.oracle = oracle
-        self.instance_no = instance_no
-        self.snap1 = SnapshotArray(n, f"SNAP1[{instance_no}]", emit, one_shot=True)
+    def __init__(self, n: int, k: int, policy: str, seed: int, round_no: int, emit):
+        self.kset = SetAgreementOracle(
+            k, policy, derive(seed, "ksa", round_no), f"KSET[{round_no}]", emit
+        )
+        self.snap1 = SnapshotArray(n, f"SNAP1[{round_no}]", emit, one_shot=True)
         # SNAP2 cells hold views in canonic list form, as the trace writes them
-        self.snap2 = SnapshotArray(n, f"SNAP2[{instance_no}]", emit, one_shot=True)
+        self.snap2 = SnapshotArray(n, f"SNAP2[{round_no}]", emit, one_shot=True)
         # the views written to SNAP2 so far, grown at each write: a
         # one-shot cell is written once, so no read need rebuild it
         self.family: frozenset = frozenset()
@@ -61,7 +67,7 @@ class K2SInstance:
         done = self.steps[pid]
         self.steps[pid] = done + 1
         if done == 0:
-            self.decided[pid] = self.oracle.propose(self.instance_no, pid, value)
+            self.decided[pid] = self.kset.propose(pid, value)
         elif done == 1:
             self.snap1.write(pid, self.decided[pid])
         elif done == 2:
@@ -77,22 +83,20 @@ class K2SInstance:
 
 
 class RepeatedK2S:
-    """Instances keyed by round number, created lazily on first use.
+    """The K2S objects by round number, each built on first use.
 
-    Two snapshot objects are allocated fresh for every instance.  Per-process
-    round numbers must strictly increase: a round is entered by its
-    agreement proposal, which the oracle refuses otherwise.
+    A process enters round r only after every round below r: the engine
+    numbers its round by its delivery count, which each round raises,
+    since every delivered set is non-empty.  No object checks that order:
+    each sees only its own round.
     """
 
-    def __init__(self, n: int, oracle: SetAgreementOracle, emit):
-        self.n = n
-        self.oracle = oracle
-        self.emit = emit
+    def __init__(self, n: int, k: int, policy: str, seed: int, emit):
+        self.build = partial(K2SInstance, n, k, policy, seed, emit=emit)  # build(r): round r
         self.instances: dict[int, K2SInstance] = {}
 
     def instance(self, round_no: int) -> K2SInstance:
         inst = self.instances.get(round_no)
         if inst is None:
-            inst = K2SInstance(self.n, self.oracle, round_no, self.emit)
-            self.instances[round_no] = inst
+            inst = self.instances[round_no] = self.build(round_no)
         return inst

@@ -80,7 +80,7 @@ class MemCounts:
     running total of its cells."""
 
     def __init__(self, n: int, emit):
-        self.array = SnapshotArray(n, "MEM", emit, initial=0)
+        self.array = SnapshotArray(n, "MEM", emit)
         self.total = 0
 
     def publish(self, pid: int) -> None:
@@ -103,7 +103,7 @@ class BroadcastEngine:
         self.prefix = [0] * mem.array.n
         self.ahead: set[tuple[int, int]] = set()
         self.seq: list[frozenset] = []
-        self.wait_for: tuple = ()  # MEM counts seen by the broadcast snapshot
+        self.wait_for: list = []  # MEM counts seen by the broadcast snapshot
 
         self.tstate = "idle"  # idle | k2s: in the K2S round numbered delivered_count
         self.prop: str | None = None  # the candidate proposed in that round

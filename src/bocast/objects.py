@@ -1,4 +1,4 @@
-"""Primitive shared objects: snapshot arrays and a k-set-agreement oracle.
+"""Primitive shared objects: snapshot arrays and k-set-agreement objects.
 
 The simulator executes every operation on these objects as a single
 atomic scheduler step, so linearizability holds by construction and the
@@ -6,11 +6,11 @@ one-shot containment property (any two snapshot views are related by
 inclusion) follows directly from the array semantics.  Each object
 records the trace row of every access it performs through the ``emit``
 it is built with (``Recorder.emit``): a write is ``[value]`` -> null, a
-snapshot null -> the n cells, and a propose to instance r is the object
-``KSET[r]`` with ``[value]`` -> the decided value.
+snapshot null -> the n cells, and a propose to the agreement object of
+round r is the object ``KSET[r]`` with ``[value]`` -> the decided value.
 
-The agreement oracle is the one primitive the stack cannot build from
-reads and writes, so its behavior is a configurable policy:
+A k-set-agreement object is the one primitive the stack cannot build
+from reads and writes, so its behavior is a configurable policy:
 
 * ``first-1``           - every caller decides the first proposed value.
 * ``first-k-adversarial`` - default; each caller decides a seeded draw from
@@ -25,11 +25,7 @@ reads and writes, so its behavior is a configurable policy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .rng import SplitMix64, derive
-
-BOTTOM = None
+from .rng import SplitMix64
 
 
 class ProtocolViolation(RuntimeError):
@@ -40,15 +36,16 @@ class SnapshotArray:
     """Array of n single-writer cells with atomic write and read-all.
 
     ``one_shot=True`` additionally enforces the one-write-then-one-snapshot
-    discipline per process.
+    discipline per process.  A one-shot array's cells start empty (None);
+    a multi-shot array's are counts and start at 0.
     """
 
-    def __init__(self, n: int, object_id: str, emit, one_shot: bool = False, initial=BOTTOM):
+    def __init__(self, n: int, object_id: str, emit, one_shot: bool = False):
         self.n = n
         self.object_id = object_id
         self.emit = emit
         self.one_shot = one_shot
-        self.cells = [initial] * n
+        self.cells = [None if one_shot else 0] * n
         self._wrote = set()
         self._snapped = set()
 
@@ -61,7 +58,9 @@ class SnapshotArray:
         self.cells[pid - 1] = value
         self.emit(pid, self.object_id, "write", [value], None)
 
-    def snapshot(self, pid: int) -> tuple:
+    def snapshot(self, pid: int) -> list:
+        """The n cells, as the trace row holds them: callers must not
+        modify the returned list."""
         self._check_pid(pid)
         if self.one_shot:
             if pid not in self._wrote:
@@ -69,69 +68,50 @@ class SnapshotArray:
             if pid in self._snapped:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} took two one-shot snapshots")
             self._snapped.add(pid)
-        self.emit(pid, self.object_id, "snapshot", None, self.cells[:])
-        return tuple(self.cells)
+        cells = self.cells[:]
+        self.emit(pid, self.object_id, "snapshot", None, cells)
+        return cells
 
     def _check_pid(self, pid: int) -> None:
         if not (1 <= pid <= self.n):
             raise ProtocolViolation(f"{self.object_id}: unknown process {pid}")
 
 
-@dataclass
-class KsaInstance:
-    rng: SplitMix64  # the instance's own draws, for the adversarial policies
-    distinct: list = field(default_factory=list)  # distinct values in arrival order
-
-
 class SetAgreementOracle:
-    """Repeated k-set agreement with lazily created instances.
+    """One k-set-agreement object, to which each process proposes at most once.
 
-    Per-process instance numbers must strictly increase and each process
-    may call each instance at most once.  Decisions always satisfy
-    validity (a proposed value) and, for the sound policies, agreement
-    (at most k distinct decided values per instance).
+    Decisions always satisfy validity (a proposed value) and, for the
+    sound policies, agreement (at most k distinct decided values).
     """
 
-    def __init__(self, k: int, policy: str, seed: int, emit):
+    def __init__(self, k: int, policy: str, seed: int, object_id: str, emit):
         self.k = k
         self.policy = policy
-        self.seed = seed
+        self.rng = SplitMix64(seed)  # the object's own draws, for the adversarial policies
+        self.object_id = object_id
         self.emit = emit
-        self.instances: dict[int, KsaInstance] = {}
-        self._last_instance: dict[int, int] = {}
+        self.distinct: list = []  # distinct proposed values in arrival order
+        self._proposed = set()
 
-    def instance(self, instance_no: int) -> KsaInstance:
-        inst = self.instances.get(instance_no)
-        if inst is None:
-            inst = KsaInstance(SplitMix64(derive(self.seed, "ksa", instance_no)))
-            self.instances[instance_no] = inst
-        return inst
-
-    def propose(self, instance_no: int, pid: int, value: str) -> str:
-        last = self._last_instance.get(pid)
-        if last is not None and instance_no <= last:
-            raise ProtocolViolation(
-                f"oracle: p{pid} proposed to instance {instance_no} after instance {last}"
-            )
-        self._last_instance[pid] = instance_no
-
-        inst = self.instance(instance_no)
-        if value not in inst.distinct:
-            inst.distinct.append(value)
-
-        decided = self._decide(inst, pid, value)
-        self.emit(pid, f"KSET[{instance_no}]", "propose", [value], decided)
+    def propose(self, pid: int, value: str) -> str:
+        if pid in self._proposed:
+            raise ProtocolViolation(f"{self.object_id}: p{pid} proposed twice")
+        self._proposed.add(pid)
+        if value not in self.distinct:
+            self.distinct.append(value)
+        decided = self._decide(value)
+        self.emit(pid, self.object_id, "propose", [value], decided)
         return decided
 
-    def _decide(self, inst: KsaInstance, pid: int, value: str) -> str:
+    def _decide(self, value: str) -> str:
         if self.policy == "first-1":
-            return inst.distinct[0]
+            return self.distinct[0]
         if self.policy == "echo":
             return value
         if self.policy == "first-k-adversarial":
-            pool = inst.distinct[: self.k]
+            pool = self.distinct[: self.k]
         elif self.policy == "first-k-plus-one-permissive":
-            pool = inst.distinct[: self.k + 1]
+            pool = self.distinct[: self.k + 1]
         else:
             raise ProtocolViolation(f"unknown oracle policy {self.policy!r}")
-        return pool[inst.rng.randrange(len(pool))]
+        return pool[self.rng.randrange(len(pool))]

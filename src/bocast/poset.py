@@ -276,20 +276,22 @@ class Poset:
 
 # --- brute force, for relations that are not partial orders ------------------
 
+BRUTE_FORCE_LIMIT = 20  # the most elements brute_force_antichain searches
+
 
 def brute_force_antichain(elements, comparable, key=None) -> list:
     """Maximum antichain witness by exhaustive subset DP.
 
     Independent of the matching path.  ``comparable`` is a predicate over
     element pairs.  Works on any irreflexive relation (no transitivity
-    needed), limited to 20 elements.
+    needed), limited to BRUTE_FORCE_LIMIT elements.
     """
     elements = sorted(elements, key=key) if key else sorted(elements)
     n = len(elements)
     if n == 0:
         return []
-    if n > 20:
-        raise ValueError("brute force oracle limited to 20 elements")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force oracle limited to {BRUTE_FORCE_LIMIT} elements")
     conflict = [0] * n
     for i in range(n):
         for j in range(n):

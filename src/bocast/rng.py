@@ -40,18 +40,11 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & MASK64
 
-    def next_u64(self) -> int:
-        """mix64 of the advanced state, spelled out so that a draw is one
-        frame; the state is below 2**64, so mix64's masks on entry and exit
-        are no-ops here."""
-        z = self._state = (self._state + _GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
-
     def randrange(self, n: int) -> int:
-        """Uniform-ish integer in [0, n), the draw ``next_u64() % n``
-        spelled out likewise. n must be >= 1."""
+        """Uniform-ish integer in [0, n): mix64 of the advanced state,
+        modulo n.  mix64 is spelled out so that a draw is one frame; the
+        state is below 2**64, so its masks on entry and exit are no-ops
+        here.  n must be >= 1."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
         z = self._state = (self._state + _GAMMA) & MASK64

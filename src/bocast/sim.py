@@ -55,7 +55,6 @@ from .kbo import unpack_order
 from .kscd import BroadcastEngine, MemCounts
 from .ksa import DecisionTable
 from .k2s import RepeatedK2S
-from .objects import SetAgreementOracle
 from .rng import SplitMix64, derive
 from .scenario import ScenarioConfig
 from .trace import Recorder, Trace, pauses_cyclic_gc
@@ -165,10 +164,9 @@ class Simulation:
 
         emit = self.recorder.emit
         self.mem = MemCounts(self.n, emit)
-        self.oracle = SetAgreementOracle(
-            k=config.k, policy=config.oracle_policy, seed=derive(config.seed, "oracle"), emit=emit
+        self.kss = RepeatedK2S(
+            self.n, config.k, config.oracle_policy, derive(config.seed, "oracle"), emit
         )
-        self.kss = RepeatedK2S(self.n, self.oracle, emit)
         proposals: dict[str, tuple[int, str]] = {}
         self.procs = {
             pid: _Process(

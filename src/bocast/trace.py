@@ -243,7 +243,8 @@ def write_trace(trace: Trace, path) -> None:
 
 # --- the payload schema of the table above ------------------------------------
 
-_OBJECT_PATTERN = re.compile(r"MEM|(KSET|SNAP1|SNAP2)\[(?:0|[1-9][0-9]*)\]")
+# An object name: MEM, or a family (group 1) and its round (group 2)
+OBJECT_NAME = re.compile(r"MEM|(KSET|SNAP1|SNAP2)\[(0|[1-9][0-9]*)\]")
 _STR = frozenset((str,))
 _STR_OR_NULL = frozenset((str, type(None)))
 _LIST_OR_NULL = frozenset((list, type(None)))
@@ -342,7 +343,7 @@ def _access_check(name, op, families: dict, lineno: int):
     try:
         ops = families[name]
     except (KeyError, TypeError):  # a new name, or no string at all
-        m = _OBJECT_PATTERN.fullmatch(name) if type(name) is str else None
+        m = OBJECT_NAME.fullmatch(name) if type(name) is str else None
         if m is None:
             raise TraceFormatError(f"line {lineno}: unknown object {name!r}") from None
         ops = families[name] = _ACCESSES[m.group(1) or "MEM"]

@@ -8,7 +8,7 @@ import json
 
 from bocast.k2s import K2SInstance, RepeatedK2S
 from bocast.kbo import unpack_order
-from bocast.objects import SetAgreementOracle, SnapshotArray
+from bocast.objects import SnapshotArray
 from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem
@@ -25,9 +25,7 @@ def run_random_k2s_instance(seed: int, n: int, k: int):
     exercised below n.  Returns (proposals, outputs) keyed by process.
     """
     rng = SplitMix64(seed)
-    emit = Recorder().emit
-    oracle = SetAgreementOracle(k=k, policy="first-k-adversarial", seed=derive(seed, "oracle"), emit=emit)
-    inst = K2SInstance(n, oracle, 0, emit)
+    inst = K2SInstance(n, k, "first-k-adversarial", derive(seed, "oracle"), 0, Recorder().emit)
     values = {pid: f"v{1 + rng.randrange(n)}" for pid in range(1, n + 1)}
 
     outputs = {}

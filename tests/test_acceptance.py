@@ -325,7 +325,7 @@ def test_criterion_9_determinism():
     while len(scenarios) < 20:
         n = (3, 5)[rng.randrange(2)]
         k = min(1 + rng.randrange(3), n)
-        scenarios.append(sampled_stack_config(n, k, rng.next_u64()))
+        scenarios.append(sampled_stack_config(n, k, rng.randrange(1 << 64)))
     mismatches = 0
     for cfg in scenarios:
         t1 = run_scenario(cfg)

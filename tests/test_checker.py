@@ -17,7 +17,7 @@ from bocast.checker import (
     width_and_antichain,
 )
 from bocast.messages import sort_ids
-from bocast.poset import BoundViolation, iter_bits
+from bocast.poset import BRUTE_FORCE_LIMIT, BoundViolation, Poset, PosetError, iter_bits
 from bocast.scenario import WorkItem
 from bocast.sim import run_scenario
 from bocast.trace import Event, read_trace, serialize_trace
@@ -212,6 +212,32 @@ class TestNegativeControls:
         assert verdicts["kbo.bounded"].failed
         assert verdicts["kbo.bounded"].witness["antichain"] == ["1:0", "2:0", "3:0"]
         assert verdicts["kbo.bounded"].witness["width"] == 3
+
+    def test_a_large_cyclic_order_fails_bounded_without_a_width(self):
+        # p1..p3 deliver 1:0, 2:0 and 3:0 in a cycle, then 1:3 ... 1:23
+        # alike: no partial order, and too large for the exhaustive search
+        steps = [(1, f"m1.{i}") for i in range(24)] + [(2, "m2.0"), (3, "m3.0")]
+        steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",))]
+        steps += [(3, ("3:0",)), (3, ("1:0",))]
+        steps += [(pid, (f"1:{i}",)) for i in range(3, 24) for pid in (1, 2, 3)]
+        trace = forged_trace(3, 2, steps, outcome="budget-exhausted")
+        result = build_order(trace)
+        assert result.poset is None and len(result.elements) > BRUTE_FORCE_LIMIT
+        assert width_and_antichain(result) == (None, [])
+        verdicts = {v.property: v for v in check_all(trace, ("kbo",))}
+        assert verdicts["kbo.bounded"].witness == {
+            "reason": "delivery relation is not a partial order", "width": None,
+        }
+
+    def test_an_internal_poset_error_is_raised_not_reported(self, golden_trace, monkeypatch):
+        # a failed self-check of the width machinery is a bug of the
+        # checker, not a property of the trace
+        def broken(_poset):
+            raise PosetError("internal: antichain size disagrees with width")
+
+        monkeypatch.setattr(Poset, "max_antichain", broken)
+        with pytest.raises(PosetError, match="internal"):
+            check_all(golden_trace, ("kbo",))
 
     def test_unbroadcast_delivery_fails_validity(self):
         verdicts = {v.property: v for v in check_all(forged_trace(1, 1, [(1, ("9:9",))]))}

@@ -1,8 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from bocast.cli import instantiate_template
 from bocast.k2s import K2SInstance, RepeatedK2S, canon_sets
-from bocast.objects import ProtocolViolation, SetAgreementOracle
-from bocast.trace import Recorder
+from bocast.objects import ProtocolViolation
+from bocast.scenario import ORACLE_POLICIES
+from bocast.sim import run_scenario
+from bocast.trace import OBJECT_NAME, Recorder
 
 from _drivers import (
     STEPS_PER_PROPOSE,
@@ -12,17 +18,15 @@ from _drivers import (
     run_random_k2s_instance,
 )
 
+TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
+
 
 def make_instance(n, k, seed=0, policy="first-k-adversarial", instance_no=0, recorder=None):
-    emit = (recorder or Recorder()).emit
-    oracle = SetAgreementOracle(k=k, policy=policy, seed=seed, emit=emit)
-    return K2SInstance(n, oracle, instance_no, emit)
+    return K2SInstance(n, k, policy, seed, instance_no, (recorder or Recorder()).emit)
 
 
 def make_repeated(n, k, seed):
-    emit = Recorder().emit
-    oracle = SetAgreementOracle(k=k, policy="first-k-adversarial", seed=seed, emit=emit)
-    return RepeatedK2S(n, oracle, emit)
+    return RepeatedK2S(n, k, "first-k-adversarial", seed, Recorder().emit)
 
 
 def test_solo_proposer_gets_singleton_family():
@@ -113,8 +117,25 @@ class TestRepeated:
         repeated_k2s_propose(kss, 1, 3, "x")
         with pytest.raises(ProtocolViolation):
             kss.instance(3).step(1, "y")
-        with pytest.raises(ProtocolViolation):
-            kss.instance(1).step(1, "y")
+
+
+@pytest.mark.parametrize("policy", ORACLE_POLICIES)
+def test_each_process_proposes_to_rounds_in_increasing_order(policy):
+    # No object refuses a proposal to a round below an earlier one: the
+    # engine numbers its round by its delivery count, which every round
+    # raises.  So in every stack trace each process's KSET[r] rows have
+    # strictly increasing r.
+    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    template["oracle_policy"] = policy
+    for seed in range(50):
+        rounds: dict[int, list[int]] = {}
+        for row in run_scenario(instantiate_template(template, seed)).rows:
+            m = OBJECT_NAME.fullmatch(row[2]) if len(row) == 6 else None
+            if m and m[1] == "KSET":
+                rounds.setdefault(row[1], []).append(int(m[2]))
+        assert rounds, seed
+        for pid, seen in rounds.items():
+            assert all(a < b for a, b in zip(seen, seen[1:])), (seed, pid, seen)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -5,7 +5,6 @@ import pytest
 from bocast.checker import TraceIndex, any_failure, check_all
 from bocast.k2s import RepeatedK2S
 from bocast.kscd import BroadcastEngine, EngineInvariantError, MemCounts, unfold_views
-from bocast.objects import SetAgreementOracle
 from bocast.scenario import WorkItem
 from bocast.sim import run_scenario
 from bocast.trace import Recorder
@@ -35,8 +34,7 @@ class TestUnfoldViews:
 
 def test_a_second_delivery_of_a_message_is_refused():
     emit = Recorder().emit
-    oracle = SetAgreementOracle(k=1, policy="first-1", seed=0, emit=emit)
-    engine = BroadcastEngine(1, MemCounts(2, emit), RepeatedK2S(2, oracle, emit))
+    engine = BroadcastEngine(1, MemCounts(2, emit), RepeatedK2S(2, 1, "first-1", 0, emit))
     engine._advance_prefixes({"1:0", "2:1"})  # 1:0 extends p1's prefix, 2:1 lies past p2's
     for again in ("1:0", "2:1"):
         with pytest.raises(EngineInvariantError, match=f"p1 re-delivery of {again} at round 0"):

@@ -1,7 +1,6 @@
 import pytest
 
 from bocast.objects import ProtocolViolation, SetAgreementOracle, SnapshotArray
-from bocast.rng import derive
 from bocast.trace import Recorder
 
 from _drivers import one_shot_schedules, replay_one_shot
@@ -9,19 +8,20 @@ from _drivers import one_shot_schedules, replay_one_shot
 
 class TestMultiShot:
     def test_snapshot_before_writes_is_all_bottom(self):
+        # a multi-shot cell is a count, and 0 counts no message
         arr = SnapshotArray(3, "MEM", Recorder().emit)
-        assert arr.snapshot(1) == (None, None, None)
+        assert arr.snapshot(1) == [0, 0, 0]
 
     def test_write_then_snapshot_sees_own_value(self):
         arr = SnapshotArray(2, "MEM", Recorder().emit)
         arr.write(1, "x")
-        assert arr.snapshot(1) == ("x", None)
+        assert arr.snapshot(1) == ["x", 0]
 
     def test_overwrite_is_visible_to_later_snapshots(self):
         arr = SnapshotArray(2, "MEM", Recorder().emit)
         arr.write(1, "x")
         arr.write(1, "y")
-        assert arr.snapshot(2) == ("y", None)
+        assert arr.snapshot(2) == ["y", 0]
 
     def test_unknown_pid_rejected(self):
         arr = SnapshotArray(2, "MEM", Recorder().emit)
@@ -72,48 +72,45 @@ class TestOneShot:
         assert count == math.factorial(2 * n) // 2**n
 
 
+def kset(k, policy, seed=0, recorder=None):
+    return SetAgreementOracle(k, policy, seed, "KSET[0]", (recorder or Recorder()).emit)
+
+
 class TestOracle:
     def test_first_1_policy_everyone_gets_first_arrival(self):
-        oracle = SetAgreementOracle(k=3, policy="first-1", seed=0, emit=Recorder().emit)
-        assert oracle.propose(0, 1, "a") == "a"
-        assert oracle.propose(0, 2, "b") == "a"
-        assert oracle.propose(0, 3, "c") == "a"
+        oracle = kset(3, "first-1")
+        assert oracle.propose(1, "a") == "a"
+        assert oracle.propose(2, "b") == "a"
+        assert oracle.propose(3, "c") == "a"
 
     def test_echo_policy_returns_own_value(self):
-        oracle = SetAgreementOracle(k=3, policy="echo", seed=0, emit=Recorder().emit)
-        assert oracle.propose(0, 1, "a") == "a"
-        assert oracle.propose(0, 2, "b") == "b"
+        oracle = kset(3, "echo")
+        assert oracle.propose(1, "a") == "a"
+        assert oracle.propose(2, "b") == "b"
 
     @pytest.mark.parametrize("seed", range(25))
     def test_adversarial_decisions_come_from_first_k_arrivals(self, seed):
-        oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=seed, emit=Recorder().emit)
-        decisions = [
-            oracle.propose(0, pid, v) for pid, v in ((1, "a"), (2, "b"), (3, "c"))
-        ]
+        oracle = kset(2, "first-k-adversarial", seed)
+        decisions = [oracle.propose(pid, v) for pid, v in ((1, "a"), (2, "b"), (3, "c"))]
         assert set(decisions) <= {"a", "b"}
         assert len(set(decisions)) <= 2
 
     def test_first_proposer_always_decides_its_own_value(self):
         for seed in range(10):
-            oracle = SetAgreementOracle(k=2, policy="first-k-adversarial", seed=seed, emit=Recorder().emit)
-            assert oracle.propose(0, 1, "z") == "z"
+            assert kset(2, "first-k-adversarial", seed).propose(1, "z") == "z"
 
     def test_k1_adversarial_is_consensus(self):
         for seed in range(10):
-            oracle = SetAgreementOracle(k=1, policy="first-k-adversarial", seed=seed, emit=Recorder().emit)
-            decisions = {
-                oracle.propose(0, pid, v) for pid, v in ((1, "a"), (2, "b"), (3, "c"))
-            }
+            oracle = kset(1, "first-k-adversarial", seed)
+            decisions = {oracle.propose(pid, v) for pid, v in ((1, "a"), (2, "b"), (3, "c"))}
             assert decisions == {"a"}
 
     def test_permissive_policy_can_exceed_k(self):
         hit = False
         for seed in range(40):
-            oracle = SetAgreementOracle(
-                k=2, policy="first-k-plus-one-permissive", seed=seed, emit=Recorder().emit
-            )
+            oracle = kset(2, "first-k-plus-one-permissive", seed)
             decisions = {
-                oracle.propose(0, pid, v)
+                oracle.propose(pid, v)
                 for pid, v in ((1, "a"), (2, "b"), (3, "c"), (4, "a"), (5, "b"))
             }
             assert decisions <= {"a", "b", "c"}
@@ -121,17 +118,11 @@ class TestOracle:
                 hit = True
         assert hit, "permissive oracle never produced k+1 distinct decisions"
 
-    def test_instance_numbers_must_increase_per_process(self):
-        oracle = SetAgreementOracle(k=1, policy="first-1", seed=0, emit=Recorder().emit)
-        oracle.propose(3, 1, "a")
-        with pytest.raises(ProtocolViolation):
-            oracle.propose(3, 1, "b")
-        with pytest.raises(ProtocolViolation):
-            oracle.propose(2, 1, "b")
-        oracle.propose(4, 1, "b")
-
-    def test_instances_are_independent_and_lazy(self):
-        oracle = SetAgreementOracle(k=1, policy="first-1", seed=derive(0, "t"), emit=Recorder().emit)
-        assert oracle.propose(5, 1, "x") == "x"
-        assert oracle.propose(0, 2, "y") == "y"
-        assert sorted(oracle.instances) == [0, 5]
+    def test_a_second_proposal_is_refused_and_writes_no_row(self):
+        recorder = Recorder()
+        oracle = kset(1, "first-1", recorder=recorder)
+        assert oracle.propose(1, "a") == "a"
+        with pytest.raises(ProtocolViolation, match=r"KSET\[0\]: p1 proposed twice"):
+            oracle.propose(1, "b")
+        assert recorder.rows == [[0, 1, "KSET[0]", "propose", ["a"], "a"]]
+        assert oracle.propose(2, "b") == "a"

@@ -6,14 +6,14 @@ from _drivers import shuffled
 def test_streams_are_reproducible():
     a = SplitMix64(123)
     b = SplitMix64(123)
-    assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+    assert [a.randrange(1 << 64) for _ in range(10)] == [b.randrange(1 << 64) for _ in range(10)]
 
 
 def test_known_finalizer_value():
     # Reference first output for seed 0; guards against platform or
     # refactoring drift that would silently change every trace.
     assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
-    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+    assert SplitMix64(0).randrange(1 << 64) == 0xE220A8397B1DCDAF
 
 
 def test_derive_distinguishes_label_paths():
@@ -37,10 +37,11 @@ def test_shuffle_and_sample_are_seed_deterministic():
 
 
 def test_inlined_draws_match_mix64():
-    # next_u64 and randrange spell out the finalizer; both must stay the
-    # draw mix64(state) of the same advancing state
+    # randrange spells out the finalizer; it must stay the draw
+    # mix64(state) % n of the same advancing state (the whole draw when
+    # n = 2**64)
     seed, draws, ranged = 0xDEADBEEF, SplitMix64(0xDEADBEEF), SplitMix64(0xDEADBEEF)
     for i, n in enumerate((1, 2, 7, 1 << 63, MASK64, 1 << 70) * 5):
         seed = (seed + 0x9E3779B97F4A7C15) & MASK64
-        assert draws.next_u64() == mix64(seed), i
+        assert draws.randrange(1 << 64) == mix64(seed), i
         assert ranged.randrange(n) == mix64(seed) % n, i
