@@ -1,12 +1,18 @@
 """Deterministic cooperative scheduler executing n process automata.
 
-A run is a sequence of turns.  Each turn the scheduler collects the
-enabled (process, thread) tokens, picks one according to the schedule
-policy, and executes exactly one step of that thread.  Every process runs
-the full stack on two threads: ``main`` runs the workload operations
-(broadcast or propose, including their blocking waits, modeled as enabled
-predicates) and ``task`` runs the background delivery loop.  A delivered
-set is one deliver-set event, then one deliver-msg event per member in
+A run is a sequence of turns.  Each turn the scheduler picks one of the
+enabled (process, thread) tokens according to the schedule policy and
+hands it to ``step``, which owns the turn: it stamps the picked process
+for the starvation rule, runs exactly one step of that thread, advances
+the turn, re-polls what the step can have changed and fires the crashes
+due at the new turn.  So crashes due at turn t fire at the end of step
+t - 1, those due at turn 0 at construction, and ``tokens`` is always the
+enabled list of the current turn: a caller that picks its own tokens
+drives a run through ``step`` alone.  Every process runs the full stack
+on two threads: ``main`` runs the workload operations (broadcast or
+propose, including their blocking waits, modeled as enabled predicates)
+and ``task`` runs the background delivery loop.  A delivered set is one
+deliver-set event, then one deliver-msg event per member in
 ``kbo.unpack_order``; its round is the number of messages the process
 delivered before it, which is also the number of its K2S round.  Every
 event carries the turn that emitted it; a crash carries the turn at which
@@ -20,14 +26,15 @@ holds nothing it has not delivered.  So only four steps can change its
 flags: its own delivery (a wait can end, the task can go idle), its own
 main step (its workload moves on), a MEM write by anyone (an idle task
 can wake) and its crash (both go off).  After a delivery or a main step
-the scheduler polls the stepped process again, after a MEM write also
-every idle task, and a crash polls its victim.  A task step that
-delivers nothing (the MEM snapshot that picks a candidate, the KSET
-propose, the SNAP1 write and snapshot, the SNAP2 write) polls nobody:
-it leaves the task mid-round, so still enabled, and changes neither MEM
-nor what any process has delivered, so no flag.  The token list is
-ordered by pid, main before task, as if all n processes were polled
-every turn.
+``step`` polls the stepped process again, after a MEM write also every
+idle task, and a crash polls its victim.  These polls come after the
+turn advances, so a thread they enable is stamped with the next turn,
+the first at which it can be picked.  A task step that delivers nothing
+(the MEM snapshot that picks a candidate, the KSET propose, the SNAP1
+write and snapshot, the SNAP2 write) polls nobody: it leaves the task
+mid-round, so still enabled, and changes neither MEM nor what any
+process has delivered, so no flag.  The token list is ordered by pid,
+main before task, as if all n processes were polled every turn.
 
 Determinism: given equal configurations, runs produce byte-identical
 traces.  All scheduling randomness comes from a SplitMix64 stream derived
@@ -60,9 +67,6 @@ from .scenario import ScenarioConfig
 from .trace import Recorder, Trace, pauses_cyclic_gc
 
 FAIRNESS_WINDOW_FACTOR = 4
-
-# Which enabled flags run() polls again after a step (see _dispatch)
-REPOLL_NONE, REPOLL_OWN, REPOLL_MEM = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
@@ -203,48 +207,49 @@ class Simulation:
         self.oldest: float = math.inf
         for pid in range(1, self.n + 1):
             self._refresh(pid)
+        for pid in self.crash_turns.get(0, ()):
+            self._crash(pid)
         self._rebuild_tokens()
 
     # --- public ----------------------------------------------------------
 
-    def inject_crash(self, pid: int) -> None:
-        if pid in self.crashed:
-            raise SimulationError(f"process {pid} crashed twice")
-        self.crashed.add(pid)
-        self.recorder.emit(pid, "crash", {})
-        if self._refresh(pid):
-            self._rebuild_tokens()
-
     def run(self) -> Trace:
         budget = self.config.step_budget
-        crash_turns, recorder, task_on = self.crash_turns, self.recorder, self.task_on
-        while True:
-            turn = self.turn
-            recorder.turn = turn  # the turn of every event, crashes too
-            for pid in crash_turns.get(turn, ()):
-                if pid not in self.crashed:
-                    self.inject_crash(pid)
-            tokens = self.tokens
-            if not tokens:
-                self._check_no_deadlock()
-                outcome = "quiescent"
-                break
-            if turn >= budget:
-                outcome = "budget-exhausted"
-                break
-            token = self._pick(tokens)
-            repoll = self._dispatch(token)
-            self.turn = turn + 1
-            if not repoll:
-                continue
-            changed = self._refresh(token[0])
-            if repoll == REPOLL_MEM:  # a MEM write can enable idle tasks, and nothing else
-                for pid in range(1, self.n + 1):
-                    if not task_on[pid] and self._refresh(pid):
-                        changed = True
-            if changed:
-                self._rebuild_tokens()
+        while self.tokens and self.turn < budget:
+            self.step(self._pick(self.tokens))
+        if self.tokens:
+            outcome = "budget-exhausted"
+        else:
+            self._check_no_deadlock()
+            outcome = "quiescent"
         return Trace(self.config, self.recorder.rows, outcome, self.turn)
+
+    def step(self, token: tuple[int, str]) -> None:
+        """Run one turn: one step of ``token``, taken from ``tokens``, then
+        the polls of the flags that step can have changed (nobody's after a
+        task step that delivered nothing; the stepped process's after a
+        delivery or a main step; those and every idle task's after a MEM
+        write) and the crashes due at the next turn."""
+        pid, thread = token
+        proc = self.procs[pid]
+        # above every other stamp, so oldest stays a lower bound
+        self.since[pid] = self.turn + 1
+        if thread == "task":
+            wrote, repoll = False, proc.task_step()
+        else:
+            wrote, repoll = proc.main_step(), True
+        self.turn = turn = self.turn + 1
+        self.recorder.turn = turn  # the turn of every later event, crashes too
+        changed = repoll and self._refresh(pid)
+        if wrote:  # a MEM write can enable idle tasks, and nothing else
+            task_on = self.task_on
+            for other in range(1, self.n + 1):
+                if not task_on[other] and self._refresh(other):
+                    changed = True
+        for victim in self.crash_turns.get(turn, ()):
+            changed = self._crash(victim) or changed
+        if changed:
+            self._rebuild_tokens()
 
     # --- scheduling -------------------------------------------------------
 
@@ -290,19 +295,14 @@ class Simulation:
 
     def _pick(self, tokens) -> tuple[int, str]:
         if self.script_pos < len(self.script):
-            token = self._scripted(tokens)  # a script runs verbatim: no starvation override
-        else:
-            # _starving() is None while oldest is under a window old; skip its frame
-            starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
-            if starving is not None:
-                token = self._prefer(starving)
-            elif self.schedule_kind == "seeded-random":
-                token = tokens[self.sched_rng.randrange(len(tokens))]
-            else:  # round-robin, or a scripted schedule past its script
-                token = self._round_robin()
-        # above every other stamp, so oldest stays a lower bound
-        self.since[token[0]] = self.turn + 1
-        return token
+            return self._scripted(tokens)  # a script runs verbatim: no starvation override
+        # _starving() is None while oldest is under a window old; skip its frame
+        starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
+        if starving is not None:
+            return self._prefer(starving)
+        if self.schedule_kind == "seeded-random":
+            return tokens[self.sched_rng.randrange(len(tokens))]
+        return self._round_robin()  # round-robin, or a scripted schedule past its script
 
     def _prefer(self, pid: int) -> tuple[int, str]:
         """``pid``'s task token if it owns one, else its main token."""
@@ -340,17 +340,11 @@ class Simulation:
 
     # --- stepping -----------------------------------------------------------
 
-    def _dispatch(self, token) -> int:
-        """Run one step; returns the flags it can have changed, so the
-        ones ``run`` polls again: ``REPOLL_NONE`` for a task step that
-        delivered nothing, ``REPOLL_OWN`` (the stepped process's) for a
-        delivery or a main step that did not write MEM, and
-        ``REPOLL_MEM`` (those and every idle task's) for a MEM write."""
-        pid, thread = token
-        proc = self.procs[pid]
-        if thread == "task":
-            return REPOLL_OWN if proc.task_step() else REPOLL_NONE
-        return REPOLL_MEM if proc.main_step() else REPOLL_OWN
+    def _crash(self, pid: int) -> bool:
+        """Fell ``pid``; returns whether a flag changed."""
+        self.crashed.add(pid)
+        self.recorder.emit(pid, "crash", {})
+        return self._refresh(pid)
 
     def _check_no_deadlock(self) -> None:
         for pid, proc in self.procs.items():

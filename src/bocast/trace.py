@@ -173,7 +173,7 @@ class Trace:
 
 class Recorder:
     """Keeps events as format-3 rows in emission order; each row starts
-    with ``turn``, which the scheduler sets at the start of every turn."""
+    with ``turn``, which the scheduler advances after each step's own events."""
 
     def __init__(self):
         self.rows: list[list] = []

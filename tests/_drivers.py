@@ -1,6 +1,7 @@
 """Shared drivers for randomized and exhaustive tests, and the helpers
 only tests use: poset builders and queries, back-to-back K2S proposals,
-scenario text, the width-k schedules, traces forged from event records."""
+scenario text, the width-k schedules, traces forged from event records,
+and the state key of a simulation."""
 
 from __future__ import annotations
 
@@ -193,6 +194,48 @@ def sampled_stack_config(n: int, k: int, seed: int, max_msgs=4, crash_turn_range
         n, k, derive(seed, "run"), propose_workload(n, instances), crash_plan=plan,
         oracle_policy=oracle_policy,
     )
+
+
+def state_key(sim) -> tuple:
+    """A hashable key of what decides a ``Simulation``'s future deliver
+    and decide rows under the same further picks, and of the history
+    that verdicts read beside it: each process's delivery sequence
+    (``prefix`` and ``ahead`` hold only the delivered set).
+
+    Per process: the workload position and main state, the engine
+    (``prefix``, ``ahead``, ``seq``, ``wait_for``, ``tstate``, ``prop``)
+    and the ``DecisionTable``.  Shared: the MEM cells, who crashed, and
+    per built round its ``K2SInstance`` (``steps``, ``decided``,
+    ``views``, the SNAP cells and who wrote and snapped them, KSET's
+    distinct values, its proposers and its RNG state).  It leaves out
+    the turn, the starvation stamps, the schedule RNG and every other
+    trace row.  A crash plan is timed, not state, so the key speaks for
+    futures only once every planned crash has fired."""
+    delivered = {pid: [] for pid in sim.procs}
+    for row in sim.recorder.rows:
+        if len(row) == 4 and row[2] == "deliver-msg":
+            delivered[row[1]].append(row[3]["msg"])
+    procs = tuple(
+        (proc.widx, proc.state,
+         tuple(e.prefix), frozenset(e.ahead), tuple(e.seq), tuple(e.wait_for), e.tstate, e.prop,
+         tuple(sorted(proc.table.pending.items())), frozenset(proc.table.seen),
+         tuple(delivered[pid]))
+        for pid, proc in sorted(sim.procs.items())
+        for e in (proc.engine,)
+    )
+    rounds = tuple(
+        (r, tuple(inst.steps), tuple(sorted(inst.decided.items())),
+         tuple(sorted(inst.views.items())), _cells_key(inst.snap1), _cells_key(inst.snap2),
+         tuple(inst.kset.distinct), frozenset(inst.kset._proposed), inst.kset.rng._state)
+        for r, inst in sorted(sim.kss.instances.items())
+    )
+    return procs, tuple(sim.mem.array.cells), frozenset(sim.crashed), rounds
+
+
+def _cells_key(arr: SnapshotArray) -> tuple:
+    """A one-shot array's cells (SNAP2's hold lists), writers and snappers."""
+    cells = tuple(tuple(c) if isinstance(c, list) else c for c in arr.cells)
+    return cells, frozenset(arr._wrote), frozenset(arr._snapped)
 
 
 def trace_of_events(config: ScenarioConfig, events, outcome="quiescent", turns=0) -> Trace:

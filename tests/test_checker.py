@@ -213,6 +213,19 @@ class TestNegativeControls:
         assert verdicts["kbo.bounded"].witness["antichain"] == ["1:0", "2:0", "3:0"]
         assert verdicts["kbo.bounded"].witness["width"] == 3
 
+    def test_decide_then_crash_fails_agreement_at_width_one(self):
+        # p1 delivers 1:0, decides a and crashes; p2 delivers 2:0, decides
+        # b, then delivers 1:0.  The order relates two messages only by
+        # processes that delivered both, so p1's first delivery constrains
+        # nothing and the width stays 1 while two values are decided.
+        trace = read_trace(FORGED + "decide_then_crash.trace")
+        verdicts = check_all(trace)
+        assert [v.property for v in verdicts if v.failed] == ["ksa.agreement"]
+        witness = {v.property: v.witness for v in verdicts}["ksa.agreement"]
+        assert witness == {"instance": 0, "values": ["a", "b"], "k": 1}
+        for scope in ("non-faulty-only", "all-pairs-delivered-by-both"):
+            assert width_and_antichain(build_order(trace, scope=scope)) == (1, ["1:0"]), scope
+
     def test_a_large_cyclic_order_fails_bounded_without_a_width(self):
         # p1..p3 deliver 1:0, 2:0 and 3:0 in a cycle, then 1:3 ... 1:23
         # alike: no partial order, and too large for the exhaustive search

@@ -11,9 +11,12 @@ that the simulator's incrementally kept token list and starvation stamps
 agree, that ``oldest`` bounds every live stamp from below, that a forced
 pick goes to the starved process, its task thread first (except while a
 schedule script runs, which it does verbatim), that every round-robin
-pick is the one a reference that scans the token list makes, and that
-every event emitted during turn t, a crash included, carries
-``turn == t``.  The simulator polls nobody after a task step that
+pick is the one a reference that scans the token list makes, that the
+rows a step emits carry its turn t and are followed by exactly the
+crashes the plan times at t + 1, which carry t + 1, and that the crashes
+timed at turn 0 are all that construction emits.  The oracle hooks
+``step`` alone, so any caller that steps tokens of its own is checked
+the same way.  The simulator polls nobody after a task step that
 delivers nothing; the oracle counts those turns, and its check at the
 next pick is what shows that each skipped poll would have changed
 nothing.
@@ -27,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from bocast.scenario import SchedulePolicy, WorkItem, load_scenario
-from bocast.sim import REPOLL_NONE, Simulation, run_scenario
+from bocast.sim import Simulation, run_scenario
 from bocast.trace import serialize_trace
 
 from _drivers import propose_workload, sampled_stack_config, stack_config
@@ -40,40 +43,47 @@ def mem_ids(counts) -> set[str]:
     return {f"{s}:{i}" for s, count in enumerate(counts, start=1) for i in range(count)}
 
 
+def crashes_by_turn(config) -> dict[int, list[int]]:
+    """The pids the crash plan fells at each turn, in plan order."""
+    due: dict[int, list[int]] = {}
+    for pid, turn in config.crash_plan:
+        due.setdefault(turn, []).append(pid)
+    return due
+
+
 class PollingOracle(Simulation):
     def __init__(self, config):
         super().__init__(config)
+        self.due = crashes_by_turn(config)
+        crashes = [[0, pid, "crash", {}] for pid in self.due.get(0, ())]
+        assert self.recorder.rows == crashes  # construction fires turn 0's crashes, no more
+        self.events_checked = len(crashes)
         self.stall = {pid: 0 for pid in range(1, self.n + 1)}
         self.turns_checked = 0
         self.overrides = 0
         self.stale_bounds = 0  # turns on which _starving() looked at every stamp
         self.skipped_repolls = 0  # turns after which the simulator polled nobody
-        self.events_checked = 0
         self.scripted_past_starving = 0  # script turns that left a starving process waiting
         self.delivered = {pid: set() for pid in range(1, self.n + 1)}  # from deliver-msg events
         self.rr_picks = 0  # round-robin picks checked against the reference
         self.ref_rr_next = 1
         self.ref_last_thread = {pid: "task" for pid in range(1, self.n + 1)}
 
-    def _events_since(self, start: int) -> None:
+    def step(self, token):
+        turn, start = self.turn, len(self.recorder.rows)
+        super().step(token)
+        assert self.turn == self.recorder.turn == turn + 1
         rows = self.recorder.rows[start:]
-        assert [row[0] for row in rows] == [self.turn] * len(rows), f"turn {self.turn}"
+        crashes = [[turn + 1, pid, "crash", {}] for pid in self.due.get(turn + 1, ())]
+        own = rows[: len(rows) - len(crashes)]
+        assert rows[len(own):] == crashes, f"turn {turn}"
+        assert [row[0] for row in own] == [turn] * len(own), f"turn {turn}"
         self.events_checked += len(rows)
-        for row in rows:
+        for row in own:
             if len(row) == 4 and row[2] == "deliver-msg":
                 self.delivered[row[1]].add(row[3]["msg"])
-
-    def inject_crash(self, pid):
-        start = len(self.recorder.rows)
-        super().inject_crash(pid)
-        self._events_since(start)
-
-    def _dispatch(self, token):
-        start = len(self.recorder.rows)
-        repoll = super()._dispatch(token)
-        self._events_since(start)
-        self.skipped_repolls += repoll == REPOLL_NONE
-        return repoll
+        if token[1] == "task" and not any(len(row) == 4 and row[2] == "deliver-set" for row in own):
+            self.skipped_repolls += 1
 
     def poll_all(self) -> list[tuple[int, str]]:
         tokens = []

@@ -42,12 +42,6 @@ class TestCrashes:
         assert [ev.kind for ev in p2_events] == ["crash"]
         assert trace.quiescent
 
-    def test_double_crash_rejected(self):
-        sim = Simulation(stack_config(2, 1, 0, {1: (B("x"),)}))
-        sim.inject_crash(2)
-        with pytest.raises(SimulationError):
-            sim.inject_crash(2)
-
     def test_duplicate_crash_plan_entry_rejected(self):
         with pytest.raises(ConfigError, match="more than once"):
             stack_config(2, 1, 0, {}, crash_plan=((1, 0), (1, 5))).validate()
@@ -60,6 +54,36 @@ def test_budget_exhaustion_reports_partial_trace():
     assert trace.outcome == "budget-exhausted"
     assert trace.turns == 10
     assert trace.events  # partial work was recorded
+
+
+class TestCrashBoundaries:
+    """A crash due at turn t fires at the end of step t - 1, so it is
+    written whenever the run reaches turn t, whichever way it halts."""
+
+    def config(self, **over):
+        return stack_config(3, 2, 1, propose_workload(3, {1: [0], 2: [0], 3: [0]}), **over)
+
+    def crash_rows(self, trace):
+        return [(i, row) for i, row in enumerate(trace.rows) if row[2] == "crash"]
+
+    def test_a_crash_due_at_the_budget_is_written_and_one_past_it_is_not(self):
+        trace = run_scenario(self.config(step_budget=10, crash_plan=((2, 10), (3, 11))))
+        assert (trace.outcome, trace.turns) == ("budget-exhausted", 10)
+        assert [row for _, row in self.crash_rows(trace)] == [[10, 2, "crash", {}]]
+
+    def test_a_crash_due_at_the_quiescent_turn_is_written_and_one_past_it_is_not(self):
+        plain = run_scenario(self.config())
+        assert (plain.outcome, plain.turns) == ("quiescent", 66)
+        at = run_scenario(self.config(crash_plan=((1, 66),)))
+        assert at.rows == plain.rows + [[66, 1, "crash", {}]]
+        assert (at.outcome, at.turns) == ("quiescent", 66)
+        past = run_scenario(self.config(crash_plan=((1, 67),)))
+        assert past.rows == plain.rows
+        assert (past.outcome, past.turns) == ("quiescent", 66)
+
+    def test_a_crash_due_at_turn_zero_is_row_zero(self):
+        trace = run_scenario(self.config(crash_plan=((2, 0),)))
+        assert self.crash_rows(trace) == [(0, [0, 2, "crash", {}])]
 
 
 class TestValidation:
@@ -220,7 +244,8 @@ class TestScheduling:
         sim._set_since(3, sim.turn)
         token = sim._pick(sim.tokens)
         assert token == (2, "main")
-        assert sim.since[2] == sim.turn + 1  # its wait starts afresh
+        sim.step(token)
+        assert sim.since[2] == sim.turn  # stamped by step: its wait starts afresh
         assert sim._starving() is None
 
     def test_fairness_no_enabled_process_starves_under_seeded_random(self):
