@@ -31,8 +31,9 @@ Every shared-object operation is one scheduler step, and each object
 writes the trace row of its own access.  A K2S round spreads over five
 steps (agreement, two writes, two snapshots) with other processes
 interleaved; the K2S instance runs them, keeping per process what the
-later steps need, so the engine knows only whether it is idle or in the
-round numbered by its delivery count, and what it proposed there.
+later steps need, so the engine knows only what it proposed in the round
+numbered by its delivery count, and that proposal is None while it idles
+between rounds.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ class BroadcastEngine:
         self.seq: list[frozenset] = []
         self.wait_for: list = []  # MEM counts seen by the broadcast snapshot
 
-        self.tstate = "idle"  # idle | k2s: in the K2S round numbered delivered_count
-        self.prop: str | None = None  # the candidate proposed in that round
+        self.prop: str | None = None  # proposed in round delivered_count; None while idle
 
     # --- broadcast operation steps --------------------------------------
 
@@ -123,7 +123,7 @@ class BroadcastEngine:
     # --- background task -------------------------------------------------
 
     def task_enabled(self) -> bool:
-        if self.tstate != "idle" or self.seq:
+        if self.prop is not None or self.seq:
             return True
         # Everything delivered here is in MEM and MEM only grows, so some
         # message visible in MEM is undelivered iff MEM holds more.
@@ -131,19 +131,17 @@ class BroadcastEngine:
 
     def task_step(self) -> frozenset | None:
         """Run one task step; returns the delivered set when one is emitted."""
-        if self.tstate == "idle":
-            self.tstate = "k2s"
+        if self.prop is None:
             if self.seq:
                 self.prop = min_id(self.seq[0])
             else:
                 arr = self.mem.array.snapshot(self.pid)
-                # the oldest undelivered message of the first sender with one
+                # the oldest undelivered message of the first sender with
+                # one, which exists since the task is enabled
                 for s, (done, count) in enumerate(zip(self.prefix, arr)):
                     if done < count:
                         self.prop = f"{s + 1}:{done}"
                         break
-                else:
-                    self.tstate = "idle"
                 return None
         # the round is numbered by the delivery count
         sets = self.kss.instance(self.delivered_count).step(self.pid, self.prop)
@@ -156,7 +154,6 @@ class BroadcastEngine:
         first = self.seq.pop(0)
         self._advance_prefixes(first)
         self.delivered_count += len(first)
-        self.tstate = "idle"
         self.prop = None
         return first
 

@@ -8,16 +8,18 @@ the turn, re-polls what the step can have changed and fires the crashes
 due at the new turn.  So crashes due at turn t fire at the end of step
 t - 1, those due at turn 0 at construction, and ``tokens`` is always the
 enabled list of the current turn: a caller that picks its own tokens
-drives a run through ``step`` alone.  Every process runs the full stack
-on two threads: ``main`` runs the workload operations (broadcast or
-propose, including their blocking waits, modeled as enabled predicates)
-and ``task`` runs the background delivery loop.  A delivered set is one
-deliver-set event, then one deliver-msg event per member in
-``kbo.unpack_order``; its round is the number of messages the process
-delivered before it, which is also the number of its K2S round.  Every
-event carries the turn that emitted it; a crash carries the turn at which
-it fires.  Deliveries the stack never makes are not simulated: a trace
-that holds them is written by hand and only checked.
+drives a run through ``step`` alone.  ``step`` refuses a token its flags
+do not enable, so no caller can write a row no crash-stop run makes.
+Every process runs the full stack on two threads: ``main`` runs the
+workload operations (broadcast or propose, including their blocking
+waits, modeled as enabled predicates) and ``task`` runs the background
+delivery loop.  A delivered set is one deliver-set event, then one
+deliver-msg event per member in ``kbo.unpack_order``; its round is the
+number of messages the process delivered before it, which is also the
+number of its K2S round.  Every event carries the turn that emitted it;
+a crash carries the turn at which it fires.  Deliveries the stack never
+makes are not simulated: a trace that holds them is written by hand and
+only checked.
 
 The enabled tokens are kept up to date, not polled.  A process waits in
 two places: a broadcast until it has delivered everything its MEM
@@ -37,16 +39,16 @@ process has delivered, so no flag.  The token list is ordered by pid,
 main before task, as if all n processes were polled every turn.
 
 Determinism: given equal configurations, runs produce byte-identical
-traces.  All scheduling randomness comes from a SplitMix64 stream derived
-from the scenario seed, and a starvation rule forces any continuously
-enabled process to be scheduled at least once per window of
+traces.  All scheduling randomness comes from a SplitMix64 stream
+derived from the scenario seed, and a starvation rule forces any
+continuously enabled process to be scheduled at least once per window of
 FAIRNESS_WINDOW_FACTOR * n turns, which also makes the seeded-random
 policy fair in the hard sense.  A schedule script is the exception: it
-runs verbatim, so the rule applies only once the script is used up and
-round robin finishes the run.  The rule costs O(1) on most turns: the
-scheduler keeps one lower bound on the turns from which processes have
-waited, and looks at all n of them only once that bound is a full
-window old.
+runs verbatim, entry i at turn i, so the rule applies only once the
+script is used up and round robin finishes the run.  The rule costs O(1)
+on most turns: the scheduler keeps one lower bound on the turns from
+which processes have waited, and looks at all n of them only once that
+bound is a full window old.
 
 The run halts as quiescent when no thread is enabled: every workload is
 finished, no broadcast is mid-flight, every background loop is idle and
@@ -98,9 +100,6 @@ class _Process:
         if self.state == "dwait":
             return self.table.ready(self.items[self.widx - 1].instance)
         return True  # bsnap
-
-    def main_blocked(self) -> bool:
-        return self.state in ("bwait", "dwait") and not self.main_enabled()
 
     def main_step(self) -> bool:
         """Run one main-thread step; returns whether it wrote MEM."""
@@ -229,8 +228,11 @@ class Simulation:
         the polls of the flags that step can have changed (nobody's after a
         task step that delivered nothing; the stepped process's after a
         delivery or a main step; those and every idle task's after a MEM
-        write) and the crashes due at the next turn."""
+        write) and the crashes due at the next turn.  A token whose thread
+        is not enabled raises SimulationError and writes no row."""
         pid, thread = token
+        if not (self.task_on if thread == "task" else self.main_on)[pid]:
+            raise SimulationError(f"disabled thread {thread!r} of p{pid} at turn {self.turn}")
         proc = self.procs[pid]
         # above every other stamp, so oldest stays a lower bound
         self.since[pid] = self.turn + 1
@@ -295,22 +297,17 @@ class Simulation:
 
     def _pick(self, tokens) -> tuple[int, str]:
         if self.script_pos < len(self.script):
-            return self._scripted(tokens)  # a script runs verbatim: no starvation override
+            # a script runs verbatim, with no starvation override: step
+            # refuses an entry that names a disabled thread
+            self.script_pos += 1
+            return self.script[self.script_pos - 1]
         # _starving() is None while oldest is under a window old; skip its frame
         starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
-        if starving is not None:
-            return self._prefer(starving)
+        if starving is not None:  # it owns a token: its task's if any, else its main's
+            return (starving, "task" if self.task_on[starving] else "main")
         if self.schedule_kind == "seeded-random":
             return tokens[self.sched_rng.randrange(len(tokens))]
         return self._round_robin()  # round-robin, or a scripted schedule past its script
-
-    def _prefer(self, pid: int) -> tuple[int, str]:
-        """``pid``'s task token if it owns one, else its main token."""
-        if self.task_on[pid]:
-            return (pid, "task")
-        if self.main_on[pid]:
-            return (pid, "main")
-        raise SimulationError("starvation override found no token")
 
     def _round_robin(self) -> tuple[int, str]:
         for off in range(self.n):
@@ -327,17 +324,6 @@ class Simulation:
             return (pid, thread)
         raise SimulationError("round-robin found no token")
 
-    def _scripted(self, tokens) -> tuple[int, str]:
-        token = self.script[self.script_pos]
-        self.script_pos += 1
-        if token not in tokens:
-            pid, thread = token
-            raise SimulationError(
-                f"schedule script entry {self.script_pos - 1} names "
-                f"disabled thread {thread!r} of p{pid} at turn {self.turn}"
-            )
-        return token
-
     # --- stepping -----------------------------------------------------------
 
     def _crash(self, pid: int) -> bool:
@@ -347,8 +333,10 @@ class Simulation:
         return self._refresh(pid)
 
     def _check_no_deadlock(self) -> None:
+        # called at quiescence, where every flag is off: a live process
+        # still waiting can never go on
         for pid, proc in self.procs.items():
-            if pid not in self.crashed and proc.main_blocked():
+            if pid not in self.crashed and proc.state in ("bwait", "dwait"):
                 raise SimulationError(
                     f"deadlock: p{pid} blocked in {proc.state} with no enabled thread"
                 )

@@ -51,6 +51,8 @@ verdicts judge it):
     SNAP2[r]        write           args: [view: list of str]  result: null
     SNAP2[r]        snapshot        args: null                 result: n cells, view or null
 
+An access's args and result are exactly as listed: a write or a propose
+has one arg, a write's result is null, and a snapshot's args are null.
 Cell i of MEM is the number of messages p_i has published, which names
 the set {i:0, ..., i:c-1}.  ``r`` is a K2S round, a decimal integer.  A
 trace stays greppable by kind (``"deliver-set"``) and by object
@@ -280,33 +282,34 @@ def _is_view(value) -> bool:
 # Checks of an object access's (args, result), by object family and op.
 
 
-def _mem_write(args, _result, _ids) -> bool:
-    return type(args) is list and len(args) > 0
+def _mem_write(args, result, _ids) -> bool:
+    return type(args) is list and len(args) == 1 and result is None
 
 
-def _mem_snapshot(_args, result, _ids) -> bool:
-    return type(result) is list
+def _mem_snapshot(args, result, _ids) -> bool:
+    return args is None and type(result) is list
 
 
 def _kset_propose(args, result, ids) -> bool:
-    return type(args) is list and len(args) > 0 and _is_id(args[0], ids) and _is_id(result, ids)
+    return type(args) is list and len(args) == 1 and _is_id(args[0], ids) and _is_id(result, ids)
 
 
-def _snap1_write(args, _result, _ids) -> bool:
-    return type(args) is list and len(args) > 0 and type(args[0]) is str
+def _snap1_write(args, result, _ids) -> bool:
+    return type(args) is list and len(args) == 1 and type(args[0]) is str and result is None
 
 
-def _snap1_snapshot(_args, result, _ids) -> bool:
-    return type(result) is list and _STR_OR_NULL.issuperset(map(type, result))
+def _snap1_snapshot(args, result, _ids) -> bool:
+    return args is None and type(result) is list and _STR_OR_NULL.issuperset(map(type, result))
 
 
-def _snap2_write(args, _result, _ids) -> bool:
-    return type(args) is list and len(args) > 0 and _is_view(args[0])
+def _snap2_write(args, result, _ids) -> bool:
+    return type(args) is list and len(args) == 1 and _is_view(args[0]) and result is None
 
 
-def _snap2_snapshot(_args, result, _ids) -> bool:
+def _snap2_snapshot(args, result, _ids) -> bool:
     return (
-        type(result) is list
+        args is None
+        and type(result) is list
         and _LIST_OR_NULL.issuperset(map(type, result))
         and _STR.issuperset(map(type, chain.from_iterable(filter(None, result))))
     )

@@ -203,7 +203,7 @@ def state_key(sim) -> tuple:
     (``prefix`` and ``ahead`` hold only the delivered set).
 
     Per process: the workload position and main state, the engine
-    (``prefix``, ``ahead``, ``seq``, ``wait_for``, ``tstate``, ``prop``)
+    (``prefix``, ``ahead``, ``seq``, ``wait_for``, ``prop``)
     and the ``DecisionTable``.  Shared: the MEM cells, who crashed, and
     per built round its ``K2SInstance`` (``steps``, ``decided``,
     ``views``, the SNAP cells and who wrote and snapped them, KSET's
@@ -217,7 +217,7 @@ def state_key(sim) -> tuple:
             delivered[row[1]].append(row[3]["msg"])
     procs = tuple(
         (proc.widx, proc.state,
-         tuple(e.prefix), frozenset(e.ahead), tuple(e.seq), tuple(e.wait_for), e.tstate, e.prop,
+         tuple(e.prefix), frozenset(e.ahead), tuple(e.seq), tuple(e.wait_for), e.prop,
          tuple(sorted(proc.table.pending.items())), frozenset(proc.table.seen),
          tuple(delivered[pid]))
         for pid, proc in sorted(sim.procs.items())

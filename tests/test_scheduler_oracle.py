@@ -98,7 +98,7 @@ class PollingOracle(Simulation):
             else:
                 main = proc.main_enabled()
             backlog = mem_ids(self.mem.array.cells) - delivered
-            task = engine.tstate != "idle" or bool(engine.seq) or bool(backlog)
+            task = engine.prop is not None or bool(engine.seq) or bool(backlog)
             if main:
                 tokens.append((pid, "main"))
             if task:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,28 @@ class TestCrashBoundaries:
     def test_a_crash_due_at_turn_zero_is_row_zero(self):
         trace = run_scenario(self.config(crash_plan=((2, 0),)))
         assert self.crash_rows(trace) == [(0, [0, 2, "crash", {}])]
+
+
+class TestStepGate:
+    """``step`` runs only a token its flags enable; any other raises and
+    writes no row, so no caller can make a trace no crash-stop run makes."""
+
+    def config(self, **over):
+        return replace(load_scenario("scenarios/examples/n3_k2_propose.scenario.json"), **over)
+
+    def test_an_idle_task_is_refused_at_construction(self):
+        sim = Simulation(self.config())
+        assert (1, "task") not in sim.tokens
+        with pytest.raises(SimulationError, match="^disabled thread 'task' of p1 at turn 0$"):
+            sim.step((1, "task"))
+        assert sim.recorder.rows == [] and sim.turn == 0
+
+    def test_a_crashed_main_thread_is_refused(self):
+        sim = Simulation(self.config(crash_plan=((2, 0),)))
+        assert sim.recorder.rows == [[0, 2, "crash", {}]]
+        with pytest.raises(SimulationError, match="^disabled thread 'main' of p2 at turn 0$"):
+            sim.step((2, "main"))
+        assert sim.recorder.rows == [[0, 2, "crash", {}]] and sim.turn == 0
 
 
 class TestValidation:
@@ -224,7 +247,15 @@ class TestScheduling:
         # p2 has no workload, so its main thread is never enabled
         cfg = stack_config(2, 1, 0, {1: (B("x"),)},
                            schedule="scripted", script=((2, "main"),))
-        with pytest.raises(SimulationError, match="disabled thread"):
+        with pytest.raises(SimulationError, match="disabled thread 'main' of p2 at turn 0"):
+            run_scenario(cfg)
+
+    def test_script_entry_i_runs_at_turn_i(self):
+        # p1 writes MEM, snapshots it, then waits to deliver its own message:
+        # entry 2 names a blocked thread, refused at turn 2
+        cfg = stack_config(2, 1, 0, {1: (B("x"),)},
+                           schedule="scripted", script=((1, "main"),) * 3)
+        with pytest.raises(SimulationError, match="disabled thread 'main' of p1 at turn 2"):
             run_scenario(cfg)
 
     def test_script_prefix_then_fallback_completes_the_run(self):

@@ -186,6 +186,9 @@ def test_parse_rejects_records_out_of_place(edit, message):
         ('[0,1,"MEMO","write",[1],null]', "unknown object 'MEMO'"),
         ('[0,1,"SNAP1[01]","write",["a"],null]', "unknown object 'SNAP1\\[01\\]'"),
         ('[0,1,"MEM","propose",[1],null]', "MEM has no op 'propose'"),
+        ('[0,1,"MEM","write",[1],"junk"]', "a MEM write with malformed"),
+        ('[0,1,"MEM","write",[1,99],null]', "a MEM write with malformed"),
+        ('[0,1,"MEM","snapshot",{"a":1},[0,0,0,0]]', "a MEM snapshot with malformed"),
         ('[0,1,"KSET[0]","propose",["1:0"],"01:0"]', "a KSET\\[0\\] propose with malformed"),
         ('[0,1,"SNAP2[0]","snapshot",null,[["a"],"b"]]', "a SNAP2\\[0\\] snapshot with malformed"),
         ('[0,1,"deliver-msg",{"msg":"1:00"}]', "a deliver-msg needs 'msg' to be a message id"),
