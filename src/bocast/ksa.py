@@ -4,10 +4,10 @@ A proposer broadcasts the pair (instance, value) and returns the value of
 the first pair with that instance number it delivers.  Only proposals are
 pairs: each process knows which delivered messages are proposals by their
 ids, so a broadcast payload is never decided, whatever it holds.  The
-decisions table keeps at most one pair per instance number ever: later
-pairs with a seen instance number are ignored.  A decided pair is removed
-from the pending table when the proposer returns, but the instance number
-stays recorded so re-deliveries can never resurrect it.
+decisions table holds the first delivered value of each instance number;
+later pairs with that number are ignored, so no re-delivery changes it.
+``take`` reads without removing: a process's propose instances strictly
+increase (validation enforces it), so it never waits on a taken one.
 """
 
 from __future__ import annotations
@@ -15,18 +15,14 @@ from __future__ import annotations
 
 class DecisionTable:
     def __init__(self):
-        self.pending: dict[int, str] = {}
-        self.seen: set[int] = set()
+        self.first: dict[int, str] = {}  # instance -> its first delivered value
 
     def on_deliver(self, nb: int, value: str) -> None:
         """Feed one delivered proposal of ``value`` to instance ``nb``."""
-        if nb in self.seen:
-            return
-        self.seen.add(nb)
-        self.pending[nb] = value
+        self.first.setdefault(nb, value)
 
     def ready(self, nb: int) -> bool:
-        return nb in self.pending
+        return nb in self.first
 
     def take(self, nb: int) -> str:
-        return self.pending.pop(nb)
+        return self.first[nb]

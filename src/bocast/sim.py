@@ -8,8 +8,9 @@ the turn, re-polls what the step can have changed and fires the crashes
 due at the new turn.  So crashes due at turn t fire at the end of step
 t - 1, those due at turn 0 at construction, and ``tokens`` is always the
 enabled list of the current turn: a caller that picks its own tokens
-drives a run through ``step`` alone.  ``step`` refuses a token its flags
-do not enable, so no caller can write a row no crash-stop run makes.
+drives a run through ``step`` alone.  ``step`` refuses any token not in
+``tokens`` (a disabled thread, an unknown thread name, a pid outside
+1..n), so no caller can write a row no crash-stop run makes.
 Every process runs the full stack on two threads: ``main`` runs the
 workload operations (broadcast or propose, including their blocking
 waits, modeled as enabled predicates) and ``task`` runs the background
@@ -21,22 +22,23 @@ a crash carries the turn at which it fires.  Deliveries the stack never
 makes are not simulated: a trace that holds them is written by hand and
 only checked.
 
-The enabled tokens are kept up to date, not polled.  A process waits in
-two places: a broadcast until it has delivered everything its MEM
-snapshot saw, a propose until it decides; its task idles only while MEM
-holds nothing it has not delivered.  So only four steps can change its
-flags: its own delivery (a wait can end, the task can go idle), its own
-main step (its workload moves on), a MEM write by anyone (an idle task
-can wake) and its crash (both go off).  After a delivery or a main step
-``step`` polls the stepped process again, after a MEM write also every
-idle task, and a crash polls its victim.  These polls come after the
-turn advances, so a thread they enable is stamped with the next turn,
-the first at which it can be picked.  A task step that delivers nothing
-(the MEM snapshot that picks a candidate, the KSET propose, the SNAP1
-write and snapshot, the SNAP2 write) polls nobody: it leaves the task
-mid-round, so still enabled, and changes neither MEM nor what any
-process has delivered, so no flag.  The token list is ordered by pid,
-main before task, as if all n processes were polled every turn.
+The enabled (pid, thread) tokens are one set, ``enabled``, kept up to
+date, not polled.  A process waits in two places: a broadcast until it
+has delivered everything its MEM snapshot saw, a propose until it
+decides; its task idles only while MEM holds nothing it has not
+delivered.  So only four steps can change its tokens: its own delivery
+(a wait can end, the task can go idle), its own main step (its workload
+moves on), a MEM write by anyone (an idle task can wake) and its crash
+(both go off).  After a delivery or a main step ``step`` polls the
+stepped process again, after a MEM write also every idle task, and a
+crash polls its victim.  These polls come after the turn advances, so a
+thread they enable is stamped with the next turn, the first at which it
+can be picked.  A task step that delivers nothing (the MEM snapshot that
+picks a candidate, the KSET propose, the SNAP1 write and snapshot, the
+SNAP2 write) polls nobody: it leaves the task mid-round, so still
+enabled, and changes neither MEM nor what any process has delivered, so
+no token.  ``tokens`` is ``enabled`` sorted, so by pid, main before
+task, as if all n processes were polled every turn.
 
 Determinism: given equal configurations, runs produce byte-identical
 traces.  All scheduling randomness comes from a SplitMix64 stream
@@ -194,10 +196,8 @@ class Simulation:
         for pid, at_turn in config.crash_plan:
             self.crash_turns.setdefault(at_turn, []).append(pid)
 
-        # Enabled flags per pid (index 0 unused) and the token list they give.
-        self.main_on = [False] * (self.n + 1)
-        self.task_on = [False] * (self.n + 1)
-        self.tokens: list[tuple[int, str]] = []
+        # The enabled (pid, thread) tokens, and tokens = sorted(enabled).
+        self.enabled: set[tuple[int, str]] = set()
         # Starvation: since[pid] is the turn from which pid has owned a
         # token without being picked (None when it owns none), and oldest
         # is a lower bound on the stamps in since: raising a stamp keeps
@@ -208,7 +208,7 @@ class Simulation:
             self._refresh(pid)
         for pid in self.crash_turns.get(0, ()):
             self._crash(pid)
-        self._rebuild_tokens()
+        self.tokens = sorted(self.enabled)
 
     # --- public ----------------------------------------------------------
 
@@ -225,13 +225,13 @@ class Simulation:
 
     def step(self, token: tuple[int, str]) -> None:
         """Run one turn: one step of ``token``, taken from ``tokens``, then
-        the polls of the flags that step can have changed (nobody's after a
-        task step that delivered nothing; the stepped process's after a
+        the polls of the threads that step can have changed (nobody's after
+        a task step that delivered nothing; the stepped process's after a
         delivery or a main step; those and every idle task's after a MEM
-        write) and the crashes due at the next turn.  A token whose thread
-        is not enabled raises SimulationError and writes no row."""
+        write) and the crashes due at the next turn.  A token not in
+        ``tokens`` raises SimulationError and writes no row."""
         pid, thread = token
-        if not (self.task_on if thread == "task" else self.main_on)[pid]:
+        if token not in self.enabled:
             raise SimulationError(f"disabled thread {thread!r} of p{pid} at turn {self.turn}")
         proc = self.procs[pid]
         # above every other stamp, so oldest stays a lower bound
@@ -244,46 +244,41 @@ class Simulation:
         self.recorder.turn = turn  # the turn of every later event, crashes too
         changed = repoll and self._refresh(pid)
         if wrote:  # a MEM write can enable idle tasks, and nothing else
-            task_on = self.task_on
+            enabled = self.enabled
             for other in range(1, self.n + 1):
-                if not task_on[other] and self._refresh(other):
+                if (other, "task") not in enabled and self._refresh(other):
                     changed = True
         for victim in self.crash_turns.get(turn, ()):
             changed = self._crash(victim) or changed
         if changed:
-            self._rebuild_tokens()
+            self.tokens = sorted(self.enabled)
 
     # --- scheduling -------------------------------------------------------
 
     def _refresh(self, pid: int) -> bool:
-        """Poll ``pid`` again from scratch; returns whether a flag changed,
-        in which case the caller rebuilds the token list."""
+        """Poll ``pid`` again from scratch; returns whether ``enabled``
+        changed, in which case the caller sorts it into ``tokens`` again."""
         if pid in self.crashed:
             main = task = False
         else:
             proc = self.procs[pid]
             main, task = proc.main_enabled(), proc.task_enabled()
-        was_main, was_task = self.main_on[pid], self.task_on[pid]
+        enabled, mtok, ttok = self.enabled, (pid, "main"), (pid, "task")
+        was_main, was_task = mtok in enabled, ttok in enabled
         if main == was_main and task == was_task:
             return False
         if (main or task) != (was_main or was_task):
             self._set_since(pid, self.turn if main or task else None)
-        self.main_on[pid], self.task_on[pid] = main, task
+        if main != was_main:
+            (enabled.add if main else enabled.remove)(mtok)
+        if task != was_task:
+            (enabled.add if task else enabled.remove)(ttok)
         return True
 
     def _set_since(self, pid: int, turn: int | None) -> None:
         self.since[pid] = turn
         if turn is not None and turn < self.oldest:
             self.oldest = turn
-
-    def _rebuild_tokens(self) -> None:
-        tokens = []
-        for pid in range(1, self.n + 1):
-            if self.main_on[pid]:
-                tokens.append((pid, "main"))
-            if self.task_on[pid]:
-                tokens.append((pid, "task"))
-        self.tokens = tokens
 
     def _starving(self) -> int | None:
         """The lowest pid that has owned a token unpicked for a full window."""
@@ -304,7 +299,7 @@ class Simulation:
         # _starving() is None while oldest is under a window old; skip its frame
         starving = self._starving() if self.oldest <= self.turn - self.fair_window else None
         if starving is not None:  # it owns a token: its task's if any, else its main's
-            return (starving, "task" if self.task_on[starving] else "main")
+            return (starving, "task" if (starving, "task") in self.enabled else "main")
         if self.schedule_kind == "seeded-random":
             return tokens[self.sched_rng.randrange(len(tokens))]
         return self._round_robin()  # round-robin, or a scripted schedule past its script
@@ -312,7 +307,7 @@ class Simulation:
     def _round_robin(self) -> tuple[int, str]:
         for off in range(self.n):
             pid = ((self.rr_next - 1 + off) % self.n) + 1
-            main, task = self.main_on[pid], self.task_on[pid]
+            main, task = (pid, "main") in self.enabled, (pid, "task") in self.enabled
             if not (main or task):
                 continue
             self.rr_next = (pid % self.n) + 1
@@ -327,13 +322,13 @@ class Simulation:
     # --- stepping -----------------------------------------------------------
 
     def _crash(self, pid: int) -> bool:
-        """Fell ``pid``; returns whether a flag changed."""
+        """Fell ``pid``; returns whether ``enabled`` changed."""
         self.crashed.add(pid)
         self.recorder.emit(pid, "crash", {})
         return self._refresh(pid)
 
     def _check_no_deadlock(self) -> None:
-        # called at quiescence, where every flag is off: a live process
+        # called at quiescence, where enabled is empty: a live process
         # still waiting can never go on
         for pid, proc in self.procs.items():
             if pid not in self.crashed and proc.state in ("bwait", "dwait"):

@@ -218,7 +218,7 @@ def state_key(sim) -> tuple:
     procs = tuple(
         (proc.widx, proc.state,
          tuple(e.prefix), frozenset(e.ahead), tuple(e.seq), tuple(e.wait_for), e.prop,
-         tuple(sorted(proc.table.pending.items())), frozenset(proc.table.seen),
+         tuple(sorted(proc.table.first.items())),
          tuple(delivered[pid]))
         for pid, proc in sorted(sim.procs.items())
         for e in (proc.engine,)

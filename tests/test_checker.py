@@ -242,6 +242,21 @@ class TestNegativeControls:
             "reason": "delivery relation is not a partial order", "width": None,
         }
 
+    def test_a_small_cyclic_order_passes_bounded_at_k1(self):
+        # p1 delivers 1:0 then 2:0, p2 2:0 then 3:0, p3 3:0 then 1:0: no
+        # partial order, and the exhaustive search finds width 1, since
+        # every pair is ordered one way or the other.  kbo.bounded passes
+        # at k = 1 on this cycle; the order's definition is to settle it.
+        steps = [(1, "a"), (2, "b"), (3, "c")]
+        steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",))]
+        steps += [(3, ("3:0",)), (3, ("1:0",))]
+        trace = forged_trace(3, 1, steps, outcome="budget-exhausted")
+        result = build_order(trace)
+        assert result.poset is None and len(result.elements) <= BRUTE_FORCE_LIMIT
+        assert width_and_antichain(result) == (1, ["3:0"])
+        verdicts = {v.property: v for v in check_all(trace, ("kbo",))}
+        assert verdicts["kbo.bounded"].status == "pass"
+
     def test_an_internal_poset_error_is_raised_not_reported(self, golden_trace, monkeypatch):
         # a failed self-check of the width machinery is a bug of the
         # checker, not a property of the trace
@@ -345,6 +360,44 @@ class TestContainment:
         planted = frozenset(universe[: size - 1]) | {universe[size]}
         views = data.draw(st.permutations(chain + [planted]))
         assert first_incomparable(views) == pairwise_incomparable(views) is not None
+
+
+def failures(trace, suites) -> dict:
+    """The failing verdicts of ``suites`` on ``trace``, as property -> witness."""
+    return {v.property: v.witness for v in check_all(trace, suites) if v.failed}
+
+
+class TestForgedFailures:
+    """Failures no run of the stack makes, forged event by event."""
+
+    def test_a_broadcast_that_never_returns_fails_termination_1(self):
+        # p1 delivers its own message, and the run is quiescent, but its
+        # broadcast has no return
+        forged = forged_trace(1, 1, [(1, "x"), (1, ("1:0",))])
+        events = [ev for ev in forged.events if ev.kind != "return"]
+        trace = trace_of_events(forged.config, events, "quiescent", forged.turns)
+        witness = {"pid": 1, "reason": "broadcast did not return"}
+        assert failures(trace, ("kbo", "kscd")) == {
+            "kbo.termination-1": witness, "kscd.termination-1": witness,
+        }
+
+    def test_a_kset_result_nobody_proposed_fails_oracle_validity(self):
+        # p1 proposes 1:0 to KSET[0] and is answered 9:9
+        access = {"object": "KSET[0]", "op": "propose", "args": ["1:0"], "result": "9:9"}
+        trace = trace_of_events(stack_config(1, 1, 0, {}), [Event(1, "object-access", access)])
+        assert failures(trace, ("ksa",)) == {"ksa.oracle-validity": {"instance": 0, "values": ["9:9"]}}
+
+    def test_a_live_proposer_that_never_decides_fails_termination(self):
+        # p1 proposes v1.0 to instance 0 and delivers it, but decides nothing
+        invoke = {"op": "ksa_propose", "msg": "1:0", "instance": 0, "value": "v1.0"}
+        events = [
+            Event(1, "invoke", invoke, 0),
+            Event(1, "deliver-set", {"round": 0, "set": ["1:0"]}, 1),
+            Event(1, "deliver-msg", {"msg": "1:0", "position": 0}, 1),
+        ]
+        config = stack_config(1, 1, 0, propose_workload(1, {1: [0]}))
+        trace = trace_of_events(config, events, "quiescent", 2)
+        assert failures(trace, ("ksa",)) == {"ksa.termination": {"pid": 1, "instance": 0}}
 
 
 class TestLiveness:

@@ -236,6 +236,19 @@ def test_decompose_of_a_large_cyclic_order_exits_1_without_a_traceback(tmp_path,
     assert "Traceback" not in proc.stderr
 
 
+def test_decompose_of_a_small_cyclic_order_reports_its_searched_width(tmp_path, capsys):
+    # p1 delivers 1:0 then 2:0, p2 2:0 then 3:0, p3 3:0 then 1:0: the
+    # exhaustive search gives width 1 at k = 1, yet the order is refused
+    steps = [(1, "a"), (2, "b"), (3, "c")]
+    steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",)), (3, ("3:0",)), (3, ("1:0",))]
+    path = tmp_path / "cycle3.trace"
+    write_trace(forged_trace(3, 1, steps, outcome="budget-exhausted"), path)
+    assert main(["decompose", "--trace", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "delivery order is not a partial order; width 1, antichain ['3:0']\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def long_chain_trace(tmp_path_factory):
     """A k=1 trace whose agreed order is one 3000-message chain listed in

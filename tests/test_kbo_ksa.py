@@ -1,10 +1,13 @@
+import pytest
+
 from bocast.checker import TraceIndex, any_failure, check_all
 from bocast.kbo import unpack_order
 from bocast.ksa import DecisionTable
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
+from bocast.trace import Event
 
-from _drivers import forged_trace, propose_workload, stack_config
+from _drivers import forged_trace, propose_workload, stack_config, trace_of_events
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 LOOKALIKE = "scenarios/examples/n2_k1_lookalike_payload.scenario.json"
@@ -19,14 +22,15 @@ class TestDecisionTable:
         t = DecisionTable()
         t.on_deliver(7, "a")
         t.on_deliver(7, "b")
-        assert t.pending[7] == "a"
+        assert t.first == {7: "a"}
 
     def test_taken_instances_never_resurrect(self):
+        # a later pair never replaces a taken value
         t = DecisionTable()
         t.on_deliver(3, "a")
         assert t.take(3) == "a"
         t.on_deliver(3, "b")
-        assert not t.ready(3)
+        assert t.take(3) == "a" and t.first == {3: "a"}
 
     def test_unproposed_instances_are_stored_harmlessly(self):
         t = DecisionTable()
@@ -94,3 +98,37 @@ def test_mixed_broadcasts_and_proposals_share_the_stack():
         idx = TraceIndex(trace)
         assert {nb for _, nb, _ in idx.decides} == {0}
         assert not any_failure(check_all(trace))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_plus_one_first_deliveries_break_both_bounds(k):
+    # p1..p(k+1) each propose to instance 0, deliver their own proposal
+    # first and the others after it in pid order; each decides what its
+    # DecisionTable takes.  Any two proposals are delivered in both
+    # orders, so all k + 1 are pairwise incomparable.
+    n = k + 1
+    value = {f"{pid}:0": f"v{pid}.0" for pid in range(1, n + 1)}
+    mids = list(value)
+    events = [
+        Event(pid, "invoke", {"op": "ksa_propose", "msg": mid, "instance": 0, "value": value[mid]})
+        for pid, mid in enumerate(mids, start=1)
+    ]
+    for pid, own in enumerate(mids, start=1):
+        table = DecisionTable()
+        for position, mid in enumerate([own] + [m for m in mids if m != own]):
+            events.append(Event(pid, "deliver-set", {"round": position, "set": [mid]}))
+            events.append(Event(pid, "deliver-msg", {"msg": mid, "position": position}))
+            table.on_deliver(0, value[mid])
+            if position == 0:
+                decided = table.take(0)
+                events.append(Event(pid, "decide", {"instance": 0, "value": decided}))
+                events.append(Event(pid, "return", {"op": "ksa_propose", "instance": 0,
+                                                    "value": decided}))
+    config = stack_config(n, k, 0, propose_workload(n, {pid: [0] for pid in range(1, n + 1)}))
+    trace = trace_of_events(config, events)
+    assert sorted(v for _, _, v in TraceIndex(trace).decides) == sorted(value.values())
+    failed = {v.property: v.witness for v in check_all(trace, ("kbo", "ksa")) if v.failed}
+    assert failed == {
+        "kbo.bounded": {"width": n, "antichain": mids, "excluded": []},
+        "ksa.agreement": {"instance": 0, "values": sorted(value.values()), "k": k},
+    }

@@ -88,7 +88,7 @@ class TestCrashBoundaries:
 
 
 class TestStepGate:
-    """``step`` runs only a token its flags enable; any other raises and
+    """``step`` runs only a token in ``tokens``; any other raises and
     writes no row, so no caller can make a trace no crash-stop run makes."""
 
     def config(self, **over):
@@ -107,6 +107,31 @@ class TestStepGate:
         with pytest.raises(SimulationError, match="^disabled thread 'main' of p2 at turn 0$"):
             sim.step((2, "main"))
         assert sim.recorder.rows == [[0, 2, "crash", {}]] and sim.turn == 0
+
+    MALFORMED = [(1, "bogus"), (0, "main"), (4, "task"), (-1, "main")]
+
+    def refused(self, sim, token):
+        rows, turn, tokens = list(sim.recorder.rows), sim.turn, list(sim.tokens)
+        with pytest.raises(SimulationError, match=f"^disabled thread {token[1]!r} "
+                                                  f"of p{token[0]} at turn {turn}$"):
+            sim.step(token)
+        return sim.recorder.rows == rows and sim.turn == turn and sim.tokens == tokens
+
+    @pytest.mark.parametrize("token", MALFORMED)
+    def test_an_unknown_thread_or_pid_is_refused_at_construction(self, token):
+        # every main thread is enabled here, p1's and p3's (index -1) too
+        sim = Simulation(self.config())
+        assert sim.tokens == [(1, "main"), (2, "main"), (3, "main")]
+        assert self.refused(sim, token) and sim.recorder.rows == []
+
+    @pytest.mark.parametrize("token", MALFORMED + [(3, "main"), (3, "task")])
+    def test_a_token_not_in_tokens_is_refused_mid_run(self, token):
+        # p3 crashes at turn 2, and each token is tried at turn 5
+        sim = Simulation(self.config(crash_plan=((3, 2),)))
+        for _ in range(5):
+            sim.step(sim.tokens[0])
+        assert [2, 3, "crash", {}] in sim.recorder.rows and token not in sim.tokens
+        assert self.refused(sim, token) and sim.turn == 5
 
 
 class TestValidation:
