@@ -63,15 +63,22 @@ def cmd_run(args) -> int:
         trace = run_scenario(config)
     except SimulationError as exc:
         return _fail_usage(f"simulation error: {exc}")
+    text = serialize_trace(trace)
+    summary = f"run: {trace.outcome} after {trace.turns} turns, {len(trace.rows)} events"
+    code = EXIT_OK if trace.quiescent else EXIT_BUDGET
+    # Freed here by reference counting, the trace is never walked by the
+    # collection that the next allocation of a container starts.
+    del trace
     if args.out:
         try:
-            write_trace(trace, args.out)
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         except OSError as exc:
             return _fail_usage(f"--out: cannot write {args.out}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(serialize_trace(trace))
-    print(f"run: {trace.outcome} after {trace.turns} turns, {len(trace.rows)} events", file=sys.stderr)
-    return EXIT_OK if trace.quiescent else EXIT_BUDGET
+        sys.stdout.write(text)
+    print(summary, file=sys.stderr)
+    return code
 
 
 def _suites(arg: str | None) -> tuple[str, ...]:

@@ -29,6 +29,10 @@ from functools import partial
 from .objects import SetAgreementOracle, SnapshotArray
 from .rng import derive
 
+# what a SNAP1 view leaves out: the cells not written yet, and only them
+# (a K2S value may be any string, "" too)
+_EMPTY_CELL = frozenset((None,))
+
 
 def canon_view(view) -> list:
     """Canonic list form of a view (sorted by value)."""
@@ -71,7 +75,7 @@ class K2SInstance:
         elif done == 1:
             self.snap1.write(pid, self.decided[pid])
         elif done == 2:
-            self.views[pid] = frozenset(v for v in self.snap1.snapshot(pid) if v is not None)
+            self.views[pid] = frozenset(self.snap1.snapshot(pid)) - _EMPTY_CELL
         elif done == 3:
             view = self.views[pid]
             self.snap2.write(pid, canon_view(view))

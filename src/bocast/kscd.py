@@ -31,16 +31,17 @@ Every shared-object operation is one scheduler step, and each object
 writes the trace row of its own access.  A K2S round spreads over five
 steps (agreement, two writes, two snapshots) with other processes
 interleaved; the K2S instance runs them, keeping per process what the
-later steps need, so the engine knows only what it proposed in the round
-numbered by its delivery count, and that proposal is None while it idles
-between rounds.
+later steps need.  So the engine holds only what it proposes in the
+round numbered by its delivery count and that round's ``K2SInstance``,
+looked up once when it proposes, not at each of the five steps; both
+are None while it idles between rounds.
 """
 
 from __future__ import annotations
 
 from operator import ge
 
-from .k2s import RepeatedK2S, canon_sets
+from .k2s import K2SInstance, RepeatedK2S, canon_sets
 from .messages import min_id, msg_key
 from .objects import SnapshotArray
 
@@ -107,6 +108,7 @@ class BroadcastEngine:
         self.wait_for: list = []  # MEM counts seen by the broadcast snapshot
 
         self.prop: str | None = None  # proposed in round delivered_count; None while idle
+        self.round: K2SInstance | None = None  # that round's object; None while idle
 
     # --- broadcast operation steps --------------------------------------
 
@@ -133,18 +135,17 @@ class BroadcastEngine:
         """Run one task step; returns the delivered set when one is emitted."""
         if self.prop is None:
             if self.seq:
-                self.prop = min_id(self.seq[0])
+                self._propose(min_id(self.seq[0]))
             else:
                 arr = self.mem.array.snapshot(self.pid)
                 # the oldest undelivered message of the first sender with
                 # one, which exists since the task is enabled
                 for s, (done, count) in enumerate(zip(self.prefix, arr)):
                     if done < count:
-                        self.prop = f"{s + 1}:{done}"
+                        self._propose(f"{s + 1}:{done}")
                         break
                 return None
-        # the round is numbered by the delivery count
-        sets = self.kss.instance(self.delivered_count).step(self.pid, self.prop)
+        sets = self.round.step(self.pid, self.prop)
         if sets is None:
             return None
 
@@ -154,10 +155,15 @@ class BroadcastEngine:
         first = self.seq.pop(0)
         self._advance_prefixes(first)
         self.delivered_count += len(first)
-        self.prop = None
+        self.prop = self.round = None
         return first
 
     # --- helpers ----------------------------------------------------------
+
+    def _propose(self, value: str) -> None:
+        """Propose ``value`` in the round numbered by the delivery count."""
+        self.prop = value
+        self.round = self.kss.instance(self.delivered_count)
 
     def _advance_prefixes(self, mids) -> None:
         """Record ``mids`` as delivered, none of which may be already."""

@@ -50,7 +50,8 @@ class SnapshotArray:
         self._snapped = set()
 
     def write(self, pid: int, value) -> None:
-        self._check_pid(pid)
+        if not 1 <= pid <= self.n:
+            raise ProtocolViolation(f"{self.object_id}: unknown process {pid}")
         if self.one_shot:
             if pid in self._wrote:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} wrote a one-shot cell twice")
@@ -61,7 +62,8 @@ class SnapshotArray:
     def snapshot(self, pid: int) -> list:
         """The n cells, as the trace row holds them: callers must not
         modify the returned list."""
-        self._check_pid(pid)
+        if not 1 <= pid <= self.n:
+            raise ProtocolViolation(f"{self.object_id}: unknown process {pid}")
         if self.one_shot:
             if pid not in self._wrote:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} snapshot before write")
@@ -71,10 +73,6 @@ class SnapshotArray:
         cells = self.cells[:]
         self.emit(pid, self.object_id, "snapshot", None, cells)
         return cells
-
-    def _check_pid(self, pid: int) -> None:
-        if not (1 <= pid <= self.n):
-            raise ProtocolViolation(f"{self.object_id}: unknown process {pid}")
 
 
 class SetAgreementOracle:

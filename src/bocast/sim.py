@@ -229,10 +229,15 @@ class Simulation:
         a task step that delivered nothing; the stepped process's after a
         delivery or a main step; those and every idle task's after a MEM
         write) and the crashes due at the next turn.  A token not in
-        ``tokens`` raises SimulationError and writes no row."""
+        ``tokens`` raises SimulationError and writes no row, whatever its
+        type or length."""
+        try:
+            known = token in self.enabled
+        except TypeError:  # unhashable, so no token
+            known = False
+        if not known:
+            raise SimulationError(self._refusal(token))
         pid, thread = token
-        if token not in self.enabled:
-            raise SimulationError(f"disabled thread {thread!r} of p{pid} at turn {self.turn}")
         proc = self.procs[pid]
         # above every other stamp, so oldest stays a lower bound
         self.since[pid] = self.turn + 1
@@ -252,6 +257,11 @@ class Simulation:
             changed = self._crash(victim) or changed
         if changed:
             self.tokens = sorted(self.enabled)
+
+    def _refusal(self, token) -> str:
+        if isinstance(token, tuple) and len(token) == 2:
+            return f"disabled thread {token[1]!r} of p{token[0]} at turn {self.turn}"
+        return f"malformed token {token!r} at turn {self.turn}"
 
     # --- scheduling -------------------------------------------------------
 

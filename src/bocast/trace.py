@@ -117,9 +117,12 @@ def pauses_cyclic_gc(fn):
     reference counting alone frees all they drop.  That condition is what
     makes the pause safe, and ``tests/test_gc_pause.py`` enforces it (with
     the collector off, ``gc.collect()`` finds nothing unreachable after
-    each call).  The collector is enabled again on the way out, also when
-    ``fn`` raises, but only if it was enabled on the way in, so nested
-    calls and callers that run with it off keep their state.
+    each call).  ``serialize_trace`` is paused too: it runs straight after
+    ``run_scenario`` returns, and the first collection it started would
+    walk every row of the fresh trace, to free nothing.  The collector is
+    enabled again on the way out, also when ``fn`` raises, but only if it
+    was enabled on the way in, so nested calls and callers that run with
+    it off keep their state.
     """
 
     @functools.wraps(fn)
@@ -209,6 +212,7 @@ _ACCESS_KEYS = ("object", "op", "args", "result")
 _PLAIN_KINDS = frozenset(EVENT_KINDS) - {"object-access"}
 
 
+@pauses_cyclic_gc
 def serialize_trace(trace: Trace) -> str:
     """The trace file text.  Raises ValueError on a row it cannot write so
     that it reads back the same: a turn or pid that is not an int, an

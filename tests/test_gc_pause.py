@@ -1,11 +1,12 @@
 """The cyclic collector pause of the bulk builders.
 
-``run_scenario``, ``parse_trace`` and ``check_all`` run with the cyclic
-garbage collector paused (``trace.pauses_cyclic_gc``).  That is safe only
-while they build acyclic trees and leave no cyclic garbage, which
-``test_the_bulk_builders_leave_no_cyclic_garbage`` enforces.  The other
-tests pin the collector state on the way in, inside and on the way out,
-also when a call raises.
+``run_scenario``, ``serialize_trace``, ``parse_trace`` and ``check_all``
+run with the cyclic garbage collector paused (``trace.pauses_cyclic_gc``).
+That is safe only while they build acyclic trees and leave no cyclic
+garbage, which ``test_the_bulk_builders_leave_no_cyclic_garbage``
+enforces.  Other tests pin the collector state on the way in, inside and
+on the way out, also when a call raises, and that ``bocast run`` frees
+the trace it made before any collection can walk it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import gc
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
+from bocast import cli
 from bocast.checker import CheckerError, check_all
 from bocast.cli import instantiate_template
 from bocast.scenario import ScenarioConfig, WorkItem, load_scenario
@@ -62,6 +65,7 @@ def test_the_bulk_builders_leave_no_cyclic_garbage(collector_state):
             trace = run_scenario(config)
             assert gc.collect() == 0, f"{name}: run_scenario left cyclic garbage"
             texts.append((name, serialize_trace(trace)))
+            assert gc.collect() == 0, f"{name}: serialize_trace left cyclic garbage"
             del trace
         for name, text in texts:
             gc.collect()
@@ -89,6 +93,7 @@ def _calls():
     malformed = "\n".join([lines[0], "[1]", *lines[1:]])
     deep = "\n".join([lines[0], "[" * 100_000 + "]" * 100_000, *lines[1:]])
     trace = parse_trace(text)
+    bad_row = Trace(trace.config, [*trace.rows, [1]], trace.outcome, trace.turns)
     bad_script = stack_config(
         2, 1, 0, {1: (WorkItem(op="broadcast", payload="x"),)},
         schedule="scripted", script=((2, "main"),),
@@ -96,6 +101,8 @@ def _calls():
     return {
         "run_scenario": (lambda: run_scenario(config), None),
         "run_scenario-bad-script": (lambda: run_scenario(bad_script), SimulationError),
+        "serialize_trace": (lambda: serialize_trace(trace), None),
+        "serialize_trace-bad-row": (lambda: serialize_trace(bad_row), ValueError),
         "parse_trace": (lambda: parse_trace(text), None),
         "parse_trace-malformed-line": (lambda: parse_trace(malformed), TraceFormatError),
         "parse_trace-deep-line": (lambda: parse_trace(deep), TraceFormatError),
@@ -131,6 +138,10 @@ class _ProbedConfig(ScenarioConfig):
         _seen.append(gc.isenabled())
         return super().validate()
 
+    def to_json_dict(self):  # serialize_trace writes the config record with it
+        _seen.append(gc.isenabled())
+        return super().to_json_dict()
+
 
 class _ProbedTrace(Trace):
     @property
@@ -146,8 +157,12 @@ def test_the_collector_is_off_inside_each_call(collector_state):
     config, text = _example()
     fields = {name: getattr(config, name) for name in ScenarioConfig.__dataclass_fields__}
     parsed = parse_trace(text)
+    probed = _ProbedConfig(**fields)
     probes = {
-        "run_scenario": lambda: run_scenario(_ProbedConfig(**fields)),
+        "run_scenario": lambda: run_scenario(probed),
+        "serialize_trace": lambda: serialize_trace(
+            Trace(probed, parsed.rows, parsed.outcome, parsed.turns)
+        ),
         "parse_trace": lambda: parse_trace(_ProbedText(text)),
         "check_all": lambda: check_all(
             _ProbedTrace(parsed.config, parsed.rows, parsed.outcome, parsed.turns)
@@ -159,6 +174,36 @@ def test_the_collector_is_off_inside_each_call(collector_state):
         probe()
         assert _seen and not any(_seen), name
         assert gc.isenabled(), name
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+def test_bocast_run_frees_its_trace_before_any_collection(out, tmp_path, monkeypatch, collector_state):
+    # A threshold of 1 starts a collection at the first container made
+    # outside a paused call; none may start while the fresh trace is alive.
+    held, alive = [], []
+
+    def run(config):
+        trace = run_scenario(config)
+        held.append(weakref.ref(trace))
+        return trace
+
+    def started(phase, _info):
+        if phase == "start" and held:
+            alive.append(held[0]() is not None)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    threshold = gc.get_threshold()
+    argv = ["run", "--scenario", str(EXAMPLE)] + (["--out", str(tmp_path / "t.trace")] if out else [])
+    gc.enable()
+    gc.set_threshold(1)
+    gc.callbacks.append(started)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        gc.callbacks.remove(started)
+        gc.set_threshold(*threshold)
+    assert held and held[0]() is None
+    assert not any(alive)
 
 
 def test_only_the_helper_touches_the_collector():

@@ -42,6 +42,13 @@ def test_k1_collapses_to_one_decided_value():
         assert sets == frozenset({frozenset({"a"})})
 
 
+def test_a_view_leaves_out_only_unwritten_cells():
+    # "" is a value like any other; p3 never writes, so its cell stays None
+    inst = make_instance(3, 3, policy="echo")
+    assert k2s_propose(inst, 1, "") == {frozenset({""})}
+    assert k2s_propose(inst, 2, "x") == {frozenset({""}), frozenset({"", "x"})}
+
+
 def test_sequential_run_golden():
     # Three fully sequential proposers, k=2, adversarial oracle seed 1.
     # Derived by hand-stepping the five steps: the first proposer keeps

@@ -1,17 +1,21 @@
+import json
 import re
+from pathlib import Path
 
 import pytest
 
 from bocast.checker import TraceIndex, any_failure, check_all
-from bocast.k2s import RepeatedK2S
+from bocast.cli import instantiate_template
+from bocast.k2s import K2SInstance, RepeatedK2S
 from bocast.kscd import BroadcastEngine, EngineInvariantError, MemCounts, unfold_views
 from bocast.scenario import WorkItem
-from bocast.sim import run_scenario
+from bocast.sim import Simulation, run_scenario
 from bocast.trace import Recorder
 
 from _drivers import propose_workload, sampled_stack_config, stack_config
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
+TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
 
 
 class TestUnfoldViews:
@@ -136,3 +140,25 @@ def test_rounds_strictly_increase_and_match_delivery_counts():
                 count += len(mids)
                 rounds.append(round_no)
             assert rounds == sorted(set(rounds))
+
+
+def test_the_engine_steps_the_round_of_its_delivery_count():
+    # The engine looks its round's K2S object up once, when it proposes:
+    # at every K2S step that object must still be the round of its
+    # delivery count, never a stale one.
+    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    step = K2SInstance.step
+    for seed in range(10):
+        sim = Simulation(instantiate_template(template, seed))
+        held = []
+
+        def checked(inst, pid, value):
+            engine = sim.procs[pid].engine
+            held.append(engine.round is inst is sim.kss.instance(engine.delivered_count))
+            return step(inst, pid, value)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(K2SInstance, "step", checked)
+            trace = sim.run()
+        k2s_rows = [row for row in trace.rows if len(row) == 6 and row[2] != "MEM"]
+        assert held and all(held) and len(held) == len(k2s_rows), seed

@@ -28,6 +28,16 @@ class TestMultiShot:
         with pytest.raises(ProtocolViolation):
             arr.write(3, "x")
 
+    @pytest.mark.parametrize("one_shot", [False, True])
+    @pytest.mark.parametrize("pid", [0, 3])
+    def test_unknown_pid_rejected_by_either_access_without_a_row(self, pid, one_shot):
+        recorder = Recorder()
+        arr = SnapshotArray(2, "SNAP1[0]", recorder.emit, one_shot=one_shot)
+        for access in (lambda: arr.write(pid, "x"), lambda: arr.snapshot(pid)):
+            with pytest.raises(ProtocolViolation, match=f"^SNAP1\\[0\\]: unknown process {pid}$"):
+                access()
+        assert recorder.rows == []
+
 
 class TestOneShot:
     def test_double_write_rejected(self):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -109,22 +110,27 @@ class TestStepGate:
         assert sim.recorder.rows == [[0, 2, "crash", {}]] and sim.turn == 0
 
     MALFORMED = [(1, "bogus"), (0, "main"), (4, "task"), (-1, "main")]
+    # an unhashable pair, then tokens that are no (pid, thread) pair at all
+    ODD = [(1, ["task"]), [1, "task"], 5, (1, "main", 0), (1,)]
 
     def refused(self, sim, token):
         rows, turn, tokens = list(sim.recorder.rows), sim.turn, list(sim.tokens)
-        with pytest.raises(SimulationError, match=f"^disabled thread {token[1]!r} "
-                                                  f"of p{token[0]} at turn {turn}$"):
+        if isinstance(token, tuple) and len(token) == 2:
+            message = f"disabled thread {token[1]!r} of p{token[0]} at turn {turn}"
+        else:
+            message = f"malformed token {token!r} at turn {turn}"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             sim.step(token)
         return sim.recorder.rows == rows and sim.turn == turn and sim.tokens == tokens
 
-    @pytest.mark.parametrize("token", MALFORMED)
+    @pytest.mark.parametrize("token", MALFORMED + ODD)
     def test_an_unknown_thread_or_pid_is_refused_at_construction(self, token):
         # every main thread is enabled here, p1's and p3's (index -1) too
         sim = Simulation(self.config())
         assert sim.tokens == [(1, "main"), (2, "main"), (3, "main")]
         assert self.refused(sim, token) and sim.recorder.rows == []
 
-    @pytest.mark.parametrize("token", MALFORMED + [(3, "main"), (3, "task")])
+    @pytest.mark.parametrize("token", MALFORMED + [(3, "main"), (3, "task")] + ODD)
     def test_a_token_not_in_tokens_is_refused_mid_run(self, token):
         # p3 crashes at turn 2, and each token is tried at turn 5
         sim = Simulation(self.config(crash_plan=((3, 2),)))
