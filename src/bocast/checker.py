@@ -1,8 +1,8 @@
 """Offline trace verification.
 
 Rebuilds, from trace events alone, the per-process delivery orders, the
-agreed partial order (the intersection of the per-process orders), its
-width and chain decomposition, and evaluates the property suites:
+agreed partial order over every process (``build_order``), its width and
+chain decomposition, and evaluates the property suites:
 
 * ``kbo``      - per-message broadcast: validity, integrity, bounded
                  width, both termination properties.
@@ -37,12 +37,10 @@ from itertools import accumulate, chain, combinations
 from operator import itemgetter
 
 from .messages import msg_key, sort_ids
-from .poset import BRUTE_FORCE_LIMIT, Poset, PosetError, brute_force_antichain, order_bitsets
+from .poset import Poset, order_bitsets
 from .trace import OBJECT_NAME, Trace, pauses_cyclic_gc
 
 ALL_SUITES = ("kbo", "kscd", "k2s", "snapshot", "ksa", "roundsync")
-
-SCOPES = ("non-faulty-only", "all-pairs-delivered-by-both")
 
 
 class CheckerError(ValueError):
@@ -135,65 +133,17 @@ class TraceIndex:
         self.k2s_rounds = sorted(rounds)  # the r of every KSET[r], SNAP1[r] or SNAP2[r]
 
 
-@dataclass
-class OrderResult:
-    """The agreed order.  ``strict`` maps each element to the int bitset of
-    the elements strictly above it, bit ``i`` standing for ``elements[i]``.
-    ``sequences`` holds each scoped process's delivery sequence, without
-    repeated deliveries."""
-
-    poset: Poset | None
-    elements: list[str]
-    strict: dict[str, int]
-    excluded: list[str]
-    sequences: dict[int, list[str]]
-
-
-def build_order(trace_or_index, scope: str = "non-faulty-only") -> OrderResult:
-    """The agreed delivery order: m below m' iff every scoped process that
-    delivered both delivered m first (and at least one did).
-
-    Messages delivered by no scoped process are excluded and reported.
-    Duplicate deliveries are dropped (first occurrence wins); the
-    integrity check reports them separately.
-    """
+def build_order(trace_or_index) -> Poset:
+    """The agreed order of every process's deliveries, crashed or not
+    (``poset.order_bitsets``), over every delivered message.  Duplicate
+    deliveries are dropped (first occurrence wins); the integrity check
+    reports them separately."""
     index = trace_or_index if isinstance(trace_or_index, TraceIndex) else TraceIndex(trace_or_index)
-    if scope not in SCOPES:
-        raise CheckerError(f"unknown scope {scope!r}")
-    pids = index.nonfaulty if scope == "non-faulty-only" else range(1, index.n + 1)
-    sequences = {pid: list(dict.fromkeys(index.msg_seqs[pid])) for pid in pids}
-    elements = sort_ids({mid for seq in sequences.values() for mid in seq})
+    sequences = [list(dict.fromkeys(seq)) for seq in index.msg_seqs.values()]
+    elements = sort_ids({mid for seq in sequences for mid in seq})
     position = {mid: i for i, mid in enumerate(elements)}
-    less = dict(zip(elements, order_bitsets(sequences.values(), position)))
-    excluded = sort_ids(set().union(*index.msg_seqs.values()) - set(elements))
-    try:
-        poset = Poset(elements, less, key=msg_key)
-    except PosetError:
-        poset = None
-    return OrderResult(
-        poset=poset, elements=elements, strict=less, excluded=excluded, sequences=sequences,
-    )
-
-
-def width_and_antichain(result: OrderResult) -> tuple[int | None, list[str]]:
-    """Width of the agreed order with a maximum antichain witness.
-
-    Falls back to exhaustive search when the raw relation is not
-    transitive (possible on forged traces that break termination), up to
-    BRUTE_FORCE_LIMIT elements; past that it gives ``(None, [])``."""
-    if result.poset is not None:
-        w = result.poset.width()
-        return w, result.poset.max_antichain()
-    if len(result.elements) > BRUTE_FORCE_LIMIT:
-        return None, []
-    strict = result.strict
-    position = {mid: i for i, mid in enumerate(result.elements)}
-
-    def comparable(x, y):
-        return bool(strict[x] >> position[y] & 1 or strict[y] >> position[x] & 1)
-
-    witness = brute_force_antichain(result.elements, comparable, key=msg_key)
-    return len(witness), witness
+    less = dict(zip(elements, order_bitsets(sequences, position)))
+    return Poset(elements, less, key=msg_key)
 
 
 def set_positions(sets) -> dict[str, int]:
@@ -312,16 +262,13 @@ def _check_kbo(index: TraceIndex) -> list[Verdict]:
     )
     out = [_verdict("kbo.validity", validity), _verdict("kbo.integrity", integrity)]
 
-    result = build_order(index)
-    width, antichain = width_and_antichain(result)
-    if width is None:
-        # not a partial order and too large for exhaustive search: the
-        # trace is already deeply broken, report conservatively
-        witness = {"reason": "delivery relation is not a partial order", "width": None}
-    elif width > index.k:
-        witness = {"width": width, "antichain": antichain, "excluded": result.excluded}
-    else:
-        witness = None
+    poset = build_order(index)
+    # max_antichain checks its size against the width: a self-check on every trace
+    width, antichain = poset.width(), poset.max_antichain()
+    witness = None
+    if width > index.k:
+        # no message is left out of the order; the key keeps pinned witnesses' bytes
+        witness = {"width": width, "antichain": antichain, "excluded": []}
     out.append(_verdict("kbo.bounded", witness))
 
     out.extend(_termination_verdicts(index, "kbo", t1, t2))

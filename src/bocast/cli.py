@@ -17,13 +17,11 @@ from pathlib import Path
 
 from .checker import (
     ALL_SUITES,
-    SCOPES,
     CheckerError,
     any_failure,
     build_order,
     check_all,
     serialize_verdicts,
-    width_and_antichain,
 )
 from .poset import BoundViolation
 from .rng import derive
@@ -121,27 +119,17 @@ def cmd_decompose(args) -> int:
         trace = read_trace(args.trace)
     except (TraceFormatError, ConfigError, OSError) as exc:
         return _fail_usage(str(exc))
-    result = build_order(trace, scope=args.scope)
-    if result.poset is None:
-        width, antichain = width_and_antichain(result)
-        if width is None:  # more elements than the exhaustive search takes
-            detail = f"{len(result.elements)} elements, too many to search for its width"
-        else:
-            detail = f"width {width}, antichain {antichain}"
-        print(f"delivery order is not a partial order; {detail}")
-        return EXIT_FAIL
+    poset = build_order(trace)
     k = args.k if args.k is not None else trace.config.k
     try:
-        _assignment, chains = result.poset.decompose_channels(k)
+        _assignment, chains = poset.decompose_channels(k)
     except BoundViolation as exc:
         print(f"width {len(exc.antichain)} exceeds k={k}")
         print(f"antichain witness: {' '.join(exc.antichain)}")
         return EXIT_FAIL
-    print(f"width {result.poset.width()} within k={k}; {len(chains)} channels")
+    print(f"width {poset.width()} within k={k}; {len(chains)} channels")
     for ch_no, chain in enumerate(chains, start=1):
         print(f"channel[{ch_no}] = {' '.join(chain)}")
-    if result.excluded:
-        print(f"excluded (delivered by no scoped process): {' '.join(result.excluded)}")
     return EXIT_OK
 
 
@@ -204,6 +192,8 @@ def cmd_fuzz(args) -> int:
                     write_trace(trace, out_dir / f"fail-{i:05d}.trace")
                 except OSError as exc:
                     errors.append({"seed_index": i, "error": f"trace write failed: {exc}"})
+        # Freed here, the trace is never walked by a collection the next seed starts.
+        del trace, verdicts
 
     summary = {
         "runs": args.seeds,
@@ -336,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a trace's delivery order into channels")
     p.add_argument("--trace", required=True)
     p.add_argument("--k", type=int, help="channel bound, at least 1 (default: the trace's k)")
-    p.add_argument(
-        "--scope",
-        default="non-faulty-only",
-        choices=SCOPES,
-    )
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("fuzz", help="run seeded variants of a template scenario")

@@ -24,9 +24,9 @@ cover, which is not: which cover ``min_chain_cover`` returns is not part
 of its contract.  The cover is what turns a delivery order of width <= k
 into k total-order channels.
 
-A brute-force maximum-antichain enumerator over element subsets covers
-relations that are not partial orders (the checker's fallback on forged
-traces); on small posets it agrees with the matching.
+The agreed order of delivery sequences (``order_bitsets``) is always a
+strict partial order.  A brute-force maximum-antichain enumerator over
+element subsets is the tests' independent oracle on small relations.
 """
 
 from __future__ import annotations
@@ -54,23 +54,37 @@ def iter_bits(mask: int):
 
 
 def order_bitsets(sequences, index: dict) -> list[int]:
-    """The agreed order of several sequences, as bitsets over ``index``.
+    """The agreed order of several delivery sequences, as bitsets over ``index``.
 
-    x lies below y when some sequence holds both with x first and no
-    sequence holds both with y first.  Per sequence, a prefix sweep marks
-    what comes before each element and a suffix sweep what comes after,
-    so ``less[x] = OR after[x] & ~OR before[x]``: O(len * |sequences|)
-    big-int operations.  Each sequence lists an element at most once.
+    A sequence orders x before y when it holds x before y, or holds x and
+    not y: what it never delivered lies above all it delivered.  x lies
+    below y when some sequence orders x before y and none orders y before
+    x.  That is always a strict partial order.  For transitivity, let
+    a < b < c and let some sequence s order c before a.  Then s holds c;
+    as s does not order c before b, it holds b before c, and as it does
+    not order b before a, it holds a before b, so a before c: a
+    contradiction.  The sequence that orders a before b holds a, so it
+    orders a before c.
+
+    Per sequence, a prefix sweep marks what comes before each element,
+    and the elements it misses get all it holds; a suffix sweep, seeded
+    with the missed elements, marks what comes after.  So ``less[x] = OR
+    after[x] & ~OR before[x]``: O(len(index) * |sequences|) big-int
+    operations.  Each sequence lists an element at most once.
     """
     before = [0] * len(index)
     after = [0] * len(index)
+    everything = (1 << len(index)) - 1
     for seq in sequences:
         positions = [index[x] for x in seq]
         seen = 0
         for i in positions:
             before[i] |= seen
             seen |= 1 << i
-        seen = 0
+        missed = everything & ~seen
+        for i in iter_bits(missed):
+            before[i] |= seen
+        seen = missed
         for i in reversed(positions):
             after[i] |= seen
             seen |= 1 << i
@@ -274,7 +288,7 @@ class Poset:
         return assignment, chains
 
 
-# --- brute force, for relations that are not partial orders ------------------
+# --- brute force: the tests' independent oracle ------------------------------
 
 BRUTE_FORCE_LIMIT = 20  # the most elements brute_force_antichain searches
 
@@ -282,9 +296,10 @@ BRUTE_FORCE_LIMIT = 20  # the most elements brute_force_antichain searches
 def brute_force_antichain(elements, comparable, key=None) -> list:
     """Maximum antichain witness by exhaustive subset DP.
 
-    Independent of the matching path.  ``comparable`` is a predicate over
-    element pairs.  Works on any irreflexive relation (no transitivity
-    needed), limited to BRUTE_FORCE_LIMIT elements.
+    Only the tests use it, as an oracle independent of the matching path.
+    ``comparable`` is a predicate over element pairs.  Works on any
+    irreflexive relation (no transitivity needed), limited to
+    BRUTE_FORCE_LIMIT elements.
     """
     elements = sorted(elements, key=key) if key else sorted(elements)
     n = len(elements)

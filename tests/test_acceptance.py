@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bocast.checker import TraceIndex, check_all, serialize_verdicts, width_and_antichain, build_order
+from bocast.checker import TraceIndex, check_all, serialize_verdicts, build_order
 from bocast.poset import BoundViolation
 from bocast.rng import SplitMix64, derive
 from bocast.scenario import ScenarioConfig, SchedulePolicy, WorkItem, load_scenario
@@ -70,16 +70,16 @@ def test_criterion_1_golden_replay():
     sequences = {pid: [label[m] for m in index.msg_seqs[pid]] for pid in (1, 2, 3)}
     expected = {1: ["m2", "m1"], 2: ["m2", "m1"], 3: ["m1", "m2"]}
     ok = ok and trace.quiescent and sequences == expected
-    result = build_order(trace)
-    ok = ok and result.poset.width() == 2
-    assignment, chains = result.poset.decompose_channels(2)
+    poset = build_order(trace)
+    ok = ok and poset.width() == 2
+    assignment, chains = poset.decompose_channels(2)
     ok = ok and len(chains) == 2 and sorted(assignment) == sorted(label)
     for chain in chains:
         members = set(chain)
-        for seq in result.sequences.values():
+        for seq in index.msg_seqs.values():
             ok = ok and [m for m in seq if m in members] == chain
     try:
-        result.poset.decompose_channels(1)
+        poset.decompose_channels(1)
         ok = False
     except BoundViolation as exc:
         ok = ok and len(exc.antichain) == 2
@@ -114,8 +114,7 @@ def test_criterion_3_full_stack_width_bound(batch):
             if not trace.quiescent:
                 non_quiescent += 1
                 continue
-            width, _ = width_and_antichain(build_order(trace))
-            if width > k:
+            if build_order(trace).width() > k:
                 violations += 1
     coverage_ok = all(crash_sizes[n] == set(range(n)) for n, _ in GRID)
     report(

@@ -14,7 +14,6 @@ from bocast.checker import (
     serialize_verdicts,
     set_positions,
     sets_cross,
-    width_and_antichain,
 )
 from bocast.messages import sort_ids
 from bocast.poset import BRUTE_FORCE_LIMIT, BoundViolation, Poset, PosetError, iter_bits
@@ -23,7 +22,7 @@ from bocast.sim import run_scenario
 from bocast.trace import Event, read_trace, serialize_trace
 
 from _drivers import (
-    brute_force_width, forged_trace, propose_workload, sampled_stack_config, stack_config,
+    brute_force_width, forged_trace, lt, propose_workload, sampled_stack_config, stack_config,
     trace_of_events,
 )
 
@@ -39,62 +38,64 @@ def golden_trace():
 
 class TestBuildOrder:
     def test_golden_profile_width_and_channels(self, golden_trace):
-        result = build_order(golden_trace)
-        assert result.poset is not None and not result.excluded
-        assert [r + len(m) for r, m in TraceIndex(golden_trace).set_seqs[1]] == [2, 3, 5, 6]
-        assert [r + len(m) for r, m in TraceIndex(golden_trace).set_seqs[2]] == [1, 2, 4, 5, 6]
-        assert result.poset.width() == 2
-        _, chains = result.poset.decompose_channels(2)
+        poset = build_order(golden_trace)
+        index = TraceIndex(golden_trace)
+        assert poset.elements == sort_ids(set().union(*index.msg_seqs.values()))
+        assert [r + len(m) for r, m in index.set_seqs[1]] == [2, 3, 5, 6]
+        assert [r + len(m) for r, m in index.set_seqs[2]] == [1, 2, 4, 5, 6]
+        assert poset.width() == 2
+        _, chains = poset.decompose_channels(2)
         assert len(chains) == 2
-        sequences = result.sequences
         for chain in chains:
             members = set(chain)
-            for seq in sequences.values():
+            for seq in index.msg_seqs.values():
                 assert [m for m in seq if m in members] == chain
         with pytest.raises(BoundViolation) as exc:
-            result.poset.decompose_channels(1)
+            poset.decompose_channels(1)
         assert len(exc.value.antichain) == 2
 
     def test_identical_sequences_give_a_total_order(self):
         steps = [(1, "a"), (2, "b"), (1, ("1:0",)), (2, ("1:0",)), (1, ("2:0",)), (2, ("2:0",))]
-        result = build_order(forged_trace(2, 2, steps))
-        assert result.poset.width() == 1
+        assert build_order(forged_trace(2, 2, steps)).width() == 1
 
     def test_fully_reversed_sequences_give_a_full_antichain(self):
         ids = ["1:0", "1:1", "2:0", "2:1"]
         steps = [(1, "a"), (1, "a2"), (2, "b"), (2, "b2")]
         steps += [(1, (mid,)) for mid in ids] + [(2, (mid,)) for mid in reversed(ids)]
-        result = build_order(forged_trace(2, 2, steps))
-        width, antichain = width_and_antichain(result)
-        assert width == 4
-        assert antichain == ["1:0", "1:1", "2:0", "2:1"]
+        poset = build_order(forged_trace(2, 2, steps))
+        assert poset.width() == 4
+        assert poset.max_antichain() == ["1:0", "1:1", "2:0", "2:1"]
 
-    def test_faulty_processes_excluded_by_default(self):
-        # p2 delivers both messages reversed, then crashes; the default
-        # scope ignores its sequence entirely
-        steps = [(2, ("1:1",)), (2, ("1:0",)), (2, None)]  # p2 finishes, then crashes
+    @pytest.mark.parametrize("crashed_prefix", [["1:1", "1:0"], ["1:1"]], ids=["both", "prefix"])
+    def test_a_crashed_prefix_constrains_the_order(self, crashed_prefix):
+        # p2 delivers 1:1 (and perhaps 1:0 after it), then crashes; p1
+        # delivers 1:0 then 1:1.  Either way p2 orders 1:1 before 1:0.
+        steps = [(2, (mid,)) for mid in crashed_prefix] + [(2, None)]
         steps += [(1, "a"), (1, "a2"), (1, ("1:0",)), (1, ("1:1",))]
         trace = forged_trace(2, 2, steps)
-        default = build_order(trace)
         assert TraceIndex(trace).faulty == {2}
-        assert default.poset.width() == 1
-        assert default.excluded == []
-        both = build_order(trace, scope="all-pairs-delivered-by-both")
-        assert both.poset.width() == 2
+        poset = build_order(trace)
+        assert poset.width() == 2
+        assert poset.max_antichain() == ["1:0", "1:1"]
 
-    def test_messages_seen_only_by_faulty_processes_are_reported(self):
+    def test_a_message_only_a_crashed_process_delivered_is_an_element(self):
+        # p2 delivers 1:0 then 9:9 and crashes; p1 delivers only 1:0, so
+        # both order 1:0 before 9:9
         steps = [(2, ("1:0",)), (2, ("9:9",)), (2, None), (1, "a"), (1, ("1:0",))]
         trace = forged_trace(2, 2, steps)
-        result = build_order(trace)
         assert TraceIndex(trace).faulty == {2}
-        assert result.excluded == ["9:9"]
+        poset = build_order(trace)
+        assert poset.elements == ["1:0", "9:9"]
+        assert lt(poset, "1:0", "9:9")
+        assert poset.width() == 1
 
     def test_duplicate_deliveries_deduplicated_and_flagged(self):
         steps = [(1, "a"), (1, "c"), (1, ("1:0",)), (1, ("1:0",)), (1, ("1:1",))]
         trace = forged_trace(1, 1, steps)
-        result = build_order(trace)
-        assert result.sequences == {1: ["1:0", "1:1"]}
-        assert result.poset.width() == 1
+        poset = build_order(trace)
+        assert poset.elements == ["1:0", "1:1"]
+        assert lt(poset, "1:0", "1:1")
+        assert poset.width() == 1
         verdicts = {v.property: v for v in check_all(trace, suites=("kbo",))}
         assert verdicts["kbo.integrity"].failed
         assert verdicts["kbo.integrity"].witness == {
@@ -103,44 +104,75 @@ class TestBuildOrder:
 
 
 def pairwise_less(sequences) -> dict[str, set]:
-    """The agreed order by its definition, one pair at a time: x below y
-    iff some sequence holds both with x first and none with y first."""
+    """The agreed order by its definition, one pair at a time: a sequence
+    orders x before y when it holds x before y, or holds x and not y; x
+    lies below y iff some sequence orders x before y and none y before x."""
     positions = [{mid: i for i, mid in enumerate(seq)} for seq in sequences]
     elements = sort_ids({mid for seq in sequences for mid in seq})
-    less = {x: set() for x in elements}
-    for x in elements:
-        for y in elements:
-            held = [pos for pos in positions if x in pos and y in pos]
-            if held and all(pos[x] < pos[y] for pos in held):
-                less[x].add(y)
-    return less
+
+    def orders(pos, x, y):
+        return x in pos and (y not in pos or pos[x] < pos[y])
+
+    return {
+        x: {
+            y for y in elements
+            if any(orders(pos, x, y) for pos in positions)
+            and not any(orders(pos, y, x) for pos in positions)
+        }
+        for x in elements
+    }
 
 
 MIDS = [f"{pid}:{i}" for pid in (1, 2, 3) for i in range(4)]
 
 
+@st.composite
+def delivery_runs(draw, mids=MIDS, max_processes=4):
+    """Per-process delivery sequences and the crashed pids.  A crashed
+    process delivers a prefix of a drawn sequence, so some messages may
+    be delivered by crashed processes only."""
+    sequences = draw(st.lists(st.lists(st.sampled_from(mids), unique=True),
+                              min_size=1, max_size=max_processes))
+    crashed = {pid for pid in range(1, len(sequences) + 1) if draw(st.booleans())}
+    sequences = [
+        seq[: draw(st.integers(0, len(seq)))] if pid in crashed else seq
+        for pid, seq in enumerate(sequences, start=1)
+    ]
+    return sequences, crashed
+
+
+def trace_of_deliveries(sequences, crashed):
+    """A trace where each pid delivers its sequence, then a crashed pid crashes."""
+    events = []
+    for pid, seq in enumerate(sequences, start=1):
+        events += [Event(pid, "deliver-msg", {"msg": mid}) for mid in seq]
+        if pid in crashed:
+            events.append(Event(pid, "crash", {}))
+    return trace_of_events(stack_config(len(sequences), 1, 0, {}), events)
+
+
 class TestBitsetOrder:
-    @given(st.lists(st.lists(st.sampled_from(MIDS), unique=True), min_size=1, max_size=4))
+    @given(delivery_runs())
     @settings(max_examples=200, deadline=None)
-    def test_build_order_matches_the_pairwise_definition(self, sequences):
-        n = len(sequences)
-        events = [
-            Event(pid, "deliver-msg", {"msg": mid})
-            for pid, seq in enumerate(sequences, start=1)
-            for mid in seq
-        ]
-        trace = trace_of_events(stack_config(n, 1, 0, {}), events)
-        result = build_order(trace)
+    def test_build_order_matches_the_pairwise_definition(self, run):
+        sequences, crashed = run
+        trace = trace_of_deliveries(sequences, crashed)
+        assert TraceIndex(trace).faulty == crashed
+        poset = build_order(trace)
         expected = pairwise_less(sequences)
-        assert result.elements == list(expected)
-        got = {
-            x: {result.elements[i] for i in iter_bits(mask)} for x, mask in result.strict.items()
-        }
+        assert poset.elements == list(expected)
+        got = {x: {poset.elements[i] for i in iter_bits(mask)} for x, mask in poset.less.items()}
         assert got == expected
-        transitive = all(expected[y] <= expected[x] for x in expected for y in expected[x])
-        assert (result.poset is not None) == transitive
-        if transitive:
-            assert result.poset.width() == brute_force_width(result.poset)
+        assert poset.width() == brute_force_width(poset)
+
+    @given(delivery_runs(mids=[f"{pid}:{i}" for pid in range(1, 7) for i in range(6)],
+                         max_processes=6))
+    @settings(max_examples=200, deadline=None)
+    def test_build_order_is_always_a_partial_order(self, run):
+        # Poset validates irreflexivity and transitivity, so this never
+        # raises PosetError, whatever the sequences
+        poset = build_order(trace_of_deliveries(*run))
+        assert len(poset.min_chain_cover()) == poset.width() == len(poset.max_antichain())
 
 
 @st.composite
@@ -213,49 +245,48 @@ class TestNegativeControls:
         assert verdicts["kbo.bounded"].witness["antichain"] == ["1:0", "2:0", "3:0"]
         assert verdicts["kbo.bounded"].witness["width"] == 3
 
-    def test_decide_then_crash_fails_agreement_at_width_one(self):
+    def test_decide_then_crash_fails_bounded_at_width_two(self):
         # p1 delivers 1:0, decides a and crashes; p2 delivers 2:0, decides
-        # b, then delivers 1:0.  The order relates two messages only by
-        # processes that delivered both, so p1's first delivery constrains
-        # nothing and the width stays 1 while two values are decided.
+        # b, then delivers 1:0.  p1 delivered 1:0 and never 2:0, so it
+        # orders 1:0 first, and p2 orders 2:0 first: the two decided
+        # proposals form an antichain of width 2 > k.
         trace = read_trace(FORGED + "decide_then_crash.trace")
-        verdicts = check_all(trace)
-        assert [v.property for v in verdicts if v.failed] == ["ksa.agreement"]
-        witness = {v.property: v.witness for v in verdicts}["ksa.agreement"]
-        assert witness == {"instance": 0, "values": ["a", "b"], "k": 1}
-        for scope in ("non-faulty-only", "all-pairs-delivered-by-both"):
-            assert width_and_antichain(build_order(trace, scope=scope)) == (1, ["1:0"]), scope
+        failed = {v.property: v.witness for v in check_all(trace) if v.failed}
+        assert failed == {
+            "kbo.bounded": {"width": 2, "antichain": ["1:0", "2:0"], "excluded": []},
+            "ksa.agreement": {"instance": 0, "values": ["a", "b"], "k": 1},
+        }
 
-    def test_a_large_cyclic_order_fails_bounded_without_a_width(self):
-        # p1..p3 deliver 1:0, 2:0 and 3:0 in a cycle, then 1:3 ... 1:23
-        # alike: no partial order, and too large for the exhaustive search
+    def test_a_large_cyclic_order_fails_bounded_with_an_antichain(self):
+        # p1..p3 deliver 1:0, 2:0 and 3:0 in a cycle, each missing one of
+        # them, then 1:3 ... 1:23 alike: each of the three lies above what
+        # its one non-deliverer delivered, so none is comparable to the rest
         steps = [(1, f"m1.{i}") for i in range(24)] + [(2, "m2.0"), (3, "m3.0")]
         steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",))]
         steps += [(3, ("3:0",)), (3, ("1:0",))]
         steps += [(pid, (f"1:{i}",)) for i in range(3, 24) for pid in (1, 2, 3)]
         trace = forged_trace(3, 2, steps, outcome="budget-exhausted")
-        result = build_order(trace)
-        assert result.poset is None and len(result.elements) > BRUTE_FORCE_LIMIT
-        assert width_and_antichain(result) == (None, [])
+        poset = build_order(trace)
+        assert len(poset.elements) > BRUTE_FORCE_LIMIT
         verdicts = {v.property: v for v in check_all(trace, ("kbo",))}
         assert verdicts["kbo.bounded"].witness == {
-            "reason": "delivery relation is not a partial order", "width": None,
+            "width": 4, "antichain": ["1:0", "1:23", "2:0", "3:0"], "excluded": [],
         }
 
-    def test_a_small_cyclic_order_passes_bounded_at_k1(self):
-        # p1 delivers 1:0 then 2:0, p2 2:0 then 3:0, p3 3:0 then 1:0: no
-        # partial order, and the exhaustive search finds width 1, since
-        # every pair is ordered one way or the other.  kbo.bounded passes
-        # at k = 1 on this cycle; the order's definition is to settle it.
-        steps = [(1, "a"), (2, "b"), (3, "c")]
-        steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",))]
-        steps += [(3, ("3:0",)), (3, ("1:0",))]
-        trace = forged_trace(3, 1, steps, outcome="budget-exhausted")
-        result = build_order(trace)
-        assert result.poset is None and len(result.elements) <= BRUTE_FORCE_LIMIT
-        assert width_and_antichain(result) == (1, ["3:0"])
-        verdicts = {v.property: v for v in check_all(trace, ("kbo",))}
-        assert verdicts["kbo.bounded"].status == "pass"
+    def test_a_small_cyclic_order_fails_bounded_at_k1(self):
+        # p1 delivers 1:0 then 2:0, p2 2:0 then 3:0, p3 3:0 then 1:0: every
+        # pair is ordered both ways, so no pair is ordered at all
+        trace = read_trace(FORGED + "cyclic_k1.trace")
+        poset = build_order(trace)
+        assert poset.width() == 3 and not any(poset.less.values())
+        verdicts = check_all(trace)
+        assert {v.property: v.witness for v in verdicts if v.failed} == {
+            "kbo.bounded": {"width": 3, "antichain": ["1:0", "2:0", "3:0"], "excluded": []},
+        }
+        assert [v.property for v in verdicts if v.status == "not-evaluated"] == [
+            "kbo.termination-1", "kbo.termination-2", "kscd.termination-1",
+            "kscd.termination-2", "k2s.termination", "ksa.termination", "roundsync.window",
+        ]
 
     def test_an_internal_poset_error_is_raised_not_reported(self, golden_trace, monkeypatch):
         # a failed self-check of the width machinery is a bug of the

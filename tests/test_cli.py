@@ -220,33 +220,32 @@ def test_decompose_refuses_a_bound_below_1(k):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("scope", ["non-faulty-only", "all-pairs-delivered-by-both"])
-def test_decompose_of_a_large_cyclic_order_exits_1_without_a_traceback(tmp_path, scope):
+def test_decompose_of_a_large_cyclic_order_exits_1_without_a_traceback(tmp_path):
     # p1..p3 deliver 1:0, 2:0 and 3:0 in a cycle, then 1:3 ... 1:23 alike:
-    # 24 messages whose relation is not a partial order, too many for the
-    # exhaustive width search
+    # each of the three is missed by one process, so none is comparable
+    # to another or to the chain 1:3 < ... < 1:23
     steps = [(1, f"m1.{i}") for i in range(24)] + [(2, "m2.0"), (3, "m3.0")]
     steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",)), (3, ("3:0",)), (3, ("1:0",))]
     steps += [(pid, (f"1:{i}",)) for i in range(3, 24) for pid in (1, 2, 3)]
     path = tmp_path / "cycle.trace"
     write_trace(forged_trace(3, 2, steps, outcome="budget-exhausted"), path)
-    proc = _bocast("decompose", "--trace", str(path), "--scope", scope)
+    proc = _bocast("decompose", "--trace", str(path))
     assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == "delivery order is not a partial order; 24 elements, too many to search for its width\n"
+    assert proc.stdout == "width 4 exceeds k=2\nantichain witness: 1:0 1:23 2:0 3:0\n"
     assert "Traceback" not in proc.stderr
 
 
-def test_decompose_of_a_small_cyclic_order_reports_its_searched_width(tmp_path, capsys):
-    # p1 delivers 1:0 then 2:0, p2 2:0 then 3:0, p3 3:0 then 1:0: the
-    # exhaustive search gives width 1 at k = 1, yet the order is refused
-    steps = [(1, "a"), (2, "b"), (3, "c")]
-    steps += [(1, ("1:0",)), (1, ("2:0",)), (2, ("2:0",)), (2, ("3:0",)), (3, ("3:0",)), (3, ("1:0",))]
-    path = tmp_path / "cycle3.trace"
-    write_trace(forged_trace(3, 1, steps, outcome="budget-exhausted"), path)
-    assert main(["decompose", "--trace", str(path)]) == 1
-    assert capsys.readouterr().out == (
-        "delivery order is not a partial order; width 1, antichain ['3:0']\n"
-    )
+def test_decompose_of_a_small_cyclic_order_reports_its_width(capsys):
+    # p1 delivers 1:0 then 2:0, p2 2:0 then 3:0, p3 3:0 then 1:0: no pair
+    # is ordered, so all three are an antichain
+    assert main(["decompose", "--trace", "scenarios/forged/cyclic_k1.trace"]) == 1
+    assert capsys.readouterr().out == "width 3 exceeds k=1\nantichain witness: 1:0 2:0 3:0\n"
+
+
+def test_decompose_has_no_scope_option(capsys):
+    # one order over every process serves both directions of the reduction
+    assert main(["decompose", "--trace", str(GOLDEN_TRACE), "--scope", "non-faulty-only"]) == 2
+    assert "unrecognized arguments: --scope" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -215,3 +215,21 @@ def test_only_the_helper_touches_the_collector():
     assert importers == {"trace.py"}
     text = (src / "trace.py").read_text(encoding="utf-8")
     assert len(re.findall(r"\bgc\.(disable|enable)\(", text)) == 2
+
+
+def test_bocast_fuzz_frees_each_trace_before_the_next_seed(tmp_path, monkeypatch):
+    # At each seed's start, the last seed's trace (kept for a failing
+    # seed's write_trace at most) and its verdicts are gone.
+    held, alive = [], []
+
+    def run(config):
+        alive.append(any(ref() is not None for ref in held))
+        trace = run_scenario(config)
+        held.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    argv = ["fuzz", "--template", str(TEMPLATE), "--seeds", "5", "--out", str(tmp_path)]
+    assert cli.main(argv) in (0, 1)
+    assert len(held) == 5 and alive == [False] * 5
+    assert all(ref() is None for ref in held)

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bocast.checker import TraceIndex, any_failure, check_all
+from bocast.checker import TraceIndex, any_failure, build_order, check_all
 from bocast.kbo import unpack_order
 from bocast.ksa import DecisionTable
 from bocast.scenario import WorkItem, load_scenario
@@ -132,3 +133,89 @@ def test_k_plus_one_first_deliveries_break_both_bounds(k):
         "kbo.bounded": {"width": n, "antichain": mids, "excluded": []},
         "ksa.agreement": {"instance": 0, "values": sorted(value.values()), "k": k},
     }
+
+
+# --- the converse reduction: a bounded order bounds the decisions --------------
+
+
+@st.composite
+def chain_runs(draw):
+    """(k, proposals per pid, chains, runs): pid p proposes ``p:i`` to
+    instance i for i below its count; the proposals, in a random order,
+    fall into up to four chains; each run is a pid's delivery sequence, a
+    linear extension of the chains, with whether it crashed (then it
+    delivered a prefix only) and whether it decides.  The trace's k is
+    drawn apart from the number of chains, so the order's width may pass
+    k: only then may kbo.bounded fail."""
+    n = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    counts[0] = max(counts[0], 1)
+    mids = draw(st.permutations([f"{pid}:{i}" for pid, c in enumerate(counts, 1) for i in range(c)]))
+    c = draw(st.integers(1, 4))
+    chain_of = draw(st.lists(st.integers(0, c - 1), min_size=len(mids), max_size=len(mids)))
+    chains = [[m for m, i in zip(mids, chain_of) if i == j] for j in range(c)]
+    runs = []
+    for _pid in range(n):
+        heads = [list(chain) for chain in chains if chain]
+        seq = []
+        while heads:
+            i = draw(st.integers(0, len(heads) - 1))
+            seq.append(heads[i].pop(0))
+            if not heads[i]:
+                del heads[i]
+        crashed = draw(st.booleans())
+        if crashed:
+            del seq[draw(st.integers(0, len(seq))):]
+        runs.append((seq, crashed, not crashed or draw(st.booleans())))
+    return draw(st.integers(1, 3)), counts, chains, runs
+
+
+def trace_of_runs(k, counts, runs):
+    """The trace of ``chain_runs``: each pid invokes its proposals, then
+    delivers its sequence one message per set, deciding, through a
+    ``DecisionTable``, each instance it proposed to once a proposal of
+    that instance is delivered, and at last crashes if it crashed."""
+    n = len(counts)
+    proposal = {f"{pid}:{i}": (i, f"v{pid}.{i}") for pid, c in enumerate(counts, 1) for i in range(c)}
+    events = [
+        Event(int(mid.split(":")[0]), "invoke",
+              {"op": "ksa_propose", "msg": mid, "instance": nb, "value": value})
+        for mid, (nb, value) in proposal.items()
+    ]
+    for pid, (seq, crashed, decides) in enumerate(runs, 1):
+        table = DecisionTable()
+        waiting = set(range(counts[pid - 1])) if decides else set()
+        for position, mid in enumerate(seq):
+            events.append(Event(pid, "deliver-set", {"round": position, "set": [mid]}))
+            events.append(Event(pid, "deliver-msg", {"msg": mid, "position": position}))
+            table.on_deliver(*proposal[mid])
+            for nb in sorted(nb for nb in waiting if table.ready(nb)):
+                waiting.discard(nb)
+                decided = {"instance": nb, "value": table.take(nb)}
+                events.append(Event(pid, "decide", decided))
+                events.append(Event(pid, "return", {"op": "ksa_propose", **decided}))
+        if crashed:
+            events.append(Event(pid, "crash", {}))
+    config = stack_config(
+        n, k, 0, propose_workload(n, {pid: list(range(c)) for pid, c in enumerate(counts, 1)}),
+        crash_plan=[(pid, 0) for pid, run in enumerate(runs, 1) if run[1]],
+    )
+    return trace_of_events(config, events)
+
+
+@given(chain_runs())
+@example((1, [1, 1], [["1:0"], ["2:0"]], [(["1:0"], True, True), (["2:0", "1:0"], False, True)]))
+@settings(max_examples=300, deadline=None)
+def test_a_bounded_order_bounds_the_decisions(run):
+    # The top layer decides the first proposal it delivers.  Processes
+    # whose first delivered proposals differ order them pairwise in
+    # opposite ways, so k + 1 distinct decisions are an antichain of k + 1.
+    # The example is the decide-then-crash shape: p1 delivers 1:0, decides
+    # and crashes; p2 delivers 2:0 first.
+    k, counts, chains, runs = run
+    trace = trace_of_runs(k, counts, runs)
+    assert build_order(trace).width() <= sum(1 for chain in chains if chain)
+    verdicts = {v.property: v for v in check_all(trace, ("kbo", "ksa"))}
+    if verdicts["kbo.bounded"].status == "pass":
+        assert verdicts["ksa.agreement"].status == "pass"
+        assert verdicts["ksa.validity"].status == "pass"

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from bocast.checker import TraceIndex, any_failure, build_order, check_all, width_and_antichain
+from bocast.checker import TraceIndex, any_failure, build_order, check_all
 from bocast.cli import main
 from bocast.sim import run_scenario
 from bocast.trace import write_trace
@@ -55,7 +55,8 @@ def test_the_checked_in_goldens_are_the_generated_scenarios(k, variant):
 def test_the_broadcast_variant_reaches_width_k(k, tmp_path, capsys):
     trace = run_scenario(width_k_scenario(k, "broadcast"))
     assert trace.quiescent and len(trace.rows) <= MAX_EVENTS
-    assert width_and_antichain(build_order(trace)) == (k, ids(k))
+    poset = build_order(trace)
+    assert (poset.width(), poset.max_antichain()) == (k, ids(k))
     assert not any_failure(check_all(trace))
     path = tmp_path / "t.trace"
     write_trace(trace, path)
@@ -87,7 +88,8 @@ def test_k_writers_reach_width_k_under_a_sound_oracle(k, seed):
     assert config.n == k + 1
     trace = run_scenario(config)
     assert trace.quiescent and len(trace.rows) <= MAX_EVENTS
-    assert width_and_antichain(build_order(trace)) == (k, ids(k))
+    poset = build_order(trace)
+    assert (poset.width(), poset.max_antichain()) == (k, ids(k))
     assert not any_failure(check_all(trace))
 
 
@@ -117,5 +119,5 @@ def test_k_plus_one_writers_stay_within_k_under_a_sound_oracle(k):
             k, "broadcast", writers=k + 1, seed=seed, oracle_policy="first-k-adversarial"
         )
         trace = run_scenario(config)
-        assert width_and_antichain(build_order(trace))[0] <= k, seed
+        assert build_order(trace).width() <= k, seed
         assert not any_failure(check_all(trace)), seed

@@ -85,8 +85,7 @@ def _agreed_orders():
     traces += [run_scenario(load_scenario(path)) for path in SCENARIOS]
     template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
     traces += [run_scenario(instantiate_template(template, i)) for i in range(10)]
-    posets = [build_order(trace).poset for trace in traces]
-    return [poset for poset in posets if poset is not None]
+    return [build_order(trace) for trace in traces]
 
 
 def _random_posets():
