@@ -4,8 +4,11 @@ Verbs: run a scenario, fuzz seeded variants of a template, check a trace
 against the property suites, decompose a trace's delivery order into
 total-order channels, and replay the checked-in golden examples.
 
-Exit statuses: 0 success (pass / quiescent), 1 property failure or golden
-mismatch, 2 usage or input error, 3 budget-exhausted run.
+Exit statuses: 0 success (pass / quiescent), 1 a failed property or a
+golden mismatch and nothing else, 2 usage, input or output error, 3
+budget-exhausted run.  ``main`` alone turns a ConfigError,
+TraceFormatError, CheckerError or OSError into ``error: <message>`` and
+exit 2; a verb catches an error itself only to add context to it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .scenario import (
     load_json,
     load_scenario,
     read_utf8,
+    reject_unknown_keys,
     require_int,
 )
 from .sim import SimulationError, run_scenario
@@ -49,14 +53,9 @@ def _fail_usage(message: str) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_scenario(args.scenario)
-        if args.seed is not None:
-            obj = config.to_json_dict()
-            obj["seed"] = args.seed
-            config = ScenarioConfig.from_json_dict(obj)
-    except (ConfigError, OSError) as exc:
-        return _fail_usage(str(exc))
+    config = load_scenario(args.scenario)
+    if args.seed is not None:
+        config = ScenarioConfig.from_json_dict({**config.to_json_dict(), "seed": args.seed})
     try:
         trace = run_scenario(config)
     except SimulationError as exc:
@@ -92,11 +91,8 @@ def _suites(arg: str | None) -> tuple[str, ...]:
 
 
 def cmd_check(args) -> int:
-    try:
-        suites = _suites(args.suites)
-        trace = read_trace(args.trace)
-    except (CheckerError, TraceFormatError, ConfigError, OSError) as exc:
-        return _fail_usage(str(exc))
+    suites = _suites(args.suites)
+    trace = read_trace(args.trace)
     verdicts = check_all(trace, suites)
     # Freed now, the trace lowers the collector's allocation count again;
     # kept, it is walked once by the collection the report's first
@@ -115,10 +111,7 @@ def cmd_check(args) -> int:
 def cmd_decompose(args) -> int:
     if args.k is not None and args.k < 1:
         return _fail_usage(f"--k must be >= 1 (got {args.k})")
-    try:
-        trace = read_trace(args.trace)
-    except (TraceFormatError, ConfigError, OSError) as exc:
-        return _fail_usage(str(exc))
+    trace = read_trace(args.trace)
     poset = build_order(trace)
     k = args.k if args.k is not None else trace.config.k
     try:
@@ -136,28 +129,18 @@ def cmd_decompose(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.seeds < 0:
         return _fail_usage(f"--seeds must be >= 0 (got {args.seeds})")
-    try:
-        suites = _suites(args.suites)
-    except CheckerError as exc:
-        return _fail_usage(str(exc))
+    suites = _suites(args.suites)
     try:
         template = load_json(args.template)
     except (OSError, ConfigError) as exc:
         return _fail_usage(f"template: {exc}")
     if not isinstance(template, dict):
         return _fail_usage("template: a fuzz template must be a JSON object")
-    # A template that no seed expands is an input error, not a failed
-    # property; one that only some seeds expand lists the rest in errors.
-    first_error = None
-    for i in range(args.seeds):
-        try:
-            instantiate_template(template, i)
-            break
-        except ConfigError as exc:
-            first_error = first_error or exc
-    else:
-        if first_error is not None:
-            return _fail_usage(f"template: no seed expands it; seed index 0: {first_error}")
+    # A template expands for every seed exactly when it does for seed 0.
+    try:
+        instantiate_template(template, 0)
+    except ConfigError as exc:
+        return _fail_usage(f"template: no seed expands it; seed index 0: {exc}")
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         try:
@@ -173,9 +156,8 @@ def cmd_fuzz(args) -> int:
 
     for i in range(args.seeds):
         try:
-            config = instantiate_template(template, i)
-            trace = run_scenario(config)
-        except (ConfigError, SimulationError) as exc:
+            trace = run_scenario(instantiate_template(template, i))
+        except SimulationError as exc:
             errors.append({"seed_index": i, "error": str(exc)})
             continue
         outcomes[trace.outcome] += 1
@@ -211,7 +193,13 @@ def cmd_fuzz(args) -> int:
         except OSError as exc:
             return _fail_usage(f"--out: cannot write {path}: {exc.strerror or exc}")
     sys.stdout.write(text)
-    return EXIT_FAIL if failing_seeds or errors else EXIT_OK
+    if errors:
+        return _fail_usage(f"the summary lists {len(errors)} of {args.seeds} seeds in errors")
+    return EXIT_FAIL if failing_seeds else EXIT_OK
+
+
+_PLAN_KEYS = frozenset(("sample",))
+_SAMPLE_KEYS = frozenset(("max_processes", "turn_range"))
 
 
 def instantiate_template(template: dict, index: int) -> ScenarioConfig:
@@ -219,7 +207,10 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
 
     The template is a scenario object where ``seed`` is a base value and
     ``crash_plan`` may be {"sample": {"max_processes": M, "turn_range": [a, b]}}
-    to draw a per-seed crash plan of 0..M processes.
+    to draw a per-seed crash plan of 0..M processes, each crashing at a
+    turn of a..b-1 (at a when b <= a).  With 0 <= M <= n and a >= 0 every
+    drawn plan is valid, so a template expands for every index exactly
+    when it expands for index 0.
     """
     from .rng import SplitMix64
 
@@ -230,13 +221,20 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
         obj["seed"] = seed
         plan = obj.get("crash_plan", [])
         if isinstance(plan, dict):
+            reject_unknown_keys(plan, _PLAN_KEYS, "crash_plan")
             sample = plan.get("sample", {})
+            reject_unknown_keys(sample, _SAMPLE_KEYS, "crash_plan sample")
             n = require_int(obj["n"], "n")
             if not 1 <= n <= MAX_PROCESSES:  # before the sample lists 1..n
                 raise ConfigError(f"template: n must satisfy 1 <= n <= {MAX_PROCESSES}")
             max_procs = require_int(sample.get("max_processes", n - 1), "max_processes")
+            if not 0 <= max_procs <= n:
+                raise ConfigError(f"template: max_processes must satisfy 0 <= max_processes <= n "
+                                  f"(got {max_procs}, n={n})")
             lo, hi = sample.get("turn_range", [0, 200])
             lo, hi = require_int(lo, "turn_range"), require_int(hi, "turn_range")
+            if lo < 0:
+                raise ConfigError(f"template: turn_range must start at a turn >= 0 (got {lo})")
             rng = SplitMix64(derive(seed, "crash-plan"))
             count = rng.randrange(max_procs + 1)
             victims = rng.sample(range(1, n + 1), count)
@@ -248,28 +246,7 @@ def instantiate_template(template: dict, index: int) -> ScenarioConfig:
     return ScenarioConfig.from_json_dict(obj)
 
 
-class _GoldenInputError(Exception):
-    """A golden entry's scenario, trace or verdicts file is missing or invalid."""
-
-
 GOLDEN_FILES = (".scenario.json", ".trace", ".verdicts")
-
-
-def _read_golden_file(path: Path) -> str:
-    try:
-        return read_utf8(path, _GoldenInputError)
-    except OSError as exc:
-        raise _GoldenInputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-
-
-def _load_golden_entry(base: str):
-    """(config, trace text, verdicts text) of the entry named by ``base``."""
-    scenario_path, trace_path, verdicts_path = (Path(base + suffix) for suffix in GOLDEN_FILES)
-    try:
-        config = load_scenario(scenario_path)
-    except (ConfigError, OSError) as exc:
-        raise _GoldenInputError(f"{scenario_path}: {exc}") from exc
-    return config, _read_golden_file(trace_path), _read_golden_file(verdicts_path)
 
 
 def cmd_golden(args) -> int:
@@ -282,10 +259,12 @@ def cmd_golden(args) -> int:
         return _fail_usage(f"no golden entries (*.scenario.json) under {gold_dir}")
     failures = 0
     for name in names:
+        scenario_path, trace_path, verdicts_path = (gold_dir / (name + sfx) for sfx in GOLDEN_FILES)
         try:
-            config, want, want_v = _load_golden_entry(str(gold_dir / name))
-        except _GoldenInputError as exc:
-            return _fail_usage(str(exc))
+            config = load_scenario(scenario_path)
+        except ConfigError as exc:
+            raise ConfigError(f"{scenario_path}: {exc}") from exc
+        want, want_v = read_utf8(trace_path, ConfigError), read_utf8(verdicts_path, ConfigError)
         try:
             trace = run_scenario(config)
         except SimulationError as exc:
@@ -348,7 +327,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, TraceFormatError, CheckerError, OSError) as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -41,6 +41,16 @@ ORACLE_POLICIES = (
 )
 
 
+# The fields of a scenario object, the keys ``to_json_dict`` writes.
+_SCENARIO_KEYS = frozenset((
+    "version", "n", "k", "seed", "schedule_policy", "crash_plan", "workload", "step_budget",
+    "oracle_policy",
+))
+_BROADCAST_KEYS = frozenset(("op", "payload"))
+_PROPOSE_KEYS = frozenset(("op", "instance", "value"))
+_SCRIPTED_KEYS = frozenset(("policy", "script"))
+
+
 class ConfigError(ValueError):
     """Raised when a scenario violates one of its invariants."""
 
@@ -51,6 +61,13 @@ def require_int(value, name: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, not {type(value).__name__}")
     return value
+
+
+def reject_unknown_keys(obj: dict, known: frozenset, what: str) -> None:
+    """ConfigError naming the first key of ``obj`` not in ``known``, so
+    that a misspelled field is refused instead of defaulted."""
+    if not obj.keys() <= known:
+        raise ConfigError(f"unknown {what} field {min(obj.keys() - known)!r}")
 
 
 def _workload_pid(key: str) -> int:
@@ -78,8 +95,10 @@ class WorkItem:
     def from_json_dict(obj: dict) -> "WorkItem":
         op = obj.get("op")
         if op == "broadcast":
+            reject_unknown_keys(obj, _BROADCAST_KEYS, "broadcast item")
             return WorkItem(op="broadcast", payload=obj["payload"])
         if op == "propose":
+            reject_unknown_keys(obj, _PROPOSE_KEYS, "propose item")
             return WorkItem(op="propose", instance=obj["instance"], value=obj["value"])
         raise ConfigError(f"unknown workload op {op!r}")
 
@@ -99,6 +118,7 @@ class SchedulePolicy:
         if isinstance(obj, str):
             return SchedulePolicy(kind=obj)
         if isinstance(obj, dict) and obj.get("policy") == "scripted":
+            reject_unknown_keys(obj, _SCRIPTED_KEYS, "schedule_policy")
             script = tuple(
                 (require_int(pid, "a schedule script pid"), thread)
                 for pid, thread in obj.get("script", [])
@@ -192,8 +212,11 @@ class ScenarioConfig:
         }
 
     @staticmethod
-    def from_json_dict(obj: dict) -> "ScenarioConfig":
+    def from_json_dict(obj: dict, extra_keys: frozenset = frozenset()) -> "ScenarioConfig":
+        """The config that ``obj`` holds; ConfigError on a field it does
+        not read, other than ``extra_keys``, or on any invalid value."""
         try:
+            reject_unknown_keys(obj, _SCENARIO_KEYS | extra_keys, "scenario")
             workload = {
                 _workload_pid(pid): tuple(WorkItem.from_json_dict(item) for item in items)
                 for pid, items in obj.get("workload", {}).items()
@@ -220,17 +243,19 @@ class ScenarioConfig:
         return config
 
 
-def read_utf8(path, error: type[Exception]) -> str:
+def read_utf8(path, error: type[Exception], translate: bool = True) -> str:
     """The text of the file at ``path``, newlines translated as ``open``
-    does; ``error``, naming the file and the line, when it is not UTF-8."""
+    does unless ``translate`` is false; ``error``, naming the file and the
+    line, when it is not UTF-8.  No UTF-8 sequence holds a CR or LF byte,
+    so translating the bytes is translating the text."""
     data = Path(path).read_bytes()
+    if translate:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        line = head.count("\n") + 1
+        line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_json(path):

@@ -65,7 +65,10 @@ canonically sorted, so a given scenario always serializes to
 byte-identical output.
 
 The reader reads format 3 only: a config record without
-``"trace_format": 3`` is rejected on its line.
+``"trace_format": 3`` is rejected on its line, and so is one holding a
+key other than ``"record"``, ``"trace_format"`` and the scenario's
+fields.  ``read_trace`` decodes a file's bytes as UTF-8 and translates
+no line end, so a file reads exactly as its text does.
 
 In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
@@ -100,6 +103,9 @@ EVENT_KINDS = (
 OUTCOMES = ("quiescent", "budget-exhausted")
 
 TRACE_FORMAT = 3
+
+# The keys a config record holds besides the scenario's fields.
+CONFIG_RECORD_KEYS = frozenset(("record", "trace_format"))
 
 
 class TraceFormatError(ValueError):
@@ -485,7 +491,7 @@ def parse_trace(text: str) -> Trace:
                     f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
                 )
             try:
-                config = ScenarioConfig.from_json_dict(rec)
+                config = ScenarioConfig.from_json_dict(rec, CONFIG_RECORD_KEYS)
             except ConfigError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             n = config.n
@@ -510,6 +516,9 @@ def parse_trace(text: str) -> Trace:
 
 
 def read_trace(path) -> Trace:
+    """The trace in the file at ``path``, read as ``parse_trace`` reads its
+    text: no line end is translated, so a ``"\\r"`` inside a record stays
+    JSON whitespace."""
     from .scenario import read_utf8
 
-    return parse_trace(read_utf8(path, TraceFormatError))
+    return parse_trace(read_utf8(path, TraceFormatError, translate=False))

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bocast
-from bocast.cli import main
+from bocast.cli import instantiate_template, main
 from bocast.rng import SplitMix64
 from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
 from bocast.sim import SimulationError, run_scenario
-from bocast.trace import parse_trace, serialize_trace, write_trace
+from bocast.trace import parse_trace, read_trace, serialize_trace, write_trace
 
 from _drivers import forged_trace, shuffled
 from _format2 import format2_text
@@ -368,13 +368,45 @@ def test_fuzz_reports_a_template_it_cannot_expand(tmp_path, capsys, edit):
     assert captured.out == "" and not out_dir.exists()
 
 
-def test_fuzz_lists_the_seeds_a_template_cannot_expand(tmp_path, capsys):
-    # a crash plan of up to 9 of 5 processes: only some seeds expand
-    template = _edited_template(tmp_path, {"crash_plan": {"sample": {"max_processes": 9}}})
-    assert main(["fuzz", "--template", str(template), "--seeds", "3"]) == 1
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["errors"] and summary["outcomes"]["quiescent"] < 3
-    assert summary["outcomes"]["quiescent"] + len(summary["errors"]) == 3
+@pytest.mark.parametrize("sample, message", [
+    ({"max_processes": 9}, "template: max_processes must satisfy 0 <= max_processes <= n (got 9"),
+    ({"max_processes": -1}, "template: max_processes must satisfy 0 <= max_processes <= n (got -1"),
+    ({"turn_range": [-5, 10]}, "template: turn_range must start at a turn >= 0 (got -5)"),
+    ({"max_processses": 2}, "unknown crash_plan sample field 'max_processses'"),
+], ids=["above-n", "negative", "negative-turn", "misspelled"])
+def test_fuzz_refuses_a_crash_sample_before_any_run(tmp_path, capsys, sample, message):
+    # 9 of 5 processes once ran, with only the seeds drawing at most 5 in
+    # the summary and exit 1: now no seed is run, and the sample is named
+    template = _edited_template(tmp_path, {"crash_plan": {"sample": sample}})
+    out_dir = tmp_path / "fuzz"
+    assert main(["fuzz", "--template", str(template), "--seeds", "3", "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert f"template: no seed expands it; seed index 0: {message}" in captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6), max_processes=st.integers(-2, 8),
+    lo=st.integers(-3, 5), hi=st.integers(-3, 300), base=st.integers(0, 2**64 - 1),
+)
+def test_a_template_expands_for_every_seed_when_it_expands_for_seed_0(
+    n, max_processes, lo, hi, base
+):
+    obj = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    obj.update(n=n, k=1, seed=base, workload={})
+    obj["crash_plan"] = {"sample": {"max_processes": max_processes, "turn_range": [lo, hi]}}
+
+    def expands(index):
+        try:
+            instantiate_template(obj, index)
+        except ConfigError:
+            return False
+        return True
+
+    first = expands(0)
+    assert first == (0 <= max_processes <= n and lo >= 0)
+    assert all(expands(i) == first for i in range(1, 30))
 
 
 @pytest.mark.parametrize("verb", [
@@ -909,3 +941,181 @@ def test_golden_trace_file_is_current():
     # guards against editing the scenario without regenerating artifacts
     trace = run_scenario(load_scenario(GOLDEN_SCENARIO))
     assert serialize_trace(trace) == GOLDEN_TRACE.read_text()
+
+
+# --- unknown fields -------------------------------------------------------------
+
+
+def _scenario_with(tmp_path, edit) -> Path:
+    obj = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
+    edit(obj)
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    return scen
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o.update(oracle_polcy="echo"), "unknown scenario field 'oracle_polcy'"),
+    (lambda o: o["workload"]["1"][0].update(valeu="x"), "unknown propose item field 'valeu'"),
+    (lambda o: o["workload"]["3"][1].update(instance=0), "unknown broadcast item field 'instance'"),
+    (lambda o: o.update(schedule_policy={"policy": "scripted", "script": [], "seed": 1}),
+     "unknown schedule_policy field 'seed'"),
+], ids=["scenario", "propose-item", "broadcast-item", "script"])
+def test_run_refuses_an_unknown_field_naming_it(tmp_path, edit, message):
+    # "oracle_polcy" once ran the default oracle with exit 0
+    out = tmp_path / "t.trace"
+    proc = _bocast("run", "--scenario", str(_scenario_with(tmp_path, edit)), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_fuzz_refuses_an_unknown_template_field(tmp_path, capsys):
+    template = _edited_template(tmp_path, {"crash_plan": {"sample": {}, "every": 2}})
+    assert main(["fuzz", "--template", str(template), "--seeds", "1"]) == 2
+    assert "seed index 0: unknown crash_plan field 'every'" in capsys.readouterr().err
+    template = _edited_template(tmp_path, {"stepbudget": 10})
+    assert main(["fuzz", "--template", str(template), "--seeds", "1"]) == 2
+    assert "seed index 0: unknown scenario field 'stepbudget'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["oracle_polcy", "records", "format"])
+def test_check_refuses_an_unknown_config_record_field_on_line_1(tmp_path, key):
+    # a config record may add "record" and "trace_format" to the scenario's fields, nothing else
+    lines = _example_lines()
+    config = json.loads(lines[0])
+    config[key] = "echo"
+    lines[0] = json.dumps(config)
+    bad = tmp_path / "config.trace"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _check_subprocess(bad)
+    _assert_rejected(proc, 1)
+    assert f"line 1: unknown scenario field {key!r}" in proc.stderr
+
+
+# --- newlines in a trace file ---------------------------------------------------
+
+
+def test_a_lone_cr_inside_a_record_checks_as_the_lf_trace(tmp_path):
+    # "\r" is JSON whitespace and no line end: the file reads as parse_trace reads its text
+    lines = _example_lines()
+    assert lines[3].startswith("[")
+    lines[3] = lines[3].replace(",", ",\r", 1)
+    edited = tmp_path / "cr.trace"
+    edited.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    plain = tmp_path / "lf.trace"
+    plain.write_text("\n".join(_example_lines()) + "\n", encoding="utf-8")
+    want = _check_subprocess(plain)
+    proc = _check_subprocess(edited)
+    assert proc.returncode == want.returncode == 0, proc.stderr
+    assert proc.stdout == want.stdout
+    text = edited.read_bytes().decode("utf-8")
+    assert read_trace(edited).rows == parse_trace(text).rows
+
+
+def test_a_byte_that_is_not_utf8_is_named_on_its_line_counting_lf_only(tmp_path):
+    data = "\n".join(_example_lines()).encode("utf-8")
+    first, rest = data.split(b"\n", 1)
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(first + b"\r\r\n" + b"[0,\r1,\xff]\n" + rest)
+    proc = _check_subprocess(bad)
+    _assert_input_refused(proc, bad, "line 2: not UTF-8")
+
+
+# --- error branches -------------------------------------------------------------
+
+
+def string_payload(rec):
+    rec[3] = "x"
+
+
+def test_check_refuses_an_event_payload_that_is_not_an_object(tmp_path):
+    lines = _example_lines()
+    lineno = _edit_first('"deliver-msg"', string_payload)(lines) + 1
+    bad = tmp_path / "payload.trace"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = _check_subprocess(bad)
+    _assert_rejected(proc, lineno)
+    assert f"line {lineno}: an event payload must be a JSON object" in proc.stderr
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o.update(schedule_policy={"policy": "round-robin"}),
+     "unrecognized schedule_policy {'policy': 'round-robin'}"),
+    (lambda o: o.update(crash_plan=[[2, -1]]), "crash turn must be >= 0 (got -1 for p2)"),
+], ids=["policy-object", "negative-crash-turn"])
+def test_run_refuses_a_scenario_value_naming_it(tmp_path, capsys, edit, message):
+    out = tmp_path / "t.trace"
+    assert main(["run", "--scenario", str(_scenario_with(tmp_path, edit)), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_golden_on_a_directory_without_entries_exits_2(tmp_path, capsys):
+    assert main(["golden", "--dir", str(tmp_path)]) == 2
+    assert f"error: no golden entries (*.scenario.json) under {tmp_path}" in capsys.readouterr().err
+
+
+def test_golden_reports_an_edited_verdicts_file(tmp_path, capsys):
+    clone = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, clone)
+    verdicts = clone / f"{GOLDEN_ENTRY}.verdicts"
+    verdicts.write_text(verdicts.read_text(encoding="utf-8").replace("true", "false", 1),
+                        encoding="utf-8")
+    assert main(["golden", "--dir", str(clone)]) == 1
+    assert f"{GOLDEN_ENTRY}: VERDICT MISMATCH" in capsys.readouterr().out.splitlines()
+
+
+def test_golden_reports_a_scenario_whose_run_fails(tmp_path, capsys):
+    clone = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, clone)
+    scenario = clone / f"{GOLDEN_ENTRY}.scenario.json"
+    obj = json.loads(scenario.read_text(encoding="utf-8"))
+    obj["schedule_policy"] = {"policy": "scripted", "script": [[1, "task"]]}
+    scenario.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["golden", "--dir", str(clone)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"{GOLDEN_ENTRY}: ERROR disabled thread 'task' of p1 at turn 0" in out
+    assert sum(line.endswith(": ok") for line in out) == len(out) - 1
+
+
+def _failing_template(tmp_path) -> Path:
+    # the echo oracle with no crashes fails agreement at seed index 0
+    return _edited_template(tmp_path, {"oracle_policy": "echo", "crash_plan": []})
+
+
+def test_fuzz_exits_2_after_its_summary_when_a_trace_cannot_be_written(tmp_path):
+    out_dir = tmp_path / "fuzz"
+    (out_dir / "fail-00000.trace").mkdir(parents=True)
+    proc = _bocast("fuzz", "--template", str(_failing_template(tmp_path)), "--seeds", "2",
+                   "--out", str(out_dir))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert json.loads(proc.stdout) == summary
+    assert summary["failing_seed_indices"][0] == 0
+    assert [e["seed_index"] for e in summary["errors"]] == [0]
+    assert summary["errors"][0]["error"].startswith("trace write failed: ")
+    assert "error: the summary lists 1 of 2 seeds in errors" in proc.stderr
+
+
+def test_fuzz_exits_1_for_failing_seeds_alone(tmp_path, capsys):
+    out_dir = tmp_path / "fuzz"
+    assert main(["fuzz", "--template", str(_failing_template(tmp_path)), "--seeds", "1",
+                 "--out", str(out_dir)]) == 1
+    assert (out_dir / "fail-00000.trace").is_file()
+    assert json.loads(capsys.readouterr().out)["errors"] == []
+
+
+def test_fuzz_exits_2_after_its_summary_when_a_seed_cannot_run(tmp_path, capsys):
+    template = _edited_template(
+        tmp_path, {"schedule_policy": {"policy": "scripted", "script": [[1, "task"]]}}
+    )
+    assert main(["fuzz", "--template", str(template), "--seeds", "2"]) == 2
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["errors"] == [
+        {"seed_index": i, "error": "disabled thread 'task' of p1 at turn 0"} for i in range(2)
+    ]
+    assert "error: the summary lists 2 of 2 seeds in errors" in captured.err

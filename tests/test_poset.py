@@ -58,6 +58,10 @@ class TestBasics:
         with pytest.raises(PosetError, match="cycle"):
             from_edges(["x"], [("x", "x")])
 
+    def test_duplicate_elements_rejected(self):
+        with pytest.raises(PosetError, match="duplicate elements"):
+            Poset(["a", "a"], {})
+
     def test_transitivity_validated(self):
         with pytest.raises(PosetError):
             Poset(["a", "b", "c"], {"a": 0b010, "b": 0b100})

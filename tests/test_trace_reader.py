@@ -25,8 +25,8 @@ from bocast.checker import check_all
 from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import (
-    OUTCOMES, TRACE_FORMAT, Event, TraceFormatError, _PAYLOADS, _access_check, _payload_error,
-    parse_trace, serialize_trace,
+    CONFIG_RECORD_KEYS, OUTCOMES, TRACE_FORMAT, Event, TraceFormatError, _PAYLOADS,
+    _access_check, _payload_error, parse_trace, serialize_trace,
 )
 
 EXAMPLE = Path("scenarios/examples/n3_k2_propose.scenario.json")
@@ -104,7 +104,7 @@ def reference_parse(text: str):
                     f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
                 )
             try:
-                config = ScenarioConfig.from_json_dict(rec)
+                config = ScenarioConfig.from_json_dict(rec, CONFIG_RECORD_KEYS)
             except ConfigError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             n = config.n
