@@ -78,10 +78,13 @@ def _skip(name: str) -> Verdict:
 
 
 class TraceIndex:
-    """Per-process and per-object views of one trace."""
+    """Per-process and per-object views of one trace.  ``objects`` maps
+    each object name to the trace's own rows of its accesses, in step
+    order, ``[turn, pid, object, op, args, result]``."""
 
     def __init__(self, trace: Trace):
         cfg = trace.config
+        self.rows = trace.rows
         self.n = cfg.n
         self.k = cfg.k
         self.quiescent = trace.quiescent
@@ -99,16 +102,16 @@ class TraceIndex:
         rounds: set[int] = set()
 
         objects, faulty, broadcasts = self.objects, self.faulty, self.broadcasts
-        for step, row in enumerate(trace.rows):
+        for row in trace.rows:
             if len(row) == 6:
-                _turn, pid, name, op, args, result = row
+                name = row[2]
                 accesses = objects.get(name)
                 if accesses is None:
                     accesses = objects[name] = []
                     m = OBJECT_NAME.fullmatch(name)
                     if m and m[2] is not None:
                         rounds.add(int(m[2]))
-                accesses.append((step, pid, op, args, result))
+                accesses.append(row)
                 continue
             _turn, pid, kind, payload = row
             if kind == "deliver-msg":
@@ -131,6 +134,13 @@ class TraceIndex:
 
         self.nonfaulty = [pid for pid in pids if pid not in faulty]
         self.k2s_rounds = sorted(rounds)  # the r of every KSET[r], SNAP1[r] or SNAP2[r]
+
+    def step(self, row) -> int:
+        """The step of ``row``, one of the trace's rows: its index in the
+        trace, found by identity (each row is a list of its own, as the
+        reader and the simulator build them).  O(M), so only a failing
+        verdict's witness asks for it."""
+        return next(step for step, other in enumerate(self.rows) if other is row)
 
 
 def build_order(trace_or_index) -> Poset:
@@ -340,7 +350,7 @@ def _growing_chain(n: int, accesses, inputs: set, bound: int) -> set[int] | None
         return None
     views: set[frozenset] = set()  # the distinct views written so far
     pids = set()
-    for _step, pid, op, args, _res in accesses:
+    for _turn, pid, _name, op, args, _res in accesses:
         if op == "write":
             view = frozenset(args[0])
             if not (view <= inputs and 1 <= len(view) <= bound):
@@ -364,7 +374,7 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
     validity = set_size = view_size = intra = inter = None
     for r in instances:
         proposals[r] = {}
-        for _, pid, op, args, _res in index.objects.get(f"KSET[{r}]", ()):
+        for _turn, pid, _name, op, args, _res in index.objects.get(f"KSET[{r}]", ()):
             if op == "propose":
                 proposals[r][pid] = args[0]
         inputs = set(proposals[r].values())
@@ -375,7 +385,7 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
             snapped[r] = pids
             continue
         outputs: dict[int, frozenset] = {}
-        for _, pid, op, _args, res in accesses:
+        for _turn, pid, _name, op, _args, res in accesses:
             if op == "snapshot":
                 outputs[pid] = frozenset(frozenset(cell) for cell in res if cell is not None)
         snapped[r] = set(outputs)
@@ -445,7 +455,7 @@ def first_incomparable(views) -> tuple[int, int] | None:
 _INT = frozenset((int,))
 
 
-def replay(n: int, accesses, mem: bool) -> tuple[tuple[int, int] | None, bool]:
+def replay(n: int, accesses, mem: bool) -> tuple[tuple[list, int] | None, bool]:
     """Replay a snapshot object's accesses against one running list of
     its n cells: ``(bad, nested)``.
 
@@ -454,7 +464,7 @@ def replay(n: int, accesses, mem: bool) -> tuple[tuple[int, int] | None, bool]:
     one-shot cell (``SNAP1``, ``SNAP2``) starts empty (None); a MEM cell
     starts at 0 and each write raises it by one, an int.
 
-    ``bad`` is (step, cell) of the first access that breaks replay, where
+    ``bad`` is (row, cell) of the first access that breaks replay, where
     the pass stops, or None.  It breaks on a pid outside 1..n (the cell is
     the pid), a MEM write that is not the next count (the writer's cell),
     and a snapshot that is not equal to the cells or, for MEM, holds other
@@ -466,14 +476,15 @@ def replay(n: int, accesses, mem: bool) -> tuple[tuple[int, int] | None, bool]:
     """
     cells = [0 if mem else None] * n
     rewritten = False
-    for step, pid, op, args, res in accesses:
+    for row in accesses:
+        _turn, pid, _name, op, args, res = row
         if not 0 < pid <= n:
-            return (step, pid), False
+            return (row, pid), False
         if op == "write":
             value, i = args[0], pid - 1
             if mem:
                 if type(value) is not int or value != cells[i] + 1:
-                    return (step, pid), False
+                    return (row, pid), False
             elif cells[i] is not None:
                 rewritten = True
             cells[i] = value
@@ -482,7 +493,7 @@ def replay(n: int, accesses, mem: bool) -> tuple[tuple[int, int] | None, bool]:
                 i for i, (got, want) in enumerate(zip(res, cells), 1)
                 if got != want or mem and type(got) is not int
             )
-            return (step, next(differ, min(len(res), n) + 1)), False
+            return (row, next(differ, min(len(res), n) + 1)), False
     return None, not rewritten
 
 
@@ -499,23 +510,27 @@ def _check_snapshot(index: TraceIndex) -> list[Verdict]:
         mem = object_id == "MEM"
         bad, nested = replay(index.n, accesses, mem)
         if bad is not None and broken is None:
-            broken = {"object": object_id, "step": bad[0], "cell": bad[1]}
+            broken = {"object": object_id, "step": index.step(bad[0]), "cell": bad[1]}
         if mem or nested or containment is not None:
             continue
-        snapshots = [(step, pid, res) for step, pid, op, _args, res in accesses if op == "snapshot"]
+        snapshots = [row for row in accesses if row[3] == "snapshot"]
         # a view is the set of (cell number, value) of the written cells;
         # SNAP2 values are lists, hashed as tuples
         pair = first_incomparable([
             frozenset(
                 (i, tuple(cell) if type(cell) is list else cell)
-                for i, cell in enumerate(res, 1)
+                for i, cell in enumerate(row[5], 1)
                 if cell is not None
             )
-            for _, _, res in snapshots
+            for row in snapshots
         ])
         if pair is not None:
-            (step_i, pid_i, _), (step_j, pid_j, _) = snapshots[pair[0]], snapshots[pair[1]]
-            containment = {"object": object_id, "pids": [pid_i, pid_j], "steps": [step_i, step_j]}
+            first, later = snapshots[pair[0]], snapshots[pair[1]]
+            containment = {
+                "object": object_id,
+                "pids": [first[1], later[1]],
+                "steps": [index.step(first), index.step(later)],
+            }
     return [_verdict("snapshot.containment", containment), _verdict("snapshot.replay", broken)]
 
 
@@ -545,9 +560,9 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
 
     oracle_validity = oracle_agreement = None
     for r in index.k2s_rounds:
-        events = [e for e in index.objects.get(f"KSET[{r}]", ()) if e[2] == "propose"]
-        proposed = {args[0] for _, _, _, args, _ in events}
-        decided_vals = {res for _, _, _, _, res in events}
+        events = [row for row in index.objects.get(f"KSET[{r}]", ()) if row[3] == "propose"]
+        proposed = {row[4][0] for row in events}
+        decided_vals = {row[5] for row in events}
         bad = sorted(decided_vals - proposed)
         if bad and not oracle_validity:
             oracle_validity = {"instance": r, "values": bad}

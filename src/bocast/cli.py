@@ -260,8 +260,9 @@ def cmd_golden(args) -> int:
     failures = 0
     for name in names:
         scenario_path, trace_path, verdicts_path = (gold_dir / (name + sfx) for sfx in GOLDEN_FILES)
+        scenario = load_json(scenario_path)  # its errors name the path
         try:
-            config = load_scenario(scenario_path)
+            config = ScenarioConfig.from_json_dict(scenario)
         except ConfigError as exc:
             raise ConfigError(f"{scenario_path}: {exc}") from exc
         want, want_v = read_utf8(trace_path, ConfigError), read_utf8(verdicts_path, ConfigError)

@@ -70,6 +70,16 @@ key other than ``"record"``, ``"trace_format"`` and the scenario's
 fields.  ``read_trace`` decodes a file's bytes as UTF-8 and translates
 no line end, so a file reads exactly as its text does.
 
+The reader cuts the text into blocks of whole lines, about 64 KiB each.
+It decodes a block with one JSON call, on the block with each line end
+replaced by a separator holding a NUL string, and keeps the result only
+when that array proves each line to be exactly one JSON value
+(``_decode_block`` gives the reason).  Any other block (one with a blank
+line, a record split over two lines, two records on one line, a
+byte-order mark, nesting too deep or a NUL payload) is read one line at
+a time.  Either way each line gives what ``json.loads`` gives for it
+alone, and every message names the line a line-by-line reader names.
+
 In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
 ``Recorder`` builds the same lists, so the run, the writer, the reader
@@ -196,11 +206,11 @@ class Recorder:
         self.rows.append([self.turn, pid, *fields])
 
 
-# One encoder and one decoder for every record.  Insertion order of keys
-# is part of the format; never sort here.  ``_chunks(record, 0)`` gives the
-# record's JSON text in pieces: it is the C encoder (CPython's ``_json``)
-# that ``json.dumps(record, separators=(",", ":"), ensure_ascii=False)``
-# builds afresh on every call, built once.  Its arguments, by position:
+# One encoder for every record.  Insertion order of keys is part of the
+# format; never sort here.  ``_chunks(record, 0)`` gives the record's JSON
+# text in pieces: it is the C encoder (CPython's ``_json``) that
+# ``json.dumps(record, separators=(",", ":"), ensure_ascii=False)`` builds
+# afresh on every call, built once.  Its arguments, by position:
 _chunks = c_make_encoder(
     None,  # markers: no circular-reference check (records are trees)
     json.JSONEncoder().default,  # default: raise TypeError on other types
@@ -212,7 +222,6 @@ _chunks = c_make_encoder(
     False,  # skipkeys: non-str keys raise
     True,  # allow_nan: as json.dumps
 )
-_scan = json.JSONDecoder().scan_once  # (text, pos) -> (value, end of value)
 
 _ACCESS_KEYS = ("object", "op", "args", "result")
 _PLAIN_KINDS = frozenset(EVENT_KINDS) - {"object-access"}
@@ -389,11 +398,74 @@ def _payload_error(kind: str, payload, ids: set) -> str | None:
 
 # --- the reader -----------------------------------------------------------------
 
+# The least length, in characters, of a block of lines that the reader
+# decodes with one JSON call; a block ends at the first line end from there.
+_BLOCK = 1 << 16
+_SEPARATOR = ',"\\u0000",'  # each line end, in the text one block decodes as
+_NUL = "\x00"  # the string that separator holds
+
+
+def _decode_block(block: str, lines: int) -> list | None:
+    """The records of ``block``, a text of ``lines`` lines, when each line
+    is exactly one JSON value with JSON whitespace around it; None when
+    not.
+
+    The block is decoded as one JSON array with each ``"\\n"`` replaced by
+    ``,"\\u0000",``.  If the array decodes, each inserted ``"`` opens a
+    string: had it closed one, the ``\\`` after it would stand outside any
+    string.  So each separator reads as a comma, the string NUL and a
+    comma, outside any string, as did the raw ``"\\n"`` it replaced, which
+    JSON allows in no string.  The only JSON text of that one-character
+    string is ``"\\u0000"``, so when the block itself holds no such text,
+    the array holds NUL exactly lines - 1 times, once per separator.  If
+    those are its elements at odd positions and it has 2 * lines - 1
+    elements, every separator sits at the array's top level and each line
+    between two of them holds exactly one of its elements: the value
+    ``json.loads`` gives for that line alone.  Any other block (a blank
+    line, a record split over two lines or two records on one, a
+    byte-order mark, nesting too deep, a NUL payload) gives None and is
+    read one line at a time.
+    """
+    if '"\\u0000"' in block:
+        return None
+    try:
+        values = json.loads("[" + block.replace("\n", _SEPARATOR) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(values) != 2 * lines - 1 or values[1::2].count(_NUL) != lines - 1:
+        return None
+    return values[::2]
+
+
+def _decode_lines(block: str, lineno: int):
+    """``(line number, record)`` of each line of ``block`` that is not
+    blank, read one line at a time, the block's first line being line
+    ``lineno`` + 1; TraceFormatError, naming the line, at a line that is
+    not one JSON value or is nested too deeply.  Lazy: that error comes
+    only once the caller has checked the records before it."""
+    for lineno, line in enumerate(block.split("\n"), lineno + 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise TraceFormatError(f"line {lineno}: JSON nested too deeply") from None
+        yield lineno, record
+
 
 @pauses_cyclic_gc
 def parse_trace(text: str) -> Trace:
     """The trace in ``text``; TraceFormatError, naming the line, on
-    anything format 3 does not allow."""
+    anything format 3 does not allow.
+
+    The text is cut into blocks of whole lines, each decoded by one JSON
+    call when every line holds exactly one JSON value (``_decode_block``)
+    and one line at a time otherwise (``_decode_lines``).  Either way a
+    line gives the value ``json.loads`` gives for it alone, so the
+    records, messages and line numbers are those of a line-by-line reader.
+    """
     from .scenario import ConfigError, ScenarioConfig
 
     config = None
@@ -407,107 +479,98 @@ def parse_trace(text: str) -> Trace:
     families: dict = {}  # object name -> its checks by op, for the names seen
     payloads = _PAYLOADS
     find, size_of_text = text.find, len(text)
-    lineno = 0
-    start = 0  # where the next line starts
+    # where the last block ends: before a final "\n", which ends a line
+    # and starts none
+    end_of_text = size_of_text - 1 if text.endswith("\n") else size_of_text
+    read = 0  # the lines before the next block
+    start = 0  # where the next block starts
     while start < size_of_text:
-        lineno += 1
-        stop = find("\n", start)
+        stop = find("\n", start + _BLOCK)
         if stop < 0:
-            stop = size_of_text
-        # One JSON value that ends where the line does is the record.
-        # Decoding in place leaves no slice of the text and no line list.
-        try:
-            rec, end = _scan(text, start)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        line_start, start = start, stop + 1
-        if end != stop:
-            # Not exactly one JSON value on the line: a blank line, a
-            # record padded with whitespace (json.loads accepts it), one
-            # the scanner read on past the line end (JSON whitespace holds
-            # "\n"), invalid JSON (json.loads words the error) or nesting
-            # too deep to decode.
-            line = text[line_start:stop]
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            except RecursionError:
-                raise TraceFormatError(f"line {lineno}: JSON nested too deeply") from None
-        if type(rec) is list:
-            size = len(rec)
-            if size == 6:
-                turn, pid, name, op, args, result = rec
-            elif size == 4:
-                turn, pid, kind, payload = rec
-            else:
-                raise TraceFormatError(f"line {lineno}: an event has 4 or 6 fields, not {size}")
-            if type(turn) is not int or turn < last_turn:
-                raise TraceFormatError(
-                    f"line {lineno}: an event turn must be an integer >= 0 that never decreases"
-                )
-            if type(pid) is not int or not 0 < pid <= n:
-                if config is None:
-                    raise TraceFormatError(f"line {lineno}: an event before the config record")
-                raise TraceFormatError(f"line {lineno}: pid {pid!r} is not in 1..{n}")
-            if outcome is not None:
-                raise TraceFormatError(f"line {lineno}: an event after the outcome record")
-            if size == 6:
-                try:
-                    check = families[name][op]
-                except (KeyError, TypeError):  # not seen yet, or no string
-                    check = _access_check(name, op, families, lineno)
-                if not check(args, result, ids):
-                    raise TraceFormatError(
-                        f"line {lineno}: a {name} {op} with malformed args or result"
-                    )
-                if op == "snapshot" and len(result) != n:
-                    raise TraceFormatError(
-                        f"line {lineno}: a {name} snapshot holds {len(result)} cells, not n = {n}"
-                    )
-            elif type(kind) is not str or kind not in payloads:
-                raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
-            else:
-                why = _payload_error(kind, payload, ids)
-                if why is not None:
-                    raise TraceFormatError(f"line {lineno}: {why}")
-            last_turn = turn
-            append(rec)
-            continue
-        if type(rec) is not dict:
-            raise TraceFormatError(f"line {lineno}: a record must be a JSON array or object")
-        record = rec.get("record")
-        if outcome is not None:
-            raise TraceFormatError(f"line {lineno}: a record after the outcome record")
-        if record == "config":
-            if config is not None:
-                raise TraceFormatError(f"line {lineno}: a second config record")
-            fmt = rec.get("trace_format", 1)
-            if fmt != TRACE_FORMAT:
-                raise TraceFormatError(
-                    f"line {lineno}: trace format {fmt!r} is not supported; "
-                    f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
-                )
-            try:
-                config = ScenarioConfig.from_json_dict(rec, CONFIG_RECORD_KEYS)
-            except ConfigError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            n = config.n
-        elif record == "outcome":
-            outcome = rec.get("outcome")
-            if outcome not in OUTCOMES:
-                raise TraceFormatError(
-                    f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
-                )
-            turns = rec.get("turns", 0)
-            if type(turns) is not int or turns < last_turn:
-                raise TraceFormatError(
-                    f"line {lineno}: turns must be an integer >= 0 and >= the last event's turn"
-                )
+            stop = end_of_text
+        block = text[start:stop]
+        lines = block.count("\n") + 1
+        records = _decode_block(block, lines)
+        if records is None:
+            numbered = _decode_lines(block, read)
         else:
-            raise TraceFormatError(f"line {lineno}: unknown record kind {record!r}")
+            numbered = zip(range(read + 1, read + lines + 1), records)
+        read += lines
+        start = stop + 1
+        for lineno, rec in numbered:
+            if type(rec) is list:
+                size = len(rec)
+                if size == 6:
+                    turn, pid, name, op, args, result = rec
+                elif size == 4:
+                    turn, pid, kind, payload = rec
+                else:
+                    raise TraceFormatError(f"line {lineno}: an event has 4 or 6 fields, not {size}")
+                if type(turn) is not int or turn < last_turn:
+                    raise TraceFormatError(
+                        f"line {lineno}: an event turn must be an integer >= 0 that never decreases"
+                    )
+                if type(pid) is not int or not 0 < pid <= n:
+                    if config is None:
+                        raise TraceFormatError(f"line {lineno}: an event before the config record")
+                    raise TraceFormatError(f"line {lineno}: pid {pid!r} is not in 1..{n}")
+                if outcome is not None:
+                    raise TraceFormatError(f"line {lineno}: an event after the outcome record")
+                if size == 6:
+                    try:
+                        check = families[name][op]
+                    except (KeyError, TypeError):  # not seen yet, or no string
+                        check = _access_check(name, op, families, lineno)
+                    if not check(args, result, ids):
+                        raise TraceFormatError(
+                            f"line {lineno}: a {name} {op} with malformed args or result"
+                        )
+                    if op == "snapshot" and len(result) != n:
+                        raise TraceFormatError(
+                            f"line {lineno}: a {name} snapshot holds {len(result)} cells, "
+                            f"not n = {n}"
+                        )
+                elif type(kind) is not str or kind not in payloads:
+                    raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
+                else:
+                    why = _payload_error(kind, payload, ids)
+                    if why is not None:
+                        raise TraceFormatError(f"line {lineno}: {why}")
+                last_turn = turn
+                append(rec)
+                continue
+            if type(rec) is not dict:
+                raise TraceFormatError(f"line {lineno}: a record must be a JSON array or object")
+            record = rec.get("record")
+            if outcome is not None:
+                raise TraceFormatError(f"line {lineno}: a record after the outcome record")
+            if record == "config":
+                if config is not None:
+                    raise TraceFormatError(f"line {lineno}: a second config record")
+                fmt = rec.get("trace_format", 1)
+                if type(fmt) is not int or fmt != TRACE_FORMAT:
+                    raise TraceFormatError(
+                        f"line {lineno}: trace format {fmt!r} is not supported; "
+                        f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
+                    )
+                try:
+                    config = ScenarioConfig.from_json_dict(rec, CONFIG_RECORD_KEYS)
+                except ConfigError as exc:
+                    raise TraceFormatError(f"line {lineno}: {exc}") from exc
+                n = config.n
+            elif record == "outcome":
+                outcome = rec.get("outcome")
+                if outcome not in OUTCOMES:
+                    raise TraceFormatError(
+                        f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
+                    )
+                turns = rec.get("turns", 0)
+                if type(turns) is not int or turns < last_turn:
+                    raise TraceFormatError(
+                        f"line {lineno}: turns must be an integer >= 0 and >= the last event's turn"
+                    )
+            else:
+                raise TraceFormatError(f"line {lineno}: unknown record kind {record!r}")
     if config is None:
         raise TraceFormatError("trace has no config record")
     if outcome is None:

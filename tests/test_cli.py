@@ -475,6 +475,25 @@ def test_golden_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     assert f"{verdicts}: line {line}: not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(b"\xff{}", "line 1: not UTF-8 (invalid start byte)", id="not-utf8"),
+        pytest.param(b"{\n", "line 2: invalid JSON", id="not-json"),
+        pytest.param(b"{}", "malformed scenario: 'n'", id="not-a-scenario"),
+    ],
+)
+def test_golden_names_a_bad_scenario_once(tmp_path, capsys, data, message):
+    clone = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, clone)
+    scenario = clone / f"{GOLDEN_ENTRY}.scenario.json"
+    scenario.write_bytes(data)
+    assert main(["golden", "--dir", str(clone)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scenario}: {message}")
+    assert err.count(str(scenario)) == 1
+
+
 def _check_subprocess(path):
     return _bocast("check", "--trace", str(path))
 

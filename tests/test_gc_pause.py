@@ -128,7 +128,7 @@ def test_the_collector_state_is_restored(name, entry, collector_state):
 
 
 class _ProbedText(str):
-    def find(self, *args):  # parse_trace looks up each line end with it
+    def find(self, *args):  # parse_trace finds the end of each block of lines with it
         _seen.append(gc.isenabled())
         return super().find(*args)
 

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bocast import checker
-from bocast.checker import TraceIndex, Verdict, check_all, serialize_verdicts
+from bocast.checker import Verdict, check_all, serialize_verdicts
 from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, parse_trace
 
@@ -49,7 +49,17 @@ def _verdict(name: str, witness) -> Verdict:
     return Verdict(name, "pass") if witness is None else Verdict(name, "fail", witness)
 
 
-def reference_snapshot(index: TraceIndex) -> list[Verdict]:
+def accesses_by_object(trace) -> dict[str, list]:
+    """Object name -> the trace's rows of its accesses, in step order,
+    grouped from ``trace.rows`` without the checker's index."""
+    objects: dict[str, list] = {}
+    for row in trace.rows:
+        if len(row) == 6:
+            objects.setdefault(row[2], []).append(row)
+    return objects
+
+
+def reference_snapshot(trace) -> list[Verdict]:
     """The two ``snapshot`` verdicts by definition.
 
     Cell i of an object is p_i's last write; a MEM cell reads 0 until
@@ -62,16 +72,20 @@ def reference_snapshot(index: TraceIndex) -> list[Verdict]:
     in name order gives the witness.  Containment compares every pair of
     snapshot views of each one-shot object, all of its snapshots counted.
     """
-    n = index.n
+    n = trace.config.n
+    objects: dict[str, list] = {}  # object name -> (step, pid, op, args, result) of each access
+    for step, row in enumerate(trace.rows):
+        if len(row) == 6:
+            objects.setdefault(row[2], []).append((step, row[1], *row[3:]))
     containment = replay = None
-    for object_id in sorted(index.objects):
+    for object_id in sorted(objects):
         if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
             continue
         mem = object_id == "MEM"
         cells: dict[int, object] = {}
         views = []  # (step, pid, {(cell number, value)}) of each one-shot snapshot
         bad = None  # (step, cell) where replay breaks
-        for step, pid, op, args, res in index.objects[object_id]:  # in step order
+        for step, pid, op, args, res in objects[object_id]:  # in step order
             if op == "snapshot" and not mem:
                 view = frozenset((i, _canon(c)) for i, c in enumerate(res, 1) if c is not None)
                 views.append((step, pid, view))
@@ -112,7 +126,7 @@ def reference_snapshot(index: TraceIndex) -> list[Verdict]:
 
 def assert_matches_the_references(trace, name="") -> None:
     snapshot = serialize_verdicts(check_all(trace, ("snapshot",)))
-    assert snapshot == serialize_verdicts(reference_snapshot(TraceIndex(trace))), name
+    assert snapshot == serialize_verdicts(reference_snapshot(trace)), name
     k2s = serialize_verdicts(check_all(trace, ("k2s",)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checker, "_growing_chain", lambda *args: None)
@@ -134,15 +148,17 @@ def test_checked_in_traces(path):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_honest_runs_take_the_fast_paths(seed):
-    index = TraceIndex(run_scenario(sampled_stack_config(4, 2, seed)))
-    rounds = index.k2s_rounds
+    trace = run_scenario(sampled_stack_config(4, 2, seed))
+    n, k = trace.config.n, trace.config.k
+    objects = accesses_by_object(trace)
+    rounds = sorted({int(name[name.index("[") + 1 : -1]) for name in objects if name != "MEM"})
     assert rounds
-    assert checker.replay(index.n, index.objects["MEM"], mem=True) == (None, True)
+    assert checker.replay(n, objects["MEM"], mem=True) == (None, True)
     for r in rounds:
-        inputs = {args[0] for _, _, _, args, _ in index.objects[f"KSET[{r}]"]}
-        bound = min(index.k, len(inputs))
-        assert checker.replay(index.n, index.objects[f"SNAP1[{r}]"], mem=False) == (None, True)
-        assert checker._growing_chain(index.n, index.objects[f"SNAP2[{r}]"], inputs, bound)
+        inputs = {args[0] for _, _, _, _, args, _ in objects[f"KSET[{r}]"]}
+        bound = min(k, len(inputs))
+        assert checker.replay(n, objects[f"SNAP1[{r}]"], mem=False) == (None, True)
+        assert checker._growing_chain(n, objects[f"SNAP2[{r}]"], inputs, bound)
 
 
 @pytest.mark.parametrize("value", ["x", [1], 1.0, True])

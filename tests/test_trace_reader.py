@@ -1,26 +1,31 @@
-"""The in-place trace reader against the line-by-line reader it replaced.
+"""The block trace reader against a line-by-line reader.
 
-``parse_trace`` walks the text with the JSON scanner and keeps a record
-on its fast path only when the value ends exactly at the line end and no
-``"\\n"`` lies inside it; every other line is decoded on its own, as
-``reference_parse`` below does for every line.  ``reference_parse`` is
-the reader before the walk: it splits the text at ``"\\n"`` and decodes
-each line.  Both must give the same rows, config, outcome and turns, or
-the same ``TraceFormatError`` message, on any edit of the checked-in
-traces: blank lines, CRLF line ends, padding, a record split over two
-lines, two records on one line, no final newline, deep nesting and raw
-U+2028 or U+0085 inside strings.  The schema checks of each record are
-shared: what differs is only how the text is cut into records.
+``parse_trace`` decodes the text one block of whole lines per JSON call
+and keeps the result only when it proves each line to be exactly one
+JSON value; every other block is read one line at a time.
+``reference_parse`` below splits the text at ``"\\n"`` and decodes each
+line on its own.  Both must give the same rows, config, outcome and
+turns, or the same ``TraceFormatError`` message naming the same line, on
+any edit of the checked-in traces: blank lines, CRLF line ends, padding,
+a record split over two lines, two records on one line, no final
+newline, deep nesting, raw U+2028 or U+0085 inside strings, a NUL string
+payload, an escaped NUL inside a longer string and a byte-order mark.
+The edits are read with the reader's block size as it is and cut down to
+a few characters, so that blocks of one line, of a few lines, and blocks
+that end inside an edit are all read.  The schema checks of each record
+are shared: what differs is only how the text is cut into records.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bocast import trace as trace_module
 from bocast.checker import check_all
 from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
 from bocast.sim import run_scenario
@@ -98,7 +103,7 @@ def reference_parse(text: str):
             if config is not None:
                 raise TraceFormatError(f"line {lineno}: a second config record")
             fmt = rec.get("trace_format", 1)
-            if fmt != TRACE_FORMAT:
+            if type(fmt) is not int or fmt != TRACE_FORMAT:
                 raise TraceFormatError(
                     f"line {lineno}: trace format {fmt!r} is not supported; "
                     f"this reader reads format {TRACE_FORMAT} only (re-run the scenario)"
@@ -141,8 +146,12 @@ def _parsed(text: str):
     return trace.config, trace.rows, trace.outcome, trace.turns
 
 
-def assert_same_reading(text: str) -> None:
-    assert _read(_parsed, text) == _read(reference_parse, text)
+def assert_same_reading(text: str, block: int = trace_module._BLOCK) -> None:
+    """``parse_trace``, reading ``block`` characters or more per block,
+    reads ``text`` as ``reference_parse`` does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_BLOCK", block)
+        assert _read(_parsed, text) == _read(reference_parse, text)
 
 
 def _example_text() -> str:
@@ -212,13 +221,54 @@ def raw_separator(draw, lines):
         lines[i] = lines[i][:at] + draw(st.sampled_from((" ", "\x85"))) + lines[i][at:]
 
 
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"')  # a JSON string, from its opening quote
+
+
+def _strings(draw, lines):
+    """(i, match) of a drawn JSON string of a drawn line, or None."""
+    i = draw(st.integers(0, len(lines) - 1))
+    found = list(STRING.finditer(lines[i]))
+    return (i, draw(st.sampled_from(found))) if found else None
+
+
+def nul_payload(draw, lines):
+    """A string of some line replaced by the one-character NUL string."""
+    found = _strings(draw, lines)
+    if found:
+        i, m = found
+        lines[i] = lines[i][: m.start()] + '"\\u0000"' + lines[i][m.end() :]
+
+
+def escaped_nul(draw, lines):
+    """``\\"\\u0000\\"`` at the start of a string of some line, or
+    ``\\"\\u0000`` at its end, where the string's closing quote makes the
+    text ``"\\u0000"`` of the NUL string inside a longer string."""
+    found = _strings(draw, lines)
+    if found:
+        i, m = found
+        at, text = draw(st.sampled_from(((m.start() + 1, '\\"\\u0000\\"'), (m.end() - 1, '\\"\\u0000'))))
+        lines[i] = lines[i][:at] + text + lines[i][at:]
+
+
+def bom(draw, lines):
+    """A byte-order mark at the start of some line."""
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = "\ufeff" + lines[i]
+
+
 EDITS = {
     f.__name__: f
     for f in (
         blank_line, crlf, pad, split_record, split_at_whitespace, join_records, deep_nesting,
-        raw_separator,
+        raw_separator, nul_payload, escaped_nul, bom,
     )
 }
+
+
+# The checked-in traces fit in one block of the reader's size; cut down to
+# a few characters, a block holds one line or a few, and edits fall on
+# block ends.
+BLOCK_SIZES = st.one_of(st.just(trace_module._BLOCK), st.integers(0, 8), st.integers(9, 400))
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,23 +276,91 @@ EDITS = {
     st.sampled_from(sorted(BASES)),
     st.lists(st.sampled_from(sorted(EDITS)), max_size=4),
     st.booleans(),
+    BLOCK_SIZES,
     st.data(),
 )
-def test_edited_traces_read_as_the_line_reader_reads_them(base, edits, final_newline, data):
+def test_edited_traces_read_as_the_line_reader_reads_them(base, edits, final_newline, block, data):
     lines = BASES[base].split("\n")[:-1]
     for name in edits:
         EDITS[name](data.draw, lines)
     text = "\n".join(lines) + ("\n" if final_newline else "")
-    assert_same_reading(text)
+    assert_same_reading(text, block)
 
 
 @pytest.mark.parametrize("name", sorted(EDITS))
 @settings(max_examples=25, deadline=None)
-@given(base=st.sampled_from(sorted(BASES)), data=st.data())
-def test_each_edit(name, base, data):
+@given(base=st.sampled_from(sorted(BASES)), block=BLOCK_SIZES, data=st.data())
+def test_each_edit(name, base, block, data):
     lines = BASES[base].split("\n")[:-1]
     EDITS[name](data.draw, lines)
-    assert_same_reading("\n".join(lines) + "\n")
+    assert_same_reading("\n".join(lines) + "\n", block)
+
+
+@pytest.mark.parametrize("block", [0, 1, 50, 1000, trace_module._BLOCK])
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_only_irregular_blocks_are_read_line_by_line(base, block, monkeypatch):
+    read_by_line = []
+    decode_lines = trace_module._decode_lines
+
+    def spy(*args):
+        read_by_line.append(args)
+        return decode_lines(*args)
+
+    monkeypatch.setattr(trace_module, "_BLOCK", block)
+    monkeypatch.setattr(trace_module, "_decode_lines", spy)
+    text = BASES[base]
+    lines = text.split("\n")
+    padded = "\n".join(f" {line}\t" if line else line for line in lines)
+    for regular in (text, text[:-1], text.replace("\n", "\r\n"), padded):
+        assert parse_trace(regular) == parse_trace(text)
+    assert read_by_line == []
+    # a blank line, an invoked value holding the text of the NUL string,
+    # and the NUL string as an invoked value each send one block down the
+    # line-by-line path, on each of the two reader calls
+    value = re.compile(r'"(payload|value)":"[^"]*"')
+    at = next(i for i, line in enumerate(lines) if '"invoke"' in line and value.search(line))
+    for edited in (
+        [*lines[:at], "", *lines[at:]],
+        *(
+            [*lines[:at], value.sub(new, lines[at], 1), *lines[at + 1 :]]
+            for new in (r'"\1":"x\\"\\u0000"', r'"\1":"\\u0000"')
+        ),
+    ):
+        read_by_line.clear()
+        text = "\n".join(edited)
+        assert parse_trace(text).rows
+        assert_same_reading(text, block)
+        assert len(read_by_line) == 2
+
+
+@pytest.mark.parametrize("block", [0, 200, trace_module._BLOCK])
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_a_split_record_beside_three_records_on_one_line(base, block):
+    # A record cut at its first comma, the comma dropped, decodes in the
+    # block's array with a separator inside it; three records on the next
+    # line make up the element count.  Only the separators' places in the
+    # array tell that block from one value per line.
+    lines = BASES[base].split("\n")
+    head, tail = lines[2].split(",", 1)
+    edited = [*lines[:2], head, tail, ",".join(lines[3:6]), *lines[6:]]
+    text = "\n".join(edited)
+    message = "line 3: invalid JSON (Expecting ',' delimiter)"
+    assert _read(reference_parse, text) == ("error", message)
+    assert_same_reading(text, block)
+
+
+@pytest.mark.parametrize("fmt", ["3.0", "3e0", "true"])
+def test_a_trace_format_that_is_not_an_integer_is_refused(fmt):
+    text = BASES["example"].replace('"trace_format":3,', f'"trace_format":{fmt},', 1)
+    assert text != BASES["example"]
+    message = (
+        f"line 1: trace format {json.loads(fmt)!r} is not supported; "
+        "this reader reads format 3 only (re-run the scenario)"
+    )
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == message
+    assert _read(reference_parse, text) == ("error", message)
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
