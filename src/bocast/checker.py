@@ -277,8 +277,7 @@ def _check_kbo(index: TraceIndex) -> list[Verdict]:
     width, antichain = poset.width(), poset.max_antichain()
     witness = None
     if width > index.k:
-        # no message is left out of the order; the key keeps pinned witnesses' bytes
-        witness = {"width": width, "antichain": antichain, "excluded": []}
+        witness = {"width": width, "antichain": antichain}
     out.append(_verdict("kbo.bounded", witness))
 
     out.extend(_termination_verdicts(index, "kbo", t1, t2))

@@ -230,9 +230,10 @@ class Simulation:
         delivery or a main step; those and every idle task's after a MEM
         write) and the crashes due at the next turn.  A token not in
         ``tokens`` raises SimulationError and writes no row, whatever its
-        type or length."""
+        type or length; so does one whose pid only equals an int (``True``,
+        ``1.0``)."""
         try:
-            known = token in self.enabled
+            known = token in self.enabled and type(token[0]) is int
         except TypeError:  # unhashable, so no token
             known = False
         if not known:
@@ -259,7 +260,7 @@ class Simulation:
             self.tokens = sorted(self.enabled)
 
     def _refusal(self, token) -> str:
-        if isinstance(token, tuple) and len(token) == 2:
+        if isinstance(token, tuple) and len(token) == 2 and type(token[0]) is int:
             return f"disabled thread {token[1]!r} of p{token[0]} at turn {self.turn}"
         return f"malformed token {token!r} at turn {self.turn}"
 

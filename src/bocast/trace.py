@@ -25,9 +25,10 @@ shared-object access, a set delivery plus its per-message deliveries),
 and a crash carries the turn at which it fires.  ``pid`` is an integer
 (not a boolean) in 1..n.  An event's step is its index in the trace,
 counted from 0; it is not written, and no row holds it.
-The outcome record's ``outcome`` is ``"quiescent"`` or
-``"budget-exhausted"`` and its ``turns`` an integer >= 0.  Crash plans
-and the step budget count scheduler turns, not events.
+The outcome record holds ``record``, ``outcome`` and ``turns`` and no
+other key: ``outcome`` is ``"quiescent"`` or ``"budget-exhausted"`` and
+``turns`` an integer >= 0.  Crash plans and the step budget count
+scheduler turns, not events.
 
 The fields the checker reads, with the types the reader requires of them
 (an *id* is a message id ``"s:i"`` in the canonical form of
@@ -116,6 +117,8 @@ TRACE_FORMAT = 3
 
 # The keys a config record holds besides the scenario's fields.
 CONFIG_RECORD_KEYS = frozenset(("record", "trace_format"))
+# The keys an outcome record holds, every one required.
+OUTCOME_RECORD_KEYS = frozenset(("record", "outcome", "turns"))
 
 
 class TraceFormatError(ValueError):
@@ -466,7 +469,7 @@ def parse_trace(text: str) -> Trace:
     line gives the value ``json.loads`` gives for it alone, so the
     records, messages and line numbers are those of a line-by-line reader.
     """
-    from .scenario import ConfigError, ScenarioConfig
+    from .scenario import ConfigError, ScenarioConfig, reject_unknown_keys
 
     config = None
     n = 0
@@ -559,12 +562,16 @@ def parse_trace(text: str) -> Trace:
                     raise TraceFormatError(f"line {lineno}: {exc}") from exc
                 n = config.n
             elif record == "outcome":
+                try:
+                    reject_unknown_keys(rec, OUTCOME_RECORD_KEYS, "outcome record")
+                except ConfigError as exc:
+                    raise TraceFormatError(f"line {lineno}: {exc}") from exc
                 outcome = rec.get("outcome")
                 if outcome not in OUTCOMES:
                     raise TraceFormatError(
                         f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
                     )
-                turns = rec.get("turns", 0)
+                turns = rec.get("turns")
                 if type(turns) is not int or turns < last_turn:
                     raise TraceFormatError(
                         f"line {lineno}: turns must be an integer >= 0 and >= the last event's turn"

@@ -350,6 +350,16 @@ def brute_force_width(poset: Poset) -> int:
     ))
 
 
+def naive_is_strict_order(elements, less) -> bool:
+    """Set-based definition: irreflexive, antisymmetric and transitive.
+    ``less[x]`` is the set of elements strictly above x."""
+    return all(
+        x not in less[x]
+        and all(x not in less[y] and less[y] <= less[x] for y in less[x])
+        for x in elements
+    )
+
+
 def from_edges(elements, edges, key=None) -> Poset:
     """Poset from cover/arbitrary forward edges; closes transitively.
 

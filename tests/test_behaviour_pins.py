@@ -17,7 +17,10 @@ every byte of trace format 3.
 Three entries are forged traces, checked in under ``scenarios/forged/``
 and pinned under the path of the scenario that once prescribed their
 deliveries.  Their behaviour and verdicts are pinned; their bytes are
-the checked-in file, so no trace digest is.
+the checked-in file, so no trace digest is.  The width-3 antichain
+trace's verdict digest, the one ``verdict_digests.json`` pins too, was
+taken again when the ``kbo.bounded`` witness dropped its always empty
+``excluded`` list.
 """
 
 from __future__ import annotations

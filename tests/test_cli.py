@@ -716,6 +716,14 @@ def negative_turns(rec):
     rec["turns"] = -1
 
 
+def no_turns(rec):
+    del rec["turns"]
+
+
+def extra_outcome_key(rec):
+    rec["extra"] = 1
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -730,6 +738,8 @@ def negative_turns(rec):
         _edit_first('"invoke"', list_payload),
         _edit_first('"record":"outcome"', weird_outcome),
         _edit_first('"record":"outcome"', negative_turns),
+        _edit_first('"record":"outcome"', no_turns),
+        _edit_first('"record":"outcome"', extra_outcome_key),
     ],
     ids=lambda edit: edit.__name__,
 )

@@ -110,12 +110,14 @@ class TestStepGate:
         assert sim.recorder.rows == [[0, 2, "crash", {}]] and sim.turn == 0
 
     MALFORMED = [(1, "bogus"), (0, "main"), (4, "task"), (-1, "main")]
-    # an unhashable pair, then tokens that are no (pid, thread) pair at all
-    ODD = [(1, ["task"]), [1, "task"], 5, (1, "main", 0), (1,)]
+    # an unhashable pair, tokens that are no (pid, thread) pair at all,
+    # then pairs whose pid only equals an int
+    ODD = [(1, ["task"]), [1, "task"], 5, (1, "main", 0), (1,),
+           (1.0, "main"), (True, "main"), (True, "task")]
 
     def refused(self, sim, token):
         rows, turn, tokens = list(sim.recorder.rows), sim.turn, list(sim.tokens)
-        if isinstance(token, tuple) and len(token) == 2:
+        if isinstance(token, tuple) and len(token) == 2 and type(token[0]) is int:
             message = f"disabled thread {token[1]!r} of p{token[0]} at turn {turn}"
         else:
             message = f"malformed token {token!r} at turn {turn}"
@@ -136,7 +138,9 @@ class TestStepGate:
         sim = Simulation(self.config(crash_plan=((3, 2),)))
         for _ in range(5):
             sim.step(sim.tokens[0])
-        assert [2, 3, "crash", {}] in sim.recorder.rows and token not in sim.tokens
+        assert [2, 3, "crash", {}] in sim.recorder.rows
+        # (True, "task") equals p1's enabled task token and is still refused
+        assert token not in sim.tokens or token == (True, "task")
         assert self.refused(sim, token) and sim.turn == 5
 
 

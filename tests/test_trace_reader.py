@@ -114,12 +114,17 @@ def reference_parse(text: str):
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
             n = config.n
         elif record == "outcome":
+            unknown = rec.keys() - {"record", "outcome", "turns"}
+            if unknown:
+                raise TraceFormatError(
+                    f"line {lineno}: unknown outcome record field {min(unknown)!r}"
+                )
             outcome = rec.get("outcome")
             if outcome not in OUTCOMES:
                 raise TraceFormatError(
                     f"line {lineno}: outcome {outcome!r} is not one of {', '.join(OUTCOMES)}"
                 )
-            turns = rec.get("turns", 0)
+            turns = rec.get("turns")
             if type(turns) is not int or turns < last_turn:
                 raise TraceFormatError(
                     f"line {lineno}: turns must be an integer >= 0 and >= the last event's turn"
