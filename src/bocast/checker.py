@@ -40,8 +40,6 @@ from .messages import msg_key, sort_ids
 from .poset import Poset, order_bitsets
 from .trace import OBJECT_NAME, Trace, pauses_cyclic_gc
 
-ALL_SUITES = ("kbo", "kscd", "k2s", "snapshot", "ksa", "roundsync")
-
 
 class CheckerError(ValueError):
     pass
@@ -641,6 +639,7 @@ _SUITE_FUNCS = {
     "ksa": _check_ksa,
     "roundsync": _check_roundsync,
 }
+ALL_SUITES = tuple(_SUITE_FUNCS)
 
 
 @pauses_cyclic_gc

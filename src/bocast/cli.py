@@ -80,13 +80,15 @@ def cmd_run(args) -> int:
 
 def _suites(arg: str | None) -> tuple[str, ...]:
     """The suites a ``--suites`` comma list names (all when it is not
-    given); CheckerError on a name that is not a suite."""
+    given); CheckerError on a name that is not a suite or is named twice."""
     if not arg:
         return ALL_SUITES
     suites = tuple(arg.split(","))
-    for suite in suites:
+    for i, suite in enumerate(suites):
         if suite not in ALL_SUITES:
             raise CheckerError(f"unknown suite {suite!r}; the suites are {','.join(ALL_SUITES)}")
+        if suite in suites[:i]:
+            raise CheckerError(f"suite {suite!r} is named twice")
     return suites
 
 

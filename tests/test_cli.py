@@ -18,7 +18,6 @@ from bocast.sim import SimulationError, run_scenario
 from bocast.trace import parse_trace, read_trace, serialize_trace, write_trace
 
 from _drivers import forged_trace, shuffled
-from _format2 import format2_text
 
 GOLDEN_DIR = Path("scenarios/golden")
 GOLDEN_ENTRY = "width2_broadcast"
@@ -185,6 +184,24 @@ def test_check_fails_on_forged_trace(capsys):
     assert rec["witness"]["antichain"] == ["1:0", "2:0", "3:0"]
 
 
+# the failed verdicts of decide_then_crash.trace: p1 decides a and crashes, p2 decides b
+DECIDE_THEN_CRASH = [
+    '{"property":"ksa.agreement","pass":false,"witness":{"instance":0,"values":["a","b"],"k":1}}',
+    '{"property":"kbo.bounded","pass":false,"witness":{"width":2,"antichain":["1:0","2:0"]}}',
+]
+
+
+@pytest.mark.parametrize("path", sorted(Path("scenarios/forged").glob("*.trace")), ids=lambda p: p.stem)
+def test_each_forged_trace_fails_check_and_decomposes(capsys, path):
+    # every verdict of these traces is pinned in pins.json
+    assert main(["check", "--trace", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    if path.stem == "decide_then_crash":
+        assert set(DECIDE_THEN_CRASH) <= set(out)
+    assert main(["decompose", "--trace", str(path)]) in (0, 1)
+    assert capsys.readouterr().out.startswith("width ")
+
+
 def test_check_rejects_corrupted_trace(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     lines = GOLDEN_TRACE.read_text().splitlines()
@@ -294,7 +311,7 @@ def test_fuzz_200_seeds_all_pass(tmp_path, capsys):
     # sampled crash plans: sizes recorded for every run
     assert sum(int(c) for c in summary["crash_plan_sizes"].values()) == 200
     assert not list(out_dir.glob("fail-*.trace"))
-    # the summary bytes are pinned, like the verdicts in verdict_digests.json
+    # the summary bytes are pinned, like the verdicts in pins.json
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == (
         "fc4fe5d9253370bb8169d36b0c821936f72150c5bddcb8e4f24419c3781b4af1"
     )
@@ -308,6 +325,7 @@ def test_fuzz_zero_seeds_is_an_empty_success(tmp_path):
     (["--seeds", "1", "--suites", "bogus"], "unknown suite 'bogus'"),
     (["--seeds", "1", "--suites", "kbo,"], "unknown suite ''"),
     (["--seeds", "-1"], "--seeds must be >= 0"),
+    (["--seeds", "3", "--suites", "kbo,kbo"], "suite 'kbo' is named twice"),
 ])
 def test_fuzz_arguments_are_checked_before_any_run(tmp_path, args, message):
     out_dir = tmp_path / "fuzz"
@@ -505,20 +523,14 @@ def _assert_rejected(proc, lineno):
     assert proc.stdout == ""
 
 
-def test_check_rejects_a_format_1_trace(tmp_path):
-    old = tmp_path / "format1.trace"
-    old.write_text(GOLDEN_TRACE.read_text().replace('"trace_format":3,', "", 1))
+@pytest.mark.parametrize("fmt, key", [(1, ""), (2, '"trace_format":2,')], ids=["1", "2"])
+def test_check_rejects_an_earlier_trace_format(tmp_path, fmt, key):
+    # format 1 had no trace_format key; the version alone refuses format 2
+    old = tmp_path / f"format{fmt}.trace"
+    old.write_text(GOLDEN_TRACE.read_text().replace('"trace_format":3,', key, 1))
     proc = _check_subprocess(old)
     _assert_rejected(proc, 1)
-    assert "line 1: trace format 1 is not supported" in proc.stderr
-
-
-def test_check_rejects_a_format_2_trace(tmp_path):
-    old = tmp_path / "format2.trace"
-    old.write_text(format2_text(run_scenario(load_scenario(GOLDEN_SCENARIO))), encoding="utf-8")
-    proc = _check_subprocess(old)
-    _assert_rejected(proc, 1)
-    assert "line 1: trace format 2 is not supported" in proc.stderr
+    assert f"line 1: trace format {fmt} is not supported" in proc.stderr
 
 
 def test_a_run_delivering_an_unbroadcast_id_checks_as_a_validity_failure(tmp_path):
@@ -667,6 +679,14 @@ def _null_write_args(lines):
     return i
 
 
+def _split_record(lines):
+    # a line end where JSON allows whitespace still ends the record
+    i = next(i for i, line in enumerate(lines) if '"deliver-set"' in line)
+    head, tail = lines[i].split('"round":', 1)
+    lines[i:i + 1] = [head, '"round":' + tail]
+    return i
+
+
 def _edit_first(marker, change):
     """An edit that applies ``change`` to the first record whose line
     holds ``marker``."""
@@ -686,6 +706,10 @@ def _edit_first(marker, change):
 
 def drop_object(rec):
     del rec[2]
+
+
+def junk_result(rec):
+    rec[5] = "junk"
 
 
 def null_set(rec):
@@ -724,31 +748,41 @@ def extra_outcome_key(rec):
     rec["extra"] = 1
 
 
+TURNS = "turns must be an integer >= 0 and >= the last event's turn"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        _insert_list_record,
-        _null_snapshot_result,
-        _null_write_args,
-        _edit_first('"MEM"', drop_object),
-        _edit_first('"deliver-set"', null_set),
-        _edit_first('"invoke"', pid_99),
-        _edit_first('"invoke"', str_turn),
-        _edit_first('"invoke"', bool_pid),
-        _edit_first('"invoke"', list_payload),
-        _edit_first('"record":"outcome"', weird_outcome),
-        _edit_first('"record":"outcome"', negative_turns),
-        _edit_first('"record":"outcome"', no_turns),
-        _edit_first('"record":"outcome"', extra_outcome_key),
+        pytest.param(edit, message, id=edit.__name__)
+        for edit, message in [
+            (_insert_list_record, "an event has 4 or 6 fields, not 1"),
+            (_null_snapshot_result, "a MEM snapshot with malformed args or result"),
+            (_null_write_args, "a MEM write with malformed args or result"),
+            (_edit_first('"MEM","write"', junk_result), "a MEM write with malformed args or result"),
+            (_edit_first('"MEM"', drop_object), "an event has 4 or 6 fields, not 5"),
+            (_edit_first('"deliver-set"', null_set), "a deliver-set needs 'set' to be a list"),
+            (_split_record, "invalid JSON"),
+            (_edit_first('"invoke"', pid_99), "pid 99 is not in 1..3"),
+            (_edit_first('"invoke"', str_turn), "an event turn must be an integer >= 0"),
+            (_edit_first('"invoke"', bool_pid), "pid True is not in 1..3"),
+            (_edit_first('"invoke"', list_payload), "an event payload must be a JSON object"),
+            (_edit_first('"record":"outcome"', weird_outcome), "outcome 'weird' is not one of"),
+            (_edit_first('"record":"outcome"', negative_turns), TURNS),
+            (_edit_first('"record":"outcome"', no_turns), TURNS),
+            (_edit_first('"record":"outcome"', extra_outcome_key),
+             "unknown outcome record field 'extra'"),
+        ]
     ],
-    ids=lambda edit: edit.__name__,
 )
-def test_check_rejects_malformed_records_naming_the_line(tmp_path, edit):
+def test_check_rejects_malformed_records_naming_the_line(tmp_path, edit, message):
     lines = _example_lines()
     lineno = edit(lines) + 1
     bad = tmp_path / "bad.trace"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _assert_rejected(_check_subprocess(bad), lineno)
+    proc = _check_subprocess(bad)
+    _assert_rejected(proc, lineno)
+    assert f"line {lineno}: {message}" in proc.stderr
 
 
 def _edited_example(tmp_path, lineno: int, old: str, new: str) -> Path:
@@ -792,6 +826,20 @@ def test_a_mem_write_that_is_not_a_count_fails_replay(tmp_path, value):
     assert "Traceback" not in proc.stderr
     replay = _verdicts(proc)["snapshot.replay"]
     assert replay["witness"] == {"object": "MEM", "step": 8, "cell": 1}
+
+
+def test_a_snap1_cell_written_twice_fails_containment(tmp_path, capsys):
+    # p3 writes 2:0 over its 1:0, and one later snapshot shows the new value
+    lines = _example_lines()
+    first = next(i for i, line in enumerate(lines) if '"SNAP1[0]","snapshot"' in line)
+    lines.insert(first + 1, '[13,3,"SNAP1[0]","write",["2:0"],null]')
+    path = tmp_path / "rewrite.trace"
+    path.write_text("\n".join(lines).replace('["3:0","3:0","1:0"]', '["3:0","3:0","2:0"]') + "\n",
+                    encoding="utf-8")
+    assert main(["check", "--trace", str(path)]) == 1
+    verdicts = map(json.loads, capsys.readouterr().out.splitlines())
+    containment = next(rec for rec in verdicts if rec["property"] == "snapshot.containment")
+    assert containment["witness"] == {"object": "SNAP1[0]", "pids": [3, 2], "steps": [16, 24]}
 
 
 def test_k2s_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
@@ -940,17 +988,20 @@ def test_every_payload_field_edit_exits_0_1_or_2(tmp_path, capsys, example_shape
 
 def test_line_separator_characters_in_values_round_trip(tmp_path):
     """U+2028, U+2029 and U+0085 are written raw (no ASCII escaping) and
-    are not line ends, so a trace holding them reads back unchanged."""
+    are not line ends, so a trace holding them reads back unchanged; so
+    does the NUL string, written escaped."""
     odd = "a\u2028b\u2029c\u0085d"
     obj = json.loads(EXAMPLE_SCENARIO.read_text(encoding="utf-8"))
     obj["workload"]["1"][0]["value"] = "red" + odd
     obj["workload"]["3"][1]["payload"] = "note" + odd
+    obj["workload"]["1"].append({"op": "broadcast", "payload": "\0"})
     scen = tmp_path / "odd.scenario.json"
     scen.write_text(json.dumps(obj), encoding="utf-8")
     out = tmp_path / "odd.trace"
     assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     assert "\u2028" in text and "\u2029" in text and "\u0085" in text
+    assert '"payload":"\\u0000"' in text
     assert serialize_trace(parse_trace(text)) == text
     proc = _check_subprocess(out)
     assert proc.returncode == 0, proc.stderr
@@ -958,8 +1009,11 @@ def test_line_separator_characters_in_values_round_trip(tmp_path):
 
 
 def test_unknown_suite_is_a_usage_error(capsys):
-    assert main(["check", "--trace", str(GOLDEN_TRACE), "--suites", "kbo,bogus"]) == 2
-    assert "unknown suite" in capsys.readouterr().err
+    for suites, message in [("kbo,bogus", "unknown suite 'bogus'"),
+                            ("kbo,kbo", "suite 'kbo' is named twice")]:
+        assert main(["check", "--trace", str(GOLDEN_TRACE), "--suites", suites]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 def test_usage_error_exit_code():
@@ -1043,6 +1097,18 @@ def test_a_lone_cr_inside_a_record_checks_as_the_lf_trace(tmp_path):
     assert read_trace(edited).rows == parse_trace(text).rows
 
 
+def test_crlf_line_ends_and_a_blank_line_check_as_the_lf_trace(tmp_path, capsys):
+    lines = _example_lines()
+    plain = tmp_path / "lf.trace"
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    crlf = tmp_path / "crlf.trace"
+    crlf.write_bytes(("\r\n".join([lines[0], "", *lines[1:]]) + "\r\n").encode("utf-8"))
+    assert main(["check", "--trace", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["check", "--trace", str(crlf)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_a_byte_that_is_not_utf8_is_named_on_its_line_counting_lf_only(tmp_path):
     data = "\n".join(_example_lines()).encode("utf-8")
     first, rest = data.split(b"\n", 1)
@@ -1073,7 +1139,9 @@ def test_check_refuses_an_event_payload_that_is_not_an_object(tmp_path):
     (lambda o: o.update(schedule_policy={"policy": "round-robin"}),
      "unrecognized schedule_policy {'policy': 'round-robin'}"),
     (lambda o: o.update(crash_plan=[[2, -1]]), "crash turn must be >= 0 (got -1 for p2)"),
-], ids=["policy-object", "negative-crash-turn"])
+    (lambda o: o.update(schedule_policy={"policy": "scripted", "script": [[1, "task"]]}),
+     "simulation error: disabled thread 'task' of p1 at turn 0"),
+], ids=["policy-object", "negative-crash-turn", "disabled-thread"])
 def test_run_refuses_a_scenario_value_naming_it(tmp_path, capsys, edit, message):
     out = tmp_path / "t.trace"
     assert main(["run", "--scenario", str(_scenario_with(tmp_path, edit)), "--out", str(out)]) == 2
@@ -1135,6 +1203,20 @@ def test_fuzz_exits_1_for_failing_seeds_alone(tmp_path, capsys):
                  "--out", str(out_dir)]) == 1
     assert (out_dir / "fail-00000.trace").is_file()
     assert json.loads(capsys.readouterr().out)["errors"] == []
+
+
+@pytest.mark.parametrize("edit, code", [
+    ({"oracle_policy": "first-1"}, 0),
+    ({"oracle_policy": "first-k-plus-one-permissive"}, 0),
+    ({"oracle_policy": "echo"}, 1),  # five distinct values and k = 2
+    ({"schedule_policy": "round-robin"}, 0),
+], ids=["first-1", "permissive", "echo", "round-robin"])
+def test_fuzz_exits_by_the_verdicts_of_its_seeds(tmp_path, capsys, edit, code):
+    template = _edited_template(tmp_path, edit)
+    assert main(["fuzz", "--template", str(template), "--seeds", "20"]) == code
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["errors"] == []
+    assert bool(summary["failing_seed_indices"]) == (code == 1)
 
 
 def test_fuzz_exits_2_after_its_summary_when_a_seed_cannot_run(tmp_path, capsys):

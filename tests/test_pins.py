@@ -1,30 +1,46 @@
-"""Verdict pins: the verdict bytes of the checked-in traces, of 50 fuzz
-template seeds and of seeded mutations of some of those traces must stay
-as ``verdict_digests.json`` records them.  Each digest is the sha256 of
-``serialize_verdicts(check_all(trace))``.
+"""Pins of the behaviour contract, one table for every trace: each
+checked-in trace, and each run of fuzz template seeds 0-49, is produced
+once and must give what ``pins.json`` records.
+
+Each trace has three digests:
+
+- ``behaviour``: sha256 over one ``[pid, kind, payload]`` JSON line
+  (keys sorted) per invoke, return, deliver-set, deliver-msg, decide and
+  crash event; the digest the benchmark gate uses.  These were taken
+  before MEM events became counts (trace format 2), which changed no
+  behaviour;
+- ``verdicts``: sha256 of ``serialize_verdicts(check_all(trace))``;
+- ``trace``: sha256 of the serialized trace, which holds
+  ``serialize_trace`` to every byte of trace format 3.  Only a run of
+  the stack has one; a forged trace's bytes are its checked-in file.
+
+Format 2 byte pins, taken with that format's per-record writer, are no
+longer kept: ``parse_trace`` recovers a format-3 trace's config, rows,
+outcome and turns exactly, and format 2 text is a function of those, so
+equal format-3 bytes imply equal format-2 text.
+
+The forged traces live under ``scenarios/forged/``.  Three of them were
+each first the run of a scenario (or trace) that prescribed their
+deliveries and are still pinned under that path (``FORGED``), because
+they are also mutation bases: the hash of a mutant's name, made from its
+base's key, picks the mutation's target.
 
 The mutations forge what the checker exists to catch: a dropped
 delivery, a duplicated event line, a forged deliver-set member, a bumped
 MEM count, a blanked snapshot cell and a non-quiescent outcome.  Each one
 edits the JSON records of a serialized trace and parses the result, so
 every mutant is a trace ``bocast check`` accepts; an event's step is its
-position, so the steps stay numbered from 0 without gaps.  The target of
-a mutation is picked by a hash of its name.  The mutants were first made
-from trace format 2 records, which numbered their steps explicitly; on
-format 3 records they give the same digests.
+position, so the steps stay numbered from 0 without gaps.  The mutants
+were first made from trace format 2 records, which numbered their steps
+explicitly; on format 3 records they give the same digests.
 
-The digests were computed before ``kbo`` and ``kscd`` shared one law core
-and ``snapshot`` read each object once, so they hold that checker to the
-verdicts and witnesses of the one before it.  The six whose ``kbo.bounded``
-fails (the width-3 antichain trace and five of its mutants) were taken
-again when that witness dropped its always empty ``excluded`` list; with
-the list put back, their verdict bytes are the earlier ones.
-
-Three of the bases are forged traces, checked in under
-``scenarios/forged/``.  Each was first the run of a scenario that
-prescribed its deliveries, and each is still pinned under that
-scenario's (or trace's) path: the hash of that key picks the targets of
-its mutations.
+The verdict digests were computed before ``kbo`` and ``kscd`` shared one
+law core and ``snapshot`` read each object once, so they hold the checker
+to the verdicts and witnesses of the one before it.  The six whose
+``kbo.bounded`` fails (the width-3 antichain trace and five of its
+mutants) were taken again when that witness dropped its always empty
+``excluded`` list; with the list put back, their verdict bytes are the
+earlier ones.
 """
 
 from __future__ import annotations
@@ -42,10 +58,11 @@ from bocast.scenario import load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import parse_trace, read_trace, serialize_trace
 
-PINS = json.loads((Path(__file__).parent / "verdict_digests.json").read_text(encoding="utf-8"))
+PINS = json.loads((Path(__file__).parent / "pins.json").read_text(encoding="utf-8"))
 TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
 EXAMPLE = "scenarios/examples/n3_k2_propose.scenario.json"
-# pin key -> the forged trace pinned under it
+BEHAVIOUR_KINDS = {"invoke", "return", "deliver-set", "deliver-msg", "decide", "crash"}
+# pin key -> the forged trace pinned under it, where the two differ
 FORGED = {
     "scenarios/golden/width2_profile.trace": "scenarios/forged/width2_profile.trace",
     "scenarios/negative/ordering_breach.scenario.json": "scenarios/forged/ordering_breach.trace",
@@ -68,8 +85,35 @@ MUST_FAIL = (
 )
 
 
+def behaviour_digest(trace) -> str:
+    h = hashlib.sha256()
+    for ev in trace.events:
+        if ev.kind in BEHAVIOUR_KINDS:
+            h.update(json.dumps([ev.pid, ev.kind, ev.payload], sort_keys=True).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
 def verdict_digest(trace) -> str:
     return hashlib.sha256(serialize_verdicts(check_all(trace)).encode()).hexdigest()
+
+
+def trace_digest(trace) -> str:
+    return hashlib.sha256(serialize_trace(trace).encode("utf-8")).hexdigest()
+
+
+def checked_in_trace(key: str):
+    """The trace pinned under ``key``: a forged trace as it is checked in,
+    or the run of a checked-in scenario."""
+    path = FORGED.get(key, key)
+    if path.endswith(".trace"):
+        return read_trace(path)
+    return run_scenario(load_scenario(Path(path)))
+
+
+def template_trace(seed_index: int):
+    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    return run_scenario(instantiate_template(template, seed_index))
 
 
 def _pick(name: str, candidates: list):
@@ -196,18 +240,17 @@ MUTATIONS = {
 }
 
 
-def _template_trace(seed_index: int):
-    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
-    return run_scenario(instantiate_template(template, seed_index))
+def _bases(checked_in: dict, templates: list) -> dict:
+    bases = {key: checked_in[key] for key in (*FORGED, EXAMPLE)}
+    for i in MUTATED_TEMPLATE_SEEDS:
+        bases[f"template-seed-{i}"] = templates[i]
+    return bases
 
 
 def base_traces() -> dict:
     """The traces that are pinned as they are and then mutated."""
-    bases = {key: read_trace(path) for key, path in FORGED.items()}
-    bases[EXAMPLE] = run_scenario(load_scenario(Path(EXAMPLE)))
-    for i in MUTATED_TEMPLATE_SEEDS:
-        bases[f"template-seed-{i}"] = _template_trace(i)
-    return bases
+    checked_in = {key: checked_in_trace(key) for key in (*FORGED, EXAMPLE)}
+    return _bases(checked_in, [template_trace(i) for i in MUTATED_TEMPLATE_SEEDS])
 
 
 def mutants(bases: dict):
@@ -224,24 +267,38 @@ def mutants(bases: dict):
 
 
 @pytest.fixture(scope="module")
-def bases():
-    return base_traces()
+def checked_in():
+    return {key: checked_in_trace(key) for key in PINS["traces"]}
 
 
-def test_checked_in_traces(bases):
-    got = {name: verdict_digest(bases[name]) for name in (*FORGED, EXAMPLE)}
-    assert got == PINS["traces"]
+@pytest.fixture(scope="module")
+def templates():
+    return [template_trace(i) for i in range(len(PINS["fuzz_template_seeds_0_49"]["behaviour"]))]
 
 
-def test_fuzz_template_seed_verdicts():
-    got = [verdict_digest(_template_trace(i)) for i in range(len(PINS["fuzz_template_seeds_0_49"]))]
-    assert got == PINS["fuzz_template_seeds_0_49"]
+@pytest.mark.parametrize("key", sorted(PINS["traces"]))
+def test_checked_in_trace(checked_in, key):
+    pins = PINS["traces"][key]
+    trace = checked_in[key]
+    if FORGED.get(key, key).endswith(".trace"):
+        assert pins.keys() == {"behaviour", "verdicts"}
+    else:
+        assert trace_digest(trace) == pins["trace"]
+    assert behaviour_digest(trace) == pins["behaviour"]
+    assert verdict_digest(trace) == pins["verdicts"]
 
 
-def test_mutant_verdicts_and_the_laws_they_break(bases):
+def test_fuzz_template_seeds(templates):
+    pins = PINS["fuzz_template_seeds_0_49"]
+    assert [trace_digest(t) for t in templates] == pins["trace"]
+    assert [behaviour_digest(t) for t in templates] == pins["behaviour"]
+    assert [verdict_digest(t) for t in templates] == pins["verdicts"]
+
+
+def test_mutant_verdicts_and_the_laws_they_break(checked_in, templates):
     got = {}
     failed = set()
-    for name, trace in mutants(bases):
+    for name, trace in mutants(_bases(checked_in, templates)):
         verdicts = check_all(trace)
         got[name] = hashlib.sha256(serialize_verdicts(verdicts).encode()).hexdigest()
         failed.update(v.property for v in verdicts if v.failed)

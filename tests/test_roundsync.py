@@ -15,7 +15,7 @@ from bocast.checker import TraceIndex, Verdict, _check_roundsync
 from bocast.trace import Event, Trace
 
 from _drivers import stack_config, trace_of_events
-from test_verdict_pins import PINS, base_traces, mutants
+from test_pins import PINS, base_traces, mutants
 
 
 def reference_roundsync(index: TraceIndex) -> list[Verdict]:

@@ -33,7 +33,7 @@ from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, parse_trace
 
 from _drivers import sampled_stack_config, stack_config, trace_of_events
-from test_verdict_pins import base_traces, mutants
+from test_pins import base_traces, mutants
 
 
 def _canon(cell):
