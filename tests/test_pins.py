@@ -288,10 +288,14 @@ def test_checked_in_trace(checked_in, key):
     assert verdict_digest(trace) == pins["verdicts"]
 
 
-def test_fuzz_template_seeds(templates):
+def test_fuzz_template_seed_behaviour(templates):
     pins = PINS["fuzz_template_seeds_0_49"]
     assert [trace_digest(t) for t in templates] == pins["trace"]
     assert [behaviour_digest(t) for t in templates] == pins["behaviour"]
+
+
+def test_fuzz_template_seed_verdicts(templates):
+    pins = PINS["fuzz_template_seeds_0_49"]
     assert [verdict_digest(t) for t in templates] == pins["verdicts"]
 
 
