@@ -19,8 +19,8 @@ chain decomposition, and evaluates the property suites:
                  round all non-faulty processes participate in, their
                  cumulative deliveries coincide again within k rounds.
                  This is a law of the protocol implementation, not of the
-                 abstraction itself, so it only makes sense on stack
-                 traces.
+                 abstraction itself, yet it runs on every trace: one with
+                 no object accesses, made by no stack, can fail it.
 
 Liveness properties (terminations, round synchronization) are evaluated
 only on quiescent traces and reported as not-evaluated otherwise.  All

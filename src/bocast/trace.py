@@ -85,8 +85,18 @@ In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
 ``Recorder`` builds the same lists, so the run, the writer, the reader
 and the checker's index all handle one list per event and nothing else.
-``Trace.events`` is a view for readers outside the package: it builds
-``Event`` records from the rows on each call.
+The reader's rows share what the simulator's share.  Each written cell
+of a SNAP1[r] or SNAP2[r] snapshot is the very value its writer's row
+holds as ``args[0]``: the reader keeps each such object's cells as
+written so far, and stores a snapshot whose args are null and whose
+result equals those cells as a copy of them.  That snapshot needs no
+check of its own, since a JSON value equal to a string, to null or to
+a list of strings is one, and each written cell passed its write's
+check.  Any other snapshot is checked in full.  MEM cells are small
+ints and are not shared.  So the rows are read-only: a change to one
+cell would change the other rows that hold it.  ``Trace.events`` is a
+view for readers outside the package: it builds ``Event`` records from
+the rows on each call.
 """
 
 from __future__ import annotations
@@ -171,7 +181,9 @@ class Event:
 class Trace:
     """A trace in memory: its config, its events as format-3 rows (the
     lists the file holds, one per event, in trace order), its outcome and
-    its turn count."""
+    its turn count.  The rows are read-only: each is a list of its own,
+    but a SNAP1[r] or SNAP2[r] snapshot shares its written cells with the
+    rows of their writes, in a run's rows and in a parsed trace's alike."""
 
     config: "ScenarioConfig"
     rows: list[list]
@@ -480,6 +492,7 @@ def parse_trace(text: str) -> Trace:
     turns = 0
     ids: set = set()  # the message ids found well formed so far
     families: dict = {}  # object name -> its checks by op, for the names seen
+    written: dict = {}  # SNAP1[r] or SNAP2[r] -> its n cells, as written so far
     payloads = _PAYLOADS
     find, size_of_text = text.find, len(text)
     # where the last block ends: before a final "\n", which ends a line
@@ -524,15 +537,25 @@ def parse_trace(text: str) -> Trace:
                         check = families[name][op]
                     except (KeyError, TypeError):  # not seen yet, or no string
                         check = _access_check(name, op, families, lineno)
-                    if not check(args, result, ids):
+                        if name[0] == "S":  # SNAP1[r] or SNAP2[r], seen first
+                            written[name] = [None] * n
+                    cells = written.get(name)
+                    if cells is not None and op == "snapshot" and args is None and result == cells:
+                        # the cells written so far, each value checked at its
+                        # write: the row shares them, as the simulator's does
+                        rec[5] = cells[:]
+                    elif not check(args, result, ids):
                         raise TraceFormatError(
                             f"line {lineno}: a {name} {op} with malformed args or result"
                         )
-                    if op == "snapshot" and len(result) != n:
-                        raise TraceFormatError(
-                            f"line {lineno}: a {name} snapshot holds {len(result)} cells, "
-                            f"not n = {n}"
-                        )
+                    elif op == "snapshot":
+                        if len(result) != n:
+                            raise TraceFormatError(
+                                f"line {lineno}: a {name} snapshot holds {len(result)} cells, "
+                                f"not n = {n}"
+                            )
+                    elif cells is not None:  # a SNAP1 or SNAP2 write
+                        cells[pid - 1] = args[0]
                 elif type(kind) is not str or kind not in payloads:
                     raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
                 else:

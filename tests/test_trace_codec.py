@@ -16,6 +16,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bocast.checker import check_all
 from bocast.scenario import WorkItem
 from bocast.trace import Event, Trace, TraceFormatError, parse_trace, serialize_trace
 
@@ -203,6 +204,72 @@ def test_parse_rejects_malformed_events_naming_the_line(record, message):
     lines.insert(2, record)
     with pytest.raises(TraceFormatError, match="line 3: " + message):
         parse_trace("\n".join(lines))
+
+
+# A snapshot of a one-shot object that equals the cells written so far is
+# read without a type check; any other snapshot is checked in full.  These
+# place one after two writes to its object, on line 4.
+_WRITES = {
+    "SNAP1[0]": ['[0,1,"SNAP1[0]","write",["a"],null]', '[0,2,"SNAP1[0]","write",["b"],null]'],
+    "SNAP2[0]": [
+        '[0,1,"SNAP2[0]","write",[["a"]],null]', '[0,2,"SNAP2[0]","write",[["a","b"]],null]'
+    ],
+}
+
+
+def _after_writes(name: str, record: str) -> str:
+    config, *_events, outcome = _two_event_lines()
+    return "\n".join([config, *_WRITES[name], record, outcome])
+
+
+_MALFORMED = "snapshot with malformed args or result"
+
+
+@pytest.mark.parametrize(
+    "name, args, result, message",
+    [
+        ("SNAP1[0]", "null", '["a",1,null,null]', _MALFORMED),
+        ("SNAP2[0]", "null", '[["a"],"a",null,null]', _MALFORMED),
+        ("SNAP2[0]", "null", '[["a"],["a",1],null,null]', _MALFORMED),
+        ("SNAP1[0]", "[]", '["a","b",null,null]', _MALFORMED),
+        ("SNAP2[0]", '["x"]', '[["a"],["a","b"],null,null]', _MALFORMED),
+        ("SNAP1[0]", "null", '["a","b",null,null,null]', "snapshot holds 5 cells, not n = 4"),
+        ("SNAP2[0]", "null", '[["a"],["a","b"],null,null,null]',
+         "snapshot holds 5 cells, not n = 4"),
+    ],
+    ids=[
+        "snap1-int-cell", "snap2-str-cell", "snap2-int-member", "snap1-args-equal-cells",
+        "snap2-args-equal-cells", "snap1-n-plus-1-cells", "snap2-n-plus-1-cells",
+    ],
+)
+def test_a_snapshot_after_writes_is_checked_in_full_unless_it_equals_them(
+    name, args, result, message
+):
+    text = _after_writes(name, f'[0,1,"{name}","snapshot",{args},{result}]')
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == f"line 4: a {name} {message}"
+
+
+def test_a_write_whose_result_equals_the_cells_is_refused():
+    text = _after_writes("SNAP1[0]", '[0,3,"SNAP1[0]","write",null,["a","b",null,null]]')
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == "line 4: a SNAP1[0] write with malformed args or result"
+
+
+@pytest.mark.parametrize(
+    "name, result",
+    [("SNAP1[0]", '["a",null,null,null]'), ("SNAP2[0]", '[["a"],null,null,null]')],
+    ids=["snap1", "snap2"],
+)
+def test_a_well_typed_snapshot_unequal_to_the_writes_is_read_and_fails_replay(name, result):
+    text = _after_writes(name, f'[0,1,"{name}","snapshot",null,{result}]')
+    trace = parse_trace(text)
+    assert trace.rows[2][5] == json.loads(result)
+    assert serialize_trace(trace) == text + "\n"
+    (replay,) = (v for v in check_all(trace) if v.property == "snapshot.replay")
+    assert replay.witness == {"object": name, "step": 2, "cell": 2}
 
 
 def test_turns_below_the_last_event_turn_are_rejected():

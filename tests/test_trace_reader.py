@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,15 +28,19 @@ from hypothesis import given, settings, strategies as st
 
 from bocast import trace as trace_module
 from bocast.checker import check_all
-from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
+from bocast.cli import instantiate_template
+from bocast.scenario import ConfigError, ScenarioConfig, WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import (
     CONFIG_RECORD_KEYS, OUTCOMES, TRACE_FORMAT, Event, TraceFormatError, _PAYLOADS,
     _access_check, _payload_error, parse_trace, serialize_trace,
 )
 
+from _drivers import sampled_stack_config, stack_config
+
 EXAMPLE = Path("scenarios/examples/n3_k2_propose.scenario.json")
 GOLDEN_TRACE = Path("scenarios/golden/width2_broadcast.trace")
+TEMPLATE = Path("scenarios/templates/n5_k2_propose.template.json")
 
 
 def reference_parse(text: str):
@@ -430,3 +435,79 @@ def test_events_is_a_fresh_view_of_the_rows():
     events.clear()
     assert trace.events
 
+
+# --- what the rows share --------------------------------------------------------
+
+
+def assert_snapshots_share_the_writes(rows) -> None:
+    """Each non-null cell of a SNAP1 or SNAP2 snapshot is the ``args[0]``
+    of the write it replays, and each row and each snapshot result is a
+    list of its own (``TraceIndex.step`` finds a row by identity)."""
+    results = [row[5] for row in rows if len(row) == 6 and row[3] == "snapshot"]
+    assert len(set(map(id, [*rows, *results]))) == len(rows) + len(results)
+    written: dict = {}
+    for row in rows:
+        if len(row) != 6 or not row[2].startswith("SNAP"):
+            continue
+        _turn, pid, name, op, args, result = row
+        cells = written.setdefault(name, {})
+        if op == "write":
+            cells[pid] = args[0]
+        else:
+            assert all(cell is None or cell is cells[i] for i, cell in enumerate(result, 1)), row
+
+
+def assert_parsed_rows_share_as_the_run_does(trace) -> None:
+    parsed = parse_trace(serialize_trace(trace))
+    assert parsed.rows == trace.rows
+    assert any(row[2].startswith("SNAP") for row in parsed.rows if len(row) == 6)
+    assert_snapshots_share_the_writes(trace.rows)
+    assert_snapshots_share_the_writes(parsed.rows)
+
+
+@pytest.mark.parametrize("path", sorted(map(str, Path("scenarios").glob("*/*.scenario.json"))))
+def test_checked_in_stack_runs_read_back_sharing_the_written_cells(path):
+    assert_parsed_rows_share_as_the_run_does(run_scenario(load_scenario(Path(path))))
+
+
+def test_template_runs_read_back_sharing_the_written_cells():
+    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    for seed_index in range(50):
+        assert_parsed_rows_share_as_the_run_does(
+            run_scenario(instantiate_template(template, seed_index))
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**32),
+)
+def test_sampled_runs_read_back_sharing_the_written_cells(nk, seed):
+    assert_parsed_rows_share_as_the_run_does(run_scenario(sampled_stack_config(*nk, seed)))
+
+
+def test_parsed_rows_take_little_more_memory_than_the_runs():
+    # The parsed rows hold each written snapshot cell once, as the run's
+    # do, but decode every other string of each event afresh: about 1.4
+    # times the run's rows, against 1.9 with a copy of every snapshot cell.
+    n = 10
+    workload = {
+        pid: tuple(WorkItem(op="broadcast", payload=f"m{pid}.{i}") for i in range(10))
+        for pid in range(1, n + 1)
+    }
+    config = stack_config(n, 3, 1, workload, step_budget=1_000_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_scenario(config)
+        run_bytes = tracemalloc.get_traced_memory()[0] - before
+        text = serialize_trace(trace)
+        del trace
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_trace(text)
+        parsed_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed.quiescent
+    assert parsed_bytes <= 1.6 * run_bytes, parsed_bytes / run_bytes
