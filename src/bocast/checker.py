@@ -145,10 +145,19 @@ def build_order(trace_or_index) -> Poset:
     """The agreed order of every process's deliveries, crashed or not
     (``poset.order_bitsets``), over every delivered message.  Duplicate
     deliveries are dropped (first occurrence wins); the integrity check
-    reports them separately."""
+    reports them separately.
+
+    The elements are numbered in the order they first appear across the
+    sequences, which is a linear extension of the agreed order.  Let
+    x < y, and let a sequence hold y.  If it did not hold x before y, it
+    would order y before x, so x < y could not hold: every sequence is a
+    down-set listed along an extension.  An element y that first appears
+    in a later sequence cannot lie below an element x of an earlier one,
+    as that earlier sequence would then hold y too.  So along the merge
+    everything above an element comes after it."""
     index = trace_or_index if isinstance(trace_or_index, TraceIndex) else TraceIndex(trace_or_index)
     sequences = [list(dict.fromkeys(seq)) for seq in index.msg_seqs.values()]
-    elements = sort_ids({mid for seq in sequences for mid in seq})
+    elements = list(dict.fromkeys(chain.from_iterable(sequences)))
     position = {mid: i for i, mid in enumerate(elements)}
     less = dict(zip(elements, order_bitsets(sequences, position)))
     return Poset(elements, less, key=msg_key)

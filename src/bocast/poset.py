@@ -1,28 +1,28 @@
 """Finite partial orders: width, maximum antichains, chain covers.
 
 The strict order is stored as int bitsets: ``less[x]`` has bit ``i`` set
-when the i-th element in key order lies strictly above ``x``.  ``Poset``
-is given a strict partial order and does not check its laws: the agreed
-order of delivery sequences (``order_bitsets``) is one by construction,
-as its docstring proves.
+when the i-th element, in the order the elements were given, lies
+strictly above ``x``.  ``Poset`` is given a strict partial order and
+does not check its laws: the agreed order of delivery sequences
+(``order_bitsets``) is one by construction, as its docstring proves, and
+``checker.build_order`` lists its elements along a linear extension.
 
 The width (maximum antichain size) is computed exactly through a maximum
 bipartite matching on the strict comparability relation: a poset of n
 elements has a minimum chain cover of size n - |maximum matching|, and
 that size equals the width (Dilworth, via Fulkerson 1956).  The matching
-is seeded greedily and then augmented, all on the bitsets: a walk along
-a linear extension matches each element to its successor in the walk
-when that lies above it (on a chain, the whole matching in O(n) big-int
-operations), each element still unmatched takes the lowest-index free
-element above it, and Kuhn's augmenting-path search, run as an iterative
-depth-first search, starts only from the left vertices still exposed.
-It needs no recursion, so chains of any length work, and one search step
-costs O(n/64) word operations.  The matching also yields a maximum
-antichain witness (via a minimum vertex cover), which is the same for
-every maximum matching (Dulmage and Mendelsohn 1958), and a minimum chain
-cover, which is not: which cover ``min_chain_cover`` returns is not part
-of its contract.  The cover is what turns a delivery order of width <= k
-into k total-order channels.
+is seeded greedily and then augmented, all on the bitsets: each element,
+in bit order, takes the lowest free element above it, which along a
+linear extension is the nearest one (on a chain, the whole matching in
+O(n) big-int operations), and Kuhn's augmenting-path search, run as an
+iterative depth-first search, starts only from the left vertices still
+exposed.  It needs no recursion, so chains of any length work, and one
+search step costs O(n/64) word operations.  The matching also yields a
+maximum antichain witness (via a minimum vertex cover), which is the
+same for every maximum matching (Dulmage and Mendelsohn 1958), and a
+minimum chain cover, which is not: which cover ``min_chain_cover``
+returns is not part of its contract.  The cover is what turns a delivery
+order of width <= k into k total-order channels.
 
 A brute-force maximum-antichain enumerator over element subsets is the
 tests' independent oracle on small relations.
@@ -97,29 +97,19 @@ def greedy_matching(up: list[int]) -> tuple[list[int], list[int], list[int]]:
     -1 marks an unmatched vertex and ``exposed`` lists, by index, the
     left vertices still unmatched.
 
-    (a) Walk a linear extension, elements by decreasing ``up`` size, ties
-        by index, and match each element to the next one in the walk when
-        that one lies above it.  On a chain this is the successor map.
-    (b) Each element still unmatched takes the lowest-index free element
-        above it.
-
-    O(n) big-int operations and one sort of n small ints.
+    Each element, in bit order, takes the lowest free element above it.
+    When the bits follow a linear extension, everything above an element
+    comes after it, so that is the free element above it nearest in the
+    extension: on a chain, the successor map.  Any other bit order still
+    gives a matching, only one that leaves more for Kuhn's search to
+    augment.  O(n) big-int operations.
     """
     n = len(up)
     match_l = [-1] * n
     match_r = [-1] * n
-    # x < y makes up[y] a proper subset of up[x]
-    walk = sorted(range(n), key=lambda i: -up[i].bit_count())
     free_r = (1 << n) - 1
-    for u, v in zip(walk, walk[1:]):
-        if up[u] >> v & 1:
-            match_l[u] = v
-            match_r[v] = u
-            free_r ^= 1 << v
     exposed = []
     for u in range(n):
-        if match_l[u] != -1:
-            continue
         cand = up[u] & free_r
         if not cand:
             exposed.append(u)
@@ -135,9 +125,11 @@ def greedy_matching(up: list[int]) -> tuple[list[int], list[int], list[int]]:
 class Poset:
     """Strict partial order over hashable elements, stored transitively closed.
 
-    ``key`` fixes the deterministic element ordering used in outputs and
-    the bit positions: element ``elements[i]`` is bit ``i``.  Each value
-    of ``less`` is the int bitset of the elements strictly above its key.
+    Element ``elements[i]`` is bit ``i``, in the order the elements are
+    given; given along a linear extension, they make the greedy seed of
+    the matching nearest-above (``greedy_matching``).  ``key`` orders
+    only the outputs: the antichain and the chains.  Each value of
+    ``less`` is the int bitset of the elements strictly above its key.
     The caller gives a strict partial order (irreflexive and transitive);
     only the arguments' shape is checked, in O(n): no element twice and no
     bit outside the elements.
@@ -145,7 +137,7 @@ class Poset:
 
     def __init__(self, elements, less: dict, key=None):
         self.key = key if key is not None else lambda x: x
-        self.elements = sorted(elements, key=self.key)
+        self.elements = list(elements)
         if len(set(self.elements)) != len(self.elements):
             raise PosetError("duplicate elements")
         outside = -1 << len(self.elements)  # bits of no element, and the sign
@@ -206,7 +198,8 @@ class Poset:
         return len(self.elements) - matched
 
     def max_antichain(self) -> list:
-        """A maximum antichain, derived from a minimum vertex cover."""
+        """A maximum antichain, derived from a minimum vertex cover, in key
+        order."""
         if not self.elements:
             return []
         match_l, match_r = self._max_matching()
@@ -223,7 +216,7 @@ class Poset:
                 if w != -1 and not in_zl >> w & 1:
                     in_zl |= 1 << w
                     queue.append(w)
-        antichain = [self.elements[i] for i in iter_bits(in_zl & ~in_zr)]
+        antichain = sorted((self.elements[i] for i in iter_bits(in_zl & ~in_zr)), key=self.key)
         if len(antichain) != self.width():
             raise PosetError("internal: antichain size disagrees with width")
         return antichain

@@ -1,7 +1,7 @@
 """Shared drivers for randomized and exhaustive tests, and the helpers
 only tests use: poset builders and queries, back-to-back K2S proposals,
-scenario text, the width-k schedules, traces forged from event records,
-and the state key of a simulation."""
+scenario text, the width-k schedules, traces forged from event records
+or delivery sequences, and the state key of a simulation."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import json
 
 from bocast.k2s import K2SInstance, RepeatedK2S
 from bocast.kbo import unpack_order
+from bocast.messages import sort_ids
 from bocast.objects import SnapshotArray
 from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
@@ -290,6 +291,39 @@ def forged_trace(n: int, k: int, steps, outcome="quiescent") -> Trace:
     return trace_of_events(config, events, outcome, len(steps))
 
 
+def trace_of_deliveries(sequences, crashed):
+    """A trace where each pid delivers its sequence, then a crashed pid crashes."""
+    events = []
+    for pid, seq in enumerate(sequences, start=1):
+        events += [Event(pid, "deliver-msg", {"msg": mid}) for mid in seq]
+        if pid in crashed:
+            events.append(Event(pid, "crash", {}))
+    return trace_of_events(stack_config(len(sequences), 1, 0, {}), events)
+
+
+def crossing_chains(seed: int, m: int, w: int, processes: int) -> list[list[str]]:
+    """Per-process delivery sequences of w chains of m messages in all,
+    each process delivering a seeded interleaving of the chains.  The ids
+    are ``s:i`` for senders 1..processes, shuffled across the chains, so
+    no chain follows a sender and key order is far from every extension.
+    ``m`` is a multiple of ``processes``."""
+    rng = SplitMix64(seed)
+    per_sender = m // processes
+    ids = shuffled((f"{s}:{i}" for s in range(1, processes + 1) for i in range(per_sender)), rng)
+    chains = [ids[c::w] for c in range(w)]
+    sequences = []
+    for _ in range(processes):
+        heads = [list(reversed(chain)) for chain in chains]
+        seq = []
+        while heads:
+            i = rng.randrange(len(heads))
+            seq.append(heads[i].pop())
+            if not heads[i]:
+                del heads[i]
+        sequences.append(seq)
+    return sequences
+
+
 def dumps(config: ScenarioConfig) -> str:
     """The scenario file text of ``config``."""
     return json.dumps(config.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
@@ -360,6 +394,33 @@ def naive_is_strict_order(elements, less) -> bool:
     )
 
 
+def pairwise_less(sequences) -> dict[str, set]:
+    """The agreed order by its definition, one pair at a time: a sequence
+    orders x before y when it holds x before y, or holds x and not y; x
+    lies below y iff some sequence orders x before y and none y before x."""
+    positions = [{mid: i for i, mid in enumerate(seq)} for seq in sequences]
+    elements = sort_ids({mid for seq in sequences for mid in seq})
+
+    def orders(pos, x, y):
+        return x in pos and (y not in pos or pos[x] < pos[y])
+
+    return {
+        x: {
+            y for y in elements
+            if any(orders(pos, x, y) for pos in positions)
+            and not any(orders(pos, y, x) for pos in positions)
+        }
+        for x in elements
+    }
+
+
+def lists_an_extension(elements, less) -> bool:
+    """Whether ``elements`` lists x before y whenever y is in ``less[x]``,
+    the set of elements strictly above x: a linear extension."""
+    position = {x: i for i, x in enumerate(elements)}
+    return all(position[x] < position[y] for x, ys in less.items() for y in ys)
+
+
 def from_edges(elements, edges, key=None) -> Poset:
     """Poset from cover/arbitrary forward edges; closes transitively.
 
@@ -399,10 +460,12 @@ def from_edges(elements, edges, key=None) -> Poset:
 
 
 def intersect_orders(sequences, key=None) -> Poset:
-    """Poset from the intersection of total orders over a common element set."""
+    """Poset from the intersection of total orders over a common element set,
+    numbered along ``sequences[0]``: a linear extension of the intersection,
+    as ``checker.build_order`` numbers its elements."""
     if not sequences:
         return Poset([], {}, key=key)
-    elements = sorted(sequences[0], key=key)
+    elements = list(sequences[0])
     index = {x: i for i, x in enumerate(elements)}
     less = dict(zip(elements, order_bitsets(sequences, index)))
     return Poset(elements, less, key=key)

@@ -15,15 +15,15 @@ from bocast.checker import (
     set_positions,
     sets_cross,
 )
-from bocast.messages import sort_ids
 from bocast.poset import BRUTE_FORCE_LIMIT, BoundViolation, Poset, PosetError, iter_bits
 from bocast.scenario import WorkItem
 from bocast.sim import run_scenario
 from bocast.trace import Event, read_trace, serialize_trace
 
 from _drivers import (
-    brute_force_width, forged_trace, lt, naive_is_strict_order, propose_workload,
-    sampled_stack_config, stack_config, trace_of_events,
+    brute_force_width, forged_trace, lists_an_extension, lt, naive_is_strict_order,
+    pairwise_less, propose_workload, sampled_stack_config, stack_config, trace_of_deliveries,
+    trace_of_events,
 )
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
@@ -40,7 +40,8 @@ class TestBuildOrder:
     def test_golden_profile_width_and_channels(self, golden_trace):
         poset = build_order(golden_trace)
         index = TraceIndex(golden_trace)
-        assert poset.elements == sort_ids(set().union(*index.msg_seqs.values()))
+        first_seen = dict.fromkeys(mid for seq in index.msg_seqs.values() for mid in seq)
+        assert poset.elements == list(first_seen)
         assert [r + len(m) for r, m in index.set_seqs[1]] == [2, 3, 5, 6]
         assert [r + len(m) for r, m in index.set_seqs[2]] == [1, 2, 4, 5, 6]
         assert poset.width() == 2
@@ -103,26 +104,6 @@ class TestBuildOrder:
         }
 
 
-def pairwise_less(sequences) -> dict[str, set]:
-    """The agreed order by its definition, one pair at a time: a sequence
-    orders x before y when it holds x before y, or holds x and not y; x
-    lies below y iff some sequence orders x before y and none y before x."""
-    positions = [{mid: i for i, mid in enumerate(seq)} for seq in sequences]
-    elements = sort_ids({mid for seq in sequences for mid in seq})
-
-    def orders(pos, x, y):
-        return x in pos and (y not in pos or pos[x] < pos[y])
-
-    return {
-        x: {
-            y for y in elements
-            if any(orders(pos, x, y) for pos in positions)
-            and not any(orders(pos, y, x) for pos in positions)
-        }
-        for x in elements
-    }
-
-
 MIDS = [f"{pid}:{i}" for pid in (1, 2, 3) for i in range(4)]
 
 
@@ -141,16 +122,6 @@ def delivery_runs(draw, mids=MIDS, max_processes=4):
     return sequences, crashed
 
 
-def trace_of_deliveries(sequences, crashed):
-    """A trace where each pid delivers its sequence, then a crashed pid crashes."""
-    events = []
-    for pid, seq in enumerate(sequences, start=1):
-        events += [Event(pid, "deliver-msg", {"msg": mid}) for mid in seq]
-        if pid in crashed:
-            events.append(Event(pid, "crash", {}))
-    return trace_of_events(stack_config(len(sequences), 1, 0, {}), events)
-
-
 class TestBitsetOrder:
     @given(delivery_runs())
     @settings(max_examples=200, deadline=None)
@@ -160,7 +131,8 @@ class TestBitsetOrder:
         assert TraceIndex(trace).faulty == crashed
         poset = build_order(trace)
         expected = pairwise_less(sequences)
-        assert poset.elements == list(expected)
+        assert poset.elements == list(dict.fromkeys(mid for seq in sequences for mid in seq))
+        assert lists_an_extension(poset.elements, expected)
         got = {x: {poset.elements[i] for i in iter_bits(mask)} for x, mask in poset.less.items()}
         assert got == expected
         assert poset.width() == brute_force_width(poset)

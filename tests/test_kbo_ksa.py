@@ -8,7 +8,9 @@ from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import Event
 
-from _drivers import forged_trace, propose_workload, stack_config, trace_of_events
+from _drivers import (
+    forged_trace, lists_an_extension, pairwise_less, propose_workload, stack_config, trace_of_events,
+)
 
 B = lambda payload: WorkItem(op="broadcast", payload=payload)
 LOOKALIKE = "scenarios/examples/n2_k1_lookalike_payload.scenario.json"
@@ -214,7 +216,9 @@ def test_a_bounded_order_bounds_the_decisions(run):
     # and crashes; p2 delivers 2:0 first.
     k, counts, chains, runs = run
     trace = trace_of_runs(k, counts, runs)
-    assert build_order(trace).width() <= sum(1 for chain in chains if chain)
+    poset = build_order(trace)
+    assert lists_an_extension(poset.elements, pairwise_less([seq for seq, _, _ in runs]))
+    assert poset.width() <= sum(1 for chain in chains if chain)
     verdicts = {v.property: v for v in check_all(trace, ("kbo", "ksa"))}
     if verdicts["kbo.bounded"].status == "pass":
         assert verdicts["ksa.agreement"].status == "pass"

@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import pytest
 
-from bocast.poset import Poset, greedy_matching
+from bocast.checker import build_order
+from bocast.messages import sort_ids
+from bocast.poset import Poset, greedy_matching, iter_bits
 from bocast.rng import SplitMix64
 
-from _drivers import intersect_orders, is_chain, random_poset, shuffled
+from _drivers import (
+    crossing_chains, intersect_orders, is_chain, random_poset, shuffled, trace_of_deliveries,
+)
 from test_poset import delivery_poset
 from test_witness_invariance import _agreed_orders, antichain_from, hopcroft_karp
 
@@ -131,17 +135,56 @@ def test_agreed_orders():
 
 @pytest.mark.parametrize("order", ["key", "reverse-key", "random-key"])
 def test_greedy_seed_is_the_successor_map_on_a_chain(order):
+    # bits follow the chain whatever its key order, so bit i's successor is i + 1
     seq = list(range(3000))
     if order == "reverse-key":
         seq.reverse()
     elif order == "random-key":
         seq = shuffled(seq, SplitMix64(3000))
     poset = intersect_orders([seq])
+    assert poset.elements == seq
+    n = len(seq)
     match_l, match_r, exposed = greedy_matching(list(poset.less.values()))
-    assert exposed == [seq[-1]]
-    assert [match_l[x] for x in seq] == [*seq[1:], -1]
-    assert [match_r[x] for x in seq] == [-1, *seq[:-1]]
+    assert exposed == [n - 1]
+    assert match_l == [*range(1, n), -1]
+    assert match_r == [-1, *range(n - 1)]
     assert poset.min_chain_cover() == [seq]
+
+
+def renumbered(poset: Poset, order) -> Poset:
+    """The same order over the same elements, with bit i standing for order[i]."""
+    position = {x: i for i, x in enumerate(order)}
+    less = {
+        x: sum(1 << position[poset.elements[i]] for i in iter_bits(poset.less[x]))
+        for x in order
+    }
+    return Poset(order, less, key=poset.key)
+
+
+# On 2,000 crossing messages the seed leaves about 150 exposed roots with
+# the bits in key order, and 8 to 25 (seeds 1 to 30) along first appearance.
+CROSSING_EXPOSED_BOUND = 40
+
+
+def test_crossing_chains_are_seeded_along_their_extension():
+    sequences = crossing_chains(1, 2000, 4, 20)
+    poset = build_order(trace_of_deliveries(sequences, set()))
+    assert poset.elements == list(dict.fromkeys(mid for seq in sequences for mid in seq))
+    assert poset.width() == 4
+    assert len(poset.max_antichain()) == 4
+    _, _, exposed = greedy_matching(list(poset.less.values()))
+    assert len(exposed) <= CROSSING_EXPOSED_BOUND
+
+
+def test_bits_off_the_extension_still_match_exactly():
+    # key order is far from every extension of crossing chains: the seed
+    # leaves more to augment, and the width and antichain are the same
+    poset = build_order(trace_of_deliveries(crossing_chains(2, 400, 4, 20), set()))
+    in_key_order = renumbered(poset, sort_ids(poset.elements))
+    exposed = [len(greedy_matching(list(p.less.values()))[2]) for p in (poset, in_key_order)]
+    assert exposed[0] < exposed[1]
+    assert in_key_order.max_antichain() == poset.max_antichain()
+    assert_agrees_with_reference(in_key_order)
 
 
 def test_greedy_seed_is_a_matching_on_the_relation():
