@@ -70,7 +70,9 @@ def order_bitsets(sequences, index: dict) -> list[int]:
     and the elements it misses get all it holds; a suffix sweep, seeded
     with the missed elements, marks what comes after.  So ``less[x] = OR
     after[x] & ~OR before[x]``: O(len(index) * |sequences|) big-int
-    operations.  Each sequence lists an element at most once.
+    operations.  Each sequence lists an element at most once.  Each
+    ``after[x]`` is masked in place and ``before[x]`` freed as it is
+    spent, so the two lists and the result are never all alive at once.
     """
     before = [0] * len(index)
     after = [0] * len(index)
@@ -88,7 +90,10 @@ def order_bitsets(sequences, index: dict) -> list[int]:
         for i in reversed(positions):
             after[i] |= seen
             seen |= 1 << i
-    return [a & ~b for a, b in zip(after, before)]
+    for i, below in enumerate(before):
+        after[i] &= ~below
+        before[i] = 0
+    return after
 
 
 def greedy_matching(up: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -85,18 +85,24 @@ In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
 ``Recorder`` builds the same lists, so the run, the writer, the reader
 and the checker's index all handle one list per event and nothing else.
-The reader's rows share what the simulator's share.  Each written cell
-of a SNAP1[r] or SNAP2[r] snapshot is the very value its writer's row
-holds as ``args[0]``: the reader keeps each such object's cells as
-written so far, and stores a snapshot whose args are null and whose
-result equals those cells as a copy of them.  That snapshot needs no
-check of its own, since a JSON value equal to a string, to null or to
-a list of strings is one, and each written cell passed its write's
-check.  Any other snapshot is checked in full.  MEM cells are small
-ints and are not shared.  So the rows are read-only: a change to one
-cell would change the other rows that hold it.  ``Trace.events`` is a
-view for readers outside the package: it builds ``Event`` records from
-the rows on each call.
+The reader's rows share what the simulator's share.  All rows with one
+object name hold one string for it, as the accesses of one simulated
+object do; each op and each kind is the reader's own string for it, as
+each is a literal in the simulator; and all rows of one turn hold one
+int, as the simulator's rows of a turn hold its ``Recorder.turn``.  The
+reader takes each of these from a lookup it makes anyway to check the
+row.  Each written cell of a SNAP1[r] or SNAP2[r] snapshot is the very
+value its writer's row holds as ``args[0]``: the reader keeps each such
+object's cells as written so far, and stores a snapshot whose args are
+null and whose result equals those cells as a copy of them.  That
+snapshot needs no check of its own, since a JSON value equal to a
+string, to null or to a list of strings is one, and each written cell
+passed its write's check.  Any other snapshot is checked in full.  MEM
+cells are small ints, and message ids and payload strings are decoded
+afresh in each row.  So the rows are read-only: a change to one cell
+would change the other rows that hold it.  ``Trace.events`` is a view
+for readers outside the package: it builds ``Event`` records from the
+rows on each call.
 """
 
 from __future__ import annotations
@@ -349,24 +355,31 @@ def _snap2_snapshot(args, result, _ids) -> bool:
     )
 
 
+def _by_name(table: dict) -> dict:
+    """``table`` with each value paired with its key: a lookup gives the
+    table's own string, which every row read through it then shares."""
+    return {key: (key, value) for key, value in table.items()}
+
+
+# family -> op -> (op, check)
 _ACCESSES = {
-    "MEM": {"write": _mem_write, "snapshot": _mem_snapshot},
-    "KSET": {"propose": _kset_propose},
-    "SNAP1": {"write": _snap1_write, "snapshot": _snap1_snapshot},
-    "SNAP2": {"write": _snap2_write, "snapshot": _snap2_snapshot},
+    "MEM": _by_name({"write": _mem_write, "snapshot": _mem_snapshot}),
+    "KSET": _by_name({"propose": _kset_propose}),
+    "SNAP1": _by_name({"write": _snap1_write, "snapshot": _snap1_snapshot}),
+    "SNAP2": _by_name({"write": _snap2_write, "snapshot": _snap2_snapshot}),
 }
 
 # The fields the checker reads of every other kind's payload, with their
-# types: int, str, _ID or _IDS.
+# types: int, str, _ID or _IDS; kind -> (kind, fields).
 _ID, _IDS = "a message id", "a list of message ids"
-_PAYLOADS = {
+_PAYLOADS = _by_name({
     "invoke": None,  # by op, in _INVOKES
     "return": (),
     "decide": (("instance", int), ("value", str)),
     "deliver-set": (("round", int), ("set", _IDS)),
     "deliver-msg": (("msg", _ID),),
     "crash": (),
-}
+})
 _INVOKES = {
     "kbo_broadcast": (("msg", _ID),),
     "ksa_propose": (("msg", _ID), ("instance", int), ("value", str)),
@@ -374,27 +387,34 @@ _INVOKES = {
 _TYPE_NAMES = {int: "an integer", str: "a string", _ID: _ID, _IDS: _IDS}
 
 
-def _access_check(name, op, families: dict, lineno: int):
-    """The check of an access to object ``name`` with ``op``.  ``families``
-    caches the checks by op of each name seen."""
+def _access_check(name, op, objects: dict, n: int, lineno: int):
+    """``(name, op, check, cells)`` of an access to object ``name`` with
+    ``op``: the name and op as the rows share them, the check of its args
+    and result, and the cells of a SNAP1[r] or SNAP2[r] as written so far
+    (None for MEM and KSET[r]).  ``objects`` caches ``(name, checks by op,
+    cells)`` for each name seen; a new SNAP1[r] or SNAP2[r] starts with n
+    null cells."""
     try:
-        ops = families[name]
+        name, ops, cells = objects[name]
     except (KeyError, TypeError):  # a new name, or no string at all
         m = OBJECT_NAME.fullmatch(name) if type(name) is str else None
         if m is None:
             raise TraceFormatError(f"line {lineno}: unknown object {name!r}") from None
-        ops = families[name] = _ACCESSES[m.group(1) or "MEM"]
-    check = ops.get(op) if type(op) is str else None
-    if check is None:
-        raise TraceFormatError(f"line {lineno}: {name} has no op {op!r}")
-    return check
+        ops = _ACCESSES[m.group(1) or "MEM"]
+        cells = [None] * n if name[0] == "S" else None
+        objects[name] = name, ops, cells
+    try:
+        op, check = ops[op]
+    except (KeyError, TypeError):  # no such op, or no string at all
+        raise TraceFormatError(f"line {lineno}: {name} has no op {op!r}") from None
+    return name, op, check, cells
 
 
 def _payload_error(kind: str, payload, ids: set) -> str | None:
     """Why a payload of ``kind`` breaks the schema, or None."""
     if type(payload) is not dict:
         return "an event payload must be a JSON object"
-    fields = _PAYLOADS[kind]
+    fields = _PAYLOADS[kind][1]
     if fields is None:
         op = payload.get("op")
         fields = _INVOKES.get(op) if type(op) is str else None
@@ -491,8 +511,9 @@ def parse_trace(text: str) -> Trace:
     outcome = None
     turns = 0
     ids: set = set()  # the message ids found well formed so far
-    families: dict = {}  # object name -> its checks by op, for the names seen
-    written: dict = {}  # SNAP1[r] or SNAP2[r] -> its n cells, as written so far
+    # object name -> (name, its checks by op, cells), for the names seen; the
+    # cells of a SNAP1[r] or SNAP2[r] as written so far, None for any other
+    objects: dict = {}
     payloads = _PAYLOADS
     find, size_of_text = text.find, len(text)
     # where the last block ends: before a final "\n", which ends a line
@@ -534,12 +555,13 @@ def parse_trace(text: str) -> Trace:
                     raise TraceFormatError(f"line {lineno}: an event after the outcome record")
                 if size == 6:
                     try:
-                        check = families[name][op]
+                        name, ops, cells = objects[name]
+                        op, check = ops[op]
                     except (KeyError, TypeError):  # not seen yet, or no string
-                        check = _access_check(name, op, families, lineno)
-                        if name[0] == "S":  # SNAP1[r] or SNAP2[r], seen first
-                            written[name] = [None] * n
-                    cells = written.get(name)
+                        name, op, check, cells = _access_check(name, op, objects, n, lineno)
+                    # one object per name and per op, as in the simulator's rows
+                    rec[2] = name
+                    rec[3] = op
                     if cells is not None and op == "snapshot" and args is None and result == cells:
                         # the cells written so far, each value checked at its
                         # write: the row shares them, as the simulator's does
@@ -556,13 +578,20 @@ def parse_trace(text: str) -> Trace:
                             )
                     elif cells is not None:  # a SNAP1 or SNAP2 write
                         cells[pid - 1] = args[0]
-                elif type(kind) is not str or kind not in payloads:
-                    raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
                 else:
+                    try:
+                        rec[2] = payloads[kind][0]  # the one string of its kind
+                    except (KeyError, TypeError):  # no such kind, or unhashable
+                        raise TraceFormatError(
+                            f"line {lineno}: unknown event kind {kind!r}"
+                        ) from None
                     why = _payload_error(kind, payload, ids)
                     if why is not None:
                         raise TraceFormatError(f"line {lineno}: {why}")
-                last_turn = turn
+                if turn == last_turn:  # one int per turn, as the simulator's rows
+                    rec[0] = last_turn
+                else:
+                    last_turn = turn
                 append(rec)
                 continue
             if type(rec) is not dict:
