@@ -83,26 +83,35 @@ alone, and every message names the line a line-by-line reader names.
 
 In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
-``Recorder`` builds the same lists, so the run, the writer, the reader
-and the checker's index all handle one list per event and nothing else.
-The reader's rows share what the simulator's share.  All rows with one
-object name hold one string for it, as the accesses of one simulated
-object do; each op and each kind is the reader's own string for it, as
-each is a literal in the simulator; and all rows of one turn hold one
-int, as the simulator's rows of a turn hold its ``Recorder.turn``.  The
-reader takes each of these from a lookup it makes anyway to check the
-row.  Each written cell of a SNAP1[r] or SNAP2[r] snapshot is the very
+``Recorder`` builds the same lists, each at its exact size, so the run,
+the writer, the reader and the checker's index all handle one list per
+event and nothing else.  The reader's rows hold each repeated value
+once.  All rows with one object name hold one string for it, each op and
+each kind is the reader's own string for it, and all rows of one turn
+hold one int; the reader takes each from a lookup it makes anyway to
+check the row.  Each message id in a field the reader checks (an invoke's
+or a deliver-msg's ``msg``, a deliver-set's members, a KSET access's arg
+and result) is the one string of that id in ``_Ids``, the reader's cache
+of well-formed ids; a SNAP1 value or SNAP2 view member is that string
+when it is an id found before it, as each is in a stack trace.  No field
+the reader does not check is touched: a return's ``msg`` may be any JSON
+value.  Each written cell of a SNAP1[r] or SNAP2[r] snapshot is the very
 value its writer's row holds as ``args[0]``: the reader keeps each such
-object's cells as written so far, and stores a snapshot whose args are
-null and whose result equals those cells as a copy of them.  That
-snapshot needs no check of its own, since a JSON value equal to a
-string, to null or to a list of strings is one, and each written cell
-passed its write's check.  Any other snapshot is checked in full.  MEM
-cells are small ints, and message ids and payload strings are decoded
-afresh in each row.  So the rows are read-only: a change to one cell
-would change the other rows that hold it.  ``Trace.events`` is a view
-for readers outside the package: it builds ``Event`` records from the
-rows on each call.
+object's cells as written so far, in a list that a write replaces rather
+than changes, and a snapshot whose args are null and whose result equals
+that list holds it.  That snapshot needs no check of its own, since a
+JSON value equal to a string, to null or to a list of strings is one, and
+each written cell passed its write's check.  A MEM snapshot equal to the
+previous MEM snapshot, with no MEM write between them, holds that one's
+list when both hold ints only (``true`` and ``1.0`` equal counts but are
+not ints).  Any other snapshot is checked in full and shares its list
+with no later one.  So consecutive equal snapshots of one object with no
+write between them hold one list.  The simulator's rows share less: each
+snapshot is a list of its own, and most message ids are strings of their
+own.  Either way the rows are read-only: a change to one cell would
+change the other rows that hold it.  ``Trace.events`` is a view for
+readers outside the package: it builds ``Event`` records from the rows
+on each call.
 """
 
 from __future__ import annotations
@@ -189,7 +198,10 @@ class Trace:
     lists the file holds, one per event, in trace order), its outcome and
     its turn count.  The rows are read-only: each is a list of its own,
     but a SNAP1[r] or SNAP2[r] snapshot shares its written cells with the
-    rows of their writes, in a run's rows and in a parsed trace's alike."""
+    rows of their writes, in a run's rows and in a parsed trace's alike.
+    A parsed trace's rows share more: equal snapshots of one object with
+    no write between them hold one list, and all rows hold one string per
+    message id in the fields the reader checks."""
 
     config: "ScenarioConfig"
     rows: list[list]
@@ -224,7 +236,10 @@ class Recorder:
     def emit(self, pid: int, *fields) -> None:
         """Record an event: ``object, op, args, result`` for an object
         access, ``kind, payload`` for any other."""
-        self.rows.append([self.turn, pid, *fields])
+        # ``list`` of a tuple is allocated at its exact size, where
+        # ``[self.turn, pid, *fields]`` grows as it unpacks and over-allocates
+        # (152 bytes for an access row, not 104).
+        self.rows.append(list((self.turn, pid, *fields)))
 
 
 # One encoder for every record.  Insertion order of keys is part of the
@@ -246,6 +261,7 @@ _chunks = c_make_encoder(
 
 _ACCESS_KEYS = ("object", "op", "args", "result")
 _PLAIN_KINDS = frozenset(EVENT_KINDS) - {"object-access"}
+_ROWS_PER_JOIN = 256  # the rows whose records ``serialize_trace`` joins at once
 
 
 @pauses_cyclic_gc
@@ -255,27 +271,35 @@ def serialize_trace(trace: Trace) -> str:
     unknown kind, or other than 4 or 6 fields."""
     cfg_record = {"record": "config", "trace_format": TRACE_FORMAT}
     cfg_record.update(trace.config.to_json_dict())
-    out = [*_chunks(cfg_record, 0), "\n"]
-    extend, append = out.extend, out.append
+    # The records are joined a block of rows at a time, so only one
+    # block's chunks are alive beside the text made so far.
+    text = ["".join(_chunks(cfg_record, 0)), "\n"]
     plain = _PLAIN_KINDS
-    for index, row in enumerate(trace.rows):
-        size = len(row)
-        if size == 4:
-            kind = row[2]
-            if type(kind) is not str or kind not in plain:
-                raise ValueError(f"cannot serialize event {index}: unknown kind {kind!r}")
-        elif size != 6:
-            raise ValueError(f"cannot serialize event {index}: it has {size} fields, not 4 or 6")
-        if type(row[0]) is not int or type(row[1]) is not int:
-            raise ValueError(
-                f"cannot serialize event {index} (turn={row[0]!r}, pid={row[1]!r}): "
-                "turn and pid must be ints"
-            )
-        extend(_chunks(row, 0))
-        append("\n")
-    extend(_chunks({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}, 0))
-    append("\n")
-    return "".join(out)
+    rows = trace.rows
+    for start in range(0, len(rows), _ROWS_PER_JOIN):
+        out = []
+        extend, append = out.extend, out.append
+        for index, row in enumerate(rows[start : start + _ROWS_PER_JOIN], start):
+            size = len(row)
+            if size == 4:
+                kind = row[2]
+                if type(kind) is not str or kind not in plain:
+                    raise ValueError(f"cannot serialize event {index}: unknown kind {kind!r}")
+            elif size != 6:
+                raise ValueError(
+                    f"cannot serialize event {index}: it has {size} fields, not 4 or 6"
+                )
+            if type(row[0]) is not int or type(row[1]) is not int:
+                raise ValueError(
+                    f"cannot serialize event {index} (turn={row[0]!r}, pid={row[1]!r}): "
+                    "turn and pid must be ints"
+                )
+            extend(_chunks(row, 0))
+            append("\n")
+        text.append("".join(out))
+    text.extend(_chunks({"record": "outcome", "outcome": trace.outcome, "turns": trace.turns}, 0))
+    text.append("\n")
+    return "".join(text)
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -288,67 +312,87 @@ def write_trace(trace: Trace, path) -> None:
 # An object name: MEM, or a family (group 1) and its round (group 2)
 OBJECT_NAME = re.compile(r"MEM|(KSET|SNAP1|SNAP2)\[(0|[1-9][0-9]*)\]")
 _STR = frozenset((str,))
+_INT = frozenset((int,))
 _STR_OR_NULL = frozenset((str, type(None)))
 _LIST_OR_NULL = frozenset((list, type(None)))
 
 
-def _is_id(value, ids: set) -> bool:
-    """Whether ``value`` is a message id; ``ids`` caches those found so."""
-    if type(value) is not str:
-        return False
-    if value in ids:
-        return True
-    if not is_msg_id(value):
-        return False
-    ids.add(value)
-    return True
+class _Ids(dict):
+    """The message ids found well formed so far, each mapped to the one
+    string of it that the parsed rows share; a lookup of any other
+    hashable value gives None."""
 
+    __slots__ = ()
 
-def _is_ids(value, ids: set) -> bool:
-    if type(value) is not list:
-        return False
-    try:
-        if ids.issuperset(value):
-            return True
-    except TypeError:  # an unhashable member
-        return False
-    return all(_is_id(mid, ids) for mid in value)
+    def __missing__(self, value):
+        if not is_msg_id(value):
+            return None
+        self[value] = value
+        return value
 
 
 def _is_view(value) -> bool:
     return type(value) is list and _STR.issuperset(map(type, value))
 
 
-# Checks of an object access's (args, result), by object family and op.
+# Checks of an object access's row, by object family and op: each tells
+# whether the row's args and result are as the schema says and, if so,
+# makes each message id in them the one string of that id, in place.  A
+# SNAP1 value or SNAP2 view member need not be an id: it becomes the
+# string of an id found before it, the KSET result it was decided as in a
+# stack trace, and stays as it is otherwise.  A snapshot's cells are left
+# alone: ``parse_trace`` shares a snapshot's list whole, or none of it.
 
 
-def _mem_write(args, result, _ids) -> bool:
-    return type(args) is list and len(args) == 1 and result is None
+def _mem_write(row, _ids) -> bool:
+    args = row[4]
+    return type(args) is list and len(args) == 1 and row[5] is None
 
 
-def _mem_snapshot(args, result, _ids) -> bool:
-    return args is None and type(result) is list
+def _mem_snapshot(row, _ids) -> bool:
+    return row[4] is None and type(row[5]) is list
 
 
-def _kset_propose(args, result, ids) -> bool:
-    return type(args) is list and len(args) == 1 and _is_id(args[0], ids) and _is_id(result, ids)
+def _kset_propose(row, ids) -> bool:
+    args, result = row[4], row[5]
+    if type(args) is not list or len(args) != 1:
+        return False
+    arg = args[0]
+    if type(arg) is not str or type(result) is not str:
+        return False
+    mid, decided = ids[arg], ids[result]
+    if mid is None or decided is None:
+        return False
+    args[0], row[5] = mid, decided
+    return True
 
 
-def _snap1_write(args, result, _ids) -> bool:
-    return type(args) is list and len(args) == 1 and type(args[0]) is str and result is None
+def _snap1_write(row, ids) -> bool:
+    args = row[4]
+    if type(args) is not list or len(args) != 1 or type(args[0]) is not str or row[5] is not None:
+        return False
+    args[0] = ids.get(args[0], args[0])
+    return True
 
 
-def _snap1_snapshot(args, result, _ids) -> bool:
-    return args is None and type(result) is list and _STR_OR_NULL.issuperset(map(type, result))
+def _snap1_snapshot(row, _ids) -> bool:
+    result = row[5]
+    return row[4] is None and type(result) is list and _STR_OR_NULL.issuperset(map(type, result))
 
 
-def _snap2_write(args, result, _ids) -> bool:
-    return type(args) is list and len(args) == 1 and _is_view(args[0]) and result is None
+def _snap2_write(row, ids) -> bool:
+    args = row[4]
+    if type(args) is not list or len(args) != 1 or not _is_view(args[0]) or row[5] is not None:
+        return False
+    view = args[0]
+    view[:] = map(ids.get, view, view)
+    return True
 
 
-def _snap2_snapshot(args, result, _ids) -> bool:
+def _snap2_snapshot(row, _ids) -> bool:
+    result = row[5]
     return (
-        args is None
+        row[4] is None
         and type(result) is list
         and _LIST_OR_NULL.issuperset(map(type, result))
         and _STR.issuperset(map(type, chain.from_iterable(filter(None, result))))
@@ -369,6 +413,7 @@ _ACCESSES = {
     "SNAP2": _by_name({"write": _snap2_write, "snapshot": _snap2_snapshot}),
 }
 
+
 # The fields the checker reads of every other kind's payload, with their
 # types: int, str, _ID or _IDS; kind -> (kind, fields).
 _ID, _IDS = "a message id", "a list of message ids"
@@ -388,12 +433,12 @@ _TYPE_NAMES = {int: "an integer", str: "a string", _ID: _ID, _IDS: _IDS}
 
 
 def _access_check(name, op, objects: dict, n: int, lineno: int):
-    """``(name, op, check, cells)`` of an access to object ``name`` with
-    ``op``: the name and op as the rows share them, the check of its args
-    and result, and the cells of a SNAP1[r] or SNAP2[r] as written so far
-    (None for MEM and KSET[r]).  ``objects`` caches ``(name, checks by op,
-    cells)`` for each name seen; a new SNAP1[r] or SNAP2[r] starts with n
-    null cells."""
+    """``(name, ops, cells, op, check)`` of an access to object ``name``
+    with ``op``: its entry in ``objects``, then the op as the rows share it
+    and the check of its row.  ``objects`` caches ``(name, checks by op,
+    cells)`` for each name seen: the name as the rows share it, and the
+    cells of a SNAP1[r] or SNAP2[r] as written so far (None for MEM and
+    KSET[r]); a new SNAP1[r] or SNAP2[r] starts with n null cells."""
     try:
         name, ops, cells = objects[name]
     except (KeyError, TypeError):  # a new name, or no string at all
@@ -407,11 +452,13 @@ def _access_check(name, op, objects: dict, n: int, lineno: int):
         op, check = ops[op]
     except (KeyError, TypeError):  # no such op, or no string at all
         raise TraceFormatError(f"line {lineno}: {name} has no op {op!r}") from None
-    return name, op, check, cells
+    return name, ops, cells, op, check
 
 
-def _payload_error(kind: str, payload, ids: set) -> str | None:
-    """Why a payload of ``kind`` breaks the schema, or None."""
+def _payload_error(kind: str, payload, ids: _Ids) -> str | None:
+    """Why a payload of ``kind`` breaks the schema, or None.  Each message
+    id in a field it checks becomes the one string of that id, in place; no
+    other field is touched: a return's ``msg`` may be anything."""
     if type(payload) is not dict:
         return "an event payload must be a JSON object"
     fields = _PAYLOADS[kind][1]
@@ -424,8 +471,15 @@ def _payload_error(kind: str, payload, ids: set) -> str | None:
         value = payload.get(field)
         if type(value) is want:
             continue
-        if want is _ID and _is_id(value, ids) or want is _IDS and _is_ids(value, ids):
-            continue
+        if want is _ID:
+            if type(value) is str and (mid := ids[value]) is not None:
+                payload[field] = mid
+                continue
+        elif want is _IDS and type(value) is list:
+            mids = [ids[mid] if type(mid) is str else None for mid in value]
+            if all(mids):  # no member is None: each is an id
+                value[:] = mids
+                continue
         article = "an" if kind == "invoke" else "a"
         return f"{article} {kind} needs {field!r} to be {_TYPE_NAMES[want]}"
     return None
@@ -510,10 +564,13 @@ def parse_trace(text: str) -> Trace:
     last_turn = 0
     outcome = None
     turns = 0
-    ids: set = set()  # the message ids found well formed so far
+    ids = _Ids()
     # object name -> (name, its checks by op, cells), for the names seen; the
-    # cells of a SNAP1[r] or SNAP2[r] as written so far, None for any other
+    # cells of a SNAP1[r] or SNAP2[r] as written so far, None for any other:
+    # a list that snapshot rows may hold, so a write replaces it
     objects: dict = {}
+    # the previous MEM snapshot's counts, until the next MEM write
+    mem_counts = None
     payloads = _PAYLOADS
     find, size_of_text = text.find, len(text)
     # where the last block ends: before a final "\n", which ends a line
@@ -558,15 +615,20 @@ def parse_trace(text: str) -> Trace:
                         name, ops, cells = objects[name]
                         op, check = ops[op]
                     except (KeyError, TypeError):  # not seen yet, or no string
-                        name, op, check, cells = _access_check(name, op, objects, n, lineno)
+                        name, ops, cells, op, check = _access_check(name, op, objects, n, lineno)
                     # one object per name and per op, as in the simulator's rows
                     rec[2] = name
                     rec[3] = op
                     if cells is not None and op == "snapshot" and args is None and result == cells:
-                        # the cells written so far, each value checked at its
-                        # write: the row shares them, as the simulator's does
-                        rec[5] = cells[:]
-                    elif not check(args, result, ids):
+                        # the cells written so far, each checked at its write
+                        rec[5] = cells
+                    elif (
+                        cells is None and op == "snapshot" and mem_counts is not None
+                        and args is None and result == mem_counts
+                        and _INT.issuperset(map(type, result))
+                    ):  # the previous MEM snapshot's counts, with no write since
+                        rec[5] = mem_counts
+                    elif not check(rec, ids):
                         raise TraceFormatError(
                             f"line {lineno}: a {name} {op} with malformed args or result"
                         )
@@ -576,8 +638,17 @@ def parse_trace(text: str) -> Trace:
                                 f"line {lineno}: a {name} snapshot holds {len(result)} cells, "
                                 f"not n = {n}"
                             )
-                    elif cells is not None:  # a SNAP1 or SNAP2 write
-                        cells[pid - 1] = args[0]
+                        if cells is None:  # MEM
+                            mem_counts = result if _INT.issuperset(map(type, result)) else None
+                        else:  # a later equal snapshot shares nothing with this one
+                            objects[name] = name, ops, cells[:]
+                    elif op == "write":
+                        if cells is None:  # MEM
+                            mem_counts = None
+                        else:  # a SNAP1 or SNAP2 write: new cells, as rows share the old
+                            cells = cells[:]
+                            cells[pid - 1] = args[0]
+                            objects[name] = name, ops, cells
                 else:
                     try:
                         rec[2] = payloads[kind][0]  # the one string of its kind

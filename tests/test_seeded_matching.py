@@ -61,10 +61,23 @@ def unseeded_kuhn(poset: Poset) -> tuple[list[int], list[int]]:
     return match_l, match_r
 
 
+def renumbered(poset: Poset, order) -> Poset:
+    """The same order over the same elements, with bit i standing for order[i]."""
+    position = {x: i for i, x in enumerate(order)}
+    less = {
+        x: sum(1 << position[poset.elements[i]] for i in iter_bits(poset.less[x]))
+        for x in order
+    }
+    return Poset(order, less, key=poset.key)
+
+
 def interleaving(seed: int, m: int, w: int, random_keys: bool) -> Poset:
     """The agreed order of two random merges of w chains of m elements in
-    all.  Chain c is c, c + w, c + 2w, ... (the way one sender's messages
-    sort by key), or a random relabelling of that with ``random_keys``."""
+    all, numbered along the first merge, a linear extension.  Chain c is
+    c, c + w, c + 2w, ... (the way one sender's messages sort by key).
+    With ``random_keys`` the elements are a random relabelling of that,
+    numbered in label order instead, far from every extension, as
+    ``test_bits_off_the_extension_still_match_exactly`` numbers them."""
     rng = SplitMix64(seed)
     label = shuffled(range(m), rng) if random_keys else list(range(m))
     chains = [[label[x] for x in range(c, m, w)] for c in range(w)]
@@ -78,7 +91,8 @@ def interleaving(seed: int, m: int, w: int, random_keys: bool) -> Poset:
                 merged.append(chains[c][heads[c]])
                 heads[c] += 1
         sequences.append(merged)
-    return intersect_orders(sequences)
+    poset = intersect_orders(sequences)
+    return renumbered(poset, sorted(poset.elements)) if random_keys else poset
 
 
 def assert_valid_chain_cover(poset: Poset) -> None:
@@ -113,6 +127,9 @@ def test_delivery_posets(seed, n, processes, block):
 )
 def test_interleavings(w, m, random_keys):
     poset = interleaving(w, m, w, random_keys)
+    # in label order some element is numbered after one above it
+    off_extension = any(poset.less[x] & ((1 << i) - 1) for i, x in enumerate(poset.elements))
+    assert off_extension == random_keys
     assert_agrees_with_reference(poset)
     assert poset.width() <= w
 
@@ -149,16 +166,6 @@ def test_greedy_seed_is_the_successor_map_on_a_chain(order):
     assert match_l == [*range(1, n), -1]
     assert match_r == [-1, *range(n - 1)]
     assert poset.min_chain_cover() == [seq]
-
-
-def renumbered(poset: Poset, order) -> Poset:
-    """The same order over the same elements, with bit i standing for order[i]."""
-    position = {x: i for i, x in enumerate(order)}
-    less = {
-        x: sum(1 << position[poset.elements[i]] for i in iter_bits(poset.less[x]))
-        for x in order
-    }
-    return Poset(order, less, key=poset.key)
 
 
 # On 2,000 crossing messages the seed leaves about 150 exposed roots with

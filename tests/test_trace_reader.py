@@ -19,7 +19,9 @@ are shared: what differs is only how the text is cut into records.
 from __future__ import annotations
 
 import json
+import operator
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -27,12 +29,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bocast import trace as trace_module
-from bocast.checker import check_all
+from bocast.checker import check_all, serialize_verdicts
 from bocast.cli import instantiate_template
 from bocast.scenario import ConfigError, ScenarioConfig, WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import (
-    CONFIG_RECORD_KEYS, OUTCOMES, TRACE_FORMAT, Event, TraceFormatError, _PAYLOADS,
+    CONFIG_RECORD_KEYS, OUTCOMES, TRACE_FORMAT, Event, Trace, TraceFormatError, _PAYLOADS, _Ids,
     _access_check, _payload_error, parse_trace, serialize_trace,
 )
 
@@ -51,7 +53,7 @@ def reference_parse(text: str):
     last_turn = 0
     outcome = None
     turns = 0
-    ids: set = set()
+    ids = _Ids()
     families: dict = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -81,8 +83,8 @@ def reference_parse(text: str):
             if outcome is not None:
                 raise TraceFormatError(f"line {lineno}: an event after the outcome record")
             if size == 6:
-                check = _access_check(name, op, families, n, lineno)[2]
-                if not check(args, result, ids):
+                check = _access_check(name, op, families, n, lineno)[4]
+                if not check(rec, ids):
                     raise TraceFormatError(
                         f"line {lineno}: a {name} {op} with malformed args or result"
                     )
@@ -440,21 +442,62 @@ def test_events_is_a_fresh_view_of_the_rows():
 
 
 def assert_snapshots_share_the_writes(rows) -> None:
-    """Each non-null cell of a SNAP1 or SNAP2 snapshot is the ``args[0]``
-    of the write it replays, and each row and each snapshot result is a
-    list of its own (``TraceIndex.step`` finds a row by identity)."""
-    results = [row[5] for row in rows if len(row) == 6 and row[3] == "snapshot"]
-    assert len(set(map(id, [*rows, *results]))) == len(rows) + len(results)
-    written: dict = {}
+    """Each row is a list of its own (``TraceIndex.step`` finds a row by
+    identity); each non-null cell of a SNAP1 or SNAP2 snapshot equal to the
+    cells written before it is the ``args[0]`` of the write it replays; and
+    a snapshot result is shared only with the previous snapshot of the same
+    object, equal to it and with no write to that object between the two."""
+    assert len(set(map(id, rows))) == len(rows)
+    written: dict = {}  # object name -> pid -> the value written
+    previous: dict = {}  # object name -> its previous snapshot's result, since its last write
+    results: set = set()  # the ids of the snapshot results seen so far
     for row in rows:
-        if len(row) != 6 or not row[2].startswith("SNAP"):
+        if len(row) != 6:
             continue
         _turn, pid, name, op, args, result = row
-        cells = written.setdefault(name, {})
         if op == "write":
-            cells[pid] = args[0]
-        else:
-            assert all(cell is None or cell is cells[i] for i, cell in enumerate(result, 1)), row
+            previous.pop(name, None)
+            written.setdefault(name, {})[pid] = args[0]
+        elif op == "snapshot":
+            if id(result) in results:
+                assert result is previous.get(name), row
+            results.add(id(result))
+            previous[name] = result
+            if name.startswith("SNAP"):
+                cells = written.get(name, {})
+                replayed = [cells.get(i) for i in range(1, len(result) + 1)]
+                if result == replayed:
+                    assert all(map(operator.is_, result, replayed)), row
+
+
+def message_ids(rows):
+    """Each message id string a checked field of the rows holds: invoke and
+    deliver-msg ``msg``, deliver-set members, KSET args and results, SNAP1
+    values and SNAP2 view members, written or read."""
+    for row in rows:
+        if len(row) == 4:
+            kind, payload = row[2:]
+            if kind in ("invoke", "deliver-msg"):
+                yield payload["msg"]
+            elif kind == "deliver-set":
+                yield from payload["set"]
+        elif row[2].startswith("KSET"):
+            yield row[4][0]
+            yield row[5]
+        elif row[2].startswith("SNAP1"):
+            yield from filter(None, row[4] or row[5])
+        elif row[2].startswith("SNAP2"):
+            for view in filter(None, row[4] or row[5]):
+                yield from view
+
+
+def assert_one_string_per_message_id(rows) -> None:
+    first: dict = {}
+    count = 0
+    for mid in message_ids(rows):
+        assert first.setdefault(mid, mid) is mid, mid
+        count += 1
+    assert count > len(first)
 
 
 def assert_one_object_per_value(rows) -> None:
@@ -477,6 +520,9 @@ def assert_parsed_rows_share_as_the_run_does(trace) -> None:
     for rows in (trace.rows, parsed.rows):
         assert_snapshots_share_the_writes(rows)
         assert_one_object_per_value(rows)
+    assert_one_string_per_message_id(parsed.rows)
+    # a row the simulator records takes no more memory than its own copy
+    assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in trace.rows)
 
 
 @pytest.mark.parametrize("path", sorted(map(str, Path("scenarios").glob("*/*.scenario.json"))))
@@ -504,11 +550,14 @@ def test_sampled_runs_read_back_sharing_the_written_cells(nk, seed):
 
 
 def test_parsed_rows_take_little_more_memory_than_the_runs():
-    # The parsed rows hold each written snapshot cell once and share one
-    # object per object name, op, kind and turn, as the run's do; only
-    # message ids and payload strings are decoded afresh: about 1.08 times
-    # the run's rows, against 1.4 with a string per row for each of those
-    # four and 1.9 with a copy of every snapshot cell too.
+    # The parsed rows hold each written snapshot cell once, one list for
+    # consecutive equal snapshots of an object, one string per message id
+    # and one object per object name, op, kind and turn; each row is the
+    # list its line decodes to, which the JSON decoder over-allocates where
+    # the simulator's rows are at their exact size.  About 1.02 times the
+    # run's rows (1.00 on 3.13); 1.17 with a string per message id in each
+    # row, 1.08 with a list per MEM snapshot, 1.05 with a list per SNAP1 or
+    # SNAP2 snapshot, and 1.25 with all three.
     n = 10
     workload = {
         pid: tuple(WorkItem(op="broadcast", payload=f"m{pid}.{i}") for i in range(10))
@@ -528,4 +577,124 @@ def test_parsed_rows_take_little_more_memory_than_the_runs():
     finally:
         tracemalloc.stop()
     assert parsed.quiescent
-    assert parsed_bytes <= 1.2 * run_bytes, parsed_bytes / run_bytes
+    assert parsed_bytes <= 1.05 * run_bytes, parsed_bytes / run_bytes
+
+
+def test_parsed_runs_share_equal_snapshots():
+    # the sharing the contract above allows does happen: MEM, SNAP1 and
+    # SNAP2 snapshots each share a result with the one before them
+    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    rows = parse_trace(serialize_trace(run_scenario(instantiate_template(template, 0)))).rows
+    seen: set = set()
+    shared: set = set()
+    for row in rows:
+        if len(row) == 6 and row[3] == "snapshot":
+            if id(row[5]) in seen:
+                shared.add(row[2].split("[")[0])
+            seen.add(id(row[5]))
+    assert shared == {"MEM", "SNAP1", "SNAP2"}
+
+
+# --- what the reader shares, case by case -------------------------------------
+# Each trace below runs under the example's config (n = 3).  It reads as the
+# line reader reads it, writes back to its own text, and its verdicts are
+# those of its lines decoded one by one into rows that share nothing.
+
+CONFIG_LINE = BASES["example"].split("\n", 1)[0]
+
+
+def read_events(*events: str) -> list:
+    """The parsed rows of a trace of ``events``, checked as said above."""
+    outcome = {"record": "outcome", "outcome": "quiescent", "turns": json.loads(events[-1])[0]}
+    text = "\n".join([CONFIG_LINE, *events, json.dumps(outcome, separators=(",", ":"))]) + "\n"
+    assert_same_reading(text)
+    trace = parse_trace(text)
+    assert serialize_trace(trace) == text
+    fresh = Trace(trace.config, [json.loads(event) for event in events], trace.outcome, trace.turns)
+    assert serialize_verdicts(check_all(trace)) == serialize_verdicts(check_all(fresh))
+    assert_snapshots_share_the_writes(trace.rows)
+    return trace.rows
+
+
+@pytest.mark.parametrize("msg", ["[1]", "{}", '"1:0"'])
+def test_a_return_msg_is_read_as_it_is(msg):
+    rows = read_events(
+        f'[0,1,"return",{{"op":"kbo_broadcast","msg":{msg}}}]',
+        '[1,1,"deliver-msg",{"msg":"1:0","position":0}]',
+    )
+    assert rows[0][3]["msg"] == json.loads(msg)
+    # no field the reader does not check is shared, even one equal to an id
+    assert rows[0][3]["msg"] is not rows[1][3]["msg"]
+
+
+def test_an_unequal_or_forged_snapshot_is_checked_in_full_and_not_shared():
+    rows = read_events(
+        '[0,1,"MEM","write",[1],null]',
+        '[1,2,"MEM","snapshot",null,[1,0,0]]',
+        '[2,3,"MEM","snapshot",null,[1,0,0]]',
+        '[3,1,"MEM","snapshot",null,[1.0,0,0]]',
+        '[4,2,"MEM","snapshot",null,[true,0,0]]',
+        '[5,3,"MEM","snapshot",null,[1,0,0]]',
+        '[6,1,"SNAP1[0]","write",["1:0"],null]',
+        '[7,1,"SNAP1[0]","snapshot",null,["1:0",null,null]]',
+        '[8,2,"SNAP1[0]","snapshot",null,["1:0",null,null]]',
+        '[9,3,"SNAP1[0]","snapshot",null,["1:1",null,null]]',
+        '[10,3,"SNAP1[0]","snapshot",null,["1:0",null,null]]',
+    )
+    assert rows[2][5] is rows[1][5] and rows[8][5] is rows[7][5]
+    # equal counts of other types, and the snapshots after them
+    assert [type(cell) for cell in rows[3][5]] == [float, int, int]
+    assert rows[4][5][0] is True
+    results = [row[5] for row in rows if row[3] == "snapshot"]
+    assert len(set(map(id, results))) == len(results) - 2
+    # a snapshot that is no JSON list of n counts or cells is still refused
+    for forged, message in [
+        ('[11,1,"MEM","snapshot",[],[1,0,0]]', "a MEM snapshot with malformed args or result"),
+        ('[11,1,"MEM","snapshot",null,[1,0]]', "a MEM snapshot holds 2 cells, not n = 3"),
+        ('[11,1,"SNAP1[0]","snapshot",null,["1:0",5,null]]',
+         "a SNAP1[0] snapshot with malformed args or result"),
+        # equal to the previous MEM snapshot, but of another object
+        ('[11,1,"SNAP1[0]","snapshot",null,[1,0,0]]',
+         "a SNAP1[0] snapshot with malformed args or result"),
+    ]:
+        text = "\n".join([CONFIG_LINE, '[0,1,"MEM","write",[1],null]',
+                          '[1,2,"MEM","snapshot",null,[1,0,0]]',
+                          '[6,1,"SNAP1[0]","write",["1:0"],null]', forged])
+        with pytest.raises(TraceFormatError) as exc:
+            parse_trace(text)
+        assert str(exc.value) == f"line 5: {message}"
+        assert _read(reference_parse, text) == ("error", str(exc.value))
+
+
+def test_a_write_drops_the_shared_snapshot():
+    rows = read_events(
+        '[0,1,"MEM","write",[1],null]',
+        '[1,2,"MEM","snapshot",null,[1,0,0]]',
+        '[2,1,"MEM","write",[1],null]',
+        '[3,2,"MEM","snapshot",null,[1,0,0]]',
+        '[4,1,"SNAP1[0]","write",["1:0"],null]',
+        '[5,1,"SNAP1[0]","snapshot",null,["1:0",null,null]]',
+        '[6,1,"SNAP1[0]","write",["1:0"],null]',
+        '[7,2,"SNAP1[0]","snapshot",null,["1:0",null,null]]',
+    )
+    assert rows[3][5] == rows[1][5] and rows[3][5] is not rows[1][5]
+    assert rows[7][5] == rows[5][5] and rows[7][5] is not rows[5][5]
+
+
+def test_a_mem_count_equal_to_an_earlier_one_across_writes_breaks_no_row():
+    events = [
+        '[0,1,"MEM","write",[1],null]',
+        '[1,2,"MEM","snapshot",null,[1,0,0]]',
+        '[2,3,"MEM","snapshot",null,[1,0,0]]',
+        '[3,2,"MEM","write",[1],null]',
+        '[4,1,"MEM","snapshot",null,[1,1,0]]',
+        '[5,3,"MEM","write",[1],null]',
+        '[6,3,"MEM","snapshot",null,[1,1,1]]',
+        '[7,2,"MEM","snapshot",null,[1,0,0]]',
+        '[8,1,"MEM","snapshot",null,[1,0,0]]',
+    ]
+    rows = read_events(*events)
+    assert rows == [json.loads(event) for event in events]
+    assert rows[2][5] is rows[1][5] and rows[8][5] is rows[7][5]
+    assert rows[7][5] is not rows[1][5]
+
