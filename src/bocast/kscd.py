@@ -79,14 +79,18 @@ def _unnested_pair(sets) -> str:
 
 class MemCounts:
     """MEM, whose cell i counts the messages p_i has published, with the
-    running total of its cells."""
+    running total of its cells and the ids those counts name: ``ids[i - 1]``
+    lists p_i's message ids in index order, each the one string of that id
+    that the run's rows and the engines hold."""
 
     def __init__(self, n: int, emit):
         self.array = SnapshotArray(n, "MEM", emit)
+        self.ids: list[list[str]] = [[] for _ in range(n)]
         self.total = 0
 
-    def publish(self, pid: int) -> None:
-        """Raise p's cell by one, for its next message."""
+    def publish(self, pid: int, mid: str) -> None:
+        """Raise p's cell by one, for its next message ``mid``."""
+        self.ids[pid - 1].append(mid)
         self.array.write(pid, self.array.cells[pid - 1] + 1)
         self.total += 1
 
@@ -112,9 +116,10 @@ class BroadcastEngine:
 
     # --- broadcast operation steps --------------------------------------
 
-    def broadcast_write(self) -> None:
-        """Publish this process's next message: its MEM count goes up by one."""
-        self.mem.publish(self.pid)
+    def broadcast_write(self, mid: str) -> None:
+        """Publish this process's next message ``mid``: its MEM count goes up
+        by one."""
+        self.mem.publish(self.pid, mid)
 
     def broadcast_snapshot(self) -> None:
         self.wait_for = self.mem.array.snapshot(self.pid)
@@ -140,9 +145,9 @@ class BroadcastEngine:
                 arr = self.mem.array.snapshot(self.pid)
                 # the oldest undelivered message of the first sender with
                 # one, which exists since the task is enabled
-                for s, (done, count) in enumerate(zip(self.prefix, arr)):
+                for sent, done, count in zip(self.mem.ids, self.prefix, arr):
                     if done < count:
-                        self._propose(f"{s + 1}:{done}")
+                        self._propose(sent[done])
                         break
                 return None
         sets = self.round.step(self.pid, self.prop)

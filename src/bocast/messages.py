@@ -3,8 +3,10 @@
 A message is identified by the string ``"sender:index"``: the index is
 the position of the message in its sender's broadcast sequence, so
 identities are globally unique as long as each process broadcasts each
-of its messages once.  Ids are plain strings everywhere; the simulator
-keeps a message's payload in a table keyed by its id.  The canonical
+of its messages once.  Ids are plain strings everywhere.  The simulator
+makes each id once, at its invoke (``sim._Process.main_step``), and MEM
+keeps it beside the count that names it (``kscd.MemCounts.ids``), so a
+run's rows and engines hold one string per id.  The canonical
 order (sender, then index) is the tie-break order used everywhere a
 deterministic choice among messages is needed.  An id is written in
 canonical form: two decimal integers without sign, space, underscore or

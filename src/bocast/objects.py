@@ -37,7 +37,9 @@ class SnapshotArray:
 
     ``one_shot=True`` additionally enforces the one-write-then-one-snapshot
     discipline per process.  A one-shot array's cells start empty (None);
-    a multi-shot array's are counts and start at 0.
+    a multi-shot array's are counts and start at 0.  ``cells`` is the cells
+    as written so far: a write replaces the list by a changed copy and never
+    changes it, so a snapshot holds it as it is.
     """
 
     def __init__(self, n: int, object_id: str, emit, one_shot: bool = False):
@@ -56,12 +58,15 @@ class SnapshotArray:
             if pid in self._wrote:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} wrote a one-shot cell twice")
             self._wrote.add(pid)
-        self.cells[pid - 1] = value
+        cells = self.cells[:]
+        cells[pid - 1] = value
+        self.cells = cells
         self.emit(pid, self.object_id, "write", [value], None)
 
     def snapshot(self, pid: int) -> list:
-        """The n cells, as the trace row holds them: callers must not
-        modify the returned list."""
+        """The n cells as written so far: the array's own list, until its
+        next write, which the trace row holds too.  Callers must not modify
+        it."""
         if not 1 <= pid <= self.n:
             raise ProtocolViolation(f"{self.object_id}: unknown process {pid}")
         if self.one_shot:
@@ -70,7 +75,7 @@ class SnapshotArray:
             if pid in self._snapped:
                 raise ProtocolViolation(f"{self.object_id}: p{pid} took two one-shot snapshots")
             self._snapped.add(pid)
-        cells = self.cells[:]
+        cells = self.cells
         self.emit(pid, self.object_id, "snapshot", None, cells)
         return cells
 

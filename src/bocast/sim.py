@@ -107,7 +107,8 @@ class _Process:
         """Run one main-thread step; returns whether it wrote MEM."""
         emit, pid = self.recorder.emit, self.pid
         if self.state == "idle":
-            # each item broadcasts one message, so the item's index is the message's
+            # each item broadcasts one message, so the item's index is the
+            # message's; its id is made here only, and MEM keeps it
             item = self.items[self.widx]
             mid = f"{pid}:{self.widx}"
             if item.op == "broadcast":
@@ -117,7 +118,7 @@ class _Process:
                                      "instance": item.instance, "value": item.value})
                 self.proposals[mid] = (item.instance, item.value)
             self.widx += 1
-            self.engine.broadcast_write()
+            self.engine.broadcast_write(mid)
             self.state = "bsnap"
             return True
         if self.state == "bsnap":
@@ -125,7 +126,8 @@ class _Process:
             self.state = "bwait"
         elif self.state == "bwait":
             if self.items[self.widx - 1].op == "broadcast":
-                emit(pid, "return", {"op": "kbo_broadcast", "msg": f"{pid}:{self.widx - 1}"})
+                mid = self.engine.mem.ids[pid - 1][self.widx - 1]
+                emit(pid, "return", {"op": "kbo_broadcast", "msg": mid})
                 self.state = "idle"
             else:
                 self.state = "dwait"

@@ -85,30 +85,33 @@ In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
 ``Recorder`` builds the same lists, each at its exact size, so the run,
 the writer, the reader and the checker's index all handle one list per
-event and nothing else.  The reader's rows hold each repeated value
-once.  All rows with one object name hold one string for it, each op and
-each kind is the reader's own string for it, and all rows of one turn
-hold one int; the reader takes each from a lookup it makes anyway to
-check the row.  Each message id in a field the reader checks (an invoke's
-or a deliver-msg's ``msg``, a deliver-set's members, a KSET access's arg
-and result) is the one string of that id in ``_Ids``, the reader's cache
-of well-formed ids; a SNAP1 value or SNAP2 view member is that string
-when it is an id found before it, as each is in a stack trace.  No field
-the reader does not check is touched: a return's ``msg`` may be any JSON
-value.  Each written cell of a SNAP1[r] or SNAP2[r] snapshot is the very
-value its writer's row holds as ``args[0]``: the reader keeps each such
-object's cells as written so far, in a list that a write replaces rather
-than changes, and a snapshot whose args are null and whose result equals
-that list holds it.  That snapshot needs no check of its own, since a
-JSON value equal to a string, to null or to a list of strings is one, and
-each written cell passed its write's check.  A MEM snapshot equal to the
-previous MEM snapshot, with no MEM write between them, holds that one's
-list when both hold ints only (``true`` and ``1.0`` equal counts but are
-not ints).  Any other snapshot is checked in full and shares its list
-with no later one.  So consecutive equal snapshots of one object with no
-write between them hold one list.  The simulator's rows share less: each
-snapshot is a list of its own, and most message ids are strings of their
-own.  Either way the rows are read-only: a change to one cell would
+event and nothing else.  In the fields the reader checks, the rows hold
+each repeated value once, and a run's rows and its parsed rows share
+alike.  All rows with one object name hold one string for it, each op
+and each kind is one string, and all rows of one turn hold one int; the
+reader takes each from a lookup it makes anyway to check the row.  Each
+message id in a field the reader checks (an invoke's or a deliver-msg's ``msg``, a deliver-set's
+members, a KSET access's arg and result) is one string per id: the
+simulator makes it once, at the invoke, and the reader keeps it in
+``_Ids``, its cache of well-formed ids.  A SNAP1 value or SNAP2 view
+member is that string when it is an id found before it, as each is in a
+stack trace.  No field the reader does not check is touched: a return's
+``msg`` may be any JSON value.
+
+Snapshots follow one rule.  Every snapshot object (MEM, SNAP1[r],
+SNAP2[r]) keeps its cells as written so far, in a list that a write
+replaces and never changes, and a snapshot holds that list: in the
+simulator, ``objects.SnapshotArray``; in the reader, a snapshot whose
+args are null and whose result equals its object's cells.  MEM starts
+with n counts of 0, a SNAP1[r] or SNAP2[r] with n null cells.  So each
+written cell is the very value its writer's row holds as ``args[0]``,
+and snapshots of one object with no write between them hold one list.
+Such a snapshot needs no check of its own, since a JSON value equal to a
+string, to null or to a list of strings is one, and each written cell
+passed its write's check.  For MEM the rule applies only when both the
+result and the cells hold ints only: ``true`` and ``1.0`` equal counts
+but are not ints.  Any other snapshot is checked in full and holds a
+list of its own.  The rows are read-only: a change to one cell would
 change the other rows that hold it.  ``Trace.events`` is a view for
 readers outside the package: it builds ``Event`` records from the rows
 on each call.
@@ -197,11 +200,11 @@ class Trace:
     """A trace in memory: its config, its events as format-3 rows (the
     lists the file holds, one per event, in trace order), its outcome and
     its turn count.  The rows are read-only: each is a list of its own,
-    but a SNAP1[r] or SNAP2[r] snapshot shares its written cells with the
-    rows of their writes, in a run's rows and in a parsed trace's alike.
-    A parsed trace's rows share more: equal snapshots of one object with
-    no write between them hold one list, and all rows hold one string per
-    message id in the fields the reader checks."""
+    but a snapshot holds its object's cells as written so far, a list it
+    shares with the other snapshots of that object until the next write,
+    and whose cells are the written values; all rows hold one string per
+    message id in the fields the reader checks.  A run's rows and a parsed
+    trace's share alike."""
 
     config: "ScenarioConfig"
     rows: list[list]
@@ -437,16 +440,18 @@ def _access_check(name, op, objects: dict, n: int, lineno: int):
     with ``op``: its entry in ``objects``, then the op as the rows share it
     and the check of its row.  ``objects`` caches ``(name, checks by op,
     cells)`` for each name seen: the name as the rows share it, and the
-    cells of a SNAP1[r] or SNAP2[r] as written so far (None for MEM and
-    KSET[r]); a new SNAP1[r] or SNAP2[r] starts with n null cells."""
+    cells of a snapshot object as written so far (None for a KSET[r]);
+    MEM starts with n counts of 0, a SNAP1[r] or SNAP2[r] with n null
+    cells."""
     try:
         name, ops, cells = objects[name]
     except (KeyError, TypeError):  # a new name, or no string at all
         m = OBJECT_NAME.fullmatch(name) if type(name) is str else None
         if m is None:
             raise TraceFormatError(f"line {lineno}: unknown object {name!r}") from None
-        ops = _ACCESSES[m.group(1) or "MEM"]
-        cells = [None] * n if name[0] == "S" else None
+        family = m.group(1)  # None for MEM
+        ops = _ACCESSES[family or "MEM"]
+        cells = None if family == "KSET" else [None if family else 0] * n
         objects[name] = name, ops, cells
     try:
         op, check = ops[op]
@@ -566,11 +571,9 @@ def parse_trace(text: str) -> Trace:
     turns = 0
     ids = _Ids()
     # object name -> (name, its checks by op, cells), for the names seen; the
-    # cells of a SNAP1[r] or SNAP2[r] as written so far, None for any other:
-    # a list that snapshot rows may hold, so a write replaces it
+    # cells of a snapshot object as written so far, None for a KSET[r]: a
+    # list that snapshot rows may hold, so a write replaces it
     objects: dict = {}
-    # the previous MEM snapshot's counts, until the next MEM write
-    mem_counts = None
     payloads = _PAYLOADS
     find, size_of_text = text.find, len(text)
     # where the last block ends: before a final "\n", which ends a line
@@ -619,36 +622,26 @@ def parse_trace(text: str) -> Trace:
                     # one object per name and per op, as in the simulator's rows
                     rec[2] = name
                     rec[3] = op
-                    if cells is not None and op == "snapshot" and args is None and result == cells:
-                        # the cells written so far, each checked at its write
+                    if op == "snapshot" and args is None and result == cells and (
+                        # true and 1.0 equal counts but are not ints
+                        name != "MEM" or (
+                            _INT.issuperset(map(type, result)) and _INT.issuperset(map(type, cells))
+                        )
+                    ):  # the cells written so far, each checked at its write
                         rec[5] = cells
-                    elif (
-                        cells is None and op == "snapshot" and mem_counts is not None
-                        and args is None and result == mem_counts
-                        and _INT.issuperset(map(type, result))
-                    ):  # the previous MEM snapshot's counts, with no write since
-                        rec[5] = mem_counts
                     elif not check(rec, ids):
                         raise TraceFormatError(
                             f"line {lineno}: a {name} {op} with malformed args or result"
                         )
-                    elif op == "snapshot":
-                        if len(result) != n:
-                            raise TraceFormatError(
-                                f"line {lineno}: a {name} snapshot holds {len(result)} cells, "
-                                f"not n = {n}"
-                            )
-                        if cells is None:  # MEM
-                            mem_counts = result if _INT.issuperset(map(type, result)) else None
-                        else:  # a later equal snapshot shares nothing with this one
-                            objects[name] = name, ops, cells[:]
-                    elif op == "write":
-                        if cells is None:  # MEM
-                            mem_counts = None
-                        else:  # a SNAP1 or SNAP2 write: new cells, as rows share the old
-                            cells = cells[:]
-                            cells[pid - 1] = args[0]
-                            objects[name] = name, ops, cells
+                    elif op == "snapshot" and len(result) != n:
+                        raise TraceFormatError(
+                            f"line {lineno}: a {name} snapshot holds {len(result)} cells, "
+                            f"not n = {n}"
+                        )
+                    elif op == "write":  # new cells, as rows may hold the old
+                        cells = cells[:]
+                        cells[pid - 1] = args[0]
+                        objects[name] = name, ops, cells
                 else:
                     try:
                         rec[2] = payloads[kind][0]  # the one string of its kind

@@ -39,6 +39,24 @@ class TestMultiShot:
         assert recorder.rows == []
 
 
+@pytest.mark.parametrize("one_shot", [False, True])
+def test_a_snapshot_holds_the_cells_as_written_until_the_next_write(one_shot):
+    recorder = Recorder()
+    arr = SnapshotArray(3, "S", recorder.emit, one_shot=one_shot)
+    empty = None if one_shot else 0
+    arr.write(1, "a")
+    before = arr.snapshot(1)
+    arr.write(2, "b")
+    arr.write(3, "c")
+    after = arr.snapshot(2)
+    # a write replaces the cells: a snapshot taken before it keeps its values
+    assert before == ["a", empty, empty]
+    # no write between two snapshots: one list, which their rows hold too
+    again = arr.snapshot(3)
+    assert again is after and after == ["a", "b", "c"]
+    assert recorder.rows[-1][5] is recorder.rows[-2][5] is after
+
+
 class TestOneShot:
     def test_double_write_rejected(self):
         arr = SnapshotArray(2, "S", Recorder().emit, one_shot=True)
