@@ -142,19 +142,18 @@ class TraceIndex:
 
 
 def build_order(trace_or_index) -> Poset:
-    """The agreed order of every process's deliveries, crashed or not
-    (``poset.order_bitsets``), over every delivered message.  Duplicate
-    deliveries are dropped (first occurrence wins); the integrity check
-    reports them separately.
+    """The agreed order of every process's deliveries, crashed or not,
+    over every delivered message: m lies below m' iff every process that
+    delivered m' delivered m before it.  ``poset.order_bitsets`` builds it
+    as one AND per process of what that process puts at or after m.
+    Duplicate deliveries are dropped (first occurrence wins), and only
+    delivered messages are numbered, as ``order_bitsets`` requires; the
+    integrity check reports duplicates separately.
 
     The elements are numbered in the order they first appear across the
-    sequences, which is a linear extension of the agreed order.  Let
-    x < y, and let a sequence hold y.  If it did not hold x before y, it
-    would order y before x, so x < y could not hold: every sequence is a
-    down-set listed along an extension.  An element y that first appears
-    in a later sequence cannot lie below an element x of an earlier one,
-    as that earlier sequence would then hold y too.  So along the merge
-    everything above an element comes after it."""
+    sequences, which is a linear extension of the agreed order: if
+    m < m', the process where m' first appears delivered m before it, so
+    m appears first."""
     index = trace_or_index if isinstance(trace_or_index, TraceIndex) else TraceIndex(trace_or_index)
     sequences = [list(dict.fromkeys(seq)) for seq in index.msg_seqs.values()]
     elements = list(dict.fromkeys(chain.from_iterable(sequences)))

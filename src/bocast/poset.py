@@ -3,9 +3,13 @@
 The strict order is stored as int bitsets: ``less[x]`` has bit ``i`` set
 when the i-th element, in the order the elements were given, lies
 strictly above ``x``.  ``Poset`` is given a strict partial order and
-does not check its laws: the agreed order of delivery sequences
-(``order_bitsets``) is one by construction, as its docstring proves, and
-``checker.build_order`` lists its elements along a linear extension.
+does not check its laws.  The agreed order of delivery sequences
+(``order_bitsets``) is one by construction: x lies below y iff every
+sequence that holds y holds x before it, so ``less[x]`` is the AND over
+the sequences of what each puts at or after x (the elements after x and
+all it lacks, or only what it lacks when it lacks x), given that every
+element lies in some sequence.  ``checker.build_order`` lists its
+elements along a linear extension.
 
 The width (maximum antichain size) is computed exactly through a maximum
 bipartite matching on the strict comparability relation: a poset of n
@@ -56,44 +60,42 @@ def iter_bits(mask: int):
 def order_bitsets(sequences, index: dict) -> list[int]:
     """The agreed order of several delivery sequences, as bitsets over ``index``.
 
-    A sequence orders x before y when it holds x before y, or holds x and
-    not y: what it never delivered lies above all it delivered.  x lies
-    below y when some sequence orders x before y and none orders y before
-    x.  That is always a strict partial order.  For transitivity, let
-    a < b < c and let some sequence s order c before a.  Then s holds c;
-    as s does not order c before b, it holds b before c, and as it does
-    not order b before a, it holds a before b, so a before c: a
-    contradiction.  The sequence that orders a before b holds a, so it
-    orders a before c.
+    x lies below y iff every sequence that holds y holds x before it.  So
+    ``less[x]`` is the AND over the sequences of what each puts at or
+    after x, without x: when the sequence holds x, the elements after x
+    and everything it lacks; when it lacks x, only what it lacks.  That is
+    positions compared coordinate by coordinate, pos_s(x) <= pos_s(y) in
+    every sequence s, an absent element tied after all present ones.  Each
+    coordinate is a preorder, so their intersection is transitive, and it
+    is antisymmetric because each element has a position of its own in
+    some sequence: a strict partial order, once x itself is left out.
 
-    Per sequence, a prefix sweep marks what comes before each element,
-    and the elements it misses get all it holds; a suffix sweep, seeded
-    with the missed elements, marks what comes after.  So ``less[x] = OR
-    after[x] & ~OR before[x]``: O(len(index) * |sequences|) big-int
-    operations.  Each sequence lists an element at most once.  Each
-    ``after[x]`` is masked in place and ``before[x]`` freed as it is
-    spent, so the two lists and the result are never all alive at once.
+    It is the same relation as this wording: a sequence orders x before y
+    when it holds x before y, or holds x and not y; x lies below y iff
+    some sequence orders x before y and none orders y before x.  "None
+    orders y before x" is the AND above, and it implies "some orders x
+    before y": a sequence that holds y holds x before it.
+
+    Preconditions: each sequence lists an element at most once, and every
+    element of ``index`` lies in some sequence, whose sweep clears the
+    element's own bit.  One list of ``len(index)`` bitsets, started full,
+    and per sequence one suffix sweep: O(len(index) * |sequences|) big-int
+    operations.
     """
-    before = [0] * len(index)
-    after = [0] * len(index)
     everything = (1 << len(index)) - 1
+    less = [everything] * len(index)
     for seq in sequences:
         positions = [index[x] for x in seq]
-        seen = 0
+        held = 0
         for i in positions:
-            before[i] |= seen
-            seen |= 1 << i
-        missed = everything & ~seen
-        for i in iter_bits(missed):
-            before[i] |= seen
-        seen = missed
+            held |= 1 << i
+        above = everything ^ held
+        for i in iter_bits(above):
+            less[i] &= above
         for i in reversed(positions):
-            after[i] |= seen
-            seen |= 1 << i
-    for i, below in enumerate(before):
-        after[i] &= ~below
-        before[i] = 0
-    return after
+            less[i] &= above
+            above |= 1 << i
+    return less
 
 
 def greedy_matching(up: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bocast.checker import (
     TraceIndex,
@@ -124,6 +124,10 @@ def delivery_runs(draw, mids=MIDS, max_processes=4):
 
 class TestBitsetOrder:
     @given(delivery_runs())
+    @example(([["1:0", "2:0", "3:0"], []], set()))  # a process that delivered nothing
+    @example(([["1:0", "2:0"], ["3:0", "2:0"]], {2}))  # 3:0 only a crashed process delivered
+    @example(([["1:0", "2:0", "3:0"]], set()))  # a single process
+    @example(([["1:0", "2:0", "3:0"], ["1:0", "2:0"]], {2}))  # a crashed prefix of another's
     @settings(max_examples=200, deadline=None)
     def test_build_order_matches_the_pairwise_definition(self, run):
         sequences, crashed = run

@@ -197,10 +197,10 @@ class TestLargePosets:
         assert is_antichain(p, antichain)
 
 
-def test_order_bitsets_peak_below_twice_its_result():
-    # each bitset of what lies before an element is freed once spent, so
-    # the result is built in place: 1.70 times its size at its peak here;
-    # with both sweeps' lists and a new result alive at once, 2.67
+def test_order_bitsets_peak_within_a_quarter_of_its_result():
+    # one list of bitsets, started full and narrowed in place, so the
+    # peak is the result plus a few bitsets in flight: 1.06 times its
+    # size here
     sequences = crossing_chains(1, 2000, 4, 20)
     index = {x: i for i, x in enumerate(dict.fromkeys(chain.from_iterable(sequences)))}
     tracemalloc.start()
@@ -211,4 +211,27 @@ def test_order_bitsets_peak_below_twice_its_result():
     finally:
         tracemalloc.stop()
     assert Poset(index, dict(zip(index, less))).width() == 4
-    assert peak <= 2.0 * size, peak / size
+    assert peak <= 1.25 * size, peak / size
+
+
+@pytest.mark.parametrize("m", [2000, 8000])
+def test_order_bitsets_is_position_dominance_at_scale(m):
+    # x < y iff x != y and, in every sequence, x's position is at most y's,
+    # an absent element sitting at infinity; checked on seeded pairs of
+    # orders far beyond pairwise_less's reach.  One more process crashed
+    # after delivering a third of the same messages in chains of another
+    # seed, so what it delivered and what it lacks cut across the order.
+    sequences = crossing_chains(1, m, 4, 20) + [crossing_chains(2, m, 4, 20)[0][: m // 3]]
+    index = {x: i for i, x in enumerate(dict.fromkeys(chain.from_iterable(sequences)))}
+    less = order_bitsets(sequences, index)
+    positions = []
+    for seq in sequences:
+        pos = [float("inf")] * len(index)
+        for at, x in enumerate(seq):
+            pos[index[x]] = at
+        positions.append(pos)
+    rng = SplitMix64(m)
+    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(20_000)]
+    expected = [x != y and all(pos[x] <= pos[y] for pos in positions) for x, y in pairs]
+    assert [bool(less[x] >> y & 1) for x, y in pairs] == expected
+    assert 0.25 < sum(expected) / len(pairs) < 0.45  # 0.32 and 0.34 comparable
