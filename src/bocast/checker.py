@@ -35,6 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
+from time import perf_counter
 
 from .messages import msg_key, sort_ids
 from .poset import Poset, order_bitsets
@@ -78,7 +79,8 @@ def _skip(name: str) -> Verdict:
 class TraceIndex:
     """Per-process and per-object views of one trace.  ``objects`` maps
     each object name to the trace's own rows of its accesses, in step
-    order, ``[turn, pid, object, op, args, result]``."""
+    order, ``[turn, pid, object, op, args, result]``.  ``replayed`` keeps
+    each snapshot object's replay, made the first time a suite asks."""
 
     def __init__(self, trace: Trace):
         cfg = trace.config
@@ -97,6 +99,7 @@ class TraceIndex:
         self.set_seqs: dict[int, list[tuple[int, tuple[str, ...]]]] = {pid: [] for pid in pids}
         self.msg_seqs: dict[int, list[str]] = {pid: [] for pid in pids}
         self.objects: dict[str, list] = {}
+        self._replays: dict[str, tuple] = {}
         rounds: set[int] = set()
 
         objects, faulty, broadcasts = self.objects, self.faulty, self.broadcasts
@@ -133,6 +136,16 @@ class TraceIndex:
         self.nonfaulty = [pid for pid in pids if pid not in faulty]
         self.k2s_rounds = sorted(rounds)  # the r of every KSET[r], SNAP1[r] or SNAP2[r]
 
+    def replayed(self, object_id: str) -> tuple[tuple[list, int] | None, bool]:
+        """``replay`` of the snapshot object ``object_id`` (MEM, SNAP1[r]
+        or SNAP2[r]; no accesses if the trace has none), made once: the
+        ``snapshot`` and ``k2s`` suites share it."""
+        result = self._replays.get(object_id)
+        if result is None:
+            accesses = self.objects.get(object_id, ())
+            result = self._replays[object_id] = replay(self.n, accesses, object_id == "MEM")
+        return result
+
     def step(self, row) -> int:
         """The step of ``row``, one of the trace's rows: its index in the
         trace, found by identity (each row is a list of its own, as the
@@ -168,17 +181,22 @@ def set_positions(sets) -> dict[str, int]:
     return {mid: i for i, mids in enumerate(sets) for mid in mids}
 
 
-def sets_cross(pos_a: dict[str, int], pos_b: dict[str, int]) -> bool:
+def set_order(pos: dict[str, int]) -> list[tuple[str, int]]:
+    """The (message id, set index) pairs of ``set_positions`` in set order."""
+    return sorted(pos.items(), key=itemgetter(1))
+
+
+def sets_cross(order_a: list[tuple[str, int]], pos_b: dict[str, int]) -> bool:
     """Whether two messages sit in distinct sets in opposite order at two
-    processes.
+    processes, from a's ``set_order`` and b's ``set_positions``.
 
     One sweep over a's sets in order, keeping the largest set index at b
     among a's earlier sets: a message whose index at b is below it has
-    crossed.  O(M log M) for the sort.
+    crossed.  O(M): a's order is sorted once, not once per pair.
     """
     done = seen = -1  # max index at b over a's earlier sets / over all so far
     current = None
-    for mid, ia in sorted(pos_a.items(), key=itemgetter(1)):
+    for mid, ia in order_a:
         ib = pos_b.get(mid)
         if ib is None:
             continue
@@ -322,9 +340,10 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
         pid: set_positions(mids for _, mids in index.set_seqs[pid])
         for pid in range(1, index.n + 1)
     }
+    order = {pid: set_order(pos) for pid, pos in setpos.items()}
     crossing = None
     for pa, pb in combinations(sorted(setpos), 2):
-        if sets_cross(setpos[pa], setpos[pb]):
+        if sets_cross(order[pa], setpos[pb]):
             first_a, later_a = first_crossing(setpos[pa], setpos[pb])
             crossing = {
                 "msg_first": first_a,
@@ -339,20 +358,18 @@ def _check_kscd(index: TraceIndex) -> list[Verdict]:
     return out
 
 
-def _growing_chain(n: int, accesses, inputs: set, bound: int) -> set[int] | None:
-    """The pids that took a snapshot of a SNAP2 object whose every output
-    is known safe without looking at it, or None when that is not shown.
+def _growing_chain(accesses, inputs: set, bound: int) -> set[int] | None:
+    """The pids that took a snapshot of a SNAP2 object whose snapshots
+    nest (``replay``) and whose every output is known safe without
+    looking at it, or None when that is not shown.
 
-    When the object's snapshots nest (``replay``), each output is the
-    family of distinct views written before it, so the outputs are
-    prefixes of one growing family and nest pairwise.  If moreover every
-    written view lies in ``inputs`` with a size in 1..``bound``, every
-    snapshot sees 1..``bound`` distinct views and the written views form
-    a chain, then every output passes validity, set size, view size and
-    both inclusions.
+    As the snapshots nest, each output is the family of distinct views
+    written before it, so the outputs are prefixes of one growing family
+    and nest pairwise.  If moreover every written view lies in ``inputs``
+    with a size in 1..``bound``, every snapshot sees 1..``bound`` distinct
+    views and the written views form a chain, then every output passes
+    validity, set size, view size and both inclusions.
     """
-    if not replay(n, accesses, mem=False)[1]:
-        return None
     views: set[frozenset] = set()  # the distinct views written so far
     pids = set()
     for _turn, pid, _name, op, args, _res in accesses:
@@ -384,8 +401,9 @@ def _check_k2s(index: TraceIndex) -> list[Verdict]:
                 proposals[r][pid] = args[0]
         inputs = set(proposals[r].values())
         bound = min(index.k, len(inputs)) if inputs else 0
-        accesses = index.objects.get(f"SNAP2[{r}]", ())
-        pids = _growing_chain(index.n, accesses, inputs, bound)
+        name = f"SNAP2[{r}]"
+        accesses = index.objects.get(name, ())
+        pids = _growing_chain(accesses, inputs, bound) if index.replayed(name)[1] else None
         if pids is not None:
             snapped[r] = pids
             continue
@@ -504,16 +522,16 @@ def replay(n: int, accesses, mem: bool) -> tuple[tuple[list, int] | None, bool]:
 
 def _check_snapshot(index: TraceIndex) -> list[Verdict]:
     """Replay of every snapshot object and view containment of the
-    one-shot ones, from one ``replay`` pass per object.  Only a one-shot
-    object whose snapshots are not shown to nest has its snapshot views
-    compared."""
+    one-shot ones, from one ``replay`` pass per object, shared with
+    ``k2s``.  Only a one-shot object whose snapshots are not shown to
+    nest has its snapshot views compared."""
     containment = broken = None
     for object_id in sorted(index.objects):
         if not object_id.startswith(("MEM", "SNAP1[", "SNAP2[")):
             continue
         accesses = index.objects[object_id]
         mem = object_id == "MEM"
-        bad, nested = replay(index.n, accesses, mem)
+        bad, nested = index.replayed(object_id)
         if bad is not None and broken is None:
             broken = {"object": object_id, "step": index.step(bad[0]), "cell": bad[1]}
         if mem or nested or containment is not None:
@@ -604,32 +622,35 @@ def _check_roundsync(index: TraceIndex) -> list[Verdict]:
         return [_fail(name, {"reason": "unequal final delivery counts", "totals": totals})]
     r_end = totals[pids[0]]
 
-    # Each process's sets sorted by round once; a window is then the slice
-    # between two bisections.  Its union does not depend on the order of
-    # the sets, so repeated or out-of-order rounds give what a full scan
-    # of the sequence gives.
-    by_round = {pid: sorted(index.set_seqs[pid], key=itemgetter(0)) for pid in pids}
-    rounds = {pid: [r for r, _ in sets] for pid, sets in by_round.items()}
-    common = sorted(set.intersection(*(set(rounds[pid]) for pid in pids)))
-    checkpoints = set(common) | {r_end}
+    # Each process's sets sorted by round once and flattened into one
+    # message list, with the offset in it of each checkpoint's first set:
+    # the window from one checkpoint to a later one is then one slice.  Its
+    # union does not depend on the order of the sets, so repeated or
+    # out-of-order rounds give what a full scan of the sequence gives.
+    common = set.intersection(*({r for r, _ in index.set_seqs[pid]} for pid in pids))
+    checkpoints = sorted(common | {r_end})
+    cuts = []  # per process: (messages in round order, offset of each checkpoint)
+    for pid in pids:
+        sets = sorted(index.set_seqs[pid], key=itemgetter(0))
+        rounds = [r for r, _ in sets]
+        starts = [0, *accumulate(len(mids) for _, mids in sets)]
+        msgs = list(chain.from_iterable(mids for _, mids in sets))
+        cuts.append((msgs, [starts[bisect_left(rounds, c)] for c in checkpoints]))
 
-    def msgs_between(pid: int, lo: int, hi: int) -> frozenset:
-        rs = rounds[pid]
-        window = by_round[pid][bisect_left(rs, lo) : bisect_left(rs, hi)]
-        return frozenset(chain.from_iterable(mids for _, mids in window))
+    def synchronized(lo: int, hi: int) -> bool:
+        """Whether every process delivered one set of messages between
+        checkpoints number lo and hi."""
+        windows = (set(msgs[at[lo] : at[hi]]) for msgs, at in cuts)
+        first = next(windows)
+        return all(window == first for window in windows)
 
-    for r in common:
+    # the checkpoints below r_end are the common rounds that open a window
+    for lo, r in enumerate(checkpoints):
         if r >= r_end:
-            continue
-        found = None
-        for r2 in range(r + 1, r + index.k + 1):
-            if r2 not in checkpoints:
-                continue
-            cumulative = {msgs_between(pid, r, r2) for pid in pids}
-            if len(cumulative) == 1:
-                found = r2
-                break
-        if found is None:
+            break
+        if not any(
+            synchronized(lo, hi) for hi in range(lo + 1, bisect_right(checkpoints, r + index.k))
+        ):
             return [
                 _fail(
                     name,
@@ -651,14 +672,22 @@ ALL_SUITES = tuple(_SUITE_FUNCS)
 
 
 @pauses_cyclic_gc
-def check_all(trace: Trace, suites=ALL_SUITES) -> list[Verdict]:
+def check_all(trace: Trace, suites=ALL_SUITES, timings: dict | None = None) -> list[Verdict]:
+    """The verdicts of ``suites``, in that order.  ``timings``, if given,
+    gets the wall seconds of building the index (``"index"``) and of each
+    suite, in run order."""
+    timings = {} if timings is None else timings
+    start = perf_counter()
     index = TraceIndex(trace)
+    timings["index"] = perf_counter() - start
     verdicts: list[Verdict] = []
     for suite in suites:
         fn = _SUITE_FUNCS.get(suite)
         if fn is None:
             raise CheckerError(f"unknown suite {suite!r}")
+        start = perf_counter()
         verdicts.extend(fn(index))
+        timings[suite] = perf_counter() - start
     return verdicts
 
 

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from .checker import (
     ALL_SUITES,
@@ -94,8 +95,10 @@ def _suites(arg: str | None) -> tuple[str, ...]:
 
 def cmd_check(args) -> int:
     suites = _suites(args.suites)
+    start = perf_counter()
     trace = read_trace(args.trace)
-    verdicts = check_all(trace, suites)
+    timings = {"read": perf_counter() - start}
+    verdicts = check_all(trace, suites, timings)
     # Freed now, the trace lowers the collector's allocation count again;
     # kept, it is walked once by the collection the report's first
     # allocation starts (0.1 s on a 60,000-event trace).
@@ -107,6 +110,9 @@ def cmd_check(args) -> int:
         except OSError as exc:
             return _fail_usage(f"--report: cannot write {args.report}: {exc.strerror or exc}")
     sys.stdout.write(report)
+    if args.timings:
+        for stage, seconds in timings.items():
+            print(f"{stage}: {1000 * seconds:.1f} ms", file=sys.stderr)
     return EXIT_FAIL if any_failure(verdicts) else EXIT_OK
 
 
@@ -303,6 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--suites", help=f"comma list from {','.join(ALL_SUITES)} (default all)")
     p.add_argument("--report", help="also write the verdict records to this path")
+    p.add_argument(
+        "--timings", action="store_true",
+        help="write the wall time of reading the trace, indexing it and each suite to stderr",
+    )
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("decompose", help="decompose a trace's delivery order into channels")

@@ -1,4 +1,6 @@
 import json
+from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,12 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from bocast.checker import (
     TraceIndex,
     Verdict,
+    _check_kscd,
     any_failure,
     build_order,
     check_all,
     first_crossing,
     first_incomparable,
     serialize_verdicts,
+    set_order,
     set_positions,
     sets_cross,
 )
@@ -188,9 +192,9 @@ class TestCrossingSweep:
     def test_sweep_agrees_with_the_canonical_scan(self, pair):
         a, b, mode = pair
         pos_a, pos_b = set_positions(a), set_positions(b)
-        crossed = sets_cross(pos_a, pos_b)
+        crossed = sets_cross(set_order(pos_a), pos_b)
         assert crossed == (first_crossing(pos_a, pos_b) is not None)
-        assert crossed == sets_cross(pos_b, pos_a)
+        assert crossed == sets_cross(set_order(pos_b), pos_a)
         if mode == "coarsened":
             assert not crossed
 
@@ -198,8 +202,89 @@ class TestCrossingSweep:
         a = [("1:0",), ("1:1", "2:0"), ("2:1",)]
         b = [("1:0", "2:1"), ("2:0",), ("1:1",)]
         pos_a, pos_b = set_positions(a), set_positions(b)
-        assert sets_cross(pos_a, pos_b)
+        assert sets_cross(set_order(pos_a), pos_b)
         assert first_crossing(pos_a, pos_b) == ("1:1", "2:1")
+
+
+def reference_sets_cross(pos_a: dict[str, int], pos_b: dict[str, int]) -> bool:
+    """The sweep of ``sets_cross`` with a's set positions sorted on each
+    call, once per process pair, as the checker did before it sorted each
+    process's set order once."""
+    done = seen = -1
+    current = None
+    for mid, ia in sorted(pos_a.items(), key=itemgetter(1)):
+        ib = pos_b.get(mid)
+        if ib is None:
+            continue
+        if ia != current:
+            current = ia
+            done = seen
+        if ib < done:
+            return True
+        seen = max(seen, ib)
+    return False
+
+
+def reference_ordering(index: TraceIndex) -> Verdict:
+    """``kscd.ordering`` from a sort per process pair: the first crossing
+    pair in ``combinations`` order, with ``first_crossing``'s witness."""
+    setpos = {
+        pid: set_positions(mids for _, mids in index.set_seqs[pid])
+        for pid in range(1, index.n + 1)
+    }
+    for pa, pb in combinations(sorted(setpos), 2):
+        if reference_sets_cross(setpos[pa], setpos[pb]):
+            first_a, later_a = first_crossing(setpos[pa], setpos[pb])
+            witness = {"msg_first": first_a, "msg_later": later_a, "pid": pa, "pid_reversed": pb}
+            return Verdict("kscd.ordering", "fail", witness)
+    return Verdict("kscd.ordering", "pass")
+
+
+@st.composite
+def set_deliveries(draw):
+    """n in 2..5 and per process its delivered sets.  Process 1's sets are
+    drawn freely, with repeats across sets (``set_positions`` keeps a
+    message's last set).  Each other process's are drawn freely too, or
+    are process 1's with neighbouring sets merged and, sometimes, two
+    messages of different sets swapped, so that both verdicts are drawn."""
+    n = draw(st.integers(2, 5))
+    sets = st.lists(st.sampled_from(MIDS), min_size=1, max_size=3, unique=True)
+    base = draw(st.lists(sets, max_size=6))
+    deliveries = {1: base}
+    for pid in range(2, n + 1):
+        if draw(st.booleans()):
+            deliveries[pid] = draw(st.lists(sets, max_size=6))
+            continue
+        merged = []
+        for mids in base:
+            if merged and draw(st.booleans()):
+                merged[-1] = list(dict.fromkeys(merged[-1] + mids))
+            else:
+                merged.append(list(mids))
+        if len(merged) >= 2 and draw(st.booleans()):
+            i = draw(st.integers(0, len(merged) - 2))
+            j = draw(st.integers(i + 1, len(merged) - 1))
+            x = draw(st.integers(0, len(merged[i]) - 1))
+            y = draw(st.integers(0, len(merged[j]) - 1))
+            merged[i][x], merged[j][y] = merged[j][y], merged[i][x]
+            merged = [list(dict.fromkeys(mids)) for mids in merged]
+        deliveries[pid] = merged
+    return n, deliveries
+
+
+class TestOrderingSuite:
+    @given(set_deliveries())
+    @settings(max_examples=300, deadline=None)
+    def test_ordering_verdict_matches_a_sort_per_pair(self, case):
+        n, deliveries = case
+        events = [
+            Event(pid, "deliver-set", {"round": r, "set": mids})
+            for pid, sets in deliveries.items()
+            for r, mids in enumerate(sets)
+        ]
+        index = TraceIndex(trace_of_events(stack_config(n, min(3, n), 0, {}), events))
+        verdicts = {v.property: v for v in _check_kscd(index)}
+        assert verdicts["kscd.ordering"] == reference_ordering(index)
 
 
 class TestNegativeControls:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bocast
-from bocast.checker import check_all, serialize_verdicts
+from bocast.checker import ALL_SUITES, check_all, serialize_verdicts
 from bocast.cli import instantiate_template, main
 from bocast.rng import SplitMix64
 from bocast.scenario import ConfigError, ScenarioConfig, load_scenario
@@ -183,6 +184,22 @@ def test_check_fails_on_forged_trace(capsys):
     )
     assert rec["pass"] is False
     assert rec["witness"]["antichain"] == ["1:0", "2:0", "3:0"]
+
+
+@pytest.mark.parametrize("suites", [None, "roundsync,kscd"])
+@pytest.mark.parametrize("path", [GOLDEN_TRACE, FORGED_WIDTH3], ids=lambda p: p.stem)
+def test_check_timings_go_to_stderr_and_leave_stdout_and_exit_code_alone(capsys, path, suites):
+    args = ["check", "--trace", str(path), *(["--suites", suites] if suites else [])]
+    code = main(args)
+    plain = capsys.readouterr()
+    assert main([*args, "--timings"]) == code
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    lines = timed.err.splitlines()
+    assert all(re.fullmatch(r"[a-z0-9]+: \d+\.\d ms", line) for line in lines), lines
+    stages = [line.split(":")[0] for line in lines]
+    assert stages == ["read", "index", *(suites.split(",") if suites else ALL_SUITES)]
 
 
 @pytest.mark.parametrize("path", sorted(Path("scenarios/forged").glob("*.trace")), ids=lambda p: p.stem)

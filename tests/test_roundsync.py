@@ -1,9 +1,11 @@
-"""``roundsync.window`` by bisection against the full scan it replaced.
+"""``roundsync.window`` from slices against the full scan it replaced.
 
-``reference_roundsync`` is the scan the checker used before its windows
-were cut from round-sorted sets by bisection: for every window it walks
-every set of every process.  Both must give the same verdict and witness
-on any trace, forged ones included, whose rounds repeat or go backwards.
+The checker flattens each process's round-sorted sets into one message
+list and finds each checkpoint's offset in it once, so a window is one
+slice.  ``reference_roundsync`` is the scan it used before windows were
+cut from round-sorted sets: for every window it walks every set of every
+process.  Both must give the same verdict and witness on any trace,
+forged ones included, whose rounds repeat or go backwards.
 """
 
 from __future__ import annotations
@@ -119,6 +121,25 @@ def test_repeated_and_out_of_order_rounds():
         _same(index)
     assert _check_roundsync(TraceIndex(_trace(3, 3, set(), seqs)))[0].status == "pass"
     assert _check_roundsync(TraceIndex(_trace(3, 1, set(), seqs)))[0].failed
+
+
+def test_a_window_that_spans_two_slices():
+    # Both deliver 3 messages, so the checkpoints are the common rounds 2
+    # and 4 and the count 3.  From round 2 the window to checkpoint 3
+    # differs ({1:0, 1:1} against {1:0}); the one to checkpoint 4 spans
+    # the slices 2..3 and 3..4 and agrees, so round 2 synchronises within
+    # k = 2 but not within k = 1.
+    seqs = {
+        1: [(2, ("1:0", "1:1")), (4, ("1:2",))],
+        2: [(2, ("1:0",)), (3, ("1:1",)), (4, ("1:2",))],
+    }
+    index = TraceIndex(_trace(2, 2, set(), seqs))
+    _same(index)
+    assert _check_roundsync(index) == [Verdict("roundsync.window", "pass")]
+    index = TraceIndex(_trace(2, 1, set(), seqs))
+    _same(index)
+    witness = {"round": 2, "window": 1, "reason": "no synchronization round"}
+    assert _check_roundsync(index) == [Verdict("roundsync.window", "fail", witness)]
 
 
 def test_verdict_pin_traces_and_mutants():

@@ -21,6 +21,8 @@ views that break the chain or leave the inputs.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -28,7 +30,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bocast import checker
-from bocast.checker import Verdict, check_all, serialize_verdicts
+from bocast.checker import TraceIndex, Verdict, check_all, serialize_verdicts
+from bocast.cli import instantiate_template
 from bocast.sim import run_scenario
 from bocast.trace import Event, Trace, parse_trace
 
@@ -158,7 +161,39 @@ def test_honest_runs_take_the_fast_paths(seed):
         inputs = {args[0] for _, _, _, _, args, _ in objects[f"KSET[{r}]"]}
         bound = min(k, len(inputs))
         assert checker.replay(n, objects[f"SNAP1[{r}]"], mem=False) == (None, True)
-        assert checker._growing_chain(n, objects[f"SNAP2[{r}]"], inputs, bound)
+        snap2 = objects[f"SNAP2[{r}]"]
+        assert checker.replay(n, snap2, mem=False) == (None, True)
+        assert checker._growing_chain(snap2, inputs, bound)
+
+
+def _golden_trace():
+    return parse_trace(Path("scenarios/golden/width3_propose.trace").read_text(encoding="utf-8"))
+
+
+def _fuzz_trace_with_crashes():
+    template = json.loads(Path("scenarios/templates/n5_k2_propose.template.json").read_text())
+    trace = run_scenario(instantiate_template(template, 0))
+    assert TraceIndex(trace).faulty
+    return trace
+
+
+@pytest.mark.parametrize("make", [_golden_trace, _fuzz_trace_with_crashes], ids=["golden", "fuzz"])
+def test_check_all_replays_each_snapshot_object_once(monkeypatch, make):
+    # the snapshot and k2s suites share one replay of each object
+    trace = make()
+    replayed = Counter()
+    real = checker.replay
+
+    def counting(n, accesses, mem):
+        replayed[accesses[0][2] if accesses else None] += 1
+        return real(n, accesses, mem)
+
+    monkeypatch.setattr(checker, "replay", counting)
+    check_all(trace)
+    objects = accesses_by_object(trace)
+    snapshot_objects = [name for name in objects if name.startswith(("MEM", "SNAP1[", "SNAP2["))]
+    assert any(name.startswith("SNAP2[") for name in snapshot_objects)
+    assert replayed == Counter(snapshot_objects)
 
 
 @pytest.mark.parametrize("value", ["x", [1], 1.0, True])
