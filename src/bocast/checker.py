@@ -610,6 +610,14 @@ def _check_ksa(index: TraceIndex) -> list[Verdict]:
 
 
 def _check_roundsync(index: TraceIndex) -> list[Verdict]:
+    """After each checkpoint below ``r_end``, the non-faulty processes'
+    deliveries must coincide again within k rounds: some later checkpoint
+    at most k rounds on closes a window in which every process delivered
+    one set of messages.  The checkpoints are the rounds in which every
+    non-faulty process delivered a set, plus ``r_end``, the final delivery
+    count (a number of messages, equal at every such process).  So a
+    window can close at a round in which no process delivered; it then
+    ends at the end of every process's sequence."""
     name = "roundsync.window"
     if not index.quiescent:
         return [_skip(name)]

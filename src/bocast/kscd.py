@@ -25,7 +25,9 @@ beside it, which numbers the next K2S round.
 
 Determinism choices: whenever "some message" of a set is needed, the
 minimum in canonical (sender, index) order is taken; any choice would be
-correct, a fixed one makes runs reproducible.
+correct, a fixed one makes runs reproducible.  Keys come from MEM's
+``MsgKeys`` (``MemCounts.keys``), so the candidate choice, the delivery
+bookkeeping and the per-message unpacking parse each id once per run.
 
 Every shared-object operation is one scheduler step, and each object
 writes the trace row of its own access.  A K2S round spreads over five
@@ -42,7 +44,7 @@ from __future__ import annotations
 from operator import ge
 
 from .k2s import K2SInstance, RepeatedK2S, canon_sets
-from .messages import min_id, msg_key
+from .messages import MsgKeys
 from .objects import SnapshotArray
 
 
@@ -81,11 +83,14 @@ class MemCounts:
     """MEM, whose cell i counts the messages p_i has published, with the
     running total of its cells and the ids those counts name: ``ids[i - 1]``
     lists p_i's message ids in index order, each the one string of that id
-    that the run's rows and the engines hold."""
+    that the run's rows and the engines hold.  ``keys`` is the run's
+    ``MsgKeys``: every id the engines and the unpacking look up is parsed
+    into its canonical key once, there."""
 
     def __init__(self, n: int, emit):
         self.array = SnapshotArray(n, "MEM", emit)
         self.ids: list[list[str]] = [[] for _ in range(n)]
+        self.keys = MsgKeys()
         self.total = 0
 
     def publish(self, pid: int, mid: str) -> None:
@@ -100,6 +105,7 @@ class BroadcastEngine:
         self.pid = pid
         self.mem = mem
         self.kss = kss
+        self.key = mem.keys.__getitem__  # an id's canonical key, parsed once per run
 
         # The messages delivered here: prefix[s] is the first index of
         # p_{s+1}'s messages not delivered, and ahead holds (s, index) of
@@ -140,7 +146,7 @@ class BroadcastEngine:
         """Run one task step; returns the delivered set when one is emitted."""
         if self.prop is None:
             if self.seq:
-                self._propose(min_id(self.seq[0]))
+                self._propose(min(self.seq[0], key=self.key))
             else:
                 arr = self.mem.array.snapshot(self.pid)
                 # the oldest undelivered message of the first sender with
@@ -172,9 +178,9 @@ class BroadcastEngine:
 
     def _advance_prefixes(self, mids) -> None:
         """Record ``mids`` as delivered, none of which may be already."""
-        prefix, ahead = self.prefix, self.ahead
+        prefix, ahead, keys = self.prefix, self.ahead, self.mem.keys
         for mid in mids:
-            sender, index = msg_key(mid)
+            sender, index = keys[mid]
             s = sender - 1
             if index != prefix[s]:
                 if index < prefix[s] or (s, index) in ahead:

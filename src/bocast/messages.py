@@ -8,7 +8,11 @@ makes each id once, at its invoke (``sim._Process.main_step``), and MEM
 keeps it beside the count that names it (``kscd.MemCounts.ids``), so a
 run's rows and engines hold one string per id.  The canonical
 order (sender, then index) is the tie-break order used everywhere a
-deterministic choice among messages is needed.  An id is written in
+deterministic choice among messages is needed.  A run parses each id
+into that order's key once: MEM also owns the run's ``MsgKeys``
+(``kscd.MemCounts.keys``), through which the engines and the per-message
+unpacking (``kbo.unpack_order``) look keys up.  The checker calls
+``msg_key`` and ``sort_ids`` directly.  An id is written in
 canonical form: two decimal integers without sign, space, underscore or
 leading zero.  Scenario validation and the trace reader accept ids in
 that form only; whether the sender is one of 1..n is left to the
@@ -37,5 +41,13 @@ def sort_ids(mids) -> list[str]:
     return sorted(mids, key=msg_key)
 
 
-def min_id(mids) -> str:
-    return min(mids, key=msg_key)
+class MsgKeys(dict):
+    """Each message id looked up so far, mapped to its canonical key: the
+    first lookup of an id parses it with ``msg_key`` and keeps the key, so
+    a run that looks its ids up here parses each one once."""
+
+    __slots__ = ()
+
+    def __missing__(self, mid: str) -> tuple[int, int]:
+        key = self[mid] = msg_key(mid)
+        return key

@@ -15,12 +15,15 @@ Every process runs the full stack on two threads: ``main`` runs the
 workload operations (broadcast or propose, including their blocking
 waits, modeled as enabled predicates) and ``task`` runs the background
 delivery loop.  A delivered set is one deliver-set event, then one
-deliver-msg event per member in ``kbo.unpack_order``; its round is the
-number of messages the process delivered before it, which is also the
-number of its K2S round.  Every event carries the turn that emitted it;
-a crash carries the turn at which it fires.  Deliveries the stack never
-makes are not simulated: a trace that holds them is written by hand and
-only checked.
+deliver-msg event per member in ``kbo.unpack_order``, by the keys of
+MEM's ``MsgKeys``; its round is the number of messages the process
+delivered before it, which is also the number of its K2S round.  The
+scheduler records these events and the invokes, returns, decides and
+crashes through ``Recorder.event``; the shared objects record their own
+accesses through ``Recorder.emit``.  Every event carries the turn that
+emitted it; a crash carries the turn at which it fires.  Deliveries the
+stack never makes are not simulated: a trace that holds them is written
+by hand and only checked.
 
 The enabled (pid, thread) tokens are one set, ``enabled``, kept up to
 date, not polled.  A process waits in two places: a broadcast until it
@@ -105,17 +108,17 @@ class _Process:
 
     def main_step(self) -> bool:
         """Run one main-thread step; returns whether it wrote MEM."""
-        emit, pid = self.recorder.emit, self.pid
+        event, pid = self.recorder.event, self.pid
         if self.state == "idle":
             # each item broadcasts one message, so the item's index is the
             # message's; its id is made here only, and MEM keeps it
             item = self.items[self.widx]
             mid = f"{pid}:{self.widx}"
             if item.op == "broadcast":
-                emit(pid, "invoke", {"op": "kbo_broadcast", "msg": mid, "payload": item.payload})
+                event(pid, "invoke", {"op": "kbo_broadcast", "msg": mid, "payload": item.payload})
             else:
-                emit(pid, "invoke", {"op": "ksa_propose", "msg": mid,
-                                     "instance": item.instance, "value": item.value})
+                event(pid, "invoke", {"op": "ksa_propose", "msg": mid,
+                                      "instance": item.instance, "value": item.value})
                 self.proposals[mid] = (item.instance, item.value)
             self.widx += 1
             self.engine.broadcast_write(mid)
@@ -127,15 +130,15 @@ class _Process:
         elif self.state == "bwait":
             if self.items[self.widx - 1].op == "broadcast":
                 mid = self.engine.mem.ids[pid - 1][self.widx - 1]
-                emit(pid, "return", {"op": "kbo_broadcast", "msg": mid})
+                event(pid, "return", {"op": "kbo_broadcast", "msg": mid})
                 self.state = "idle"
             else:
                 self.state = "dwait"
         elif self.state == "dwait":
             nb = self.items[self.widx - 1].instance
             x = self.table.take(nb)
-            emit(pid, "decide", {"instance": nb, "value": x})
-            emit(pid, "return", {"op": "ksa_propose", "instance": nb, "value": x})
+            event(pid, "decide", {"instance": nb, "value": x})
+            event(pid, "return", {"op": "ksa_propose", "instance": nb, "value": x})
             self.state = "idle"
         else:
             raise SimulationError(f"unknown main state {self.state!r}")
@@ -149,11 +152,11 @@ class _Process:
         delivered = self.engine.task_step()
         if delivered is None:
             return False
-        emit, pid = self.recorder.emit, self.pid
-        order = unpack_order(delivered)
-        emit(pid, "deliver-set", {"round": position, "set": order})
+        event, pid = self.recorder.event, self.pid
+        order = unpack_order(delivered, self.engine.key)
+        event(pid, "deliver-set", {"round": position, "set": order})
         for position, mid in enumerate(order, position):
-            emit(pid, "deliver-msg", {"msg": mid, "position": position})
+            event(pid, "deliver-msg", {"msg": mid, "position": position})
             proposal = self.proposals.get(mid)
             if proposal is not None:
                 self.table.on_deliver(*proposal)
@@ -337,7 +340,7 @@ class Simulation:
     def _crash(self, pid: int) -> bool:
         """Fell ``pid``; returns whether ``enabled`` changed."""
         self.crashed.add(pid)
-        self.recorder.emit(pid, "crash", {})
+        self.recorder.event(pid, "crash", {})
         return self._refresh(pid)
 
     def _check_no_deadlock(self) -> None:

@@ -83,7 +83,8 @@ alone, and every message names the line a line-by-line reader names.
 
 In memory, a trace is its list of format-3 rows: ``Trace.rows`` holds
 each event as the JSON array its line decodes to, and the simulator's
-``Recorder`` builds the same lists, each at its exact size, so the run,
+``Recorder`` builds the same lists, each at its exact size (``emit``
+writes the object-access rows, ``event`` every other), so the run,
 the writer, the reader and the checker's index all handle one list per
 event and nothing else.  In the fields the reader checks, the rows hold
 each repeated value once, and a run's rows and its parsed rows share
@@ -230,19 +231,22 @@ class Trace:
 
 class Recorder:
     """Keeps events as format-3 rows in emission order; each row starts
-    with ``turn``, which the scheduler advances after each step's own events."""
+    with ``turn``, which the scheduler advances after each step's own events.
+    The shared objects write their accesses through ``emit``, the scheduler
+    every other event through ``event``.  Each builds its row as one list
+    display, which is allocated at its exact size."""
 
     def __init__(self):
         self.rows: list[list] = []
         self.turn = 0
 
-    def emit(self, pid: int, *fields) -> None:
-        """Record an event: ``object, op, args, result`` for an object
-        access, ``kind, payload`` for any other."""
-        # ``list`` of a tuple is allocated at its exact size, where
-        # ``[self.turn, pid, *fields]`` grows as it unpacks and over-allocates
-        # (152 bytes for an access row, not 104).
-        self.rows.append(list((self.turn, pid, *fields)))
+    def emit(self, pid: int, object_id: str, op: str, args, result) -> None:
+        """Record an object access."""
+        self.rows.append([self.turn, pid, object_id, op, args, result])
+
+    def event(self, pid: int, kind: str, payload: dict) -> None:
+        """Record an event other than an object access."""
+        self.rows.append([self.turn, pid, kind, payload])
 
 
 # One encoder for every record.  Insertion order of keys is part of the

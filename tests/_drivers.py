@@ -9,7 +9,7 @@ import json
 
 from bocast.k2s import K2SInstance, RepeatedK2S
 from bocast.kbo import unpack_order
-from bocast.messages import sort_ids
+from bocast.messages import msg_key, sort_ids
 from bocast.objects import SnapshotArray
 from bocast.poset import Poset, PosetError, brute_force_antichain, order_bitsets
 from bocast.rng import SplitMix64, derive
@@ -276,7 +276,7 @@ def forged_trace(n: int, k: int, steps, outcome="quiescent") -> Trace:
             events.append(Event(pid, "invoke", {"op": "kbo_broadcast", "msg": mid, "payload": step}, turn))
             events.append(Event(pid, "return", {"op": "kbo_broadcast", "msg": mid}, turn))
         else:
-            order = unpack_order(step)
+            order = unpack_order(step, msg_key)
             position = delivered.get(pid, 0)
             delivered[pid] = position + len(order)
             events.append(Event(pid, "deliver-set", {"round": position, "set": order}, turn))

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from bocast.checker import TraceIndex, any_failure, build_order, check_all
 from bocast.kbo import unpack_order
 from bocast.ksa import DecisionTable
+from bocast.messages import MsgKeys, msg_key, sort_ids
 from bocast.scenario import WorkItem, load_scenario
 from bocast.sim import run_scenario
 from bocast.trace import Event
@@ -17,7 +18,14 @@ LOOKALIKE = "scenarios/examples/n2_k1_lookalike_payload.scenario.json"
 
 
 def test_unpack_order_is_sender_then_index():
-    assert unpack_order(["2:1", "10:0", "2:0"]) == ["2:0", "2:1", "10:0"]
+    assert unpack_order(["2:1", "10:0", "2:0"], msg_key) == ["2:0", "2:1", "10:0"]
+    # keyed by a run's MsgKeys, as the simulator unpacks, the order is the
+    # canonical sort's, on a first lookup of an id and on a later one alike
+    keys = MsgKeys()
+    for mids in (frozenset({"2:1", "10:0", "2:0"}), {"1:12", "1:2", "12:1", "2:11", "2:0"}):
+        assert unpack_order(mids, keys.__getitem__) == sort_ids(mids)
+        assert unpack_order(mids, keys.__getitem__) == sort_ids(mids)
+    assert keys == {mid: msg_key(mid) for mid in keys}
 
 
 class TestDecisionTable:

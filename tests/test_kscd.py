@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bocast import messages
 from bocast.checker import TraceIndex, any_failure, check_all
 from bocast.cli import instantiate_template
 from bocast.k2s import K2SInstance, RepeatedK2S
@@ -45,6 +46,22 @@ def test_a_second_delivery_of_a_message_is_refused():
             engine._advance_prefixes({again})
     engine._advance_prefixes({"2:0"})
     assert engine.prefix == [1, 2] and not engine.ahead
+
+
+def test_a_run_parses_each_message_id_once(monkeypatch):
+    # The candidate choice, the delivery bookkeeping and the unpacking of
+    # delivered sets look ids up in MEM's MsgKeys, so over a whole run
+    # msg_key parses each id it sees once, and it sees every delivered id.
+    template = json.loads(TEMPLATE.read_text(encoding="utf-8"))
+    parse = messages.msg_key
+    for seed in range(10):
+        parsed = []
+        monkeypatch.setattr(messages, "msg_key", lambda mid: parsed.append(mid) or parse(mid))
+        trace = run_scenario(instantiate_template(template, seed))
+        invoked = {row[3]["msg"] for row in trace.rows if row[2] == "invoke"}
+        delivered = {row[3]["msg"] for row in trace.rows if row[2] == "deliver-msg"}
+        assert delivered and len(parsed) == len(set(parsed)), seed
+        assert delivered <= set(parsed) <= invoked, seed
 
 
 def test_solo_broadcast_delivers_own_message():
